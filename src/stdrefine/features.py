@@ -178,13 +178,14 @@ def detect_conflict(
         )
 
     s1, s2 = singles[f1.name], singles[f2.name]
-    ts_cache: dict[int, TraceSet] = {}
+    # Keyed by value: an id() key could be reused by a later machine once a
+    # rejected combined machine is freed, and serve it stale traces.
+    ts_cache: dict[Std, TraceSet] = {}
 
     def ts_of(machine: Std) -> TraceSet:
-        key = id(machine)
-        if key not in ts_cache:
-            ts_cache[key] = traces(machine, env, bounds)
-        return ts_cache[key]
+        if machine not in ts_cache:
+            ts_cache[machine] = traces(machine, env, bounds)
+        return ts_cache[machine]
 
     evidence: list[str] = []
 

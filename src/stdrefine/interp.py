@@ -237,7 +237,14 @@ CHAOS_ENTRY = Entry(chaos=True)
 @dataclass
 class TraceSet:
     """Bounded denotation of a machine: entries for every input sequence up to
-    the length bound, plus the configurations reached along the way."""
+    the length bound, plus the configurations reached along the way.
+
+    `entries` is kept in canonical order: its insertion order is the order of
+    `seq_key` (shorter sequences first, then lexicographic by `msg_key`).
+    `machine_traces` builds it breadth-first over the `msg_key`-sorted
+    `Machine.inputs`, and `simulate_prefixes` prefix by prefix, so neither
+    sorts; code that builds a TraceSet another way must keep the order.
+    """
 
     std_name: str
     bounds: Bounds
@@ -250,13 +257,16 @@ class TraceSet:
         return self.entries[seq]
 
     def sequences(self) -> list[tuple[Msg, ...]]:
-        return sorted(self.entries, key=seq_key)
+        """Every recorded input sequence, in canonical (`seq_key`) order,
+        which is the insertion order of `entries`."""
+        return list(self.entries)
 
     def has_divergence(self) -> bool:
         return any(e.divergent for e in self.entries.values())
 
 
 def seq_key(seq: tuple[Msg, ...]):
+    """The canonical order of input sequences: length, then `msg_key` order."""
     return (len(seq), tuple(msg_key(m) for m in seq))
 
 
@@ -552,19 +562,21 @@ def check_monotone(ts: TraceSet) -> Verdict:
             if ej.chaos:
                 continue
             targets = ej.all_outputs()
-            for o in _sorted_outputs(ei.all_outputs()):
-                if not any(is_prefix(o, t) for t in targets):
-                    return Verdict(
-                        ok=False,
-                        kind="monotonicity",
-                        bounds=ts.bounds,
-                        witness=Witness(
-                            input=pre,
-                            output=o,
-                            extension=seq,
-                            note="no output at the longer input extends this one",
-                        ),
-                    )
+            lost = [
+                o for o in ei.all_outputs() if not any(is_prefix(o, t) for t in targets)
+            ]
+            if lost:
+                return Verdict(
+                    ok=False,
+                    kind="monotonicity",
+                    bounds=ts.bounds,
+                    witness=Witness(
+                        input=pre,
+                        output=min(lost, key=outputs_key),
+                        extension=seq,
+                        note="no output at the longer input extends this one",
+                    ),
+                )
     return Verdict(ok=True, kind="monotonicity", bounds=ts.bounds)
 
 

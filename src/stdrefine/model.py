@@ -602,6 +602,11 @@ def make_config(control: str, values: dict[str, Value]) -> Configuration:
     return Configuration(control, tuple(sorted(values.items())))
 
 
+def config_key(c: Configuration):
+    """Deterministic sort key for configurations: control state, then values."""
+    return (c.control, tuple(_value_key(v) for _, v in c.valuation))
+
+
 def enumerate_valuations(
     attributes: tuple[tuple[str, Sort], ...], domains: dict[str, tuple[str, ...]]
 ) -> list[dict[str, Value]]:
@@ -1193,6 +1198,43 @@ def _outputs_of(
     return tuple(msgs)
 
 
+def _pinned_pools(
+    post: Expr,
+    valuation: dict[str, Value],
+    tables: dict[str, dict[tuple[Value, ...], Value]],
+    params: dict[str, Value],
+    pools: dict[str, list[Value]],
+) -> dict[str, list[Value]] | None:
+    """Narrow each attribute's pool of post-state values by the pins of `post`.
+
+    A pin is a conjunct ``x' == e`` or ``e == x'`` of the top-level ``and``
+    chain whose ``e`` has no primed reference.  The postcondition can only be
+    True where every such conjunct is, so only the values of x's pool that
+    are ``==`` to e's value remain; the same attribute pinned twice keeps the
+    values equal to both.  None means no post-state can satisfy `post`: some
+    pinned ``e`` is Undefined, which makes the whole conjunction Undefined.
+    """
+    narrowed = dict(pools)
+    todo = [post]
+    while todo:
+        e = todo.pop()
+        if not isinstance(e, BinOp):
+            continue
+        if e.op == "and":
+            todo += (e.left, e.right)
+            continue
+        if e.op != "eq":
+            continue
+        for lhs, rhs in ((e.left, e.right), (e.right, e.left)):
+            if isinstance(lhs, PrimedRef) and lhs.name in narrowed and not has_primed(rhs):
+                v = eval_expr(rhs, valuation, tables, params=params)
+                if v is Undefined:
+                    return None
+                narrowed[lhs.name] = [u for u in narrowed[lhs.name] if u == v]
+                break
+    return narrowed
+
+
 def enabled_transitions(
     std: Std,
     config: Configuration,
@@ -1206,6 +1248,14 @@ def enabled_transitions(
     A transition contributes one reaction per primed valuation satisfying its
     postcondition; an unsatisfiable postcondition, or an Undefined output,
     contributes nothing.  The diagram must be desugared.
+
+    Pinned attributes are solved rather than enumerated: a top-level conjunct
+    ``x' == e`` (or ``e == x'``) whose ``e`` mentions no primed attribute
+    admits only the values of x's sort that equal e's value, and none at all
+    when e is Undefined (see `_pinned_pools`).  Unpinned attributes range
+    over their whole sort, and every candidate is still checked against the
+    full postcondition with `eval_expr`, so the reactions are exactly those
+    of enumerating every primed valuation.
     """
     if not is_desugared(std):
         std = desugar(std)
@@ -1214,6 +1264,8 @@ def enabled_transitions(
         if problems:
             raise ValueError("environment does not fit the diagram: " + "; ".join(problems))
     domains = std.domain_map()
+    names = [n for n, _ in std.attributes]
+    pools: dict[str, list[Value]] | None = None
     valuation = config.value_map()
     out: list[EnabledTransition] = []
     for t in std.transitions:
@@ -1234,8 +1286,14 @@ def enabled_transitions(
         outputs = _outputs_of(t, valuation, tables, params)
         if outputs is None:
             continue
+        if pools is None:
+            pools = {n: enumerate_sort(s, domains) for n, s in std.attributes}
+        pinned = _pinned_pools(t.post, valuation, tables, params, pools)
+        if pinned is None:
+            continue
         reactions = set()
-        for primed in enumerate_valuations(std.attributes, domains):
+        for combo in itertools.product(*(pinned[n] for n in names)):
+            primed = dict(zip(names, combo))
             if eval_expr(t.post, valuation, tables, primed=primed, params=params) is True:
                 reactions.add((outputs, make_config(t.target, primed)))
         if reactions:
@@ -1269,7 +1327,7 @@ def initial_configurations(
         for valu in enumerate_valuations(std.attributes, domains):
             if eval_expr(pred, valu, tables) is True:
                 configs.append(make_config(state, valu))
-    return sorted(set(configs), key=lambda c: (c.control, tuple(_value_key(v) for _, v in c.valuation)))
+    return sorted(set(configs), key=config_key)
 
 
 def _configs_touched_processing(

@@ -43,6 +43,7 @@ from .model import (
     Transition,
     Value,
     bind_environment,
+    config_key,
     conj,
     desugar,
     enumerate_sort,
@@ -595,7 +596,10 @@ def _apply_remove_transitions(
     domains = work.domain_map()
     kept = replace(work, transitions=remaining)
 
-    for cfg in reachable_configurations(work, env, bounds.max_input_len, bounds.eps_budget):
+    # In canonical order, so that the witness is the least offending
+    # configuration whatever the string-hash seed.
+    reachable = reachable_configurations(work, env, bounds.max_input_len, bounds.eps_budget)
+    for cfg in sorted(reachable, key=config_key):
         v = cfg.value_map()
         for t in removed:
             if t.source != cfg.control:
@@ -702,31 +706,29 @@ def trace_inclusion(ts_abstract: TraceSet, ts_concrete: TraceSet) -> Verdict:
                     "machine did not; outputs are incomparable at this bound",
                 ),
             )
-        for o in sorted(ec.outputs, key=outputs_key):
-            if o not in ea.outputs:
-                return Verdict(
-                    ok=False,
-                    kind="refinement",
-                    bounds=bounds,
-                    witness=Witness(
-                        input=seq,
-                        output=o,
-                        note="concrete output is not among the abstract outputs",
-                    ),
-                )
-        for o in sorted(ec.divergent, key=outputs_key):
-            if o not in ea.divergent:
-                return Verdict(
-                    ok=False,
-                    kind="refinement",
-                    bounds=bounds,
-                    witness=Witness(
-                        input=seq,
-                        output=o,
-                        note="concrete divergent (budget-truncated) output has no "
-                        "abstract counterpart",
-                    ),
-                )
+        if not ec.outputs <= ea.outputs:
+            return Verdict(
+                ok=False,
+                kind="refinement",
+                bounds=bounds,
+                witness=Witness(
+                    input=seq,
+                    output=min(ec.outputs - ea.outputs, key=outputs_key),
+                    note="concrete output is not among the abstract outputs",
+                ),
+            )
+        if not ec.divergent <= ea.divergent:
+            return Verdict(
+                ok=False,
+                kind="refinement",
+                bounds=bounds,
+                witness=Witness(
+                    input=seq,
+                    output=min(ec.divergent - ea.divergent, key=outputs_key),
+                    note="concrete divergent (budget-truncated) output has no "
+                    "abstract counterpart",
+                ),
+            )
     return Verdict(
         ok=True, kind="refinement", bounds=bounds,
         note=_divergence_note(ts_abstract, ts_concrete),
@@ -749,12 +751,11 @@ def trace_equivalence(ts_a: TraceSet, ts_b: TraceSet) -> Verdict:
         if a.chaos:
             continue
         if a.outputs != b.outputs or a.divergent != b.divergent or a.capped != b.capped:
-            only = sorted((a.all_outputs() ^ b.all_outputs()), key=outputs_key)
             return Verdict(
                 ok=False, kind="trace-equivalence", bounds=bounds,
                 witness=Witness(
                     input=seq,
-                    output=only[0] if only else None,
+                    output=min(a.all_outputs() ^ b.all_outputs(), key=outputs_key, default=None),
                     note="entries differ at this input",
                 ),
             )

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import builtins
+
 import pytest
 
 from stdrefine import (
     Bounds,
     ConflictReport,
     FeatureApplyError,
+    FeaturePatch,
     Std,
     apply_feature,
     base_std,
@@ -21,9 +24,11 @@ from stdrefine import (
     feature_patch,
     integrate_chain,
     parse_feature,
+    parse_std,
     trace_equivalence,
     traces,
 )
+from stdrefine import features
 from stdrefine.features import conflict_to_json, introduced_labels, introduced_state_names
 from stdrefine.model import EMPTY_ENV
 
@@ -115,6 +120,48 @@ def test_patch_failing_alone_is_not_independent():
     report = detect_conflict(duo, fine, broken, EMPTY_ENV, B)
     assert report.verdict == "not-independent"
     assert any("does not apply" in e for e in report.evidence)
+
+
+PICK_SRC = """
+std pick = {
+  input go
+  output a | b | c
+  states s init
+%s
+}
+"""
+
+
+def _pick(*outputs: str) -> Std:
+    """A one-state machine answering go with any one of `outputs`."""
+    return parse_std(
+        PICK_SRC % "\n".join(f"  t{i}: s -> s : go / [{o}]" for i, o in enumerate(outputs))
+    )
+
+
+def test_rejected_order_does_not_leak_traces_into_accepted_order(monkeypatch):
+    """The first order's combined machine fails refinement and is dropped;
+    the second order's passes.  CPython may give the id() of a freed object
+    to a new one; the stubs below make that happen every time, by giving
+    both combined machines one id, so the verdict must not depend on object
+    identity."""
+    base = _pick()
+    f1 = FeaturePatch("f1", "pick", ())
+    f2 = FeaturePatch("f2", "pick", ())
+    s1, s2 = _pick("a", "b"), _pick("a", "b", "c")
+    rejected, accepted = _pick("c"), _pick("a")  # refines neither / both singles
+    results = {(base, "f1"): s1, (base, "f2"): s2, (s1, "f2"): rejected, (s2, "f1"): accepted}
+    monkeypatch.setattr(
+        features, "apply_feature", lambda std, patch, env, bounds: results[(std, patch.name)]
+    )
+    monkeypatch.setattr(
+        features, "id", lambda obj: 0 if obj in (rejected, accepted) else builtins.id(obj),
+        raising=False,
+    )
+    report = detect_conflict(base, f1, f2, EMPTY_ENV, SMALL)
+    assert report.verdict == "compatible", report.describe()
+    assert report.merged == accepted
+    assert "order f1 then f2: combined machine does not refine" in report.evidence[0]
 
 
 def test_compatible_orders_are_trace_equivalent():

@@ -21,10 +21,12 @@ from stdrefine import (
     trace_inclusion,
     traces,
 )
-from stdrefine.interp import CHAOS_ENTRY, Machine, outputs_key, traceset_to_json
+from stdrefine.callproc import build_step, default_env
+from stdrefine.interp import CHAOS_ENTRY, Machine, outputs_key, seq_key, traceset_to_json
 from stdrefine.model import EMPTY_ENV
 
 K2 = Bounds(max_input_len=2, eps_budget=4, output_cap=16)
+K4 = Bounds(max_input_len=4, eps_budget=4, output_cap=16)
 
 
 def outs(entry):
@@ -115,7 +117,7 @@ def test_chaos_absorbs_extensions():
 def test_simulate_prefixes_records_every_prefix():
     seq = (Msg("LT"), Msg("DL", (1,)))
     ts = simulate_prefixes(tel_std(), EMPTY_ENV, seq, K2)
-    assert set(ts.entries) == {(), seq[:1], seq}
+    assert ts.sequences() == [(), seq[:1], seq]
     assert ts.entry(seq) == simulate(tel_std(), EMPTY_ENV, seq, K2)
 
 
@@ -204,6 +206,12 @@ def test_traces_are_deterministic():
     assert traceset_to_json(a) == traceset_to_json(b)
 
 
+@pytest.mark.parametrize("n", range(6))
+def test_corpus_trace_sets_are_built_in_canonical_order(n):
+    ts = traces(build_step(n), default_env(), K4)
+    assert list(ts.entries) == sorted(ts.entries, key=seq_key)
+
+
 def test_initial_configs_respect_initial_predicates():
     m = Machine(stack_std(), EMPTY_ENV, K2)
     assert list(m.initial_configs()) == [make_config("estack", {"l": ()})]
@@ -230,6 +238,31 @@ def test_inclusion_allows_reduced_nondeterminism():
     assert not back.ok
     assert back.witness is not None
     assert "BY" in str(back.witness.output)
+
+
+PICK_SRC = """
+std pick = {
+  input go
+  output a | b | c | z
+  states s init
+%s
+}
+"""
+
+
+def test_inclusion_witness_is_the_least_missing_output():
+    abstract = parse_std(PICK_SRC % "  t0: s -> s : go / [z]")
+    concrete = parse_std(
+        PICK_SRC
+        % "\n".join(
+            f"  t{i}: s -> s : go / [{o}]"
+            for i, o in enumerate(("c", "a, a", "z", "b", "c, a"))
+        )
+    )
+    verdict = trace_inclusion(traces(abstract, EMPTY_ENV, K2), traces(concrete, EMPTY_ENV, K2))
+    assert not verdict.ok
+    assert verdict.witness.input == (Msg("go"),)
+    assert verdict.witness.output == (Msg("b"),)
 
 
 def test_equivalence_is_reflexive_and_detects_difference():

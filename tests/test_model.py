@@ -6,6 +6,8 @@ import itertools
 
 import pytest
 
+from oracles import oracle_enabled
+
 from stdrefine import (
     EnvSymDecl,
     Msg,
@@ -408,6 +410,55 @@ def test_relational_post_yields_one_reaction_per_valuation():
     [en] = enabled_transitions(std, make_config("a", {"x": 0}), Msg("go"), EMPTY_ENV)
     succs = {succ for _, succ in en.reactions}
     assert succs == {make_config("b", {"x": 0}), make_config("b", {"x": 1})}
+
+
+def _pin(attr, expr):
+    return BinOp("eq", PrimedRef(attr), expr)
+
+
+def _keep(attr):
+    return _pin(attr, AttrRef(attr))
+
+
+# Postconditions around the pinned-attribute solver of `enabled_transitions`,
+# with x, y :: Int 0..2, b :: Bool, the partial table F = {0: 1}, and the
+# pre-state a[x=2, y=1, b=false]; the last item is the expected number of
+# reactions.
+PINNED_POSTS = [
+    pytest.param(conj(BinOp("eq", BinOp("sub", AttrRef("x"), Lit(1)), PrimedRef("x")),
+                      _keep("y"), _keep("b")), 1, id="reversed"),
+    pytest.param(conj(_pin("x", Lit(1)), _pin("x", BinOp("sub", AttrRef("x"), Lit(1))),
+                      _keep("y")), 2, id="pinned-twice-consistent"),
+    pytest.param(conj(_pin("x", Lit(1)), _pin("x", Lit(0)), _keep("y"), _keep("b")), 0,
+                 id="pinned-twice-inconsistent"),
+    pytest.param(conj(_pin("x", SymApp("F", (AttrRef("x"),))), _keep("y"), _keep("b")), 0,
+                 id="undefined-pin"),
+    pytest.param(conj(_pin("x", SymApp("F", (Lit(0),))), _keep("y"), _keep("b")), 1,
+                 id="defined-pin"),
+    pytest.param(conj(_pin("x", BinOp("add", AttrRef("x"), Lit(1))), _keep("y"), _keep("b")), 0,
+                 id="out-of-range"),
+    pytest.param(conj(_keep("x"), _keep("y"), _pin("b", Not(AttrRef("b")))), 1, id="bool"),
+    pytest.param(conj(_pin("x", Lit(0)), BinOp("gt", PrimedRef("y"), AttrRef("y"))), 2,
+                 id="relational-beside-pin"),
+    pytest.param(conj(BinOp("or", _pin("x", Lit(0)), _pin("x", Lit(2))), _keep("y"), _keep("b")),
+                 2, id="top-level-or"),
+    pytest.param(conj(_pin("x", PrimedRef("y")), _keep("b")), 3, id="primed-right-side"),
+]
+
+
+@pytest.mark.parametrize("post,expected", PINNED_POSTS)
+def test_pinned_postconditions_agree_with_oracle(post, expected):
+    attrs = (("x", IntSort(0, 2)), ("y", IntSort(0, 2)), ("b", BoolSort()))
+    decl = EnvSymDecl(params=(IntSort(0, 2),), result=IntSort(0, 2), total=False)
+    std = _tiny((_t(post=post),), attributes=attrs, uses=(("F", decl),))
+    env = make_environment(domains={}, tables={"F": {(0,): 1}})
+    cfg = make_config("a", {"x": 2, "y": 1, "b": False})
+    got = {
+        (e.transition.label, e.binding, e.reactions)
+        for e in enabled_transitions(std, cfg, Msg("go"), env)
+    }
+    assert got == oracle_enabled(std, cfg, Msg("go"), env)
+    assert sum(len(reactions) for _, _, reactions in got) == expected
 
 
 def test_bind_environment_reports_missing_totals():

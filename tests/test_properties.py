@@ -27,12 +27,13 @@ from stdrefine import (
     make_environment,
     parse_std,
     print_std,
+    simulate_prefixes,
     std_from_json,
     std_to_json,
     traces,
     validate_std,
 )
-from stdrefine.interp import Machine
+from stdrefine.interp import Machine, seq_key
 from stdrefine.model import enabled_transitions, message_instances
 
 EMPTY_ENV = make_environment({}, {}, {})
@@ -121,6 +122,14 @@ def test_trace_sets_grow_monotonically_and_absorb_chaos(seed):
 
     verdict = check_monotone(ts3)
     assert verdict.ok, verdict.describe()
+
+    # `traces` and `simulate_prefixes` record entries in canonical order, and
+    # simulating one input sequence reproduces the entries of its prefixes.
+    assert list(ts3.entries) == sorted(ts3.entries, key=seq_key)
+    longest = ts3.sequences()[-1]
+    sim = simulate_prefixes(std, EMPTY_ENV, longest, B3)
+    assert list(sim.entries) == sorted(sim.entries, key=seq_key)
+    assert sim.entries == {seq: ts3.entry(seq) for seq in sim.entries}
 
 
 @given(seeds)

@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import stdrefine
 
 from stdrefine import (
     AddStates,
@@ -277,6 +284,46 @@ def test_remove_transition_at_unreachable_state_is_fine(base):
     out = apply_rule(grown, RemoveTransitions(("w1",)), EMPTY_ENV, B)
     assert out.transition("w1") is None
     assert check_refinement(grown, out, EMPTY_ENV, B).ok
+
+
+HUED_SRC = """
+std hued = {
+  domain Hue = {red, green}
+  input go
+  output a
+  attributes x0 :: Bool
+  attributes x1 :: Hue
+  attributes x2 :: Int 0..2
+  states s0 init
+  t0: s0 -> s0 : go / [a] {x0' == x0 && x1' == x1 && x2' == x2}
+}
+"""
+
+REJECT_SCRIPT = f"""
+from stdrefine import RemoveTransitions, RuleError, apply_rule, parse_std
+from stdrefine.model import EMPTY_ENV
+try:
+    apply_rule(parse_std({HUED_SRC!r}), RemoveTransitions(("t0",)), EMPTY_ENV)
+except RuleError as exc:
+    print(exc)
+"""
+
+
+def test_remove_transition_witness_is_least_configuration_under_any_hash_seed():
+    src = str(Path(stdrefine.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    messages = set()
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-c", REJECT_SCRIPT],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        messages.add(proc.stdout)
+    assert messages == {
+        "rule remove-transitions: removing 't0' leaves go unhandled where it was "
+        "accepted [witness: configuration s0[x0=false, x1=green, x2=0]]\n"
+    }
 
 
 def test_remove_transition_unknown_label(base):
