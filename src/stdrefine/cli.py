@@ -201,7 +201,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.json:
         sys.stdout.write(dump_json(traceset_to_json(ts)))
         return EXIT_PASS
-    entry = ts.entries[msgs]
+    entry = ts.entry(msgs)
     lines = [
         f"simulate {std.name} on {format_sequence(msgs)}",
         f"  bounds: {bounds.describe()}",

@@ -14,7 +14,8 @@ produce.  The single-message building block is `step`:
   where neither a matching external transition nor any internal transition is
   enabled, the behavior is completely unspecified from that point on: the
   whole entry is CHAOS, and chaos propagates to every extension of the input
-  sequence.
+  sequence.  A trace set records chaos once, at the shortest chaotic input,
+  and does not expand it: `TraceSet.entry` answers CHAOS for every extension.
 
 * A branch whose chain of internal steps exhausts the budget without consuming
   the message is *divergent*: its partial output is parked, flagged, and
@@ -30,8 +31,8 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from .model import (
     Configuration,
@@ -164,10 +165,7 @@ class Machine:
         return result
 
     def _explore(self, config: Configuration, message: Msg) -> StepResult:
-        reactions: set[tuple[Outputs, Configuration]] = set()
-        divergent: set[Outputs] = set()
         touched: set[Configuration] = set()
-        chaotic = False
 
         # outcomes relative to a pending-message configuration, keyed by the
         # remaining internal-step allowance
@@ -206,12 +204,11 @@ class Machine:
             memo[key] = result
             return result
 
-        r, d, chaotic = outcomes(config, self.bounds.eps_budget)
-        reactions |= r
-        divergent |= d
+        reactions, divergent, chaotic = outcomes(config, self.bounds.eps_budget)
+        del outcomes  # a self-referencing closure: free the Machine without the cycle collector
         return StepResult(
-            reactions=frozenset(reactions),
-            divergent=frozenset(divergent),
+            reactions=reactions,
+            divergent=divergent,
             chaotic=chaotic,
             touched=frozenset(touched),
         )
@@ -236,14 +233,17 @@ CHAOS_ENTRY = Entry(chaos=True)
 
 @dataclass
 class TraceSet:
-    """Bounded denotation of a machine: entries for every input sequence up to
+    """Bounded denotation of a machine: an entry for every input sequence up to
     the length bound, plus the configurations reached along the way.
 
-    `entries` is kept in canonical order: its insertion order is the order of
-    `seq_key` (shorter sequences first, then lexicographic by `msg_key`).
-    `machine_traces` builds it breadth-first over the `msg_key`-sorted
-    `Machine.inputs`, and `simulate_prefixes` prefix by prefix, so neither
-    sorts; code that builds a TraceSet another way must keep the order.
+    `entries` records every sequence without a chaotic proper prefix (from
+    `simulate_prefixes`: every prefix of its one path); the extensions of a
+    chaotic entry are implied, and `entry` answers for them.  Its insertion
+    order is canonical (`seq_key`): `machine_traces` builds breadth-first over
+    the `msg_key`-sorted `Machine.inputs`, `simulate_prefixes` prefix by
+    prefix, so neither sorts.  `reached` holds the initial configurations and
+    those touched by the steps of non-chaotic entries, so it does not depend
+    on which branch of a chaotic step happened to be tried first.
     """
 
     std_name: str
@@ -254,11 +254,20 @@ class TraceSet:
     warnings: tuple[str, ...]
 
     def entry(self, seq: tuple[Msg, ...]) -> Entry:
-        return self.entries[seq]
+        """The recorded entry at `seq`, or `CHAOS_ENTRY` for an unrecorded
+        extension (within the bounds and the input alphabet) of a recorded
+        chaotic entry.  Raises `KeyError` for any other sequence."""
+        found = self.entries.get(seq)
+        if found is not None:
+            return found
+        if len(seq) <= self.bounds.max_input_len and all(m in self.inputs for m in seq):
+            if any(self.entries.get(seq[:cut]) == CHAOS_ENTRY for cut in range(len(seq))):
+                return CHAOS_ENTRY
+        raise KeyError(seq)
 
     def sequences(self) -> list[tuple[Msg, ...]]:
-        """Every recorded input sequence, in canonical (`seq_key`) order,
-        which is the insertion order of `entries`."""
+        """Every recorded input sequence (not the implied extensions of chaos),
+        in canonical (`seq_key`) order: the insertion order of `entries`."""
         return list(self.entries)
 
     def has_divergence(self) -> bool:
@@ -279,6 +288,26 @@ def format_sequence(seq: tuple[Msg, ...]) -> str:
 
 
 _WARNING_LIMIT = 20
+
+
+def _check_state_cap(bounds: Bounds, reached: set[Configuration]) -> None:
+    if bounds.state_cap is not None and len(reached) > bounds.state_cap:
+        raise ResourceLimit(
+            "state_cap",
+            bounds.state_cap,
+            f"state cap exceeded: more than {bounds.state_cap} distinct "
+            f"configurations reached (offending bound: state_cap)",
+        )
+
+
+def _make_entry(outputs, divergent, cap: int) -> Entry:
+    """A non-chaotic entry, its output sequences clipped at `cap` and flagged."""
+    return Entry(
+        chaos=False,
+        outputs=frozenset(u[:cap] for u in outputs),
+        divergent=frozenset(u[:cap] for u in divergent),
+        capped=any(len(u) > cap for u in itertools.chain(outputs, divergent)),
+    )
 
 
 def traces(std: Std, env: Environment, bounds: Bounds = DEFAULT_BOUNDS) -> TraceSet:
@@ -303,94 +332,59 @@ def machine_traces(machine: Machine) -> TraceSet:
         else:
             suppressed += 1
 
-    def check_state_cap() -> None:
-        if bounds.state_cap is not None and len(reached) > bounds.state_cap:
-            raise ResourceLimit(
-                "state_cap",
-                bounds.state_cap,
-                f"state cap exceeded: more than {bounds.state_cap} distinct "
-                f"configurations reached (offending bound: state_cap)",
-            )
-
-    check_state_cap()
+    _check_state_cap(bounds, reached)
 
     # A live node: the branch states (configuration, accumulated outputs)
     # plus parked divergent outputs inherited by every extension.
     Branches = set  # of (Configuration, Outputs)
     start_branches: Branches = {(c, ()) for c in machine.initial_configs()}
 
-    def clip(outs: Outputs) -> tuple[Outputs, bool]:
-        if len(outs) > cap:
-            return outs[:cap], True
-        return outs, False
-
-    def make_entry(branches, divergent, chaotic) -> Entry:
-        if chaotic:
-            return CHAOS_ENTRY
-        outs: set[Outputs] = set()
-        capped = False
-        for _, u in branches:
-            cu, hit = clip(u)
-            capped = capped or hit
-            outs.add(cu)
-        divs: set[Outputs] = set()
-        for u in divergent:
-            cu, hit = clip(u)
-            capped = capped or hit
-            divs.add(cu)
-        return Entry(
-            chaos=False,
-            outputs=frozenset(outs),
-            divergent=frozenset(divs),
-            capped=capped,
-        )
-
-    entries[()] = make_entry(start_branches, frozenset(), False)
-    layer: list[tuple[tuple[Msg, ...], Branches, frozenset, bool]] = [
-        ((), start_branches, frozenset(), False)
+    entries[()] = _make_entry({u for _, u in start_branches}, (), cap)
+    layer: list[tuple[tuple[Msg, ...], Branches, frozenset]] = [
+        ((), start_branches, frozenset())
     ]
 
     for _depth in range(bounds.max_input_len):
-        next_layer: list[tuple[tuple[Msg, ...], Branches, frozenset, bool]] = []
-        for seq, branches, divergent, chaotic in layer:
+        next_layer: list[tuple[tuple[Msg, ...], Branches, frozenset]] = []
+        for seq, branches, divergent in layer:
             for m in machine.inputs:
                 child_seq = seq + (m,)
-                if chaotic:
-                    entries[child_seq] = CHAOS_ENTRY
-                    next_layer.append((child_seq, set(), frozenset(), True))
-                    continue
                 child_branches: Branches = set()
                 child_divergent: set[Outputs] = set(divergent)
-                child_chaos = False
+                child_touched: set[Configuration] = set()
+                diverged = 0
+                chaotic = False
                 for cfg, u in branches:
                     res = machine.step(cfg, m)
-                    reached.update(res.touched)
                     if res.chaotic:
-                        child_chaos = True
+                        chaotic = True
                         break
+                    child_touched |= res.touched
                     for outs, succ in res.reactions:
                         child_branches.add((succ, u + outs))
                     for outs in res.divergent:
                         child_divergent.add(u + outs)
-                        warn(
-                            "internal-step budget exhausted while processing "
-                            f"{m} after input {format_sequence(seq)}"
-                        )
-                check_state_cap()
-                if child_chaos:
+                    diverged += len(res.divergent)
+                # A chaotic child is recorded, not expanded.  What its branches
+                # touched depends on which were stepped first, and is dropped.
+                if chaotic:
                     entries[child_seq] = CHAOS_ENTRY
-                    next_layer.append((child_seq, set(), frozenset(), True))
-                else:
-                    entry = make_entry(child_branches, child_divergent, False)
-                    if entry.capped:
-                        warn(
-                            "output cap hit at input "
-                            f"{format_sequence(child_seq)} (outputs clipped at {cap})"
-                        )
-                    entries[child_seq] = entry
-                    next_layer.append(
-                        (child_seq, child_branches, frozenset(child_divergent), False)
+                    continue
+                reached |= child_touched
+                _check_state_cap(bounds, reached)
+                for _ in range(diverged):
+                    warn(
+                        "internal-step budget exhausted while processing "
+                        f"{m} after input {format_sequence(seq)}"
                     )
+                entry = _make_entry({u for _, u in child_branches}, child_divergent, cap)
+                if entry.capped:
+                    warn(
+                        "output cap hit at input "
+                        f"{format_sequence(child_seq)} (outputs clipped at {cap})"
+                    )
+                entries[child_seq] = entry
+                next_layer.append((child_seq, child_branches, frozenset(child_divergent)))
         layer = next_layer
 
     if suppressed:
@@ -416,42 +410,12 @@ def simulate_prefixes(
     machine = Machine(std, env, bounds)
     input_seq = tuple(input_seq)
     cap = bounds.output_cap
-
-    def clip(sets) -> tuple[frozenset, bool]:
-        clipped: set[Outputs] = set()
-        hit = False
-        for u in sets:
-            if len(u) > cap:
-                clipped.add(u[:cap])
-                hit = True
-            else:
-                clipped.add(u)
-        return frozenset(clipped), hit
-
     entries: dict[tuple[Msg, ...], Entry] = {}
     reached: set[Configuration] = set(machine.initial_configs())
     branches = {(c, ()) for c in machine.initial_configs()}
     divergent: set[Outputs] = set()
-
-    def check_state_cap() -> None:
-        if bounds.state_cap is not None and len(reached) > bounds.state_cap:
-            raise ResourceLimit(
-                "state_cap",
-                bounds.state_cap,
-                f"state cap exceeded: more than {bounds.state_cap} distinct "
-                f"configurations reached (offending bound: state_cap)",
-            )
-
-    check_state_cap()
-
-    def record(prefix: tuple[Msg, ...]) -> None:
-        outs, capped_out = clip({u for _, u in branches})
-        divs, capped_div = clip(divergent)
-        entries[prefix] = Entry(
-            chaos=False, outputs=outs, divergent=divs, capped=capped_out or capped_div
-        )
-
-    record(())
+    _check_state_cap(bounds, reached)
+    entries[()] = _make_entry({u for _, u in branches}, divergent, cap)
     chaotic = False
     for i, m in enumerate(input_seq):
         prefix = input_seq[: i + 1]
@@ -461,13 +425,13 @@ def simulate_prefixes(
         if m not in machine.inputs:
             raise ValueError(f"{m} is not an input message instance of {std.name}")
         next_branches = set()
+        touched: set[Configuration] = set()
         for cfg, u in branches:
             res = machine.step(cfg, m)
             if res.chaotic:
                 chaotic = True
                 break
-            reached.update(res.touched)
-            check_state_cap()
+            touched |= res.touched
             for outs, succ in res.reactions:
                 next_branches.add((succ, u + outs))
             for outs in res.divergent:
@@ -475,8 +439,10 @@ def simulate_prefixes(
         if chaotic:
             entries[prefix] = CHAOS_ENTRY
             continue
+        reached |= touched
+        _check_state_cap(bounds, reached)
         branches = next_branches
-        record(prefix)
+        entries[prefix] = _make_entry({u for _, u in branches}, divergent, cap)
     return TraceSet(
         std_name=std.name,
         bounds=bounds,
@@ -494,7 +460,7 @@ def simulate(
     bounds: Bounds = DEFAULT_BOUNDS,
 ) -> Entry:
     """The entry for one concrete input sequence."""
-    return simulate_prefixes(std, env, input_seq, bounds).entries[tuple(input_seq)]
+    return simulate_prefixes(std, env, input_seq, bounds).entry(tuple(input_seq))
 
 
 # ---------------------------------------------------------------------------

@@ -676,12 +676,14 @@ def _divergence_note(*tracesets: TraceSet) -> str:
 def trace_inclusion(ts_abstract: TraceSet, ts_concrete: TraceSet) -> Verdict:
     """Every concrete behavior is an abstract behavior, entry by entry, with
     abstract CHAOS licensing anything.  Fails on the minimal counterexample
-    (shortest input sequence, then lexicographically least offending output)."""
+    (shortest input sequence, then lexicographically least offending output).
+    Extensions of abstract chaos are licensed, so only recorded abstract
+    sequences are visited; concrete chaos before one has failed already."""
     _require_same_alphabet(ts_abstract, ts_concrete)
     bounds = ts_abstract.bounds
     for seq in ts_abstract.sequences():
         ea = ts_abstract.entries[seq]
-        ec = ts_concrete.entries[seq]
+        ec = ts_concrete.entry(seq)
         if ea.chaos:
             continue
         if ec.chaos:
@@ -737,12 +739,13 @@ def trace_inclusion(ts_abstract: TraceSet, ts_concrete: TraceSet) -> Verdict:
 
 def trace_equivalence(ts_a: TraceSet, ts_b: TraceSet) -> Verdict:
     """Entry-by-entry equality of two trace sets (same chaos, outputs,
-    divergent outputs, and cap flags everywhere)."""
+    divergent outputs, and cap flags everywhere).  Extensions of chaos agree
+    iff the chaos does, so only `ts_a`'s recorded sequences are visited."""
     _require_same_alphabet(ts_a, ts_b)
     bounds = ts_a.bounds
     for seq in ts_a.sequences():
         a = ts_a.entries[seq]
-        b = ts_b.entries[seq]
+        b = ts_b.entry(seq)
         if a.chaos != b.chaos:
             return Verdict(
                 ok=False, kind="trace-equivalence", bounds=bounds,

@@ -131,3 +131,9 @@ def all_configs(std: Std):
         for state in std.states
         for valuation in _post_valuations(std)
     ]
+
+
+def input_closure(inputs, k: int):
+    """Every input sequence over `inputs` of length at most k, by raw
+    cartesian product (shorter first)."""
+    return [seq for n in range(k + 1) for seq in itertools.product(inputs, repeat=n)]

@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import stdrefine
 from stdrefine import build_step, corpus_path, parse_std, print_std
 from stdrefine.cli import main
 
@@ -296,10 +299,14 @@ def test_reports_are_byte_identical_across_runs():
 
 
 def test_console_entry_point_matches_in_process_run():
+    # The subprocess imports the same stdrefine as this process, installed or not.
+    src = str(Path(stdrefine.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "stdrefine.cli", "check", TEL],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     code, out, err = run("check", TEL)
     assert proc.returncode == code

@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
+import gc
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
+
 import pytest
 
+import stdrefine
 from stdrefine import (
     Bounds,
     SignatureMismatch,
     Msg,
     ResourceLimit,
     check_monotone,
+    check_refinement,
     make_config,
     parse_std,
     print_std,
@@ -25,8 +34,11 @@ from stdrefine.callproc import build_step, default_env
 from stdrefine.interp import CHAOS_ENTRY, Machine, outputs_key, seq_key, traceset_to_json
 from stdrefine.model import EMPTY_ENV
 
+from oracles import input_closure
+
 K2 = Bounds(max_input_len=2, eps_budget=4, output_cap=16)
 K4 = Bounds(max_input_len=4, eps_budget=4, output_cap=16)
+K6 = Bounds(max_input_len=6, eps_budget=4, output_cap=16)
 
 
 def outs(entry):
@@ -71,8 +83,21 @@ def test_tel_trace_count_is_alphabet_closure():
     ts = traces(tel_std(), EMPTY_ENV, K2)
     n = len(ts.inputs)
     assert n == 11  # LT, OH, DL(1..9)
-    assert len(ts.entries) == 1 + n + n * n
+    closure = input_closure(ts.inputs, K2.max_input_len)
+    assert len(closure) == 1 + n + n * n
+    # `entry` answers for the whole closure; `entries` records exactly the
+    # sequences without a chaotic proper prefix.
+    entries = {seq: ts.entry(seq) for seq in closure}
+    assert set(ts.entries) == {
+        seq for seq in closure if not any(entries[seq[:cut]].chaos for cut in range(len(seq)))
+    }
+    assert len(ts.entries) < len(closure)
     assert ts.entry(()) is not None and not ts.entry(()).chaos
+    oh = Msg("OH")
+    with pytest.raises(KeyError):
+        ts.entry((oh, oh, oh))  # extends chaos, but is longer than the bound
+    with pytest.raises(KeyError):
+        ts.entry((oh, Msg("Zap")))  # extends chaos, but leaves the alphabet
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +134,15 @@ def test_chaos_absorbs_extensions():
     ts = traces(tel_std(), EMPTY_ENV, K2)
     bad = (Msg("OH"),)
     assert ts.entry(bad).chaos
-    for seq in ts.sequences():
-        if len(seq) > len(bad) and seq[: len(bad)] == bad:
-            assert ts.entry(seq) is CHAOS_ENTRY
+    extensions = [
+        seq
+        for seq in input_closure(ts.inputs, K2.max_input_len)
+        if len(seq) > len(bad) and seq[: len(bad)] == bad
+    ]
+    assert len(extensions) == len(ts.inputs)
+    for seq in extensions:
+        assert seq not in ts.entries  # implied, not stored
+        assert ts.entry(seq) is CHAOS_ENTRY
 
 
 def test_simulate_prefixes_records_every_prefix():
@@ -212,6 +243,66 @@ def test_corpus_trace_sets_are_built_in_canonical_order(n):
     assert list(ts.entries) == sorted(ts.entries, key=seq_key)
 
 
+def test_chain_at_k6_stores_no_more_than_at_k4():
+    # Every step of the chain turns chaotic within a few messages; the
+    # extensions of chaos are implied, so raising k adds no entries.
+    env = default_env()
+    at_k4 = traces(build_step(5), env, K4)
+    at_k6 = traces(build_step(5), env, K6)
+    assert len(at_k6.entries) == len(at_k4.entries)
+    assert check_refinement(build_step(3), build_step(5), env, K6).ok
+    verdict = check_refinement(build_step(1), build_step(0), env, K6)
+    assert not verdict.ok
+    assert tuple(m.ctor for m in verdict.witness.input) == ("call", "abandon")
+
+
+TRACES_SCRIPT = """
+import random
+from machine_gen import gen_std
+from stdrefine import Bounds, simulate_prefixes, traces
+from stdrefine.interp import dump_json, traceset_to_json
+from stdrefine.model import EMPTY_ENV
+bounds = Bounds(max_input_len=3, eps_budget=2, output_cap=64)
+rng = random.Random(7)
+for i in range(40):
+    std = gen_std(rng, name=f"gen{i}")
+    ts = traces(std, EMPTY_ENV, bounds)
+    sim = simulate_prefixes(std, EMPTY_ENV, ts.sequences()[-1], bounds)
+    print(dump_json(traceset_to_json(ts)), dump_json(traceset_to_json(sim)))
+"""
+
+
+def test_trace_sets_do_not_depend_on_the_hash_seed():
+    # A chaotic step stops at its first chaotic branch, and the branches are a
+    # set: only non-chaotic steps may add to `reached` and to the warnings.
+    src = str(Path(stdrefine.__file__).resolve().parents[1])
+    here = str(Path(__file__).resolve().parent)
+    path = os.pathsep.join(p for p in (src, here, os.environ.get("PYTHONPATH")) if p)
+    outputs = set()
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-c", TRACES_SCRIPT],
+            env=env, capture_output=True, text=True, check=True, timeout=60,
+        )
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+
+
+def test_machine_is_freed_without_the_cycle_collector():
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        machine = Machine(tel_std(), EMPTY_ENV, K2)
+        machine.step(machine.initial_configs()[0], Msg("LT"))
+        ref = weakref.ref(machine)
+        del machine
+        assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def test_initial_configs_respect_initial_predicates():
     m = Machine(stack_std(), EMPTY_ENV, K2)
     assert list(m.initial_configs()) == [make_config("estack", {"l": ()})]
@@ -284,3 +375,35 @@ def test_equivalence_requires_identical_alphabets():
     stack = traces(stack_std(), EMPTY_ENV, K2)
     with pytest.raises(SignatureMismatch):
         trace_equivalence(tel, stack)
+
+
+SPEC_SRC = """
+std spec = {
+  input go
+  output o
+  states s init
+  g: s -> s : go / [o]
+}
+"""
+
+GAP_SRC = """
+std gap = {
+  input go
+  output o
+  states s init, t
+  g: t -> t : go / [o]
+}
+"""
+
+
+def test_second_set_chaotic_at_a_proper_prefix_fails_at_that_prefix():
+    spec = traces(parse_std(SPEC_SRC), EMPTY_ENV, K2)
+    gap = traces(parse_std(GAP_SRC), EMPTY_ENV, K2)
+    go = Msg("go")
+    assert (go, go) in spec.entries
+    assert (go, go) not in gap.entries and gap.entry((go, go)) is CHAOS_ENTRY
+    for verdict in (trace_inclusion(spec, gap), trace_equivalence(spec, gap)):
+        assert not verdict.ok
+        assert verdict.witness.input == (go,)
+    assert trace_inclusion(gap, spec).ok
+    assert trace_equivalence(gap, spec).witness.input == (go,)

@@ -15,7 +15,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from machine_gen import gen_application, gen_std
-from oracles import all_configs, oracle_enabled, oracle_step
+from oracles import all_configs, input_closure, oracle_enabled, oracle_step
 
 from stdrefine import (
     Bounds,
@@ -27,6 +27,7 @@ from stdrefine import (
     make_environment,
     parse_std,
     print_std,
+    simulate,
     simulate_prefixes,
     std_from_json,
     std_to_json,
@@ -110,15 +111,25 @@ def test_trace_sets_grow_monotonically_and_absorb_chaos(seed):
     ts2 = traces(std, EMPTY_ENV, B2)
     ts3 = traces(std, EMPTY_ENV, B3)
 
+    closure2 = input_closure(ts2.inputs, B2.max_input_len)
+    closure3 = input_closure(ts3.inputs, B3.max_input_len)
+
     # Raising the input-length bound only adds sequences; shared ones keep
     # the exact same entry.
-    for seq, entry in ts2.entries.items():
-        assert ts3.entry(seq) == entry
+    for seq in closure2:
+        assert ts3.entry(seq) == ts2.entry(seq)
 
-    # Once a sequence reaches chaos every extension stays chaotic.
-    for seq, entry in ts3.entries.items():
+    # `entry` agrees with simulating the one sequence, on the whole closure;
+    # chaos is recorded once, at the sequences without a chaotic proper prefix.
+    for seq in closure3:
+        assert ts3.entry(seq) == simulate(std, EMPTY_ENV, seq, B3)
         if seq and ts3.entry(seq[:-1]).chaos:
-            assert entry.chaos
+            assert ts3.entry(seq).chaos
+    assert set(ts3.entries) == {
+        seq
+        for seq in closure3
+        if not any(ts3.entry(seq[:cut]).chaos for cut in range(len(seq)))
+    }
 
     verdict = check_monotone(ts3)
     assert verdict.ok, verdict.describe()
