@@ -36,13 +36,14 @@ from typing import Optional
 
 from .model import (
     Configuration,
+    EnabledTransition,
     Environment,
     Msg,
     Std,
+    TransitionIndex,
     Value,
     bind_environment,
     desugar,
-    enabled_transitions,
     initial_configurations,
     message_instances,
     msg_key,
@@ -86,20 +87,6 @@ class Bounds:
 DEFAULT_BOUNDS = Bounds()
 
 
-class _ChaosType:
-    _instance: Optional["_ChaosType"] = None
-
-    def __new__(cls) -> "_ChaosType":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "CHAOS"
-
-
-CHAOS = _ChaosType()
-
 Outputs = tuple[Msg, ...]
 
 
@@ -118,10 +105,6 @@ class StepResult:
     chaotic: bool
     touched: frozenset[Configuration]
 
-    @property
-    def is_chaos(self) -> bool:
-        return self.chaotic
-
 
 def outputs_key(outs: Outputs):
     return (len(outs), tuple(msg_key(m) for m in outs))
@@ -136,7 +119,15 @@ def is_prefix(short: Outputs, long: Outputs) -> bool:
 
 
 class Machine:
-    """A diagram bound to an environment, with memoized single-message steps."""
+    """A diagram bound to an environment, with memoized single-message steps.
+
+    The desugared diagram is indexed once (`TransitionIndex`), and every
+    enabledness question of `step` goes to that index.  Which internal
+    transitions are enabled at a configuration does not depend on the pending
+    message or on the remaining internal-step allowance, so the answer is kept
+    per configuration for the machine's life; enabledness under an input
+    message is not kept (a step asks it once per configuration and message).
+    """
 
     def __init__(self, std: Std, env: Environment, bounds: Bounds = DEFAULT_BOUNDS) -> None:
         self.surface = std
@@ -150,7 +141,9 @@ class Machine:
         self.inputs: tuple[Msg, ...] = tuple(
             message_instances(self.std.signature.inputs, self.std.domain_map())
         )
+        self.index = TransitionIndex(self.std, tables)
         self._step_memo: dict[tuple[Configuration, Msg], StepResult] = {}
+        self._internal: dict[Configuration, list[EnabledTransition]] = {}
 
     def initial_configs(self) -> list[Configuration]:
         return initial_configurations(self.std, self.env, self.tables)
@@ -179,8 +172,10 @@ class Machine:
             local_reactions: set[tuple[Outputs, Configuration]] = set()
             local_divergent: set[Outputs] = set()
             local_chaos = False
-            ext = enabled_transitions(self.std, cfg, message, self.env, self.tables)
-            eps = enabled_transitions(self.std, cfg, None, self.env, self.tables)
+            ext = self.index.enabled(cfg, message)
+            eps = self._internal.get(cfg)
+            if eps is None:
+                eps = self._internal[cfg] = self.index.enabled(cfg, None)
             for en in ext:
                 for outs, succ in en.reactions:
                     local_reactions.add((outs, succ))
@@ -352,7 +347,7 @@ def machine_traces(machine: Machine) -> TraceSet:
                 child_branches: Branches = set()
                 child_divergent: set[Outputs] = set(divergent)
                 child_touched: set[Configuration] = set()
-                diverged = 0
+                diverged = False
                 chaotic = False
                 for cfg, u in branches:
                     res = machine.step(cfg, m)
@@ -364,7 +359,8 @@ def machine_traces(machine: Machine) -> TraceSet:
                         child_branches.add((succ, u + outs))
                     for outs in res.divergent:
                         child_divergent.add(u + outs)
-                    diverged += len(res.divergent)
+                    if res.divergent:
+                        diverged = True
                 # A chaotic child is recorded, not expanded.  What its branches
                 # touched depends on which were stepped first, and is dropped.
                 if chaotic:
@@ -372,7 +368,7 @@ def machine_traces(machine: Machine) -> TraceSet:
                     continue
                 reached |= child_touched
                 _check_state_cap(bounds, reached)
-                for _ in range(diverged):
+                if diverged:
                     warn(
                         "internal-step budget exhausted while processing "
                         f"{m} after input {format_sequence(seq)}"
@@ -409,6 +405,9 @@ def simulate_prefixes(
     semantics as `traces`, without enumerating the whole alphabet)."""
     machine = Machine(std, env, bounds)
     input_seq = tuple(input_seq)
+    for m in input_seq:
+        if m not in machine.inputs:
+            raise ValueError(f"{m} is not an input message instance of {std.name}")
     cap = bounds.output_cap
     entries: dict[tuple[Msg, ...], Entry] = {}
     reached: set[Configuration] = set(machine.initial_configs())
@@ -422,8 +421,6 @@ def simulate_prefixes(
         if chaotic:
             entries[prefix] = CHAOS_ENTRY
             continue
-        if m not in machine.inputs:
-            raise ValueError(f"{m} is not an input message instance of {std.name}")
         next_branches = set()
         touched: set[Configuration] = set()
         for cfg, u in branches:

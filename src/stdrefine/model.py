@@ -1159,10 +1159,6 @@ def desugar(std: Std) -> Std:
     return replace(std, transitions=tuple(new_transitions))
 
 
-def is_desugared(std: Std) -> bool:
-    return all(t.priority is None and not isinstance(t.guard, ElseGuard) for t in std.transitions)
-
-
 # ---------------------------------------------------------------------------
 # Enabled transitions
 # ---------------------------------------------------------------------------
@@ -1198,23 +1194,11 @@ def _outputs_of(
     return tuple(msgs)
 
 
-def _pinned_pools(
-    post: Expr,
-    valuation: dict[str, Value],
-    tables: dict[str, dict[tuple[Value, ...], Value]],
-    params: dict[str, Value],
-    pools: dict[str, list[Value]],
-) -> dict[str, list[Value]] | None:
-    """Narrow each attribute's pool of post-state values by the pins of `post`.
-
-    A pin is a conjunct ``x' == e`` or ``e == x'`` of the top-level ``and``
-    chain whose ``e`` has no primed reference.  The postcondition can only be
-    True where every such conjunct is, so only the values of x's pool that
-    are ``==`` to e's value remain; the same attribute pinned twice keeps the
-    values equal to both.  None means no post-state can satisfy `post`: some
-    pinned ``e`` is Undefined, which makes the whole conjunction Undefined.
-    """
-    narrowed = dict(pools)
+def _pins(post: Expr, attributes: tuple[str, ...]) -> tuple[tuple[str, Expr], ...]:
+    """The pins of a postcondition: each conjunct ``x' == e`` or ``e == x'``
+    of its top-level ``and`` chain, with x an attribute and e free of primed
+    references, as an (x, e) pair."""
+    pins: list[tuple[str, Expr]] = []
     todo = [post]
     while todo:
         e = todo.pop()
@@ -1226,13 +1210,96 @@ def _pinned_pools(
         if e.op != "eq":
             continue
         for lhs, rhs in ((e.left, e.right), (e.right, e.left)):
-            if isinstance(lhs, PrimedRef) and lhs.name in narrowed and not has_primed(rhs):
-                v = eval_expr(rhs, valuation, tables, params=params)
-                if v is Undefined:
-                    return None
-                narrowed[lhs.name] = [u for u in narrowed[lhs.name] if u == v]
+            if isinstance(lhs, PrimedRef) and lhs.name in attributes and not has_primed(rhs):
+                pins.append((lhs.name, rhs))
                 break
-    return narrowed
+    return tuple(pins)
+
+
+class TransitionIndex:
+    """The transitions of one desugared diagram, indexed once for `enabled`.
+
+    Built from a desugared `Std` and the tables `bind_environment` bound for
+    it; neither may change afterwards.  What does not depend on the
+    configuration is computed here, once: the transitions grouped by (source,
+    trigger constructor, or None for eps) in declaration order, so `enabled`
+    lists them in the order of `std.transitions`; each transition's pins (see
+    `_pins`); and the attribute names with each attribute's pool of values.
+    `enabled` then does only the per-configuration work, evaluating every
+    expression with `eval_expr`.
+    """
+
+    def __init__(self, std: Std, tables: dict[str, dict[tuple[Value, ...], Value]]) -> None:
+        self.tables = tables
+        # Sorted, so that a combination of pool values zips straight into a
+        # `Configuration` valuation.
+        self.names = tuple(sorted(n for n, _ in std.attributes))
+        domains = std.domain_map()
+        sorts = std.attr_map()
+        self.pools = tuple(enumerate_sort(sorts[n], domains) for n in self.names)
+        position = {n: i for i, n in enumerate(self.names)}
+        self._groups: dict[tuple[str, Optional[str]], list[tuple[Transition, tuple]]] = {}
+        for t in std.transitions:
+            pins = tuple((position[n], e) for n, e in _pins(t.post, self.names))
+            self._groups.setdefault((t.source, t.trigger), []).append((t, pins))
+
+    def enabled(self, config: Configuration, trigger: Msg | None) -> list[EnabledTransition]:
+        """The transitions productively enabled at `config` for `trigger` (a
+        ground input message, or None for eps), with their reactions; see
+        `enabled_transitions`."""
+        group = self._groups.get((config.control, None if trigger is None else trigger.ctor))
+        if not group:
+            return []
+        tables = self.tables
+        names = self.names
+        valuation = config.value_map()
+        out: list[EnabledTransition] = []
+        for t, pins in group:
+            if trigger is None:
+                params: dict[str, Value] = {}
+            elif len(t.params) != len(trigger.args):
+                continue
+            else:
+                params = dict(zip(t.params, trigger.args))
+            if eval_expr(t.guard, valuation, tables, params=params) is not True:
+                continue
+            outputs = _outputs_of(t, valuation, tables, params)
+            if outputs is None:
+                continue
+            pools = self._solve(pins, valuation, params)
+            if pools is None:
+                continue
+            reactions = set()
+            for combo in itertools.product(*pools):
+                primed = tuple(zip(names, combo))
+                if eval_expr(t.post, valuation, tables, primed=dict(primed), params=params) is True:
+                    reactions.add((outputs, Configuration(t.target, primed)))
+            if reactions:
+                out.append(
+                    EnabledTransition(
+                        transition=t,
+                        binding=tuple(sorted(params.items())),
+                        reactions=frozenset(reactions),
+                    )
+                )
+        return out
+
+    def _solve(
+        self,
+        pins: tuple[tuple[int, Expr], ...],
+        valuation: dict[str, Value],
+        params: dict[str, Value],
+    ) -> list[list[Value]] | None:
+        """The pools narrowed by `pins`: a pinned attribute keeps the values
+        ``==`` to its pin's value (to each one, when pinned twice).  None when
+        some pin is Undefined, which makes the postcondition Undefined."""
+        pools = list(self.pools)
+        for i, rhs in pins:
+            v = eval_expr(rhs, valuation, self.tables, params=params)
+            if v is Undefined:
+                return None
+            pools[i] = [u for u in pools[i] if u == v]
+        return pools
 
 
 def enabled_transitions(
@@ -1243,68 +1310,32 @@ def enabled_transitions(
     tables: dict[str, dict[tuple[Value, ...], Value]] | None = None,
 ) -> list[EnabledTransition]:
     """All transitions enabled at `config` for `trigger` (a ground input
-    message, or None for the internal trigger), with their reactions.
+    message, or None for the internal trigger), with their reactions, in
+    declaration order.
 
     A transition contributes one reaction per primed valuation satisfying its
     postcondition; an unsatisfiable postcondition, or an Undefined output,
-    contributes nothing.  The diagram must be desugared.
+    contributes nothing.  The diagram is desugared, and `tables` bound from
+    `env`, when not given.
 
     Pinned attributes are solved rather than enumerated: a top-level conjunct
     ``x' == e`` (or ``e == x'``) whose ``e`` mentions no primed attribute
     admits only the values of x's sort that equal e's value, and none at all
-    when e is Undefined (see `_pinned_pools`).  Unpinned attributes range
-    over their whole sort, and every candidate is still checked against the
-    full postcondition with `eval_expr`, so the reactions are exactly those
-    of enumerating every primed valuation.
+    when e is Undefined.  Unpinned attributes range over their whole sort,
+    and every candidate is still checked against the full postcondition with
+    `eval_expr`, so the reactions are exactly those of enumerating every
+    primed valuation.
+
+    Each call builds a `TransitionIndex`; a caller asking many questions of
+    one diagram (as `interp.Machine` does) builds the index once and calls
+    `TransitionIndex.enabled`.
     """
-    if not is_desugared(std):
-        std = desugar(std)
+    std = desugar(std)
     if tables is None:
         tables, problems = bind_environment(std, env)
         if problems:
             raise ValueError("environment does not fit the diagram: " + "; ".join(problems))
-    domains = std.domain_map()
-    names = [n for n, _ in std.attributes]
-    pools: dict[str, list[Value]] | None = None
-    valuation = config.value_map()
-    out: list[EnabledTransition] = []
-    for t in std.transitions:
-        if t.source != config.control:
-            continue
-        if trigger is None:
-            if t.trigger is not None:
-                continue
-            params: dict[str, Value] = {}
-        else:
-            if t.trigger != trigger.ctor:
-                continue
-            if len(t.params) != len(trigger.args):
-                continue
-            params = dict(zip(t.params, trigger.args))
-        if eval_expr(t.guard, valuation, tables, params=params) is not True:
-            continue
-        outputs = _outputs_of(t, valuation, tables, params)
-        if outputs is None:
-            continue
-        if pools is None:
-            pools = {n: enumerate_sort(s, domains) for n, s in std.attributes}
-        pinned = _pinned_pools(t.post, valuation, tables, params, pools)
-        if pinned is None:
-            continue
-        reactions = set()
-        for combo in itertools.product(*(pinned[n] for n in names)):
-            primed = dict(zip(names, combo))
-            if eval_expr(t.post, valuation, tables, primed=primed, params=params) is True:
-                reactions.add((outputs, make_config(t.target, primed)))
-        if reactions:
-            out.append(
-                EnabledTransition(
-                    transition=t,
-                    binding=tuple(sorted(params.items())),
-                    reactions=frozenset(reactions),
-                )
-            )
-    return out
+    return TransitionIndex(std, tables).enabled(config, trigger)
 
 
 # ---------------------------------------------------------------------------
@@ -1330,45 +1361,6 @@ def initial_configurations(
     return sorted(set(configs), key=config_key)
 
 
-def _configs_touched_processing(
-    std: Std,
-    config: Configuration,
-    message: Msg,
-    env: Environment,
-    tables: dict[str, dict[tuple[Value, ...], Value]],
-    eps_budget: int,
-) -> set[Configuration]:
-    """Every configuration the machine can occupy while processing `message`
-    from `config`: intermediate configurations along internal-transition chains
-    (while the message is still pending) and the configurations reached by
-    consuming it.  Internal chains are cut at `eps_budget` hops.
-    """
-    touched: set[Configuration] = set()
-    chain = {config}
-    frontier = [config]
-    hops = 0
-    while True:
-        for cfg in frontier:
-            for en in enabled_transitions(std, cfg, message, env, tables):
-                for _, succ in en.reactions:
-                    touched.add(succ)
-        if hops == eps_budget:
-            break
-        nxt: list[Configuration] = []
-        for cfg in frontier:
-            for en in enabled_transitions(std, cfg, None, env, tables):
-                for _, succ in en.reactions:
-                    if succ not in chain:
-                        chain.add(succ)
-                        nxt.append(succ)
-                        touched.add(succ)
-        if not nxt:
-            break
-        frontier = nxt
-        hops += 1
-    return touched
-
-
 def reachable_configurations(
     std: Std,
     env: Environment,
@@ -1379,26 +1371,20 @@ def reachable_configurations(
 
     Internal transitions fire only while a message is pending, so depth 0
     yields exactly the initial configurations; each further message admits up
-    to `eps_budget` internal hops before it is consumed.
+    to `eps_budget` internal hops before it is consumed.  The configurations
+    one message can lead to are those `interp.Machine.step` touches.
     """
-    std = desugar(std)
-    tables, problems = bind_environment(std, env)
-    if problems:
-        raise ValueError("environment does not fit the diagram: " + "; ".join(problems))
-    domains = std.domain_map()
-    inputs = message_instances(std.signature.inputs, domains)
+    from .interp import Bounds, Machine
 
-    reached = set(initial_configurations(std, env, tables))
+    machine = Machine(std, env, Bounds(eps_budget=eps_budget))
+    reached = set(machine.initial_configs())
     layer = set(reached)
     explored: dict[Configuration, set[Configuration]] = {}
     for _ in range(depth):
         nxt: set[Configuration] = set()
         for c in layer:
             if c not in explored:
-                touched: set[Configuration] = set()
-                for m in inputs:
-                    touched |= _configs_touched_processing(std, c, m, env, tables, eps_budget)
-                explored[c] = touched
+                explored[c] = set().union(*(machine.step(c, m).touched for m in machine.inputs))
             nxt |= explored[c]
         reached |= nxt
         if nxt <= explored.keys():

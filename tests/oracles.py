@@ -20,6 +20,7 @@ from stdrefine.model import (
     enumerate_sort,
     eval_expr,
     make_config,
+    message_instances,
 )
 from stdrefine.interp import Bounds
 
@@ -137,3 +138,65 @@ def input_closure(inputs, k: int):
     """Every input sequence over `inputs` of length at most k, by raw
     cartesian product (shorter first)."""
     return [seq for n in range(k + 1) for seq in itertools.product(inputs, repeat=n)]
+
+
+def oracle_reachable(std: Std, env, depth: int, eps_budget: int):
+    """Reference bounded reachability: breadth-first over `oracle_enabled`.
+
+    From each configuration reached so far, every input message may be
+    processed: internal chains of at most `eps_budget` hops run while it is
+    pending, and every configuration on such a chain, or reached by consuming
+    the message, is touched.  Depth 0 is the initial configurations.
+    """
+    std = desugar(std)
+    tables, problems = bind_environment(std, env)
+    if problems:
+        raise ValueError("; ".join(problems))
+    inputs = message_instances(std.signature.inputs, std.domain_map())
+
+    def touched_processing(config, message):
+        touched = set()
+        chain = {config}
+        frontier = [config]
+        hops = 0
+        while True:
+            for cfg in frontier:
+                for _lab, _bind, rs in oracle_enabled(std, cfg, message, env):
+                    touched |= {succ for _, succ in rs}
+            if hops == eps_budget:
+                break
+            nxt = []
+            for cfg in frontier:
+                for _lab, _bind, rs in oracle_enabled(std, cfg, None, env):
+                    for _, succ in rs:
+                        if succ not in chain:
+                            chain.add(succ)
+                            nxt.append(succ)
+                            touched.add(succ)
+            if not nxt:
+                break
+            frontier = nxt
+            hops += 1
+        return touched
+
+    reached = {
+        make_config(state, valuation)
+        for state, pred in std.initial
+        for valuation in _post_valuations(std)
+        if eval_expr(pred, valuation, tables) is True
+    }
+    layer = set(reached)
+    explored: dict = {}
+    for _ in range(depth):
+        nxt = set()
+        for c in layer:
+            if c not in explored:
+                explored[c] = set()
+                for m in inputs:
+                    explored[c] |= touched_processing(c, m)
+            nxt |= explored[c]
+        reached |= nxt
+        if nxt <= explored.keys():
+            break
+        layer = nxt
+    return reached

@@ -118,6 +118,12 @@ def test_simulate_rejects_garbage_input_sequence():
     assert code == 2 and err
 
 
+def test_simulate_rejects_a_foreign_message_after_chaos():
+    code, out, err = run("simulate", TEL, "--input", "OH, Zap")
+    assert code == 2 and out == ""
+    assert "Zap is not an input message instance of tel" in err
+
+
 def test_simulate_honors_state_cap():
     code, _, err = run(
         "simulate", CALLPROC, "--env", DEFAULT_ENV, "--input", "call(d1, d2)", "--state-cap", "1"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import os
+import random
 import subprocess
 import sys
 import weakref
@@ -31,9 +32,17 @@ from stdrefine import (
     traces,
 )
 from stdrefine.callproc import build_step, default_env
-from stdrefine.interp import CHAOS_ENTRY, Machine, outputs_key, seq_key, traceset_to_json
+from stdrefine.interp import (
+    CHAOS_ENTRY,
+    Machine,
+    format_sequence,
+    outputs_key,
+    seq_key,
+    traceset_to_json,
+)
 from stdrefine.model import EMPTY_ENV
 
+from machine_gen import gen_std
 from oracles import input_closure
 
 K2 = Bounds(max_input_len=2, eps_budget=4, output_cap=16)
@@ -155,6 +164,9 @@ def test_simulate_prefixes_records_every_prefix():
 def test_simulate_rejects_foreign_messages():
     with pytest.raises(ValueError, match="not an input message instance"):
         simulate(tel_std(), EMPTY_ENV, (Msg("Zap"),), K2)
+    # tel is chaotic at [OH]; a foreign message after it is still rejected.
+    with pytest.raises(ValueError, match="Zap is not an input message instance of tel"):
+        simulate(tel_std(), EMPTY_ENV, (Msg("OH"), Msg("Zap")), K2)
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +191,51 @@ def test_internal_loop_diverges_and_warns():
     ] == ["tick|tick|tick|tick"]
     assert ts.has_divergence()
     assert any("internal-step budget exhausted" in w for w in ts.warnings)
+
+
+def divergent_steps(std, env, bounds):
+    """(message, input) of every step of a non-chaotic child in which some
+    branch exhausts the internal-step budget, breadth-first in canonical
+    order: the steps `machine_traces` must warn about, once each."""
+    machine = Machine(std, env, bounds)
+    found = []
+    layer = [((), set(machine.initial_configs()))]
+    for _ in range(bounds.max_input_len):
+        next_layer = []
+        for seq, configs in layer:
+            for m in machine.inputs:
+                results = [machine.step(c, m) for c in configs]
+                if any(r.chaotic for r in results):
+                    continue
+                if any(r.divergent for r in results):
+                    found.append((m, seq))
+                next_layer.append((seq + (m,), {s for r in results for _, s in r.reactions}))
+        layer = next_layer
+    return found
+
+
+def test_each_divergent_step_warns_once():
+    bounds = Bounds(max_input_len=3, eps_budget=3, output_cap=4)
+    rng = random.Random(7)
+    for _ in range(300):
+        std = gen_std(rng)
+        ts = traces(std, EMPTY_ENV, bounds)
+        assert len(set(ts.warnings)) == len(ts.warnings)
+        budget = [w for w in ts.warnings if w.startswith("internal-step budget exhausted")]
+        expected = [
+            f"internal-step budget exhausted while processing {m} after input "
+            f"{format_sequence(seq)}"
+            for m, seq in divergent_steps(std, EMPTY_ENV, bounds)
+        ]
+        # Every warning is counted: shown, or in the suppressed tally.
+        capped = sum(e.capped for e in ts.entries.values())
+        if ts.warnings and ts.warnings[-1].endswith("more warnings suppressed"):
+            suppressed = int(ts.warnings[-1].split()[1])
+            assert len(ts.warnings) - 1 + suppressed == len(expected) + capped
+            assert budget == expected[: len(budget)]
+        else:
+            assert len(ts.warnings) == len(expected) + capped
+            assert budget == expected
 
 
 def test_divergence_is_not_chaos():

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
-from oracles import oracle_enabled
+from machine_gen import gen_std
+from oracles import oracle_enabled, oracle_reachable
 
 from stdrefine import (
+    Bounds,
     EnvSymDecl,
     Msg,
     MsgCtor,
@@ -16,10 +19,13 @@ from stdrefine import (
     Std,
     Transition,
     Undefined,
+    build_step,
+    default_env,
     desugar,
     make_config,
     make_environment,
     parse_std,
+    traces,
     validate_std,
 )
 from stdrefine.model import (
@@ -54,6 +60,7 @@ from stdrefine.model import (
     format_value,
     message_instances,
     msg_key,
+    reachable_configurations,
 )
 
 DOMS = {"Hue": ("red", "green")}
@@ -459,6 +466,42 @@ def test_pinned_postconditions_agree_with_oracle(post, expected):
     }
     assert got == oracle_enabled(std, cfg, Msg("go"), env)
     assert sum(len(reactions) for _, _, reactions in got) == expected
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_enabled_transitions_with_environment_tables_agree_with_oracle(n):
+    # Guards, outputs and pins over the default environment's tables, at every
+    # configuration the chain step reaches and under every trigger; the list
+    # keeps declaration order.
+    std, env = build_step(n), default_env()
+    ts = traces(std, env, Bounds(max_input_len=3))
+    order = [t.label for t in desugar(std).transitions]
+    for config in ts.reached:
+        for trigger in [None, *ts.inputs]:
+            got = enabled_transitions(std, config, trigger, env)
+            assert {
+                (e.transition.label, e.binding, e.reactions) for e in got
+            } == oracle_enabled(std, config, trigger, env)
+            labels = [e.transition.label for e in got]
+            assert labels == sorted(labels, key=order.index)
+
+
+def test_reachable_configurations_agree_with_oracle_on_generated_machines():
+    rng = random.Random(7)
+    for _ in range(100):
+        std = gen_std(rng)
+        for depth in range(4):
+            for eps_budget in range(3):
+                assert reachable_configurations(std, EMPTY_ENV, depth, eps_budget) == (
+                    oracle_reachable(std, EMPTY_ENV, depth, eps_budget)
+                )
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_reachable_configurations_agree_with_oracle_on_the_chain(n):
+    std, env = build_step(n), default_env()
+    for depth in (2, 4):
+        assert reachable_configurations(std, env, depth) == oracle_reachable(std, env, depth, 4)
 
 
 def test_bind_environment_reports_missing_totals():
