@@ -112,29 +112,32 @@ def _bounds(args: argparse.Namespace) -> Bounds:
     )
 
 
-def _add_common(sub: argparse.ArgumentParser, env: bool = True) -> None:
+def _add_common(sub: argparse.ArgumentParser, env: bool = True, bounds: bool = True) -> None:
+    """--env, the exploration bounds and --json; without `bounds` only the
+    state cap, for a command whose output does not depend on the others."""
     if env:
         sub.add_argument(
             "--env", metavar="FILE", help="environment file (.env); default: empty"
         )
-    sub.add_argument(
-        "--k",
-        type=int,
-        metavar="N",
-        help=f"input length bound (default {DEFAULT_BOUNDS.max_input_len})",
-    )
-    sub.add_argument(
-        "--eps-budget",
-        type=int,
-        metavar="N",
-        help=f"internal steps allowed per message (default {DEFAULT_BOUNDS.eps_budget})",
-    )
-    sub.add_argument(
-        "--output-cap",
-        type=int,
-        metavar="N",
-        help=f"recorded output-sequence length cap (default {DEFAULT_BOUNDS.output_cap})",
-    )
+    if bounds:
+        sub.add_argument(
+            "--k",
+            type=int,
+            metavar="N",
+            help=f"input length bound (default {DEFAULT_BOUNDS.max_input_len})",
+        )
+        sub.add_argument(
+            "--eps-budget",
+            type=int,
+            metavar="N",
+            help=f"internal steps allowed per message (default {DEFAULT_BOUNDS.eps_budget})",
+        )
+        sub.add_argument(
+            "--output-cap",
+            type=int,
+            metavar="N",
+            help=f"recorded output-sequence length cap (default {DEFAULT_BOUNDS.output_cap})",
+        )
     sub.add_argument(
         "--state-cap",
         type=int,
@@ -243,8 +246,7 @@ def _cmd_refine_apply(args: argparse.Namespace) -> int:
     std = _load_std(args.file)
     patch = _load_feature(args.patch, base=std)
     env = _load_env(args.env)
-    bounds = _bounds(args)
-    result = apply_feature(std, patch, env, bounds)
+    result = apply_feature(std, patch, env, Bounds(state_cap=args.state_cap))
     text = dump_json(std_to_json(result)) if args.json else print_std(result)
     if args.output:
         try:
@@ -345,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_apply.add_argument(
         "--output", metavar="OUT", help="write the result here instead of stdout"
     )
-    _add_common(p_apply)
+    _add_common(p_apply, bounds=False)
     p_apply.set_defaults(handler=_cmd_refine_apply)
 
     p_feature = sub.add_parser("feature", help="feature-level operations")

@@ -3,7 +3,8 @@
 A feature patch is a named, ordered sequence of transformation rule
 applications against a named subject machine.  Applying a patch folds
 `apply_rule` over the sequence, so a successfully applied feature is a
-bounded refinement of the machine it was applied to, by construction.
+refinement of the machine it was applied to at every bound, by construction:
+the rule side conditions do not depend on the bounds.
 
 Two features are in conflict when they cannot be combined: there is no
 common machine that refines both single-feature extensions.  The decision
@@ -68,7 +69,9 @@ def apply_feature(
     bounds: Bounds = DEFAULT_BOUNDS,
 ) -> Std:
     """Fold the patch over the machine; the machine's name is retained.
-    Raises FeatureApplyError naming the first failing application."""
+    The result is a refinement of `std` at every bound; of `bounds` only
+    `state_cap` is read (see `apply_rule`).  Raises FeatureApplyError naming
+    the first failing application."""
     if patch.subject != std.name:
         raise ValueError(
             f"feature {patch.name!r} is written against {patch.subject!r}, "

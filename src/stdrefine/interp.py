@@ -305,6 +305,31 @@ def _make_entry(outputs, divergent, cap: int) -> Entry:
     )
 
 
+def _advance(machine: Machine, branches, divergent, m: Msg):
+    """Step every branch (configuration, accumulated outputs) with `m`.
+
+    None when some branch is chaotic; what the branches stepped before it
+    touched depends on their order and is dropped.  Otherwise the child's
+    branches, its divergent outputs (`divergent` plus those parked by this
+    step), the configurations touched, and whether some branch diverged.
+    """
+    child_branches: set[tuple[Configuration, Outputs]] = set()
+    child_divergent: set[Outputs] = set(divergent)
+    touched: set[Configuration] = set()
+    diverged = False
+    for cfg, u in branches:
+        res = machine.step(cfg, m)
+        if res.chaotic:
+            return None
+        touched |= res.touched
+        for outs, succ in res.reactions:
+            child_branches.add((succ, u + outs))
+        for outs in res.divergent:
+            child_divergent.add(u + outs)
+        diverged = diverged or bool(res.divergent)
+    return child_branches, child_divergent, touched, diverged
+
+
 def traces(std: Std, env: Environment, bounds: Bounds = DEFAULT_BOUNDS) -> TraceSet:
     """Exhaustively enumerate `step` over every input sequence up to the length
     bound, from every initial configuration."""
@@ -335,37 +360,19 @@ def machine_traces(machine: Machine) -> TraceSet:
     start_branches: Branches = {(c, ()) for c in machine.initial_configs()}
 
     entries[()] = _make_entry({u for _, u in start_branches}, (), cap)
-    layer: list[tuple[tuple[Msg, ...], Branches, frozenset]] = [
-        ((), start_branches, frozenset())
-    ]
+    layer: list[tuple[tuple[Msg, ...], Branches, set]] = [((), start_branches, set())]
 
     for _depth in range(bounds.max_input_len):
-        next_layer: list[tuple[tuple[Msg, ...], Branches, frozenset]] = []
+        next_layer: list[tuple[tuple[Msg, ...], Branches, set]] = []
         for seq, branches, divergent in layer:
             for m in machine.inputs:
                 child_seq = seq + (m,)
-                child_branches: Branches = set()
-                child_divergent: set[Outputs] = set(divergent)
-                child_touched: set[Configuration] = set()
-                diverged = False
-                chaotic = False
-                for cfg, u in branches:
-                    res = machine.step(cfg, m)
-                    if res.chaotic:
-                        chaotic = True
-                        break
-                    child_touched |= res.touched
-                    for outs, succ in res.reactions:
-                        child_branches.add((succ, u + outs))
-                    for outs in res.divergent:
-                        child_divergent.add(u + outs)
-                    if res.divergent:
-                        diverged = True
-                # A chaotic child is recorded, not expanded.  What its branches
-                # touched depends on which were stepped first, and is dropped.
-                if chaotic:
+                child = _advance(machine, branches, divergent, m)
+                # A chaotic child is recorded, not expanded.
+                if child is None:
                     entries[child_seq] = CHAOS_ENTRY
                     continue
+                child_branches, child_divergent, child_touched, diverged = child
                 reached |= child_touched
                 _check_state_cap(bounds, reached)
                 if diverged:
@@ -380,7 +387,7 @@ def machine_traces(machine: Machine) -> TraceSet:
                         f"{format_sequence(child_seq)} (outputs clipped at {cap})"
                     )
                 entries[child_seq] = entry
-                next_layer.append((child_seq, child_branches, frozenset(child_divergent)))
+                next_layer.append((child_seq, child_branches, child_divergent))
         layer = next_layer
 
     if suppressed:
@@ -418,27 +425,14 @@ def simulate_prefixes(
     chaotic = False
     for i, m in enumerate(input_seq):
         prefix = input_seq[: i + 1]
-        if chaotic:
+        child = None if chaotic else _advance(machine, branches, divergent, m)
+        if child is None:
+            chaotic = True
             entries[prefix] = CHAOS_ENTRY
             continue
-        next_branches = set()
-        touched: set[Configuration] = set()
-        for cfg, u in branches:
-            res = machine.step(cfg, m)
-            if res.chaotic:
-                chaotic = True
-                break
-            touched |= res.touched
-            for outs, succ in res.reactions:
-                next_branches.add((succ, u + outs))
-            for outs in res.divergent:
-                divergent.add(u + outs)
-        if chaotic:
-            entries[prefix] = CHAOS_ENTRY
-            continue
+        branches, divergent, touched, _diverged = child
         reached |= touched
         _check_state_cap(bounds, reached)
-        branches = next_branches
         entries[prefix] = _make_entry({u for _, u in branches}, divergent, cap)
     return TraceSet(
         std_name=std.name,

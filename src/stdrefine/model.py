@@ -1339,7 +1339,7 @@ def enabled_transitions(
 
 
 # ---------------------------------------------------------------------------
-# Initial configurations and bounded reachability
+# Initial configurations and reachability
 # ---------------------------------------------------------------------------
 
 
@@ -1364,40 +1364,30 @@ def initial_configurations(
 def reachable_configurations(
     std: Std,
     env: Environment,
-    depth: int,
-    eps_budget: int = 4,
+    state_cap: Optional[int] = None,
 ) -> set[Configuration]:
-    """Configurations reachable by processing at most `depth` input messages.
+    """Every configuration reachable by processing input messages, to
+    saturation: the initial configurations, closed under the configurations
+    `interp.Machine.step` touches with each input message.
 
-    Internal transitions fire only while a message is pending, so depth 0
-    yields exactly the initial configurations; each further message admits up
-    to `eps_budget` internal hops before it is consumed.  The configurations
-    one message can lead to are those `interp.Machine.step` touches.
+    The closure is taken at an internal-step budget of 1: each touched
+    configuration is stepped again, so internal chains of any length are
+    followed, and the set contains what any `interp.Bounds` reaches.  The
+    configuration space is finite, so the loop ends; a `state_cap` exceeded
+    on the way raises `ResourceLimit` naming it.
     """
-    from .interp import Bounds, Machine
+    from .interp import Bounds, Machine, _check_state_cap
 
-    machine = Machine(std, env, Bounds(eps_budget=eps_budget))
+    machine = Machine(std, env, Bounds(eps_budget=1, state_cap=state_cap))
     reached = set(machine.initial_configs())
-    layer = set(reached)
-    explored: dict[Configuration, set[Configuration]] = {}
-    for _ in range(depth):
-        nxt: set[Configuration] = set()
-        for c in layer:
-            if c not in explored:
-                explored[c] = set().union(*(machine.step(c, m).touched for m in machine.inputs))
-            nxt |= explored[c]
-        reached |= nxt
-        if nxt <= explored.keys():
-            break
-        layer = nxt
+    _check_state_cap(machine.bounds, reached)
+    todo = list(reached)
+    while todo:
+        config = todo.pop()
+        for m in machine.inputs:
+            for succ in machine.step(config, m).touched:
+                if succ not in reached:
+                    reached.add(succ)
+                    todo.append(succ)
+        _check_state_cap(machine.bounds, reached)
     return reached
-
-
-def reachable_control_states(
-    std: Std,
-    env: Environment,
-    depth: int,
-    eps_budget: int = 4,
-) -> set[str]:
-    """Control states reachable within `depth` processed input messages."""
-    return {c.control for c in reachable_configurations(std, env, depth, eps_budget)}

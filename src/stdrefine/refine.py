@@ -8,19 +8,27 @@ and returns a replayable verdict; the minimal counterexample (shortest input
 sequence, then lexicographically least) is reported on failure.
 
 The six transformation rules are syntactic machine edits whose side conditions
-guarantee bounded refinement by construction:
+guarantee refinement by construction, at every bound.  A side condition asks
+the interpreter's own questions: "enabled" is productive enabledness as
+`TransitionIndex.enabled` answers it (the guard holds, the outputs are defined
+and the postcondition is satisfiable), and "reachable" is membership in the
+saturated `reachable_configurations`, which holds every configuration that
+any bounds reach.  The transition a rule adds or removes is tested by its
+guard alone, which can only reject more.
 
 * add-states: fresh, unreachable states (plus transitions among them only).
-* remove-states: states no bounded-reachable configuration occupies.
+* remove-states: states no reachable configuration occupies.
 * split-state: replace one state by several; each incoming transition is
   redirected to exactly one part (optionally with a strengthened
   postcondition), every outgoing transition is copied to every part.
-* add-transitions: new transitions whose guards are disjoint, at every
-  attribute valuation, from everything already leaving the same state — they
-  only give behavior to situations that were completely unspecified.
-* remove-transitions: redundant branches; wherever a removed transition was
-  enabled (within bounded reach), an alternative with the same trigger, or an
-  internal transition, remains enabled.
+* add-transitions: new transitions that only give behavior to situations
+  that were completely unspecified (chaos): wherever a new guard holds, the
+  machine has nothing enabled for the same trigger and no internal
+  transition enabled (for a new internal transition: nothing enabled for
+  any input either).
+* remove-transitions: redundant branches; at every reachable configuration
+  where a removed transition's guard holds, a kept transition with the same
+  trigger, or a kept internal transition, is still enabled.
 * remove-initial-states: drop initial markings, keeping at least one.
 
 `apply_rule` checks the side conditions against the machine the rule is
@@ -30,7 +38,6 @@ witness, instead of producing an unsound result.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 from typing import Optional, Union
 
@@ -41,19 +48,20 @@ from .model import (
     Not,
     Std,
     Transition,
+    TransitionIndex,
     Value,
     bind_environment,
     config_key,
     conj,
     desugar,
-    enumerate_sort,
     enumerate_valuations,
     eval_expr,
     format_value,
     guard_holds,
     has_else,
+    make_config,
+    message_instances,
     reachable_configurations,
-    reachable_control_states,
     resolve_names,
     validate_std,
 )
@@ -208,61 +216,29 @@ def _prepare_payload(
 
 
 # ---------------------------------------------------------------------------
-# Enabledness helpers (valuation-granular disjointness / coverage)
+# Side-condition helpers
 # ---------------------------------------------------------------------------
 
 
-def _param_pools(std: Std, t: Transition, domains) -> list[list[Value]]:
-    if t.trigger is None:
-        return []
-    ctor = std.signature.input_ctor(t.trigger)
-    if ctor is None:
-        raise RuleError("add-transitions", f"unknown input constructor {t.trigger!r}",
-                        witness=f"transition {t.label or t.source}")
-    return [enumerate_sort(s, domains) for s in ctor.params]
+def _triggers(t: Transition, inputs: list[Msg]) -> list[Optional[Msg]]:
+    """The ground triggers of `t`: the members of `inputs` (the diagram's
+    `message_instances`, in `msg_key` order) with its constructor, or
+    [None] for eps."""
+    if t.is_internal:
+        return [None]
+    return [m for m in inputs if m.ctor == t.trigger]
 
 
-def _eps_enabled(std: Std, tables, control: str, valuation) -> Optional[Transition]:
-    for t in std.transitions:
-        if t.source != control or not t.is_internal:
-            continue
-        if guard_holds(t.guard, valuation, tables):
-            return t
-    return None
+def _binding(t: Transition, trigger: Optional[Msg]) -> dict[str, Value]:
+    return {} if trigger is None else dict(zip(t.params, trigger.args))
 
 
-def _external_enabled_any(std: Std, tables, domains, control: str,
-                          valuation) -> Optional[tuple[Transition, tuple]]:
-    for t in std.transitions:
-        if t.source != control or t.is_internal:
-            continue
-        pools = _param_pools(std, t, domains)
-        for args in itertools.product(*pools):
-            if guard_holds(t.guard, valuation, tables, dict(zip(t.params, args))):
-                return t, args
-    return None
-
-
-def _same_trigger_enabled(std: Std, tables, control: str, trigger: str, args,
-                          valuation) -> Optional[Transition]:
-    for t in std.transitions:
-        if t.source != control or t.trigger != trigger:
-            continue
-        if guard_holds(t.guard, valuation, tables, dict(zip(t.params, args))):
-            return t
-    return None
+def _format_trigger(trigger: Optional[Msg]) -> str:
+    return "eps" if trigger is None else str(trigger)
 
 
 def _format_valuation(valuation) -> str:
     return "{" + ", ".join(f"{k}={format_value(v)}" for k, v in sorted(valuation.items())) + "}"
-
-
-def _format_instance(trigger: Optional[str], args) -> str:
-    if trigger is None:
-        return "eps"
-    if not args:
-        return trigger
-    return str(Msg(trigger, tuple(args)))
 
 
 # ---------------------------------------------------------------------------
@@ -278,19 +254,24 @@ def apply_rule(
 ) -> Std:
     """Apply one transformation rule, checking its side conditions against the
     machine it is applied to.  The result is validated before it is returned;
-    the input machine is never modified."""
+    the input machine is never modified.
+
+    The side conditions do not depend on the bounds: an accepted rule is a
+    refinement at every bound.  Of `bounds` only `state_cap` is read; the
+    reachability the side conditions explore raises `ResourceLimit` when it
+    is exceeded."""
     work = desugar(std)
     name = rule_name(app)
     if isinstance(app, AddStates):
         result = _apply_add_states(work, app)
     elif isinstance(app, RemoveStates):
-        result = _apply_remove_states(work, app, env, bounds)
+        result = _apply_remove_states(work, app, env, bounds.state_cap)
     elif isinstance(app, SplitState):
         result = _apply_split_state(work, app, env)
     elif isinstance(app, AddTransitions):
         result = _apply_add_transitions(work, app, env)
     elif isinstance(app, RemoveTransitions):
-        result = _apply_remove_transitions(work, app, env, bounds)
+        result = _apply_remove_transitions(work, app, env, bounds.state_cap)
     elif isinstance(app, RemoveInitialStates):
         result = _apply_remove_initial(work, app)
     else:  # pragma: no cover - exhaustive over RuleApplication
@@ -329,7 +310,9 @@ def _apply_add_states(work: Std, app: AddStates) -> Std:
     )
 
 
-def _apply_remove_states(work: Std, app: RemoveStates, env: Environment, bounds: Bounds) -> Std:
+def _apply_remove_states(
+    work: Std, app: RemoveStates, env: Environment, state_cap: Optional[int]
+) -> Std:
     rule = "remove-states"
     if not app.names:
         raise RuleError(rule, "no states to remove")
@@ -337,14 +320,12 @@ def _apply_remove_states(work: Std, app: RemoveStates, env: Environment, bounds:
     for n in app.names:
         if n not in existing:
             raise RuleError(rule, f"state {n!r} does not exist")
-    reachable = reachable_control_states(work, env, bounds.max_input_len, bounds.eps_budget)
+    reachable = {c.control for c in reachable_configurations(work, env, state_cap)}
     doomed = set(app.names)
-    hit = sorted(doomed & set(reachable))
+    hit = sorted(doomed & reachable)
     if hit:
         raise RuleError(
-            rule,
-            "only unreachable states may be removed",
-            witness=f"state {hit[0]!r} is reachable within {bounds.max_input_len} message(s)",
+            rule, "only unreachable states may be removed", witness=f"state {hit[0]!r} is reachable"
         )
     return replace(
         work,
@@ -400,6 +381,7 @@ def _apply_split_state(work: Std, app: SplitState, env: Environment) -> Std:
         raise ValueError("environment does not fit the diagram: " + "; ".join(problems))
     domains = work.domain_map()
     valuations = enumerate_valuations(work.attributes, domains)
+    inputs = message_instances(work.signature.inputs, domains)
     attrs, members, symbols = _resolution_context(work)
 
     checked_redirect: dict[str, tuple[str, Optional[Expr]]] = {}
@@ -412,9 +394,8 @@ def _apply_split_state(work: Std, app: SplitState, env: Environment) -> Std:
             post = resolve_names(post, attrs, members, symbols, set(t.params))
         except ValueError as exc:
             raise RuleError(rule, str(exc), witness=f"redirect of {t.label!r}") from exc
-        pools = _param_pools(work, t, domains)
-        for args in itertools.product(*pools):
-            binding = dict(zip(t.params, args))
+        for trigger in _triggers(t, inputs):
+            binding = _binding(t, trigger)
             for v in valuations:
                 if not guard_holds(t.guard, v, tables, binding):
                     continue
@@ -429,7 +410,7 @@ def _apply_split_state(work: Std, app: SplitState, env: Environment) -> Std:
                             f"strengthened postcondition of {t.label!r} does not imply the original",
                             witness=(
                                 f"valuation {_format_valuation(v)}, trigger "
-                                f"{_format_instance(t.trigger, args)}, primed {_format_valuation(v2)}"
+                                f"{_format_trigger(trigger)}, primed {_format_valuation(v2)}"
                             ),
                         )
                     original_sat = original_sat or orig
@@ -441,7 +422,7 @@ def _apply_split_state(work: Std, app: SplitState, env: Environment) -> Std:
                         "where the original was satisfiable",
                         witness=(
                             f"valuation {_format_valuation(v)}, trigger "
-                            f"{_format_instance(t.trigger, args)}"
+                            f"{_format_trigger(trigger)}"
                         ),
                     )
         checked_redirect[t.label] = (part, post)
@@ -498,6 +479,16 @@ def _apply_split_state(work: Std, app: SplitState, env: Environment) -> Std:
 
 
 def _apply_add_transitions(work: Std, app: AddTransitions, env: Environment) -> Std:
+    """New transitions may only act where the machine was unspecified.
+
+    Wherever a new external transition's guard holds, the existing machine
+    has nothing enabled on the same trigger and no internal transition
+    enabled; wherever a new internal transition's guard holds, it has no
+    internal transition enabled and nothing enabled for any input.  The new
+    transition is tested by its guard alone: where it holds but the new
+    transition has no reaction, the rule rejects what it could accept, never
+    the other way round, and it saves solving the new postconditions.
+    """
     rule = "add-transitions"
     if not app.transitions:
         raise RuleError(rule, "no transitions to add")
@@ -516,64 +507,51 @@ def _apply_add_transitions(work: Std, app: AddTransitions, env: Environment) -> 
         raise ValueError("environment does not fit the diagram: " + "; ".join(problems))
     domains = work.domain_map()
     valuations = enumerate_valuations(work.attributes, domains)
+    inputs = message_instances(work.signature.inputs, domains)
+    existing = TransitionIndex(work, tables)
 
     # Disjointness is checked against the machine being extended, not against
     # other members of the same batch: the batch as a whole claims previously
     # unspecified situations, and may distribute them among its members.
     for t in payload:
-        pools = _param_pools(work, t, domains)
-        for args in itertools.product(*pools):
-            binding = dict(zip(t.params, args))
+        for trigger in _triggers(t, inputs):
+            binding = _binding(t, trigger)
             for v in valuations:
                 if not guard_holds(t.guard, v, tables, binding):
                     continue
-                if t.is_internal:
-                    clash = _eps_enabled(work, tables, t.source, v)
-                    if clash is not None:
+                cfg = make_config(t.source, v)
+                for ask in [None, *inputs] if t.is_internal else [trigger, None]:
+                    clash = existing.enabled(cfg, ask)
+                    if not clash:
+                        continue
+                    name = clash[0].transition.label or clash[0].transition.source
+                    new = "new internal transition" if t.is_internal else "new transition"
+                    where = f"state {t.source}, valuation {_format_valuation(v)}"
+                    if ask is None:
                         raise RuleError(
-                            rule,
-                            f"new internal transition overlaps existing internal "
-                            f"transition {clash.label or clash.source!r}",
-                            witness=f"state {t.source}, valuation {_format_valuation(v)}",
+                            rule, f"{new} overlaps existing internal transition {name!r}",
+                            witness=where,
                         )
-                    ext = _external_enabled_any(work, tables, domains, t.source, v)
-                    if ext is not None:
-                        t2, eargs = ext
-                        raise RuleError(
-                            rule,
-                            "new internal transition overlaps existing transition "
-                            f"{t2.label or t2.source!r} (the machine was not unspecified there)",
-                            witness=(
-                                f"state {t.source}, valuation {_format_valuation(v)}, "
-                                f"trigger {_format_instance(t2.trigger, eargs)}"
-                            ),
-                        )
-                else:
-                    clash = _same_trigger_enabled(work, tables, t.source, t.trigger, args, v)
-                    if clash is not None:
-                        raise RuleError(
-                            rule,
-                            f"new transition overlaps existing transition "
-                            f"{clash.label or clash.source!r} on the same trigger",
-                            witness=(
-                                f"state {t.source}, valuation {_format_valuation(v)}, "
-                                f"trigger {_format_instance(t.trigger, args)}"
-                            ),
-                        )
-                    eclash = _eps_enabled(work, tables, t.source, v)
-                    if eclash is not None:
-                        raise RuleError(
-                            rule,
-                            f"new transition overlaps existing internal transition "
-                            f"{eclash.label or eclash.source!r}",
-                            witness=f"state {t.source}, valuation {_format_valuation(v)}",
-                        )
+                    detail = ("(the machine was not unspecified there)" if t.is_internal
+                              else "on the same trigger")
+                    raise RuleError(
+                        rule, f"{new} overlaps existing transition {name!r} {detail}",
+                        witness=f"{where}, trigger {ask}",
+                    )
     return replace(work, transitions=work.transitions + payload)
 
 
 def _apply_remove_transitions(
-    work: Std, app: RemoveTransitions, env: Environment, bounds: Bounds
+    work: Std, app: RemoveTransitions, env: Environment, state_cap: Optional[int]
 ) -> Std:
+    """Removed transitions must be redundant wherever they can act.
+
+    At every reachable configuration where a removed transition's guard holds
+    for one of its triggers, the kept transitions still enable an internal
+    transition or, for an external one, a transition on that trigger, so the
+    removal makes nothing unspecified.  The removed transition is tested by
+    its guard alone, which can only reject more.
+    """
     rule = "remove-transitions"
     if not app.labels:
         raise RuleError(rule, "no transitions to remove")
@@ -588,44 +566,39 @@ def _apply_remove_transitions(
             raise RuleError(rule, f"no transition labeled {label!r}")
         removed.append(t)
     removed_set = set(removed)
-    remaining = tuple(t for t in work.transitions if t not in removed_set)
+    kept = replace(work, transitions=tuple(t for t in work.transitions if t not in removed_set))
 
     tables, problems = bind_environment(work, env)
     if problems:
         raise ValueError("environment does not fit the diagram: " + "; ".join(problems))
-    domains = work.domain_map()
-    kept = replace(work, transitions=remaining)
+    inputs = message_instances(work.signature.inputs, work.domain_map())
+    rest = TransitionIndex(kept, tables)
 
     # In canonical order, so that the witness is the least offending
     # configuration whatever the string-hash seed.
-    reachable = reachable_configurations(work, env, bounds.max_input_len, bounds.eps_budget)
+    reachable = reachable_configurations(work, env, state_cap)
     for cfg in sorted(reachable, key=config_key):
         v = cfg.value_map()
         for t in removed:
             if t.source != cfg.control:
                 continue
-            if t.is_internal:
-                if not guard_holds(t.guard, v, tables):
+            for trigger in _triggers(t, inputs):
+                if not guard_holds(t.guard, v, tables, _binding(t, trigger)):
                     continue
-                if _eps_enabled(kept, tables, cfg.control, v) is None:
+                if rest.enabled(cfg, None):
+                    continue
+                if trigger is None:
                     raise RuleError(
                         rule,
                         f"removing {t.label!r} leaves no internal transition where it was enabled",
                         witness=f"configuration {cfg}",
                     )
-            else:
-                pools = _param_pools(work, t, domains)
-                for args in itertools.product(*pools):
-                    if not guard_holds(t.guard, v, tables, dict(zip(t.params, args))):
-                        continue
-                    same = _same_trigger_enabled(kept, tables, cfg.control, t.trigger, args, v)
-                    if same is None and _eps_enabled(kept, tables, cfg.control, v) is None:
-                        raise RuleError(
-                            rule,
-                            f"removing {t.label!r} leaves {_format_instance(t.trigger, args)} "
-                            "unhandled where it was accepted",
-                            witness=f"configuration {cfg}",
-                        )
+                if not rest.enabled(cfg, trigger):
+                    raise RuleError(
+                        rule,
+                        f"removing {t.label!r} leaves {trigger} unhandled where it was accepted",
+                        witness=f"configuration {cfg}",
+                    )
     return kept
 
 

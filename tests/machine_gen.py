@@ -128,11 +128,16 @@ def gen_guard(rng: random.Random, attrs, params, hue_members, depth: int = 2):
 
 def gen_post(rng: random.Random, attrs, params, hue_members):
     """A postcondition that pins most attributes; an unpinned attribute makes
-    the transition relational (one reaction per leftover value)."""
+    the transition relational (one reaction per leftover value).  Some Int
+    attributes are pinned to ``x + 1``, which leaves the range at its top:
+    there the guard may hold while the transition has no reaction."""
     terms = []
     for name, sort in attrs:
         if rng.random() < 0.75:
-            rhs = _scalar_expr(rng, sort, attrs, params, hue_members)
+            if isinstance(sort, IntSort) and rng.random() < 0.3:
+                rhs = BinOp("add", AttrRef(name), Lit(1))
+            else:
+                rhs = _scalar_expr(rng, sort, attrs, params, hue_members)
             terms.append(BinOp("eq", PrimedRef(name), rhs))
     return conj(*terms)
 

@@ -207,6 +207,26 @@ def test_refine_apply_rule_error_exit_code(tmp_path):
     assert "overlaps existing" in err
 
 
+def test_refine_apply_takes_no_exploration_bounds():
+    # Rule side conditions do not depend on the length, internal-step or
+    # output bounds, so refine apply does not accept them.
+    for flag in ("--k", "--eps-budget", "--output-cap"):
+        with pytest.raises(SystemExit) as exc:
+            run("refine", "apply", CALLPROC, ABANDON, "--env", DEFAULT_ENV, flag, "3")
+        assert exc.value.code == 2
+
+
+def test_refine_apply_honors_state_cap(tmp_path):
+    patch = tmp_path / "prune.feat"
+    patch.write_text("feature prune on tel {\n  remove-states { busytone }\n}\n")
+    code, out, err = run("refine", "apply", TEL, str(patch), "--state-cap", "1")
+    assert code == 3 and out == ""
+    assert "state_cap" in err
+    code, _, err = run("refine", "apply", TEL, str(patch))
+    assert code == 1
+    assert "state 'busytone' is reachable" in err
+
+
 # ---------------------------------------------------------------------------
 # feature conflicts
 # ---------------------------------------------------------------------------

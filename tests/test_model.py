@@ -15,6 +15,7 @@ from stdrefine import (
     EnvSymDecl,
     Msg,
     MsgCtor,
+    ResourceLimit,
     Signature,
     Std,
     Transition,
@@ -487,21 +488,32 @@ def test_enabled_transitions_with_environment_tables_agree_with_oracle(n):
 
 
 def test_reachable_configurations_agree_with_oracle_on_generated_machines():
+    # Saturated reachability is the oracle's at an unbounded depth, whatever
+    # the internal-step budget (at least 1), and contains what traces reach.
     rng = random.Random(7)
     for _ in range(100):
         std = gen_std(rng)
-        for depth in range(4):
-            for eps_budget in range(3):
-                assert reachable_configurations(std, EMPTY_ENV, depth, eps_budget) == (
-                    oracle_reachable(std, EMPTY_ENV, depth, eps_budget)
-                )
+        saturated = reachable_configurations(std, EMPTY_ENV)
+        for eps_budget in (1, 2):
+            assert saturated == oracle_reachable(std, EMPTY_ENV, 10**6, eps_budget)
+        assert traces(std, EMPTY_ENV, Bounds(max_input_len=3, eps_budget=3)).reached <= saturated
 
 
 @pytest.mark.parametrize("n", range(6))
 def test_reachable_configurations_agree_with_oracle_on_the_chain(n):
     std, env = build_step(n), default_env()
-    for depth in (2, 4):
-        assert reachable_configurations(std, env, depth) == oracle_reachable(std, env, depth, 4)
+    saturated = reachable_configurations(std, env)
+    for eps_budget in (1, 2):
+        assert saturated == oracle_reachable(std, env, 10**6, eps_budget)
+
+
+def test_reachable_configurations_stop_at_the_state_cap():
+    std, env = build_step(5), default_env()
+    size = len(reachable_configurations(std, env))
+    assert reachable_configurations(std, env, state_cap=size) == reachable_configurations(std, env)
+    with pytest.raises(ResourceLimit, match="state_cap") as info:
+        reachable_configurations(std, env, state_cap=size - 1)
+    assert info.value.bound == "state_cap" and info.value.limit == size - 1
 
 
 def test_bind_environment_reports_missing_totals():

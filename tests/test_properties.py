@@ -172,3 +172,20 @@ def test_applicable_rules_yield_refinements(seed):
 
     verdict = check_refinement(std, result, EMPTY_ENV, B3)
     assert verdict.ok, verdict.describe()
+
+
+def test_rules_accepted_on_a_fixed_stream_are_refinements():
+    # Machine 451 of this stream offers a remove-transitions whose only
+    # alternative has a guard that holds but no reaction (an `x' == x + 1`
+    # pin at the top of the range); the stream is long enough to include it.
+    rng = random.Random(5)
+    for i in range(460):
+        std = gen_std(rng, name=f"gen{i}")
+        for _ in range(3):
+            application = gen_application(rng, std)
+            try:
+                result = apply_rule(std, application, EMPTY_ENV)
+            except RuleError:
+                continue
+            verdict = check_refinement(std, result, EMPTY_ENV, B3)
+            assert verdict.ok, (std.name, application, verdict.describe())

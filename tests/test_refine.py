@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -143,6 +144,44 @@ def test_remove_states_rejects_unknown(base):
         apply_rule(base, RemoveStates(("nosuch",)), EMPTY_ENV, B)
 
 
+# b is entered on the sixth go only, beyond the default input bound.
+LATE_SRC = """
+std late = { input go  output o  attributes x :: Int 0..5
+  states a init {x == 0}, b
+  t1: a -> a : {x < 5} go / [o] {x' == x + 1}
+  t2: a -> b : {x == 5} go / [o] {x' == x}
+  t3: b -> b : go / [o] {x' == x} }
+"""
+
+# b is entered after 20 internal steps while the first go is pending, beyond
+# the default internal-step budget.
+DEEP_SRC = """
+std deep = { input go  output o | p  attributes x :: Int 0..20
+  states a init {x == 0}, b
+  t0: a -> a : {x < 20} eps / [] {x' == x + 1}
+  t1: a -> b : {x == 20} eps / [o] {x' == x}
+  t2: b -> b : go / [p] {x' == x} }
+"""
+
+
+@pytest.mark.parametrize(
+    "src, bounds",
+    [(LATE_SRC, Bounds(max_input_len=6)), (DEEP_SRC, Bounds(max_input_len=1, eps_budget=21))],
+    ids=["input-bound", "eps-budget"],
+)
+def test_remove_states_rejects_states_reached_beyond_the_bounds(src, bounds):
+    std = parse_std(src)
+    with pytest.raises(RuleError, match="state 'b' is reachable"):
+        apply_rule(std, RemoveStates(("b",)), EMPTY_ENV)
+    # What the rule would produce is not a refinement at these bounds.
+    pruned = replace(
+        std,
+        states=("a",),
+        transitions=tuple(t for t in std.transitions if "b" not in (t.source, t.target)),
+    )
+    assert not check_refinement(std, pruned, EMPTY_ENV, bounds).ok
+
+
 # ---------------------------------------------------------------------------
 # Rule: splitting a state
 # ---------------------------------------------------------------------------
@@ -276,6 +315,34 @@ std redundant = {
 def test_remove_transition_rejects_uncovering_removal(base):
     with pytest.raises(RuleError, match="unhandled"):
         apply_rule(base, RemoveTransitions(("t2",)), EMPTY_ENV, B)
+
+
+# t2's guard holds, but its postcondition pins x out of range, so t2 has no
+# reaction: it is not enabled.
+UNPRODUCTIVE_SRC = """
+std unproductive = { input go  output o | p  attributes x :: Int 0..3
+  states a init {x == 0}
+  t1: a -> a : go / [o] {x' == x}
+  t2: a -> a : go / [p] {x' == 5} }
+"""
+
+
+def test_remove_transition_rejects_an_alternative_without_reactions():
+    std = parse_std(UNPRODUCTIVE_SRC)
+    with pytest.raises(RuleError, match="leaves go unhandled"):
+        apply_rule(std, RemoveTransitions(("t1",)), EMPTY_ENV)
+    pruned = replace(std, transitions=(std.transition("t2"),))
+    assert not check_refinement(std, pruned, EMPTY_ENV, B).ok
+
+
+def test_add_transition_where_the_only_guard_has_no_reactions():
+    # go at a is unspecified (chaos) while only t2 leaves it, so a new go
+    # transition there is a refinement.
+    unproductive = parse_std(UNPRODUCTIVE_SRC)
+    std = replace(unproductive, transitions=(unproductive.transition("t2"),))
+    out = apply_rule(std, AddTransitions((_t("t3", "a", "a", "go", outputs=[("o", ())]),)), EMPTY_ENV)
+    assert check_refinement(std, out, EMPTY_ENV, B).ok
+    assert not check_refinement(out, std, EMPTY_ENV, B).ok
 
 
 def test_remove_transition_at_unreachable_state_is_fine(base):
