@@ -22,6 +22,14 @@ produce.  The single-message building block is `step`:
   inherited verbatim by every extension (the branch makes no further progress
   inside the bound).  Divergence is deliberately not chaos.
 
+* A step depends only on what its configuration's control state reads: the
+  state and the attributes that the guards, output arguments and
+  postconditions of the transitions leaving it read unprimed.  `Machine`
+  keys its step memo by exactly that (`TransitionIndex.key`), which is exact
+  because a step's result never mentions its start configuration and there
+  is no frame rule: a primed attribute a postcondition leaves unconstrained
+  ranges over its whole sort, whatever its old value.
+
 Output sequences longer than the output cap are clipped and flagged, never
 silently dropped.  A configured state cap aborts exploration with a
 `ResourceLimit` naming the offending bound.
@@ -122,11 +130,21 @@ class Machine:
     """A diagram bound to an environment, with memoized single-message steps.
 
     The desugared diagram is indexed once (`TransitionIndex`), and every
-    enabledness question of `step` goes to that index.  Which internal
-    transitions are enabled at a configuration does not depend on the pending
-    message or on the remaining internal-step allowance, so the answer is kept
-    per configuration for the machine's life; enabledness under an input
-    message is not kept (a step asks it once per configuration and message).
+    enabledness question of `step` goes to that index.  The initial
+    configurations are computed once, in `config_key` order (`initial`).
+
+    Every memo is keyed by what a configuration's control state reads,
+    `TransitionIndex.key`: the state and the values of the attributes its
+    outgoing transitions read unprimed, not the whole valuation.  This is
+    exact.  A `StepResult` never mentions the configuration it starts from,
+    and there is no frame rule (a primed attribute a postcondition leaves
+    unconstrained ranges over its whole sort), so two configurations that
+    agree on what their state reads have the same reactions, divergent
+    outputs, chaos flag and touched set.  `step` keeps its result per (key,
+    message); internal enabledness, which depends on neither the pending
+    message nor the remaining internal-step allowance, per key; and one
+    exploration its outcomes per (key, allowance).  Enabledness under an
+    input message is not kept (a step asks it once per key and message).
     """
 
     def __init__(self, std: Std, env: Environment, bounds: Bounds = DEFAULT_BOUNDS) -> None:
@@ -141,15 +159,15 @@ class Machine:
         self.inputs: tuple[Msg, ...] = tuple(
             message_instances(self.std.signature.inputs, self.std.domain_map())
         )
+        self.initial: tuple[Configuration, ...] = tuple(
+            initial_configurations(self.std, env, tables)
+        )
         self.index = TransitionIndex(self.std, tables)
-        self._step_memo: dict[tuple[Configuration, Msg], StepResult] = {}
-        self._internal: dict[Configuration, list[EnabledTransition]] = {}
-
-    def initial_configs(self) -> list[Configuration]:
-        return initial_configurations(self.std, self.env, self.tables)
+        self._step_memo: dict[tuple[tuple, Msg], StepResult] = {}
+        self._internal: dict[tuple, list[EnabledTransition]] = {}
 
     def step(self, config: Configuration, message: Msg) -> StepResult:
-        key = (config, message)
+        key = (self.index.key(config), message)
         hit = self._step_memo.get(key)
         if hit is not None:
             return hit
@@ -159,23 +177,24 @@ class Machine:
 
     def _explore(self, config: Configuration, message: Msg) -> StepResult:
         touched: set[Configuration] = set()
+        state_key = self.index.key
 
-        # outcomes relative to a pending-message configuration, keyed by the
-        # remaining internal-step allowance
-        memo: dict[tuple[Configuration, int], tuple[frozenset, frozenset, bool]] = {}
+        # outcomes relative to a pending-message configuration, keyed by what
+        # its state reads and the remaining internal-step allowance
+        memo: dict[tuple[tuple, int], tuple[frozenset, frozenset, bool]] = {}
 
         def outcomes(cfg: Configuration, allowance: int):
-            key = (cfg, allowance)
-            hit = memo.get(key)
+            read = state_key(cfg)
+            hit = memo.get((read, allowance))
             if hit is not None:
                 return hit
             local_reactions: set[tuple[Outputs, Configuration]] = set()
             local_divergent: set[Outputs] = set()
             local_chaos = False
             ext = self.index.enabled(cfg, message)
-            eps = self._internal.get(cfg)
+            eps = self._internal.get(read)
             if eps is None:
-                eps = self._internal[cfg] = self.index.enabled(cfg, None)
+                eps = self._internal[read] = self.index.enabled(cfg, None)
             for en in ext:
                 for outs, succ in en.reactions:
                     local_reactions.add((outs, succ))
@@ -196,7 +215,7 @@ class Machine:
                             for souts in sub_d:
                                 local_divergent.add(outs + souts)
             result = (frozenset(local_reactions), frozenset(local_divergent), local_chaos)
-            memo[key] = result
+            memo[(read, allowance)] = result
             return result
 
         reactions, divergent, chaotic = outcomes(config, self.bounds.eps_budget)
@@ -343,7 +362,7 @@ def machine_traces(machine: Machine) -> TraceSet:
     entries: dict[tuple[Msg, ...], Entry] = {}
     warnings: list[str] = []
     suppressed = 0
-    reached: set[Configuration] = set(machine.initial_configs())
+    reached: set[Configuration] = set(machine.initial)
 
     def warn(text: str) -> None:
         nonlocal suppressed
@@ -357,7 +376,7 @@ def machine_traces(machine: Machine) -> TraceSet:
     # A live node: the branch states (configuration, accumulated outputs)
     # plus parked divergent outputs inherited by every extension.
     Branches = set  # of (Configuration, Outputs)
-    start_branches: Branches = {(c, ()) for c in machine.initial_configs()}
+    start_branches: Branches = {(c, ()) for c in machine.initial}
 
     entries[()] = _make_entry({u for _, u in start_branches}, (), cap)
     layer: list[tuple[tuple[Msg, ...], Branches, set]] = [((), start_branches, set())]
@@ -417,8 +436,8 @@ def simulate_prefixes(
             raise ValueError(f"{m} is not an input message instance of {std.name}")
     cap = bounds.output_cap
     entries: dict[tuple[Msg, ...], Entry] = {}
-    reached: set[Configuration] = set(machine.initial_configs())
-    branches = {(c, ()) for c in machine.initial_configs()}
+    reached: set[Configuration] = set(machine.initial)
+    branches = {(c, ()) for c in machine.initial}
     divergent: set[Outputs] = set()
     _check_state_cap(bounds, reached)
     entries[()] = _make_entry({u for _, u in branches}, divergent, cap)

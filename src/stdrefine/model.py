@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Union
 
 
@@ -1224,9 +1225,10 @@ class TransitionIndex:
     configuration is computed here, once: the transitions grouped by (source,
     trigger constructor, or None for eps) in declaration order, so `enabled`
     lists them in the order of `std.transitions`; each transition's pins (see
-    `_pins`); and the attribute names with each attribute's pool of values.
-    `enabled` then does only the per-configuration work, evaluating every
-    expression with `eval_expr`.
+    `_pins`); the attribute names with each attribute's pool of values; and,
+    per control state, the attributes its outgoing transitions read (see
+    `key`).  `enabled` then does only the per-configuration work, evaluating
+    every expression with `eval_expr`.
     """
 
     def __init__(self, std: Std, tables: dict[str, dict[tuple[Value, ...], Value]]) -> None:
@@ -1239,9 +1241,30 @@ class TransitionIndex:
         self.pools = tuple(enumerate_sort(sorts[n], domains) for n in self.names)
         position = {n: i for i, n in enumerate(self.names)}
         self._groups: dict[tuple[str, Optional[str]], list[tuple[Transition, tuple]]] = {}
+        reads: dict[str, set[int]] = {}
         for t in std.transitions:
             pins = tuple((position[n], e) for n, e in _pins(t.post, self.names))
             self._groups.setdefault((t.source, t.trigger), []).append((t, pins))
+            parts = (t.guard, *(a for _, args in t.outputs for a in args), t.post)
+            reads.setdefault(t.source, set()).update(
+                position[e.name] for p in parts for e in walk(p) if isinstance(e, AttrRef)
+            )
+        # Positions in `names`, which is also the order of `Configuration.valuation`.
+        self.reads = {s: tuple(sorted(r)) for s, r in reads.items()}
+        self._project = {s: itemgetter(*r) for s, r in self.reads.items() if r}
+
+    def key(self, config: Configuration) -> tuple:
+        """What `enabled` reads of `config`: its control state and the
+        (attribute, value) pairs of its valuation at `reads[control]` (one
+        pair bare), the attributes that a guard, an output argument or a
+        postcondition (pin right-hand sides and table-lookup arguments
+        included) of a transition leaving that state reads unprimed.  Two
+        configurations with one key have the same enabled transitions under
+        every trigger, with the same reactions: a reaction never mentions the
+        configuration it starts from, and a primed attribute the
+        postcondition leaves unconstrained ranges over its whole sort."""
+        project = self._project.get(config.control)
+        return (config.control, project(config.valuation) if project else ())
 
     def enabled(self, config: Configuration, trigger: Msg | None) -> list[EnabledTransition]:
         """The transitions productively enabled at `config` for `trigger` (a
@@ -1379,7 +1402,7 @@ def reachable_configurations(
     from .interp import Bounds, Machine, _check_state_cap
 
     machine = Machine(std, env, Bounds(eps_budget=1, state_cap=state_cap))
-    reached = set(machine.initial_configs())
+    reached = set(machine.initial)
     _check_state_cap(machine.bounds, reached)
     todo = list(reached)
     while todo:

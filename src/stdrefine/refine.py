@@ -42,6 +42,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from .model import (
+    Configuration,
     Environment,
     Expr,
     Msg,
@@ -509,6 +510,9 @@ def _apply_add_transitions(work: Std, app: AddTransitions, env: Environment) -> 
     valuations = enumerate_valuations(work.attributes, domains)
     inputs = message_instances(work.signature.inputs, domains)
     existing = TransitionIndex(work, tables)
+    # Each (configuration, trigger) question is asked of `existing` once,
+    # however many payload transitions and trigger instances raise it.
+    answers: dict[tuple[Configuration, Optional[Msg]], list] = {}
 
     # Disjointness is checked against the machine being extended, not against
     # other members of the same batch: the batch as a whole claims previously
@@ -521,7 +525,9 @@ def _apply_add_transitions(work: Std, app: AddTransitions, env: Environment) -> 
                     continue
                 cfg = make_config(t.source, v)
                 for ask in [None, *inputs] if t.is_internal else [trigger, None]:
-                    clash = existing.enabled(cfg, ask)
+                    clash = answers.get((cfg, ask))
+                    if clash is None:
+                        clash = answers[(cfg, ask)] = existing.enabled(cfg, ask)
                     if not clash:
                         continue
                     name = clash[0].transition.label or clash[0].transition.source

@@ -85,11 +85,12 @@ def oracle_enabled(std: Std, config, trigger: Msg | None, env):
 
 
 def oracle_step(std: Std, config, message: Msg, env, bounds: Bounds):
-    """Reference one-message step: (reactions, divergent, chaotic).
+    """Reference one-message step: (reactions, divergent, chaotic, touched).
 
     reactions: set of (complete outputs, configuration after consumption);
     divergent: output prefixes of branches the internal-step budget cut off;
-    chaotic: some branch reached a configuration with nothing productive.
+    chaotic: some branch reached a configuration with nothing productive;
+    touched: `oracle_touched` at the step's internal-step budget.
     """
     std = desugar(std)
     memo: dict = {}
@@ -122,7 +123,39 @@ def oracle_step(std: Std, config, message: Msg, env, bounds: Bounds):
         memo[key] = (frozenset(reactions), frozenset(divergent), chaotic)
         return memo[key]
 
-    return explore(config, bounds.eps_budget)
+    reactions, divergent, chaotic = explore(config, bounds.eps_budget)
+    return reactions, divergent, chaotic, oracle_touched(std, config, message, env, bounds.eps_budget)
+
+
+def oracle_touched(std: Std, config, message: Msg, env, eps_budget: int):
+    """The configurations occupied while `message` is processed from
+    `config`: breadth-first over `oracle_enabled`, internal chains of at most
+    `eps_budget` hops run while it is pending, and every configuration on
+    such a chain, or reached by consuming the message, is touched."""
+    std = desugar(std)
+    touched = set()
+    chain = {config}
+    frontier = [config]
+    hops = 0
+    while True:
+        for cfg in frontier:
+            for _lab, _bind, rs in oracle_enabled(std, cfg, message, env):
+                touched |= {succ for _, succ in rs}
+        if hops == eps_budget:
+            break
+        nxt = []
+        for cfg in frontier:
+            for _lab, _bind, rs in oracle_enabled(std, cfg, None, env):
+                for _, succ in rs:
+                    touched.add(succ)
+                    if succ not in chain:
+                        chain.add(succ)
+                        nxt.append(succ)
+        if not nxt:
+            break
+        frontier = nxt
+        hops += 1
+    return touched
 
 
 def all_configs(std: Std):
@@ -144,40 +177,14 @@ def oracle_reachable(std: Std, env, depth: int, eps_budget: int):
     """Reference bounded reachability: breadth-first over `oracle_enabled`.
 
     From each configuration reached so far, every input message may be
-    processed: internal chains of at most `eps_budget` hops run while it is
-    pending, and every configuration on such a chain, or reached by consuming
-    the message, is touched.  Depth 0 is the initial configurations.
+    processed, reaching what `oracle_touched` touches.  Depth 0 is the
+    initial configurations.
     """
     std = desugar(std)
     tables, problems = bind_environment(std, env)
     if problems:
         raise ValueError("; ".join(problems))
     inputs = message_instances(std.signature.inputs, std.domain_map())
-
-    def touched_processing(config, message):
-        touched = set()
-        chain = {config}
-        frontier = [config]
-        hops = 0
-        while True:
-            for cfg in frontier:
-                for _lab, _bind, rs in oracle_enabled(std, cfg, message, env):
-                    touched |= {succ for _, succ in rs}
-            if hops == eps_budget:
-                break
-            nxt = []
-            for cfg in frontier:
-                for _lab, _bind, rs in oracle_enabled(std, cfg, None, env):
-                    for _, succ in rs:
-                        if succ not in chain:
-                            chain.add(succ)
-                            nxt.append(succ)
-                            touched.add(succ)
-            if not nxt:
-                break
-            frontier = nxt
-            hops += 1
-        return touched
 
     reached = {
         make_config(state, valuation)
@@ -193,7 +200,7 @@ def oracle_reachable(std: Std, env, depth: int, eps_budget: int):
             if c not in explored:
                 explored[c] = set()
                 for m in inputs:
-                    explored[c] |= touched_processing(c, m)
+                    explored[c] |= oracle_touched(std, c, m, env, eps_budget)
             nxt |= explored[c]
         reached |= nxt
         if nxt <= explored.keys():

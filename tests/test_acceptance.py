@@ -208,6 +208,7 @@ def test_criterion_07_oracle_equivalence():
                 sr.reactions,
                 sr.divergent,
                 sr.chaotic,
+                sr.touched,
             )
     assert triples >= 1000, triples
 

@@ -40,10 +40,10 @@ from stdrefine.interp import (
     seq_key,
     traceset_to_json,
 )
-from stdrefine.model import EMPTY_ENV
+from stdrefine.model import EMPTY_ENV, config_key, make_environment
 
 from machine_gen import gen_std
-from oracles import input_closure
+from oracles import input_closure, oracle_step
 
 K2 = Bounds(max_input_len=2, eps_budget=4, output_cap=16)
 K4 = Bounds(max_input_len=4, eps_budget=4, output_cap=16)
@@ -199,7 +199,7 @@ def divergent_steps(std, env, bounds):
     order: the steps `machine_traces` must warn about, once each."""
     machine = Machine(std, env, bounds)
     found = []
-    layer = [((), set(machine.initial_configs()))]
+    layer = [((), set(machine.initial))]
     for _ in range(bounds.max_input_len):
         next_layer = []
         for seq, configs in layer:
@@ -351,7 +351,7 @@ def test_machine_is_freed_without_the_cycle_collector():
     gc.disable()
     try:
         machine = Machine(tel_std(), EMPTY_ENV, K2)
-        machine.step(machine.initial_configs()[0], Msg("LT"))
+        machine.step(machine.initial[0], Msg("LT"))
         ref = weakref.ref(machine)
         del machine
         assert ref() is None
@@ -362,7 +362,93 @@ def test_machine_is_freed_without_the_cycle_collector():
 
 def test_initial_configs_respect_initial_predicates():
     m = Machine(stack_std(), EMPTY_ENV, K2)
-    assert list(m.initial_configs()) == [make_config("estack", {"l": ()})]
+    assert list(m.initial) == [make_config("estack", {"l": ()})]
+
+
+# ---------------------------------------------------------------------------
+# The step memo: keyed by what a state reads
+# ---------------------------------------------------------------------------
+
+READS_TEMPLATE = """
+std reads = {{
+  uses {{
+    f(Int 0..1) -> Bool
+  }}
+  input go
+  output done | val(Int 0..1)
+  attributes x, y :: Int 0..1
+  states s init
+  t: s -> s : {transition}
+}}
+"""
+
+# x is read in exactly one place, or nowhere.
+READ_ONCE = {
+    "output argument": "go / [val(x)] {y' == y}",
+    "table-lookup argument": "{f(x)} go / [done] {y' == y}",
+    "postcondition": "go / [done] {y' == x}",
+}
+F_ENV = make_environment(tables={"f": {(1,): True}}, defaults={"f": False})
+
+
+def _counting_explore(monkeypatch):
+    calls = []
+    explore = Machine._explore
+
+    def counting(machine, config, message):
+        calls.append(config)
+        return explore(machine, config, message)
+
+    monkeypatch.setattr(Machine, "_explore", counting)
+    return calls
+
+
+@pytest.mark.parametrize("where", READ_ONCE)
+def test_configurations_that_differ_in_a_read_attribute_step_apart(monkeypatch, where):
+    machine = Machine(parse_std(READS_TEMPLATE.format(transition=READ_ONCE[where])), F_ENV, K2)
+    explored = _counting_explore(monkeypatch)
+    x0 = machine.step(make_config("s", {"x": 0, "y": 0}), Msg("go"))
+    x1 = machine.step(make_config("s", {"x": 1, "y": 0}), Msg("go"))
+    assert x0 != x1
+    assert len(explored) == 2
+
+
+def test_configurations_that_differ_in_an_unread_attribute_share_one_exploration(monkeypatch):
+    machine = Machine(parse_std(READS_TEMPLATE.format(transition="go / [done] {y' == y}")), F_ENV, K2)
+    explored = _counting_explore(monkeypatch)
+    x0 = machine.step(make_config("s", {"x": 0, "y": 0}), Msg("go"))
+    x1 = machine.step(make_config("s", {"x": 1, "y": 0}), Msg("go"))
+    assert x0 is x1
+    assert explored == [make_config("s", {"x": 0, "y": 0})]
+    # the successors range over every x: there is no frame rule
+    assert {c for _, c in x0.reactions} == {make_config("s", {"x": v, "y": 0}) for v in (0, 1)}
+
+
+@pytest.mark.parametrize("n, explorations, entries, reached", [(0, 110, 111, 36), (5, 121, 210, 57)])
+def test_chain_explorations_at_k4(monkeypatch, n, explorations, entries, reached):
+    # No transition leaving `idle` reads sub, ph or org: its 27 initial
+    # configurations share one exploration per input.
+    explored = _counting_explore(monkeypatch)
+    ts = traces(build_step(n), default_env(), K4)
+    assert len(explored) == explorations
+    assert (len(ts.entries), len(ts.reached)) == (entries, reached)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_chain_steps_agree_with_oracle_under_default_env(n):
+    # Table lookups such as ok(ph) are only reached under an environment.
+    std, env = build_step(n), default_env()
+    bounds = Bounds(max_input_len=3)
+    machine = Machine(std, env, bounds)
+    for config in sorted(traces(std, env, bounds).reached, key=config_key):
+        for message in machine.inputs:
+            sr = machine.step(config, message)
+            assert oracle_step(std, config, message, env, bounds) == (
+                sr.reactions,
+                sr.divergent,
+                sr.chaotic,
+                sr.touched,
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,7 @@ def test_step_agrees_with_oracle(seed):
                 sr.reactions,
                 sr.divergent,
                 sr.chaotic,
+                sr.touched,
             )
 
 

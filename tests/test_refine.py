@@ -39,6 +39,7 @@ from stdrefine.model import (
     BinOp,
     Lit,
     PrimedRef,
+    TransitionIndex,
 )
 
 B = Bounds(max_input_len=3, eps_budget=3, output_cap=16)
@@ -280,6 +281,40 @@ def test_add_internal_accepts_disjoint_guard(guarded):
     e1 = _t("e1", "s0", "s0", None, guard=BinOp("eq", AttrRef("x"), Lit(1)))
     out = apply_rule(guarded, AddTransitions((e1,)), EMPTY_ENV, B)
     assert check_refinement(guarded, out, EMPTY_ENV, B).ok
+
+
+def test_add_transitions_asks_each_question_once_per_configuration(monkeypatch):
+    # t3 has three trigger instances, go(0..2); e1 and e2 raise the same
+    # internal and per-input questions at every configuration of s2.
+    std = parse_std(
+        """
+std wide = {
+  input go(Int 0..2) | stop
+  output a | b
+  attributes x :: Int 0..1
+  states s0 init {x == 0}, s1, s2
+  t1: s0 -> s1 : go(n) / [a] {x' == x}
+  t2: s1 -> s0 : stop / [b] {x' == x}
+}
+"""
+    )
+    t3 = replace(_t("t3", "s1", "s1", "go", outputs=(("b", ()),)), params=("n",))
+    e1 = _t("e1", "s2", "s0", None)
+    e2 = _t("e2", "s2", "s0", None, outputs=(("a", ()),))
+    asked = []
+    enabled = TransitionIndex.enabled
+
+    def counting(index, config, trigger):
+        asked.append((config, trigger))
+        return enabled(index, config, trigger)
+
+    monkeypatch.setattr(TransitionIndex, "enabled", counting)
+    out = apply_rule(std, AddTransitions((t3, e1, e2)), EMPTY_ENV, B)
+    monkeypatch.undo()
+    assert [t.label for t in out.transitions] == ["t1", "t2", "t3", "e1", "e2"]
+    internal = [c for c, trigger in asked if trigger is None]
+    assert sorted(map(str, internal)) == ["s1[x=0]", "s1[x=1]", "s2[x=0]", "s2[x=1]"]
+    assert len(asked) == len(set(asked)) == 2 * (3 + 1) + 2 * (1 + 4)
 
 
 def test_add_transitions_rejects_duplicate_label(base):
