@@ -129,9 +129,13 @@ def is_prefix(short: Outputs, long: Outputs) -> bool:
 class Machine:
     """A diagram bound to an environment, with memoized single-message steps.
 
-    The desugared diagram is indexed once (`TransitionIndex`), and every
-    enabledness question of `step` goes to that index.  The initial
-    configurations are computed once, in `config_key` order (`initial`).
+    This is the one place a diagram meets its environment: the diagram is
+    desugared (`std`), the environment bound against it (`tables`, or
+    `ValueError` when it does not fit), its input alphabet listed in
+    `msg_key` order (`inputs`), its initial configurations computed in
+    `config_key` order (`initial`), and its transitions indexed
+    (`index`), all once.  Every enabledness question of `step` goes to that
+    index.
 
     Every memo is keyed by what a configuration's control state reads,
     `TransitionIndex.key`: the state and the values of the attributes its
@@ -148,7 +152,6 @@ class Machine:
     """
 
     def __init__(self, std: Std, env: Environment, bounds: Bounds = DEFAULT_BOUNDS) -> None:
-        self.surface = std
         self.std = desugar(std)
         self.env = env
         self.bounds = bounds
@@ -159,9 +162,7 @@ class Machine:
         self.inputs: tuple[Msg, ...] = tuple(
             message_instances(self.std.signature.inputs, self.std.domain_map())
         )
-        self.initial: tuple[Configuration, ...] = tuple(
-            initial_configurations(self.std, env, tables)
-        )
+        self.initial: tuple[Configuration, ...] = tuple(initial_configurations(self.std, tables))
         self.index = TransitionIndex(self.std, tables)
         self._step_memo: dict[tuple[tuple, Msg], StepResult] = {}
         self._internal: dict[tuple, list[EnabledTransition]] = {}
@@ -312,6 +313,34 @@ def _check_state_cap(bounds: Bounds, reached: set[Configuration]) -> None:
             f"state cap exceeded: more than {bounds.state_cap} distinct "
             f"configurations reached (offending bound: state_cap)",
         )
+
+
+def reachable_configurations(machine: Machine) -> set[Configuration]:
+    """Every configuration of `machine` reachable by processing input
+    messages, to saturation: its initial configurations, closed under the
+    configurations `Machine.step` touches with each input message.
+
+    Each touched configuration is stepped again, so internal chains of any
+    length are followed at any internal-step budget of at least 1, and the
+    set contains what any `Bounds` reach; a budget of 0 never touches an
+    internal successor and raises `ValueError`.  The configuration space is
+    finite, so the loop ends; the machine's `state_cap` exceeded on the way
+    raises `ResourceLimit` naming it.
+    """
+    if machine.bounds.eps_budget < 1:
+        raise ValueError("reachability needs an internal-step budget of at least 1")
+    reached = set(machine.initial)
+    _check_state_cap(machine.bounds, reached)
+    todo = list(reached)
+    while todo:
+        config = todo.pop()
+        for m in machine.inputs:
+            for succ in machine.step(config, m).touched:
+                if succ not in reached:
+                    reached.add(succ)
+                    todo.append(succ)
+        _check_state_cap(machine.bounds, reached)
+    return reached
 
 
 def _make_entry(outputs, divergent, cap: int) -> Entry:

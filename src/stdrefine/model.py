@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 
 class UndefinedType:
@@ -274,6 +274,22 @@ def walk(expr: Expr) -> Iterator[Expr]:
         yield from walk(expr.tail)
 
 
+def map_children(expr: Expr, f: Callable[[Expr], Expr]) -> Expr:
+    """`expr` rebuilt with `f` applied to each direct sub-expression; a leaf
+    is returned as is."""
+    if isinstance(expr, (Not, Neg, Defined, Head, Tail, Len)):
+        return type(expr)(f(expr.arg))
+    if isinstance(expr, BinOp):
+        return BinOp(expr.op, f(expr.left), f(expr.right))
+    if isinstance(expr, SymApp):
+        return SymApp(expr.name, tuple(f(a) for a in expr.args))
+    if isinstance(expr, ListLit):
+        return ListLit(tuple(f(a) for a in expr.items))
+    if isinstance(expr, Cons):
+        return Cons(f(expr.head), f(expr.tail))
+    return expr
+
+
 def has_primed(expr: Expr) -> bool:
     return any(isinstance(e, PrimedRef) for e in walk(expr))
 
@@ -304,20 +320,7 @@ def resolve_names(
             return SymApp(n, ())
         raise ValueError(f"unknown identifier {n!r}")
 
-    def go(e: Expr) -> Expr:
-        return resolve_names(e, attrs, members, symbols, params)
-
-    if isinstance(expr, (Not, Neg, Defined, Head, Tail, Len)):
-        return type(expr)(go(expr.arg))
-    if isinstance(expr, BinOp):
-        return BinOp(expr.op, go(expr.left), go(expr.right))
-    if isinstance(expr, SymApp):
-        return SymApp(expr.name, tuple(go(a) for a in expr.args))
-    if isinstance(expr, ListLit):
-        return ListLit(tuple(go(a) for a in expr.items))
-    if isinstance(expr, Cons):
-        return Cons(go(expr.head), go(expr.tail))
-    return expr
+    return map_children(expr, lambda e: resolve_names(e, attrs, members, symbols, params))
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +524,9 @@ def bind_environment(std: Std, env: Environment) -> tuple[dict[str, dict[tuple[V
 
     Returns (tables, problems).  Defaults are expanded, totality of total
     symbols is enforced, arities and sorts are checked.  `problems` is empty
-    iff the environment fully fits the declarations.
+    iff the environment fully fits the declarations.  Tables for symbols the
+    diagram does not declare are ignored: an environment may serve several
+    diagrams.
     """
     problems: list[str] = []
     std_domains = std.domain_map()
@@ -569,11 +574,6 @@ def bind_environment(std: Std, env: Environment) -> tuple[dict[str, dict[tuple[V
                     + (f" and {len(missing) - 1} more" if len(missing) > 1 else "")
                 )
         bound[name] = rows
-    for name in raw_tables:
-        if name not in decls:
-            # Tables for symbols the diagram does not declare are allowed and
-            # ignored; an environment may serve several diagrams.
-            pass
     return bound, sorted(problems)
 
 
@@ -1268,8 +1268,19 @@ class TransitionIndex:
 
     def enabled(self, config: Configuration, trigger: Msg | None) -> list[EnabledTransition]:
         """The transitions productively enabled at `config` for `trigger` (a
-        ground input message, or None for eps), with their reactions; see
-        `enabled_transitions`."""
+        ground input message, or None for eps), with their reactions, in
+        declaration order.
+
+        A transition contributes one reaction per primed valuation satisfying
+        its postcondition; an unsatisfiable postcondition, or an Undefined
+        output, contributes nothing.  Pinned attributes are solved rather than
+        enumerated (see `_solve`): a top-level conjunct ``x' == e`` (or ``e ==
+        x'``) whose ``e`` mentions no primed attribute admits only the values
+        of x's sort that equal e's value, and none at all when e is
+        Undefined.  Unpinned attributes range over their whole sort, and every
+        candidate is still checked against the full postcondition with
+        `eval_expr`, so the reactions are exactly those of enumerating every
+        primed valuation."""
         group = self._groups.get((config.control, None if trigger is None else trigger.ctor))
         if not group:
             return []
@@ -1325,56 +1336,16 @@ class TransitionIndex:
         return pools
 
 
-def enabled_transitions(
-    std: Std,
-    config: Configuration,
-    trigger: Msg | None,
-    env: Environment,
-    tables: dict[str, dict[tuple[Value, ...], Value]] | None = None,
-) -> list[EnabledTransition]:
-    """All transitions enabled at `config` for `trigger` (a ground input
-    message, or None for the internal trigger), with their reactions, in
-    declaration order.
-
-    A transition contributes one reaction per primed valuation satisfying its
-    postcondition; an unsatisfiable postcondition, or an Undefined output,
-    contributes nothing.  The diagram is desugared, and `tables` bound from
-    `env`, when not given.
-
-    Pinned attributes are solved rather than enumerated: a top-level conjunct
-    ``x' == e`` (or ``e == x'``) whose ``e`` mentions no primed attribute
-    admits only the values of x's sort that equal e's value, and none at all
-    when e is Undefined.  Unpinned attributes range over their whole sort,
-    and every candidate is still checked against the full postcondition with
-    `eval_expr`, so the reactions are exactly those of enumerating every
-    primed valuation.
-
-    Each call builds a `TransitionIndex`; a caller asking many questions of
-    one diagram (as `interp.Machine` does) builds the index once and calls
-    `TransitionIndex.enabled`.
-    """
-    std = desugar(std)
-    if tables is None:
-        tables, problems = bind_environment(std, env)
-        if problems:
-            raise ValueError("environment does not fit the diagram: " + "; ".join(problems))
-    return TransitionIndex(std, tables).enabled(config, trigger)
-
-
 # ---------------------------------------------------------------------------
-# Initial configurations and reachability
+# Initial configurations
 # ---------------------------------------------------------------------------
 
 
 def initial_configurations(
-    std: Std,
-    env: Environment,
-    tables: dict[str, dict[tuple[Value, ...], Value]] | None = None,
+    std: Std, tables: dict[str, dict[tuple[Value, ...], Value]]
 ) -> list[Configuration]:
-    if tables is None:
-        tables, problems = bind_environment(std, env)
-        if problems:
-            raise ValueError("environment does not fit the diagram: " + "; ".join(problems))
+    """The configurations the initial markings of `std` admit under the bound
+    `tables`, in `config_key` order."""
     domains = std.domain_map()
     configs: list[Configuration] = []
     for state, pred in std.initial:
@@ -1382,35 +1353,3 @@ def initial_configurations(
             if eval_expr(pred, valu, tables) is True:
                 configs.append(make_config(state, valu))
     return sorted(set(configs), key=config_key)
-
-
-def reachable_configurations(
-    std: Std,
-    env: Environment,
-    state_cap: Optional[int] = None,
-) -> set[Configuration]:
-    """Every configuration reachable by processing input messages, to
-    saturation: the initial configurations, closed under the configurations
-    `interp.Machine.step` touches with each input message.
-
-    The closure is taken at an internal-step budget of 1: each touched
-    configuration is stepped again, so internal chains of any length are
-    followed, and the set contains what any `interp.Bounds` reaches.  The
-    configuration space is finite, so the loop ends; a `state_cap` exceeded
-    on the way raises `ResourceLimit` naming it.
-    """
-    from .interp import Bounds, Machine, _check_state_cap
-
-    machine = Machine(std, env, Bounds(eps_budget=1, state_cap=state_cap))
-    reached = set(machine.initial)
-    _check_state_cap(machine.bounds, reached)
-    todo = list(reached)
-    while todo:
-        config = todo.pop()
-        for m in machine.inputs:
-            for succ in machine.step(config, m).touched:
-                if succ not in reached:
-                    reached.add(succ)
-                    todo.append(succ)
-        _check_state_cap(machine.bounds, reached)
-    return reached

@@ -8,13 +8,16 @@ and returns a replayable verdict; the minimal counterexample (shortest input
 sequence, then lexicographically least) is reported on failure.
 
 The six transformation rules are syntactic machine edits whose side conditions
-guarantee refinement by construction, at every bound.  A side condition asks
-the interpreter's own questions: "enabled" is productive enabledness as
-`TransitionIndex.enabled` answers it (the guard holds, the outputs are defined
-and the postcondition is satisfiable), and "reachable" is membership in the
-saturated `reachable_configurations`, which holds every configuration that
-any bounds reach.  The transition a rule adds or removes is tested by its
-guard alone, which can only reject more.
+guarantee refinement by construction, at every bound.  A side condition that
+needs the environment binds the machine the rule is applied to the way the
+interpreter does, as an `interp.Machine`, and asks that machine's questions:
+"enabled" is productive enabledness as its `index` answers it (the guard
+holds, the outputs are defined and the postcondition is satisfiable), and
+"reachable" is membership in the saturated `interp.reachable_configurations`
+of it, which holds every configuration that any bounds reach (so the
+internal-step budget of 1 it is built with is the least reachability takes,
+not a bound the rule depends on).  The transition a rule adds or removes is
+tested by its guard alone, which can only reject more.
 
 * add-states: fresh, unreachable states (plus transitions among them only).
 * remove-states: states no reachable configuration occupies.
@@ -51,7 +54,6 @@ from .model import (
     Transition,
     TransitionIndex,
     Value,
-    bind_environment,
     config_key,
     conj,
     desugar,
@@ -61,18 +63,18 @@ from .model import (
     guard_holds,
     has_else,
     make_config,
-    message_instances,
-    reachable_configurations,
     resolve_names,
     validate_std,
 )
 from .interp import (
     Bounds,
     DEFAULT_BOUNDS,
+    Machine,
     TraceSet,
     Verdict,
     Witness,
     outputs_key,
+    reachable_configurations,
     traces,
 )
 
@@ -221,10 +223,10 @@ def _prepare_payload(
 # ---------------------------------------------------------------------------
 
 
-def _triggers(t: Transition, inputs: list[Msg]) -> list[Optional[Msg]]:
-    """The ground triggers of `t`: the members of `inputs` (the diagram's
-    `message_instances`, in `msg_key` order) with its constructor, or
-    [None] for eps."""
+def _triggers(t: Transition, inputs: tuple[Msg, ...]) -> list[Optional[Msg]]:
+    """The ground triggers of `t`: the members of `inputs` (the machine's
+    `inputs`, in `msg_key` order) with its constructor, or [None] for
+    eps."""
     if t.is_internal:
         return [None]
     return [m for m in inputs if m.ctor == t.trigger]
@@ -321,7 +323,8 @@ def _apply_remove_states(
     for n in app.names:
         if n not in existing:
             raise RuleError(rule, f"state {n!r} does not exist")
-    reachable = {c.control for c in reachable_configurations(work, env, state_cap)}
+    machine = Machine(work, env, Bounds(eps_budget=1, state_cap=state_cap))
+    reachable = {c.control for c in reachable_configurations(machine)}
     doomed = set(app.names)
     hit = sorted(doomed & reachable)
     if hit:
@@ -377,12 +380,9 @@ def _apply_split_state(work: Std, app: SplitState, env: Environment) -> Std:
         if label not in incoming_labels:
             raise RuleError(rule, f"redirect names {label!r}, which does not enter {app.name!r}")
 
-    tables, problems = bind_environment(work, env)
-    if problems:
-        raise ValueError("environment does not fit the diagram: " + "; ".join(problems))
-    domains = work.domain_map()
-    valuations = enumerate_valuations(work.attributes, domains)
-    inputs = message_instances(work.signature.inputs, domains)
+    machine = Machine(work, env)
+    tables = machine.tables
+    valuations = enumerate_valuations(work.attributes, work.domain_map())
     attrs, members, symbols = _resolution_context(work)
 
     checked_redirect: dict[str, tuple[str, Optional[Expr]]] = {}
@@ -395,7 +395,7 @@ def _apply_split_state(work: Std, app: SplitState, env: Environment) -> Std:
             post = resolve_names(post, attrs, members, symbols, set(t.params))
         except ValueError as exc:
             raise RuleError(rule, str(exc), witness=f"redirect of {t.label!r}") from exc
-        for trigger in _triggers(t, inputs):
+        for trigger in _triggers(t, machine.inputs):
             binding = _binding(t, trigger)
             for v in valuations:
                 if not guard_holds(t.guard, v, tables, binding):
@@ -503,13 +503,9 @@ def _apply_add_transitions(work: Std, app: AddTransitions, env: Environment) -> 
             raise RuleError(rule, f"target state {t.target!r} does not exist",
                             witness=f"transition {t.label or t.source}")
 
-    tables, problems = bind_environment(work, env)
-    if problems:
-        raise ValueError("environment does not fit the diagram: " + "; ".join(problems))
-    domains = work.domain_map()
-    valuations = enumerate_valuations(work.attributes, domains)
-    inputs = message_instances(work.signature.inputs, domains)
-    existing = TransitionIndex(work, tables)
+    machine = Machine(work, env)
+    tables, inputs, existing = machine.tables, machine.inputs, machine.index
+    valuations = enumerate_valuations(work.attributes, work.domain_map())
     # Each (configuration, trigger) question is asked of `existing` once,
     # however many payload transitions and trigger instances raise it.
     answers: dict[tuple[Configuration, Optional[Msg]], list] = {}
@@ -574,21 +570,18 @@ def _apply_remove_transitions(
     removed_set = set(removed)
     kept = replace(work, transitions=tuple(t for t in work.transitions if t not in removed_set))
 
-    tables, problems = bind_environment(work, env)
-    if problems:
-        raise ValueError("environment does not fit the diagram: " + "; ".join(problems))
-    inputs = message_instances(work.signature.inputs, work.domain_map())
+    machine = Machine(work, env, Bounds(eps_budget=1, state_cap=state_cap))
+    tables = machine.tables
     rest = TransitionIndex(kept, tables)
 
     # In canonical order, so that the witness is the least offending
     # configuration whatever the string-hash seed.
-    reachable = reachable_configurations(work, env, state_cap)
-    for cfg in sorted(reachable, key=config_key):
+    for cfg in sorted(reachable_configurations(machine), key=config_key):
         v = cfg.value_map()
         for t in removed:
             if t.source != cfg.control:
                 continue
-            for trigger in _triggers(t, inputs):
+            for trigger in _triggers(t, machine.inputs):
                 if not guard_holds(t.guard, v, tables, _binding(t, trigger)):
                     continue
                 if rest.enabled(cfg, None):

@@ -22,7 +22,7 @@ machine, `export_dot` renders the state graph, and `std_to_json` /
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .model import (
     AttrRef,
@@ -58,6 +58,7 @@ from .model import (
     Value,
     format_value,
     make_environment,
+    map_children,
     validate_std,
     walk,
 )
@@ -617,17 +618,7 @@ def _rebind_params(expr: Expr, params: frozenset[str], naming: _Naming) -> Expr:
             return ParamRef(e.value)
         if isinstance(e, SymApp) and not e.args and e.name in params:
             return ParamRef(e.name)
-        if isinstance(e, (Not, Neg, Defined, Head, Tail, Len)):
-            return type(e)(go(e.arg))
-        if isinstance(e, BinOp):
-            return BinOp(e.op, go(e.left), go(e.right))
-        if isinstance(e, SymApp):
-            return SymApp(e.name, tuple(go(a) for a in e.args))
-        if isinstance(e, ListLit):
-            return ListLit(tuple(go(a) for a in e.items))
-        if isinstance(e, Cons):
-            return Cons(go(e.head), go(e.tail))
-        return e
+        return map_children(e, go)
 
     return go(expr)
 

@@ -43,7 +43,7 @@ from stdrefine import (
     validate_std,
 )
 from stdrefine.interp import Machine
-from stdrefine.model import enabled_transitions, message_instances
+from stdrefine.model import message_instances
 
 K4 = Bounds(max_input_len=4, eps_budget=4, output_cap=16)
 GEN_BOUNDS = Bounds(max_input_len=3, eps_budget=4, output_cap=64)
@@ -199,7 +199,7 @@ def test_criterion_07_oracle_equivalence():
 
             got = {
                 (e.transition.label, tuple(sorted(e.binding)), e.reactions)
-                for e in enabled_transitions(std, config, message, EMPTY_ENV)
+                for e in machine.index.enabled(config, message)
             }
             assert got == oracle_enabled(std, config, message, EMPTY_ENV)
 

@@ -29,6 +29,7 @@ from stdrefine import (
     traces,
     validate_std,
 )
+from stdrefine.interp import Machine, machine_traces, reachable_configurations
 from stdrefine.model import (
     EMPTY_ENV,
     TRUE,
@@ -54,14 +55,12 @@ from stdrefine.model import (
     Tail,
     bind_environment,
     conj,
-    enabled_transitions,
     enumerate_sort,
     enumerate_valuations,
     eval_expr,
     format_value,
     message_instances,
     msg_key,
-    reachable_configurations,
 )
 
 DOMS = {"Hue": ("red", "green")}
@@ -379,9 +378,10 @@ def test_enabled_binds_trigger_parameters():
         ),
         signature=sig,
     )
+    index = Machine(std, EMPTY_ENV).index
     cfg = make_config("a", {"x": 0})
-    assert enabled_transitions(std, cfg, Msg("put", (0,)), EMPTY_ENV) == []
-    [en] = enabled_transitions(std, cfg, Msg("put", (2,)), EMPTY_ENV)
+    assert index.enabled(cfg, Msg("put", (0,))) == []
+    [en] = index.enabled(cfg, Msg("put", (2,)))
     assert en.binding == (("v", 2),)
     [(outs, succ)] = list(en.reactions)
     assert outs == (Msg("echo", (2,)),)
@@ -391,7 +391,7 @@ def test_enabled_binds_trigger_parameters():
 def test_unsatisfiable_postcondition_contributes_nothing():
     std = _tiny((_t(post=Lit(False)),))
     cfg = make_config("a", {"x": 0})
-    assert enabled_transitions(std, cfg, Msg("go"), EMPTY_ENV) == []
+    assert Machine(std, EMPTY_ENV).index.enabled(cfg, Msg("go")) == []
 
 
 def test_undefined_output_contributes_nothing():
@@ -407,15 +407,16 @@ def test_undefined_output_contributes_nothing():
         ),
     )
     env = make_environment(domains={"DN": ("d1", "d2")}, tables={"Del": {}})
-    assert enabled_transitions(std, make_config("a", {"x": 0}), Msg("go"), env) == []
+    cfg = make_config("a", {"x": 0})
+    assert Machine(std, env).index.enabled(cfg, Msg("go")) == []
     env_hit = make_environment(domains={"DN": ("d1", "d2")}, tables={"Del": {("d1",): "d2"}})
-    [en] = enabled_transitions(std, make_config("a", {"x": 0}), Msg("go"), env_hit)
+    [en] = Machine(std, env_hit).index.enabled(cfg, Msg("go"))
     assert next(iter(en.reactions))[0] == (Msg("echo", ("d2",)),)
 
 
 def test_relational_post_yields_one_reaction_per_valuation():
     std = _tiny((_t(post=TRUE),))  # x' unconstrained over Int 0..1
-    [en] = enabled_transitions(std, make_config("a", {"x": 0}), Msg("go"), EMPTY_ENV)
+    [en] = Machine(std, EMPTY_ENV).index.enabled(make_config("a", {"x": 0}), Msg("go"))
     succs = {succ for _, succ in en.reactions}
     assert succs == {make_config("b", {"x": 0}), make_config("b", {"x": 1})}
 
@@ -428,7 +429,7 @@ def _keep(attr):
     return _pin(attr, AttrRef(attr))
 
 
-# Postconditions around the pinned-attribute solver of `enabled_transitions`,
+# Postconditions around the pinned-attribute solver of `TransitionIndex.enabled`,
 # with x, y :: Int 0..2, b :: Bool, the partial table F = {0: 1}, and the
 # pre-state a[x=2, y=1, b=false]; the last item is the expected number of
 # reactions.
@@ -463,7 +464,7 @@ def test_pinned_postconditions_agree_with_oracle(post, expected):
     cfg = make_config("a", {"x": 2, "y": 1, "b": False})
     got = {
         (e.transition.label, e.binding, e.reactions)
-        for e in enabled_transitions(std, cfg, Msg("go"), env)
+        for e in Machine(std, env).index.enabled(cfg, Msg("go"))
     }
     assert got == oracle_enabled(std, cfg, Msg("go"), env)
     assert sum(len(reactions) for _, _, reactions in got) == expected
@@ -475,16 +476,23 @@ def test_enabled_transitions_with_environment_tables_agree_with_oracle(n):
     # configuration the chain step reaches and under every trigger; the list
     # keeps declaration order.
     std, env = build_step(n), default_env()
-    ts = traces(std, env, Bounds(max_input_len=3))
-    order = [t.label for t in desugar(std).transitions]
+    machine = Machine(std, env, Bounds(max_input_len=3))
+    ts = machine_traces(machine)
+    order = [t.label for t in machine.std.transitions]
     for config in ts.reached:
         for trigger in [None, *ts.inputs]:
-            got = enabled_transitions(std, config, trigger, env)
+            got = machine.index.enabled(config, trigger)
             assert {
                 (e.transition.label, e.binding, e.reactions) for e in got
             } == oracle_enabled(std, config, trigger, env)
             labels = [e.transition.label for e in got]
             assert labels == sorted(labels, key=order.index)
+
+
+def _saturated(std, env, eps_budget=1, state_cap=None):
+    return reachable_configurations(
+        Machine(std, env, Bounds(eps_budget=eps_budget, state_cap=state_cap))
+    )
 
 
 def test_reachable_configurations_agree_with_oracle_on_generated_machines():
@@ -493,8 +501,8 @@ def test_reachable_configurations_agree_with_oracle_on_generated_machines():
     rng = random.Random(7)
     for _ in range(100):
         std = gen_std(rng)
-        saturated = reachable_configurations(std, EMPTY_ENV)
         for eps_budget in (1, 2):
+            saturated = _saturated(std, EMPTY_ENV, eps_budget)
             assert saturated == oracle_reachable(std, EMPTY_ENV, 10**6, eps_budget)
         assert traces(std, EMPTY_ENV, Bounds(max_input_len=3, eps_budget=3)).reached <= saturated
 
@@ -502,18 +510,23 @@ def test_reachable_configurations_agree_with_oracle_on_generated_machines():
 @pytest.mark.parametrize("n", range(6))
 def test_reachable_configurations_agree_with_oracle_on_the_chain(n):
     std, env = build_step(n), default_env()
-    saturated = reachable_configurations(std, env)
     for eps_budget in (1, 2):
-        assert saturated == oracle_reachable(std, env, 10**6, eps_budget)
+        assert _saturated(std, env, eps_budget) == oracle_reachable(std, env, 10**6, eps_budget)
 
 
 def test_reachable_configurations_stop_at_the_state_cap():
     std, env = build_step(5), default_env()
-    size = len(reachable_configurations(std, env))
-    assert reachable_configurations(std, env, state_cap=size) == reachable_configurations(std, env)
+    size = len(_saturated(std, env))
+    assert _saturated(std, env, state_cap=size) == _saturated(std, env)
     with pytest.raises(ResourceLimit, match="state_cap") as info:
-        reachable_configurations(std, env, state_cap=size - 1)
+        _saturated(std, env, state_cap=size - 1)
     assert info.value.bound == "state_cap" and info.value.limit == size - 1
+
+
+def test_reachable_configurations_need_an_internal_step_budget():
+    # A budget of 0 never touches an internal successor.
+    with pytest.raises(ValueError, match="internal-step budget"):
+        _saturated(build_step(5), default_env(), eps_budget=0)
 
 
 def test_bind_environment_reports_missing_totals():

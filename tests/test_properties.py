@@ -35,7 +35,7 @@ from stdrefine import (
     validate_std,
 )
 from stdrefine.interp import Machine, seq_key
-from stdrefine.model import enabled_transitions, message_instances
+from stdrefine.model import message_instances
 
 EMPTY_ENV = make_environment({}, {}, {})
 B3 = Bounds(max_input_len=3, eps_budget=3, output_cap=64)
@@ -78,12 +78,13 @@ def test_json_export_round_trips(seed):
 @settings(max_examples=40, deadline=None)
 def test_enabled_transitions_agree_with_oracle(seed):
     std = make_std(seed)
+    index = Machine(std, EMPTY_ENV).index
     msgs = list(message_instances(std.signature.inputs, std.domain_map()))
     for config in all_configs(std):
         for trigger in [None, *msgs]:
             got = {
                 (e.transition.label, tuple(sorted(e.binding)), e.reactions)
-                for e in enabled_transitions(std, config, trigger, EMPTY_ENV)
+                for e in index.enabled(config, trigger)
             }
             assert got == oracle_enabled(std, config, trigger, EMPTY_ENV)
 

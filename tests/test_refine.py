@@ -12,6 +12,7 @@ import pytest
 
 import stdrefine
 
+from stdrefine import interp, model, refine
 from stdrefine import (
     AddStates,
     AddTransitions,
@@ -26,6 +27,7 @@ from stdrefine import (
     Transition,
     apply_rule,
     check_refinement,
+    make_environment,
     parse_std,
     simulate,
     stack_std,
@@ -488,6 +490,64 @@ def test_rule_error_carries_witness(base):
     with pytest.raises(RuleError) as info:
         apply_rule(base, AddTransitions((t1b,)), EMPTY_ENV, B)
     assert "witness" in str(info.value)
+
+
+def test_remove_transitions_binds_the_environment_once(base, monkeypatch):
+    grown = apply_rule(base, AddStates(("limbo",), (_t("w1", "limbo", "limbo", None),)), EMPTY_ENV)
+    bound = []
+
+    def counting(std, env):
+        bound.append(std.name)
+        return model.bind_environment(std, env)
+
+    monkeypatch.setattr(interp, "bind_environment", counting)
+    monkeypatch.setattr(refine, "bind_environment", counting, raising=False)
+    apply_rule(grown, RemoveTransitions(("w1",)), EMPTY_ENV)
+    assert bound == ["base"]
+
+
+# Hue disagrees between PAINTED_SRC and MISFIT, so the environment does not
+# fit the diagram.
+PAINTED_SRC = """
+std painted = {
+  domain Hue = {red, green}
+  input go
+  output a
+  attributes h :: Hue
+  states s0 init, s1 init
+  t0: s0 -> s1 : go / [a] {h' == h}
+  t1: s1 -> s0 : go / [a] {h' == h}
+}
+"""
+MISFIT = make_environment(domains={"Hue": ("blue",)})
+
+
+@pytest.mark.parametrize(
+    "app", [AddStates(("limbo",)), RemoveInitialStates(("s1",))], ids=refine.rule_name
+)
+def test_rules_without_environment_conditions_never_bind_it(app):
+    apply_rule(parse_std(PAINTED_SRC), app, MISFIT)
+
+
+@pytest.mark.parametrize(
+    "malformed,wellformed",
+    [
+        pytest.param(SplitState("s1", ("s1a", "s1b"), ()),
+                     SplitState("s1", ("s1a",), (("t0", "s1a", None),)), id="split-state"),
+        pytest.param(AddTransitions((_t("t9", "nowhere", "s0", "go", post=TRUE),)),
+                     AddTransitions((_t("t9", "s0", "s0", None, post=TRUE),)), id="add-transitions"),
+        pytest.param(RemoveStates(("nowhere",)), RemoveStates(("s1",)), id="remove-states"),
+        pytest.param(RemoveTransitions(("nosuch",)), RemoveTransitions(("t1",)),
+                     id="remove-transitions"),
+    ],
+)
+def test_a_malformed_payload_is_reported_before_the_environment(malformed, wellformed):
+    # The environment is bound where a side condition first needs it.
+    painted = parse_std(PAINTED_SRC)
+    with pytest.raises(RuleError):
+        apply_rule(painted, malformed, MISFIT)
+    with pytest.raises(ValueError, match="environment does not fit the diagram"):
+        apply_rule(painted, wellformed, MISFIT)
 
 
 # ---------------------------------------------------------------------------

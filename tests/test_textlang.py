@@ -159,6 +159,36 @@ def test_env_parse_rejects_bad_rows():
         parse_env("domain DN = {d1}\nBusy(d1) =")
 
 
+LISTS_SRC = """
+std lists = {
+  domain Hue = {red, green}
+  uses {
+    F(Int 0..2) ->? Int 0..2
+    K() -> Int 0..2
+  }
+  input put(Int 0..2)
+  output o(Int 0..2)
+  attributes n :: Int 0..2
+  attributes xs :: [Int 0..2]^2
+  attributes h :: Hue
+  states s0 init {xs == []}
+  t0: s0 -> s0 : put(v) {n' == n && xs' == xs && h' == h}
+}
+"""
+
+# The parameter v and the deferred names n, xs, red and K sit under every
+# compound expression kind.
+LISTS_PATCH = """
+feature f on lists {
+  add-states { p, q } with {
+    z1: p -> q : {!(v == n) && -(v + n) < K && defined(F(v + n))
+                  && head(cons(v, xs)) == n && len(tail([v, n])) == 1 && h == red}
+      put(v) / [o(F(v + n))] {n' == -(v - n) && xs' == cons(v, tail([n, v])) && h' == red}
+  }
+}
+"""
+
+
 def test_feature_payload_names_resolve_at_application():
     # Unknown states inside a patch parse fine (patches are standalone
     # scripts) but are rejected the moment the patch is applied.
@@ -168,6 +198,13 @@ def test_feature_payload_names_resolve_at_application():
     )
     with pytest.raises(RuleError, match="nowhere"):
         apply_feature(tel_std(), patch, EMPTY_ENV)
+    # A patch parsed without its subject resolves, when applied, to what the
+    # same patch parsed against its subject says.
+    lists = parse_std(LISTS_SRC)
+    deferred = parse_feature(LISTS_PATCH)
+    resolved = parse_feature(LISTS_PATCH, base=lists)
+    assert deferred != resolved
+    assert apply_feature(lists, deferred, EMPTY_ENV) == apply_feature(lists, resolved, EMPTY_ENV)
 
 
 # ---------------------------------------------------------------------------
