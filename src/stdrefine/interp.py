@@ -40,6 +40,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .model import (
@@ -131,11 +132,10 @@ class Machine:
 
     This is the one place a diagram meets its environment: the diagram is
     desugared (`std`), the environment bound against it (`tables`, or
-    `ValueError` when it does not fit), its input alphabet listed in
-    `msg_key` order (`inputs`), its initial configurations computed in
-    `config_key` order (`initial`), and its transitions indexed
-    (`index`), all once.  Every enabledness question of `step` goes to that
-    index.
+    `ValueError` when it does not fit) and its input alphabet listed in
+    `msg_key` order (`inputs`); its initial configurations in `config_key`
+    order (`initial`) and its transition index (`index`) are built on first
+    use.  Every enabledness question of `step` goes to that index.
 
     Every memo is keyed by what a configuration's control state reads,
     `TransitionIndex.key`: the state and the values of the attributes its
@@ -153,7 +153,6 @@ class Machine:
 
     def __init__(self, std: Std, env: Environment, bounds: Bounds = DEFAULT_BOUNDS) -> None:
         self.std = desugar(std)
-        self.env = env
         self.bounds = bounds
         tables, problems = bind_environment(self.std, env)
         if problems:
@@ -162,10 +161,16 @@ class Machine:
         self.inputs: tuple[Msg, ...] = tuple(
             message_instances(self.std.signature.inputs, self.std.domain_map())
         )
-        self.initial: tuple[Configuration, ...] = tuple(initial_configurations(self.std, tables))
-        self.index = TransitionIndex(self.std, tables)
         self._step_memo: dict[tuple[tuple, Msg], StepResult] = {}
         self._internal: dict[tuple, list[EnabledTransition]] = {}
+
+    @cached_property
+    def initial(self) -> tuple[Configuration, ...]:
+        return tuple(initial_configurations(self.std, self.tables))
+
+    @cached_property
+    def index(self) -> TransitionIndex:
+        return TransitionIndex(self.std, self.tables)
 
     def step(self, config: Configuration, message: Msg) -> StepResult:
         key = (self.index.key(config), message)
@@ -321,11 +326,10 @@ def reachable_configurations(machine: Machine) -> set[Configuration]:
     configurations `Machine.step` touches with each input message.
 
     Each touched configuration is stepped again, so internal chains of any
-    length are followed at any internal-step budget of at least 1, and the
+    length are followed at any internal-step budget of at least 1 and the
     set contains what any `Bounds` reach; a budget of 0 never touches an
-    internal successor and raises `ValueError`.  The configuration space is
-    finite, so the loop ends; the machine's `state_cap` exceeded on the way
-    raises `ResourceLimit` naming it.
+    internal successor and raises `ValueError`.  The machine's `state_cap`
+    exceeded on the way raises `ResourceLimit` naming it.
     """
     if machine.bounds.eps_budget < 1:
         raise ValueError("reachability needs an internal-step budget of at least 1")

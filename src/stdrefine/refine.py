@@ -223,10 +223,15 @@ def _prepare_payload(
 # ---------------------------------------------------------------------------
 
 
+def _reach_machine(work: Std, env: Environment, state_cap: Optional[int]) -> Machine:
+    """`work` bound to `env` for `reachable_configurations`, at the cheapest
+    internal-step budget, 1 (saturation reaches the same set at any)."""
+    return Machine(work, env, Bounds(eps_budget=1, state_cap=state_cap))
+
+
 def _triggers(t: Transition, inputs: tuple[Msg, ...]) -> list[Optional[Msg]]:
-    """The ground triggers of `t`: the members of `inputs` (the machine's
-    `inputs`, in `msg_key` order) with its constructor, or [None] for
-    eps."""
+    """The ground triggers of `t`: the members of `inputs` (a machine's, in
+    `msg_key` order) with its constructor, or [None] for eps."""
     if t.is_internal:
         return [None]
     return [m for m in inputs if m.ctor == t.trigger]
@@ -323,7 +328,7 @@ def _apply_remove_states(
     for n in app.names:
         if n not in existing:
             raise RuleError(rule, f"state {n!r} does not exist")
-    machine = Machine(work, env, Bounds(eps_budget=1, state_cap=state_cap))
+    machine = _reach_machine(work, env, state_cap)
     reachable = {c.control for c in reachable_configurations(machine)}
     doomed = set(app.names)
     hit = sorted(doomed & reachable)
@@ -570,9 +575,8 @@ def _apply_remove_transitions(
     removed_set = set(removed)
     kept = replace(work, transitions=tuple(t for t in work.transitions if t not in removed_set))
 
-    machine = Machine(work, env, Bounds(eps_budget=1, state_cap=state_cap))
-    tables = machine.tables
-    rest = TransitionIndex(kept, tables)
+    machine = _reach_machine(work, env, state_cap)
+    rest = TransitionIndex(kept, machine.tables)
 
     # In canonical order, so that the witness is the least offending
     # configuration whatever the string-hash seed.
@@ -582,7 +586,7 @@ def _apply_remove_transitions(
             if t.source != cfg.control:
                 continue
             for trigger in _triggers(t, machine.inputs):
-                if not guard_holds(t.guard, v, tables, _binding(t, trigger)):
+                if not guard_holds(t.guard, v, machine.tables, _binding(t, trigger)):
                     continue
                 if rest.enabled(cfg, None):
                     continue

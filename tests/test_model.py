@@ -501,17 +501,22 @@ def test_reachable_configurations_agree_with_oracle_on_generated_machines():
     rng = random.Random(7)
     for _ in range(100):
         std = gen_std(rng)
+        saturated = _saturated(std, EMPTY_ENV)
         for eps_budget in (1, 2):
-            saturated = _saturated(std, EMPTY_ENV, eps_budget)
-            assert saturated == oracle_reachable(std, EMPTY_ENV, 10**6, eps_budget)
+            oracle = oracle_reachable(std, EMPTY_ENV, 10**6, eps_budget)
+            assert saturated == oracle
+            assert _saturated(std, EMPTY_ENV, eps_budget) == oracle
         assert traces(std, EMPTY_ENV, Bounds(max_input_len=3, eps_budget=3)).reached <= saturated
 
 
 @pytest.mark.parametrize("n", range(6))
 def test_reachable_configurations_agree_with_oracle_on_the_chain(n):
     std, env = build_step(n), default_env()
+    saturated = _saturated(std, env)
     for eps_budget in (1, 2):
-        assert _saturated(std, env, eps_budget) == oracle_reachable(std, env, 10**6, eps_budget)
+        oracle = oracle_reachable(std, env, 10**6, eps_budget)
+        assert saturated == oracle
+        assert _saturated(std, env, eps_budget) == oracle
 
 
 def test_reachable_configurations_stop_at_the_state_cap():

@@ -523,31 +523,32 @@ MISFIT = make_environment(domains={"Hue": ("blue",)})
 
 
 @pytest.mark.parametrize(
-    "app", [AddStates(("limbo",)), RemoveInitialStates(("s1",))], ids=refine.rule_name
-)
-def test_rules_without_environment_conditions_never_bind_it(app):
-    apply_rule(parse_std(PAINTED_SRC), app, MISFIT)
-
-
-@pytest.mark.parametrize(
-    "malformed,wellformed",
+    "app,raised",
     [
-        pytest.param(SplitState("s1", ("s1a", "s1b"), ()),
-                     SplitState("s1", ("s1a",), (("t0", "s1a", None),)), id="split-state"),
-        pytest.param(AddTransitions((_t("t9", "nowhere", "s0", "go", post=TRUE),)),
-                     AddTransitions((_t("t9", "s0", "s0", None, post=TRUE),)), id="add-transitions"),
-        pytest.param(RemoveStates(("nowhere",)), RemoveStates(("s1",)), id="remove-states"),
-        pytest.param(RemoveTransitions(("nosuch",)), RemoveTransitions(("t1",)),
-                     id="remove-transitions"),
+        pytest.param(AddStates(("limbo",)), None, id="add-states"),
+        pytest.param(RemoveInitialStates(("s1",)), None, id="remove-initial-states"),
+        pytest.param(SplitState("s1", ("s1a", "s1b"), ()), RuleError, id="split-state-malformed"),
+        pytest.param(SplitState("s1", ("s1a",), (("t0", "s1a", None),)), ValueError,
+                     id="split-state"),
+        pytest.param(AddTransitions((_t("t9", "nowhere", "s0", "go", post=TRUE),)), RuleError,
+                     id="add-transitions-malformed"),
+        pytest.param(AddTransitions((_t("t9", "s0", "s0", None, post=TRUE),)), ValueError,
+                     id="add-transitions"),
+        pytest.param(RemoveStates(("nowhere",)), RuleError, id="remove-states-malformed"),
+        pytest.param(RemoveStates(("s1",)), ValueError, id="remove-states"),
+        pytest.param(RemoveTransitions(("nosuch",)), RuleError, id="remove-transitions-malformed"),
+        pytest.param(RemoveTransitions(("t1",)), ValueError, id="remove-transitions"),
     ],
 )
-def test_a_malformed_payload_is_reported_before_the_environment(malformed, wellformed):
-    # The environment is bound where a side condition first needs it.
+def test_the_environment_is_bound_where_a_side_condition_first_needs_it(app, raised):
+    # Rules without environment conditions never bind it, and a malformed
+    # payload is reported before an environment that does not fit.
     painted = parse_std(PAINTED_SRC)
-    with pytest.raises(RuleError):
-        apply_rule(painted, malformed, MISFIT)
-    with pytest.raises(ValueError, match="environment does not fit the diagram"):
-        apply_rule(painted, wellformed, MISFIT)
+    if raised is None:
+        apply_rule(painted, app, MISFIT)
+    else:
+        with pytest.raises(raised, match=None if raised is RuleError else "does not fit"):
+            apply_rule(painted, app, MISFIT)
 
 
 # ---------------------------------------------------------------------------
