@@ -145,10 +145,11 @@ class Machine:
     unconstrained ranges over its whole sort), so two configurations that
     agree on what their state reads have the same reactions, divergent
     outputs, chaos flag and touched set.  `step` keeps its result per (key,
-    message); internal enabledness, which depends on neither the pending
-    message nor the remaining internal-step allowance, per key; and one
-    exploration its outcomes per (key, allowance).  Enabledness under an
-    input message is not kept (a step asks it once per key and message).
+    message), and one exploration its outcomes per (key, allowance).
+    Enabledness, which depends on neither the remaining internal-step
+    allowance nor (for eps) the pending message, is kept per (key, trigger),
+    with None for eps, for the machine's lifetime: each such question goes to
+    `index` once.
     """
 
     def __init__(self, std: Std, env: Environment, bounds: Bounds = DEFAULT_BOUNDS) -> None:
@@ -162,7 +163,7 @@ class Machine:
             message_instances(self.std.signature.inputs, self.std.domain_map())
         )
         self._step_memo: dict[tuple[tuple, Msg], StepResult] = {}
-        self._internal: dict[tuple, list[EnabledTransition]] = {}
+        self._enabled: dict[tuple[tuple, Msg | None], list[EnabledTransition]] = {}
 
     @cached_property
     def initial(self) -> tuple[Configuration, ...]:
@@ -184,6 +185,8 @@ class Machine:
     def _explore(self, config: Configuration, message: Msg) -> StepResult:
         touched: set[Configuration] = set()
         state_key = self.index.key
+        ask = self.index.enabled
+        enabled = self._enabled
 
         # outcomes relative to a pending-message configuration, keyed by what
         # its state reads and the remaining internal-step allowance
@@ -197,10 +200,12 @@ class Machine:
             local_reactions: set[tuple[Outputs, Configuration]] = set()
             local_divergent: set[Outputs] = set()
             local_chaos = False
-            ext = self.index.enabled(cfg, message)
-            eps = self._internal.get(read)
+            ext = enabled.get((read, message))
+            if ext is None:
+                ext = enabled[(read, message)] = ask(cfg, message)
+            eps = enabled.get((read, None))
             if eps is None:
-                eps = self._internal[read] = self.index.enabled(cfg, None)
+                eps = enabled[(read, None)] = ask(cfg, None)
             for en in ext:
                 for outs, succ in en.reactions:
                     local_reactions.add((outs, succ))

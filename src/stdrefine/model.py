@@ -13,10 +13,15 @@ explicit bounds, list sorts carry a maximum length, and enumeration sorts
 refer to named finite domains.  That keeps guard disjointness, postcondition
 satisfiability, and successor enumeration decidable by brute force.
 
-Expression evaluation is strict.  Applying a partial environment function
+Expression values are strict.  Applying a partial environment function
 outside its table yields the special `Undefined` marker, which propagates
-through every operator except ``defined(...)``.  A guard that evaluates to
-Undefined is simply not satisfied.
+through every operator except ``defined(...)``: `eval_expr` evaluates both
+operands of ``&&`` and ``||``, so ``!(false && u)`` and ``true || u`` are
+Undefined when u is.  Whether an expression *holds* (evaluates to True; an
+Undefined guard is simply not satisfied) is decided by `guard_holds`, conjunct
+by conjunct along its top-level ``&&`` chain, stopping at the first conjunct
+that is not True.  Strictness makes that exact: such a chain is True iff
+every conjunct is.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 
 class UndefinedType:
@@ -255,29 +260,39 @@ def conj(*parts: Expr) -> Expr:
     return acc
 
 
-def walk(expr: Expr) -> Iterator[Expr]:
-    """Yield expr and every sub-expression."""
-    yield expr
-    if isinstance(expr, (Not, Neg, Defined, Head, Tail, Len)):
-        yield from walk(expr.arg)
-    elif isinstance(expr, BinOp):
-        yield from walk(expr.left)
-        yield from walk(expr.right)
-    elif isinstance(expr, SymApp):
-        for a in expr.args:
-            yield from walk(a)
-    elif isinstance(expr, ListLit):
-        for a in expr.items:
-            yield from walk(a)
-    elif isinstance(expr, Cons):
-        yield from walk(expr.head)
-        yield from walk(expr.tail)
+_UNARY = (Not, Neg, Defined, Head, Tail, Len)
+
+
+def walk(expr: Expr) -> list[Expr]:
+    """expr and every sub-expression, in pre-order."""
+    out: list[Expr] = []
+    todo = [expr]
+    while todo:
+        e = todo.pop()
+        out.append(e)
+        kind = type(e)
+        if kind is BinOp:
+            todo += (e.right, e.left)
+        elif kind in _UNARY:
+            todo.append(e.arg)
+        elif kind is SymApp:
+            todo += reversed(e.args)
+        elif kind is ListLit:
+            todo += reversed(e.items)
+        elif kind is Cons:
+            todo += (e.tail, e.head)
+    return out
+
+
+def attribute_reads(expr: Expr) -> set[str]:
+    """The attributes `expr` reads unprimed: the names of its `AttrRef`s."""
+    return {e.name for e in walk(expr) if isinstance(e, AttrRef)}
 
 
 def map_children(expr: Expr, f: Callable[[Expr], Expr]) -> Expr:
     """`expr` rebuilt with `f` applied to each direct sub-expression; a leaf
     is returned as is."""
-    if isinstance(expr, (Not, Neg, Defined, Head, Tail, Len)):
+    if isinstance(expr, _UNARY):
         return type(expr)(f(expr.arg))
     if isinstance(expr, BinOp):
         return BinOp(expr.op, f(expr.left), f(expr.right))
@@ -291,11 +306,11 @@ def map_children(expr: Expr, f: Callable[[Expr], Expr]) -> Expr:
 
 
 def has_primed(expr: Expr) -> bool:
-    return any(isinstance(e, PrimedRef) for e in walk(expr))
+    return PrimedRef in map(type, walk(expr))
 
 
 def has_else(expr: Expr) -> bool:
-    return any(isinstance(e, ElseGuard) for e in walk(expr))
+    return ElseGuard in map(type, walk(expr))
 
 
 def resolve_names(
@@ -731,22 +746,36 @@ def eval_expr(
 
 
 def guard_holds(
-    guard: Expr,
+    expr: Expr,
     valuation: dict[str, Value],
     tables: dict[str, dict[tuple[Value, ...], Value]],
     params: dict[str, Value] | None = None,
+    primed: dict[str, Value] | None = None,
 ) -> bool:
-    """A guard is satisfied only when it evaluates to True (Undefined is not)."""
-    return eval_expr(guard, valuation, tables, params=params) is True
+    """Whether `expr` (a guard, an initialization predicate, or with `primed`
+    a postcondition) evaluates to True; Undefined does not hold.
+
+    The top-level ``and`` chain is followed left to right, and the answer is
+    False at the first conjunct that does not evaluate to True, without
+    evaluating the rest.  This is exact because `eval_expr` is strict: the
+    chain is True iff every conjunct is True, and a False or Undefined
+    conjunct makes it not True whatever the others are.  Nothing below the
+    chain is split: ``!(a && b)`` and ``a || b`` are evaluated whole, since
+    their value depends on every operand (``true || u`` is Undefined when u
+    is)."""
+    todo = [expr]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, BinOp) and e.op == "and":
+            todo += (e.right, e.left)
+        elif eval_expr(e, valuation, tables, primed, params) is not True:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
 # Sort checking
 # ---------------------------------------------------------------------------
-
-_BOOL = BoolSort()
-_INT = IntSort(0, 0)  # bounds are irrelevant for expression-level typing
-
 
 @dataclass(frozen=True)
 class _Kind:
@@ -756,11 +785,15 @@ class _Kind:
     detail: object = None
 
 
+_BOOL_KIND = _Kind("bool")
+_INT_KIND = _Kind("int")
+
+
 def _kind_of_sort(sort: Sort) -> _Kind:
     if isinstance(sort, BoolSort):
-        return _Kind("bool")
+        return _BOOL_KIND
     if isinstance(sort, IntSort):
-        return _Kind("int")
+        return _INT_KIND
     if isinstance(sort, EnumSort):
         return _Kind("enum", sort.domain)
     if isinstance(sort, ListSort):
@@ -784,24 +817,17 @@ def _kinds_compatible(a: _Kind, b: _Kind) -> bool:
     return False
 
 
+@dataclass(frozen=True)
 class SortContext:
-    """Name resolution context for checking one expression."""
+    """Name resolution context for checking one expression: the sorts of the
+    attributes and of the trigger parameters, the environment symbols'
+    declarations, and whether primed references are allowed.  The maps are
+    shared, never copied, by the contexts of one validation."""
 
-    def __init__(
-        self,
-        std: Std,
-        params: dict[str, Sort] | None = None,
-        allow_primed: bool = False,
-    ) -> None:
-        self.attrs = std.attr_map()
-        self.params = params or {}
-        self.decls = std.uses_map()
-        self.domains = std.domain_map()
-        self.allow_primed = allow_primed
-        self.member_domain: dict[str, str] = {}
-        for dname, members in self.domains.items():
-            for m in members:
-                self.member_domain[m] = dname
+    attrs: dict[str, Sort]
+    decls: dict[str, EnvSymDecl]
+    params: dict[str, Sort] = field(default_factory=dict)
+    allow_primed: bool = False
 
 
 def infer_kind(expr: Expr, ctx: SortContext, errors: list[str], where: str) -> _Kind | None:
@@ -810,10 +836,36 @@ def infer_kind(expr: Expr, ctx: SortContext, errors: list[str], where: str) -> _
     def err(msg: str) -> None:
         errors.append(f"{where}: {msg}")
 
+    if isinstance(expr, BinOp):
+        lk = infer_kind(expr.left, ctx, errors, where)
+        rk = infer_kind(expr.right, ctx, errors, where)
+        if expr.op in ("and", "or"):
+            for k, side in ((lk, "left"), (rk, "right")):
+                if k is not None and k.tag != "bool":
+                    err(f"{side} operand of '{expr.op}' must be Bool")
+            return _BOOL_KIND
+        if expr.op in ("eq", "ne"):
+            if lk is not None and rk is not None and not (
+                _kinds_compatible(lk, rk) or _kinds_compatible(rk, lk)
+            ):
+                err("'==' compares values of the same sort")
+            return _BOOL_KIND
+        if expr.op in ("lt", "le", "gt", "ge"):
+            for k in (lk, rk):
+                if k is not None and k.tag != "int":
+                    err(f"'{expr.op}' compares Int values")
+            return _BOOL_KIND
+        if expr.op in ("add", "sub", "mul"):
+            for k in (lk, rk):
+                if k is not None and k.tag != "int":
+                    err("arithmetic applies to Int")
+            return _INT_KIND
+        err(f"unknown operator {expr.op!r}")
+        return None
     if isinstance(expr, Lit):
         if isinstance(expr.value, bool):
-            return _Kind("bool")
-        return _Kind("int")
+            return _BOOL_KIND
+        return _INT_KIND
     if isinstance(expr, Name):
         err(f"unresolved identifier {expr.name!r}")
         return None
@@ -852,43 +904,17 @@ def infer_kind(expr: Expr, ctx: SortContext, errors: list[str], where: str) -> _
         return _kind_of_sort(decl.result)
     if isinstance(expr, Defined):
         infer_kind(expr.arg, ctx, errors, where)
-        return _Kind("bool")
+        return _BOOL_KIND
     if isinstance(expr, Not):
         k = infer_kind(expr.arg, ctx, errors, where)
         if k is not None and k.tag != "bool":
             err("'!' applies to Bool")
-        return _Kind("bool")
+        return _BOOL_KIND
     if isinstance(expr, Neg):
         k = infer_kind(expr.arg, ctx, errors, where)
         if k is not None and k.tag != "int":
             err("unary '-' applies to Int")
-        return _Kind("int")
-    if isinstance(expr, BinOp):
-        lk = infer_kind(expr.left, ctx, errors, where)
-        rk = infer_kind(expr.right, ctx, errors, where)
-        if expr.op in ("and", "or"):
-            for k, side in ((lk, "left"), (rk, "right")):
-                if k is not None and k.tag != "bool":
-                    err(f"{side} operand of '{expr.op}' must be Bool")
-            return _Kind("bool")
-        if expr.op in ("eq", "ne"):
-            if lk is not None and rk is not None and not (
-                _kinds_compatible(lk, rk) or _kinds_compatible(rk, lk)
-            ):
-                err("'==' compares values of the same sort")
-            return _Kind("bool")
-        if expr.op in ("lt", "le", "gt", "ge"):
-            for k in (lk, rk):
-                if k is not None and k.tag != "int":
-                    err(f"'{expr.op}' compares Int values")
-            return _Kind("bool")
-        if expr.op in ("add", "sub", "mul"):
-            for k in (lk, rk):
-                if k is not None and k.tag != "int":
-                    err("arithmetic applies to Int")
-            return _Kind("int")
-        err(f"unknown operator {expr.op!r}")
-        return None
+        return _INT_KIND
     if isinstance(expr, ListLit):
         if not expr.items:
             return _Kind("emptylist")
@@ -928,10 +954,10 @@ def infer_kind(expr: Expr, ctx: SortContext, errors: list[str], where: str) -> _
         k = infer_kind(expr.arg, ctx, errors, where)
         if k is not None and k.tag not in ("list", "emptylist"):
             err("len applies to a list")
-        return _Kind("int")
+        return _INT_KIND
     if isinstance(expr, ElseGuard):
         err("'else' may only appear as the entire guard of a transition")
-        return _Kind("bool")
+        return _BOOL_KIND
     raise TypeError(f"not an expression: {expr!r}")
 
 
@@ -1005,19 +1031,20 @@ def validate_std(std: Std, extra_decls: dict[str, EnvSymDecl] | None = None) -> 
             errors.append(f"state {s}: duplicate control state")
         state_set.add(s)
 
+    attrs = std.attr_map()
+    decls = {**std.uses_map(), **(extra_decls or {})}
+    init_ctx = SortContext(attrs, decls)
     if not std.initial:
         errors.append("initial: no initial control state")
     for s, pred in std.initial:
         if s not in state_set:
             errors.append(f"initial {s}: unknown control state")
-        if has_primed(pred):
+        kinds = set(map(type, walk(pred)))
+        if PrimedRef in kinds:
             errors.append(f"initial {s}: initialization predicate must not use primed references")
-        if has_else(pred):
+        if ElseGuard in kinds:
             errors.append(f"initial {s}: initialization predicate must not use 'else'")
-        ctx = SortContext(std, params={}, allow_primed=False)
-        if extra_decls:
-            ctx.decls = {**ctx.decls, **extra_decls}
-        k = infer_kind(pred, ctx, errors, f"initial {s}")
+        k = infer_kind(pred, init_ctx, errors, f"initial {s}")
         if k is not None and k.tag != "bool":
             errors.append(f"initial {s}: initialization predicate must be Bool")
 
@@ -1055,16 +1082,15 @@ def validate_std(std: Std, extra_decls: dict[str, EnvSymDecl] | None = None) -> 
                 if p in attr_names:
                     errors.append(f"{where}: parameter {p!r} shadows an attribute")
 
-        ctx = SortContext(std, params=params, allow_primed=False)
-        if extra_decls:
-            ctx.decls = {**ctx.decls, **extra_decls}
+        ctx = SortContext(attrs, decls, params)
         if isinstance(t.guard, ElseGuard):
             key = (t.source, t.trigger)
             group_else[key] = group_else.get(key, 0) + 1
         else:
-            if has_else(t.guard):
+            kinds = set(map(type, walk(t.guard)))
+            if ElseGuard in kinds:
                 errors.append(f"{where}: 'else' may only appear as the entire guard")
-            if has_primed(t.guard):
+            if PrimedRef in kinds:
                 errors.append(f"{where}: guard must not use primed references")
             k = infer_kind(t.guard, ctx, errors, f"{where} guard")
             if k is not None and k.tag != "bool":
@@ -1080,17 +1106,16 @@ def validate_std(std: Std, extra_decls: dict[str, EnvSymDecl] | None = None) -> 
             if len(oargs) != len(octor.params):
                 errors.append(f"{owhere}: {oname or 'value'} expects {len(octor.params)} argument(s)")
             for a, s in zip(oargs, octor.params):
-                if has_primed(a):
+                kinds = set(map(type, walk(a)))
+                if PrimedRef in kinds:
                     errors.append(f"{owhere}: output expressions must not use primed references")
-                if has_else(a):
+                if ElseGuard in kinds:
                     errors.append(f"{owhere}: 'else' may only appear as the entire guard")
                 k = infer_kind(a, ctx, errors, owhere)
                 if k is not None and not _kinds_compatible(k, _kind_of_sort(s)):
                     errors.append(f"{owhere}: argument has the wrong sort (expected {s})")
 
-        pctx = SortContext(std, params=params, allow_primed=True)
-        if extra_decls:
-            pctx.decls = {**pctx.decls, **extra_decls}
+        pctx = SortContext(attrs, decls, params, allow_primed=True)
         if has_else(t.post):
             errors.append(f"{where}: 'else' may only appear as the entire guard")
         else:
@@ -1227,8 +1252,7 @@ class TransitionIndex:
     lists them in the order of `std.transitions`; each transition's pins (see
     `_pins`); the attribute names with each attribute's pool of values; and,
     per control state, the attributes its outgoing transitions read (see
-    `key`).  `enabled` then does only the per-configuration work, evaluating
-    every expression with `eval_expr`.
+    `key`).  `enabled` then does only the per-configuration work.
     """
 
     def __init__(self, std: Std, tables: dict[str, dict[tuple[Value, ...], Value]]) -> None:
@@ -1247,7 +1271,7 @@ class TransitionIndex:
             self._groups.setdefault((t.source, t.trigger), []).append((t, pins))
             parts = (t.guard, *(a for _, args in t.outputs for a in args), t.post)
             reads.setdefault(t.source, set()).update(
-                position[e.name] for p in parts for e in walk(p) if isinstance(e, AttrRef)
+                position[n] for p in parts for n in attribute_reads(p)
             )
         # Positions in `names`, which is also the order of `Configuration.valuation`.
         self.reads = {s: tuple(sorted(r)) for s, r in reads.items()}
@@ -1271,16 +1295,19 @@ class TransitionIndex:
         ground input message, or None for eps), with their reactions, in
         declaration order.
 
-        A transition contributes one reaction per primed valuation satisfying
-        its postcondition; an unsatisfiable postcondition, or an Undefined
-        output, contributes nothing.  Pinned attributes are solved rather than
-        enumerated (see `_solve`): a top-level conjunct ``x' == e`` (or ``e ==
-        x'``) whose ``e`` mentions no primed attribute admits only the values
-        of x's sort that equal e's value, and none at all when e is
-        Undefined.  Unpinned attributes range over their whole sort, and every
-        candidate is still checked against the full postcondition with
-        `eval_expr`, so the reactions are exactly those of enumerating every
-        primed valuation."""
+        A transition's guard and each candidate's postcondition are tested
+        with `guard_holds`, which stops at the first conjunct that is not
+        True; output arguments and pin right-hand sides are values, taken with
+        `eval_expr`.  A transition contributes one reaction per primed
+        valuation satisfying its postcondition; an unsatisfiable
+        postcondition, or an Undefined output, contributes nothing.  Pinned
+        attributes are solved rather than enumerated (see `_solve`): a
+        top-level conjunct ``x' == e`` (or ``e == x'``) whose ``e`` mentions no
+        primed attribute admits only the values of x's sort that equal e's
+        value, and none at all when e is Undefined.  Unpinned attributes range
+        over their whole sort, and every candidate is still checked against
+        the full postcondition, so the reactions are exactly those of
+        enumerating every primed valuation."""
         group = self._groups.get((config.control, None if trigger is None else trigger.ctor))
         if not group:
             return []
@@ -1295,7 +1322,7 @@ class TransitionIndex:
                 continue
             else:
                 params = dict(zip(t.params, trigger.args))
-            if eval_expr(t.guard, valuation, tables, params=params) is not True:
+            if not guard_holds(t.guard, valuation, tables, params):
                 continue
             outputs = _outputs_of(t, valuation, tables, params)
             if outputs is None:
@@ -1306,7 +1333,7 @@ class TransitionIndex:
             reactions = set()
             for combo in itertools.product(*pools):
                 primed = tuple(zip(names, combo))
-                if eval_expr(t.post, valuation, tables, primed=dict(primed), params=params) is True:
+                if guard_holds(t.post, valuation, tables, params, dict(primed)):
                     reactions.add((outputs, Configuration(t.target, primed)))
             if reactions:
                 out.append(
@@ -1350,6 +1377,6 @@ def initial_configurations(
     configs: list[Configuration] = []
     for state, pred in std.initial:
         for valu in enumerate_valuations(std.attributes, domains):
-            if eval_expr(pred, valu, tables) is True:
+            if guard_holds(pred, valu, tables):
                 configs.append(make_config(state, valu))
     return sorted(set(configs), key=config_key)

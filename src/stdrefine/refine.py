@@ -42,6 +42,7 @@ witness, instead of producing an unsound result.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from typing import Optional, Union
 
 from .model import (
@@ -54,11 +55,11 @@ from .model import (
     Transition,
     TransitionIndex,
     Value,
+    attribute_reads,
     config_key,
     conj,
     desugar,
     enumerate_valuations,
-    eval_expr,
     format_value,
     guard_holds,
     has_else,
@@ -408,8 +409,8 @@ def _apply_split_state(work: Std, app: SplitState, env: Environment) -> Std:
                 original_sat = False
                 strengthened_sat = False
                 for v2 in valuations:
-                    orig = eval_expr(t.post, v, tables, primed=v2, params=binding) is True
-                    strong = eval_expr(post, v, tables, primed=v2, params=binding) is True
+                    orig = guard_holds(t.post, v, tables, binding, v2)
+                    strong = guard_holds(post, v, tables, binding, v2)
                     if strong and not orig:
                         raise RuleError(
                             rule,
@@ -511,24 +512,33 @@ def _apply_add_transitions(work: Std, app: AddTransitions, env: Environment) -> 
     machine = Machine(work, env)
     tables, inputs, existing = machine.tables, machine.inputs, machine.index
     valuations = enumerate_valuations(work.attributes, work.domain_map())
-    # Each (configuration, trigger) question is asked of `existing` once,
-    # however many payload transitions and trigger instances raise it.
-    answers: dict[tuple[Configuration, Optional[Msg]], list] = {}
+    # Each question is asked once per what decides it: a payload guard per
+    # trigger instance and values of the attributes it reads, and `existing`
+    # per (`existing.key`, trigger), however many payload transitions and
+    # trigger instances raise it.
+    answers: dict[tuple[tuple, Optional[Msg]], list] = {}
 
     # Disjointness is checked against the machine being extended, not against
     # other members of the same batch: the batch as a whole claims previously
     # unspecified situations, and may distribute them among its members.
     for t in payload:
+        reads = sorted(attribute_reads(t.guard))
+        project = itemgetter(*reads) if reads else lambda v: ()
         for trigger in _triggers(t, inputs):
             binding = _binding(t, trigger)
+            holds: dict[object, bool] = {}
             for v in valuations:
-                if not guard_holds(t.guard, v, tables, binding):
+                read = project(v)
+                if read not in holds:
+                    holds[read] = guard_holds(t.guard, v, tables, binding)
+                if not holds[read]:
                     continue
                 cfg = make_config(t.source, v)
+                cfg_key = existing.key(cfg)
                 for ask in [None, *inputs] if t.is_internal else [trigger, None]:
-                    clash = answers.get((cfg, ask))
+                    clash = answers.get((cfg_key, ask))
                     if clash is None:
-                        clash = answers[(cfg, ask)] = existing.enabled(cfg, ask)
+                        clash = answers[(cfg_key, ask)] = existing.enabled(cfg, ask)
                     if not clash:
                         continue
                     name = clash[0].transition.label or clash[0].transition.source
@@ -577,6 +587,14 @@ def _apply_remove_transitions(
 
     machine = _reach_machine(work, env, state_cap)
     rest = TransitionIndex(kept, machine.tables)
+    # `rest` is asked once per (`rest.key`, trigger).
+    answers: dict[tuple[tuple, Optional[Msg]], bool] = {}
+
+    def covered(cfg: Configuration, trigger: Optional[Msg]) -> bool:
+        key = (rest.key(cfg), trigger)
+        if key not in answers:
+            answers[key] = bool(rest.enabled(cfg, trigger))
+        return answers[key]
 
     # In canonical order, so that the witness is the least offending
     # configuration whatever the string-hash seed.
@@ -588,7 +606,7 @@ def _apply_remove_transitions(
             for trigger in _triggers(t, machine.inputs):
                 if not guard_holds(t.guard, v, machine.tables, _binding(t, trigger)):
                     continue
-                if rest.enabled(cfg, None):
+                if covered(cfg, None):
                     continue
                 if trigger is None:
                     raise RuleError(
@@ -596,7 +614,7 @@ def _apply_remove_transitions(
                         f"removing {t.label!r} leaves no internal transition where it was enabled",
                         witness=f"configuration {cfg}",
                     )
-                if not rest.enabled(cfg, trigger):
+                if not covered(cfg, trigger):
                     raise RuleError(
                         rule,
                         f"removing {t.label!r} leaves {trigger} unhandled where it was accepted",

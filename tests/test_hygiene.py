@@ -53,3 +53,38 @@ def test_model_does_not_import_the_interpreter():
         if sources & {".interp", "stdrefine.interp"}:
             offending.append(node.lineno)
     assert offending == [], f"model.py imports the interpreter at lines {offending}"
+
+
+def _is_truth_test_of_eval(node: ast.AST) -> bool:
+    """`eval_expr(...) is True` or `eval_expr(...) is not True`."""
+    if not (isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)):
+        return False
+    func = node.left.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    return (
+        name == "eval_expr"
+        and len(node.ops) == 1
+        and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+        and isinstance(node.comparators[0], ast.Constant)
+        and node.comparators[0].value is True
+    )
+
+
+def test_guard_holds_is_the_only_truth_test():
+    # Whether an expression holds is decided in one place, conjunct by
+    # conjunct; everywhere else asks `guard_holds`.
+    offending = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = {
+            id(n)
+            for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef) and f.name == "guard_holds"
+            for n in ast.walk(f)
+        }
+        offending += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if _is_truth_test_of_eval(node) and id(node) not in allowed
+        ]
+    assert offending == [], f"truth tests outside guard_holds: {', '.join(offending)}"

@@ -40,7 +40,7 @@ from stdrefine.interp import (
     seq_key,
     traceset_to_json,
 )
-from stdrefine.model import EMPTY_ENV, config_key, make_environment
+from stdrefine.model import EMPTY_ENV, TransitionIndex, config_key, make_environment
 
 from machine_gen import gen_std
 from oracles import input_closure, oracle_step
@@ -432,6 +432,23 @@ def test_chain_explorations_at_k4(monkeypatch, n, explorations, entries, reached
     ts = traces(build_step(n), default_env(), K4)
     assert len(explored) == explorations
     assert (len(ts.entries), len(ts.reached)) == (entries, reached)
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_each_enabledness_question_goes_to_the_index_once(monkeypatch, n):
+    # One memo per machine, keyed by (what the state reads, trigger), with
+    # None for eps: no question reaches the index twice.
+    std = build_step(n)
+    asked = []
+    enabled = TransitionIndex.enabled
+
+    def counting(index, config, trigger):
+        asked.append((index.key(config), trigger))
+        return enabled(index, config, trigger)
+
+    monkeypatch.setattr(TransitionIndex, "enabled", counting)
+    traces(std, default_env(), K4)
+    assert asked and len(asked) == len(set(asked))
 
 
 @pytest.mark.parametrize("n", range(6))

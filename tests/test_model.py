@@ -59,9 +59,11 @@ from stdrefine.model import (
     enumerate_valuations,
     eval_expr,
     format_value,
+    guard_holds,
     message_instances,
     msg_key,
 )
+from stdrefine import model
 
 DOMS = {"Hue": ("red", "green")}
 
@@ -190,6 +192,97 @@ def test_undefined_propagates_through_operators():
     assert _ev(BinOp("eq", miss, EnumLit("d1", "DN")), tables=tables) is Undefined
     assert _ev(Not(BinOp("eq", miss, EnumLit("d1", "DN")), ), tables=tables) is Undefined
     assert _ev(BinOp("and", Lit(True), BinOp("eq", miss, miss)), tables=tables) is Undefined
+
+
+# Truth values as expressions: Undefined comes from a partial table lookup.
+F_TABLES = {"F": {(0,): True}}
+TRUTH = {True: Lit(True), False: Lit(False), Undefined: SymApp("F", (Lit(1),))}
+
+
+def _strict_and(p, q):
+    return Undefined if Undefined in (p, q) else p and q
+
+
+def _strict_or(p, q):
+    return Undefined if Undefined in (p, q) else p or q
+
+
+def _strict_not(p):
+    return Undefined if p is Undefined else not p
+
+
+def _and(a, b):
+    return BinOp("and", a, b)
+
+
+# (expression over the atoms P and Q, its strict value given P, Q and whether
+# x' == 1); the primed conjunct is evaluated with x' = 0 and with x' = 1.
+STRICT_FORMS = [
+    ("P && Q", lambda P, Q: _and(P, Q), lambda p, q, x1: _strict_and(p, q)),
+    ("Q && P", lambda P, Q: _and(Q, P), lambda p, q, x1: _strict_and(q, p)),
+    ("(P && Q) && P", lambda P, Q: _and(_and(P, Q), P),
+     lambda p, q, x1: _strict_and(_strict_and(p, q), p)),
+    ("P || Q", lambda P, Q: BinOp("or", P, Q), lambda p, q, x1: _strict_or(p, q)),
+    ("!(P && Q)", lambda P, Q: Not(_and(P, Q)), lambda p, q, x1: _strict_not(_strict_and(p, q))),
+    ("P && x' == 1 && Q", lambda P, Q: conj(P, BinOp("eq", PrimedRef("x"), Lit(1)), Q),
+     lambda p, q, x1: _strict_and(_strict_and(p, x1), q)),
+]
+
+
+@pytest.mark.parametrize("form, build, spec", STRICT_FORMS, ids=[f[0] for f in STRICT_FORMS])
+def test_holding_agrees_with_strict_evaluation(form, build, spec):
+    for p, q, x in itertools.product(TRUTH, TRUTH, (0, 1)):
+        expr = build(TRUTH[p], TRUTH[q])
+        value = eval_expr(expr, {}, F_TABLES, primed={"x": x})
+        assert value is spec(p, q, x == 1), (form, p, q, x)
+        assert guard_holds(expr, {}, F_TABLES, primed={"x": x}) is (value is True), (form, p, q, x)
+
+
+def test_a_guard_stops_at_its_first_conjunct_that_is_not_true(monkeypatch):
+    calls = []
+    evaluate = model.eval_expr
+
+    def counting(expr, *args, **kwargs):
+        calls.append(expr)
+        return evaluate(expr, *args, **kwargs)
+
+    monkeypatch.setattr(model, "eval_expr", counting)
+    rest = Not(BinOp("eq", SymApp("F", (AttrRef("x"),)), BinOp("add", AttrRef("x"), Lit(1))))
+    assert not guard_holds(conj(BinOp("eq", AttrRef("x"), Lit(1)), rest), {"x": 0}, F_TABLES)
+    assert calls == [BinOp("eq", AttrRef("x"), Lit(1)), AttrRef("x"), Lit(1)]
+
+
+# At x=0, t1's guard has an Undefined lookup after a False conjunct, and t2's
+# has the same conjunction under `!`: strictly, !(false && Undefined) is
+# Undefined, so t2 is not enabled there.
+STRICT_SRC = """
+std strict = {
+  uses {
+    F(Int 0..1) ->? Bool
+  }
+  input go
+  output a | b
+  attributes x :: Int 0..1
+  states s init
+  t1: s -> s : {x == 1 && F(x)} go / [a] {x' == x}
+  t2: s -> s : {!(x == 1 && F(x))} go / [b] {x' == x}
+}
+"""
+
+
+def test_enabled_is_strict_under_not():
+    std = parse_std(STRICT_SRC)
+    env = make_environment(tables={"F": {(1,): True}})
+    index = Machine(std, env).index
+    labels = {}
+    for x in (0, 1):
+        cfg = make_config("s", {"x": x})
+        got = index.enabled(cfg, Msg("go"))
+        assert {
+            (e.transition.label, e.binding, e.reactions) for e in got
+        } == oracle_enabled(std, cfg, Msg("go"), env)
+        labels[x] = [e.transition.label for e in got]
+    assert labels == {0: [], 1: ["t1"]}
 
 
 def test_conj_flattens_trivial_parts():

@@ -285,9 +285,24 @@ def test_add_internal_accepts_disjoint_guard(guarded):
     assert check_refinement(guarded, out, EMPTY_ENV, B).ok
 
 
-def test_add_transitions_asks_each_question_once_per_configuration(monkeypatch):
+def _counting_enabled(monkeypatch, owner=TransitionIndex):
+    """Record (key, trigger) for every `enabled` call of `owner`'s indexes."""
+    asked = []
+    enabled = owner.enabled
+
+    def counting(index, config, trigger):
+        asked.append((index.key(config), trigger))
+        return enabled(index, config, trigger)
+
+    monkeypatch.setattr(owner, "enabled", counting)
+    return asked
+
+
+def test_add_transitions_asks_each_question_once_per_read_key(monkeypatch):
     # t3 has three trigger instances, go(0..2); e1 and e2 raise the same
-    # internal and per-input questions at every configuration of s2.
+    # internal and per-input questions at every configuration of s2.  t2,
+    # which leaves s1, reads x, so s1[x=0] and s1[x=1] are asked apart; no
+    # transition leaves s2, so its two configurations share one key.
     std = parse_std(
         """
 std wide = {
@@ -303,20 +318,42 @@ std wide = {
     t3 = replace(_t("t3", "s1", "s1", "go", outputs=(("b", ()),)), params=("n",))
     e1 = _t("e1", "s2", "s0", None)
     e2 = _t("e2", "s2", "s0", None, outputs=(("a", ()),))
-    asked = []
-    enabled = TransitionIndex.enabled
-
-    def counting(index, config, trigger):
-        asked.append((config, trigger))
-        return enabled(index, config, trigger)
-
-    monkeypatch.setattr(TransitionIndex, "enabled", counting)
+    asked = _counting_enabled(monkeypatch)
     out = apply_rule(std, AddTransitions((t3, e1, e2)), EMPTY_ENV, B)
     monkeypatch.undo()
     assert [t.label for t in out.transitions] == ["t1", "t2", "t3", "e1", "e2"]
-    internal = [c for c, trigger in asked if trigger is None]
-    assert sorted(map(str, internal)) == ["s1[x=0]", "s1[x=1]", "s2[x=0]", "s2[x=1]"]
-    assert len(asked) == len(set(asked)) == 2 * (3 + 1) + 2 * (1 + 4)
+    internal = [key for key, trigger in asked if trigger is None]
+    assert internal == [("s1", ("x", 0)), ("s1", ("x", 1)), ("s2", ())]
+    assert len(asked) == len(set(asked)) == 2 * (3 + 1) + 1 * (1 + 4) == 13
+
+
+def test_add_transitions_evaluates_a_guard_once_per_read_value(monkeypatch):
+    # t3's guard reads x only, so it is evaluated once per value of x and
+    # trigger instance, not once per valuation of (x, y).
+    std = parse_std(
+        """
+std wide = {
+  input go | stop
+  output a
+  attributes x :: Int 0..2
+  attributes y :: Int 0..3
+  states s0 init
+  t1: s0 -> s0 : go / [a] {x' == x && y' == y}
+}
+"""
+    )
+    t3 = _t("t3", "s0", "s0", "stop", guard=BinOp("eq", AttrRef("x"), Lit(1)), post=TRUE)
+    guards = []
+    holds = model.guard_holds
+
+    def counting(expr, *args, **kwargs):
+        if expr == t3.guard:
+            guards.append(args[0])
+        return holds(expr, *args, **kwargs)
+
+    monkeypatch.setattr(refine, "guard_holds", counting)
+    apply_rule(std, AddTransitions((t3,)), EMPTY_ENV, B)
+    assert [v["x"] for v in guards] == [0, 1, 2]
 
 
 def test_add_transitions_rejects_duplicate_label(base):
@@ -352,6 +389,34 @@ std redundant = {
 def test_remove_transition_rejects_uncovering_removal(base):
     with pytest.raises(RuleError, match="unhandled"):
         apply_rule(base, RemoveTransitions(("t2",)), EMPTY_ENV, B)
+
+
+def test_remove_transitions_asks_each_question_once_per_read_key(monkeypatch):
+    # No kept transition leaving s0 reads x, so the three reachable
+    # configurations of s0 share one key: the kept machine is asked once for
+    # eps and once for go, not three times each.
+    std = parse_std(
+        """
+std cover = {
+  input go | stop
+  output a | b
+  attributes x :: Int 0..2
+  states s0 init, s1
+  t1: s0 -> s1 : go / [a]
+  t1b: s0 -> s1 : go / [b]
+  t2: s1 -> s0 : stop / [b]
+}
+"""
+    )
+
+    class Kept(TransitionIndex):
+        pass
+
+    monkeypatch.setattr(refine, "TransitionIndex", Kept)
+    asked = _counting_enabled(monkeypatch, Kept)
+    out = apply_rule(std, RemoveTransitions(("t1b",)), EMPTY_ENV, B)
+    assert [t.label for t in out.transitions] == ["t1", "t2"]
+    assert asked == [(("s0", ()), None), (("s0", ()), Msg("go"))]
 
 
 # t2's guard holds, but its postcondition pins x out of range, so t2 has no
