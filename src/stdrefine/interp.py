@@ -30,9 +30,12 @@ produce.  The single-message building block is `step`:
   is no frame rule: a primed attribute a postcondition leaves unconstrained
   ranges over its whole sort, whatever its old value.
 
-Output sequences longer than the output cap are clipped and flagged, never
-silently dropped.  A configured state cap aborts exploration with a
-`ResourceLimit` naming the offending bound.
+One breadth-first builder steps the branches of each recorded sequence:
+`machine_traces` extends every sequence with every input up to the length
+bound, and `simulate_prefixes` follows one input sequence.  Output sequences
+longer than the output cap are clipped and flagged, never silently dropped.
+A configured state cap aborts exploration with a `ResourceLimit` naming the
+offending bound.
 """
 
 from __future__ import annotations
@@ -135,7 +138,8 @@ class Machine:
     `ValueError` when it does not fit) and its input alphabet listed in
     `msg_key` order (`inputs`); its initial configurations in `config_key`
     order (`initial`) and its transition index (`index`) are built on first
-    use.  Every enabledness question of `step` goes to that index.
+    use.  `enabled` is the one enabledness question: `step` and the rule side
+    conditions ask it, and it asks `index`.
 
     Every memo is keyed by what a configuration's control state reads,
     `TransitionIndex.key`: the state and the values of the attributes its
@@ -146,8 +150,8 @@ class Machine:
     agree on what their state reads have the same reactions, divergent
     outputs, chaos flag and touched set.  `step` keeps its result per (key,
     message), and one exploration its outcomes per (key, allowance).
-    Enabledness, which depends on neither the remaining internal-step
-    allowance nor (for eps) the pending message, is kept per (key, trigger),
+    `enabled`, which depends on neither the remaining internal-step allowance
+    nor (for eps) the pending message, keeps its answers per (key, trigger),
     with None for eps, for the machine's lifetime: each such question goes to
     `index` once.
     """
@@ -173,6 +177,20 @@ class Machine:
     def index(self) -> TransitionIndex:
         return TransitionIndex(self.std, self.tables)
 
+    def enabled(self, config: Configuration, trigger: Msg | None) -> list[EnabledTransition]:
+        """`index.enabled(config, trigger)`, asked once per (`index.key`,
+        trigger) for the machine's lifetime."""
+        return self._ask(self.index.key(config), config, trigger)
+
+    def _ask(
+        self, read: tuple, config: Configuration, trigger: Msg | None
+    ) -> list[EnabledTransition]:
+        """`enabled` for a `config` whose `index.key` is `read`."""
+        hit = self._enabled.get((read, trigger))
+        if hit is None:
+            hit = self._enabled[(read, trigger)] = self.index.enabled(config, trigger)
+        return hit
+
     def step(self, config: Configuration, message: Msg) -> StepResult:
         key = (self.index.key(config), message)
         hit = self._step_memo.get(key)
@@ -185,8 +203,7 @@ class Machine:
     def _explore(self, config: Configuration, message: Msg) -> StepResult:
         touched: set[Configuration] = set()
         state_key = self.index.key
-        ask = self.index.enabled
-        enabled = self._enabled
+        ask = self._ask
 
         # outcomes relative to a pending-message configuration, keyed by what
         # its state reads and the remaining internal-step allowance
@@ -200,12 +217,8 @@ class Machine:
             local_reactions: set[tuple[Outputs, Configuration]] = set()
             local_divergent: set[Outputs] = set()
             local_chaos = False
-            ext = enabled.get((read, message))
-            if ext is None:
-                ext = enabled[(read, message)] = ask(cfg, message)
-            eps = enabled.get((read, None))
-            if eps is None:
-                eps = enabled[(read, None)] = ask(cfg, None)
+            ext = ask(read, cfg, message)
+            eps = ask(read, cfg, None)
             for en in ext:
                 for outs, succ in en.reactions:
                     local_reactions.add((outs, succ))
@@ -264,11 +277,11 @@ class TraceSet:
     `entries` records every sequence without a chaotic proper prefix (from
     `simulate_prefixes`: every prefix of its one path); the extensions of a
     chaotic entry are implied, and `entry` answers for them.  Its insertion
-    order is canonical (`seq_key`): `machine_traces` builds breadth-first over
-    the `msg_key`-sorted `Machine.inputs`, `simulate_prefixes` prefix by
-    prefix, so neither sorts.  `reached` holds the initial configurations and
-    those touched by the steps of non-chaotic entries, so it does not depend
-    on which branch of a chaotic step happened to be tried first.
+    order is canonical (`seq_key`), so nothing sorts it: one builder makes
+    both kinds breadth-first, `machine_traces` over the `msg_key`-sorted
+    `Machine.inputs`.  `reached` holds the initial configurations and those
+    touched by the steps of non-chaotic entries, so it does not depend on
+    which branch of a chaotic step happened to be tried first.
     """
 
     std_name: str
@@ -362,39 +375,48 @@ def _make_entry(outputs, divergent, cap: int) -> Entry:
     )
 
 
-def _advance(machine: Machine, branches, divergent, m: Msg):
-    """Step every branch (configuration, accumulated outputs) with `m`.
-
-    None when some branch is chaotic; what the branches stepped before it
-    touched depends on their order and is dropped.  Otherwise the child's
-    branches, its divergent outputs (`divergent` plus those parked by this
-    step), the configurations touched, and whether some branch diverged.
-    """
-    child_branches: set[tuple[Configuration, Outputs]] = set()
-    child_divergent: set[Outputs] = set(divergent)
-    touched: set[Configuration] = set()
-    diverged = False
-    for cfg, u in branches:
-        res = machine.step(cfg, m)
-        if res.chaotic:
-            return None
-        touched |= res.touched
-        for outs, succ in res.reactions:
-            child_branches.add((succ, u + outs))
-        for outs in res.divergent:
-            child_divergent.add(u + outs)
-        diverged = diverged or bool(res.divergent)
-    return child_branches, child_divergent, touched, diverged
-
-
 def traces(std: Std, env: Environment, bounds: Bounds = DEFAULT_BOUNDS) -> TraceSet:
     """Exhaustively enumerate `step` over every input sequence up to the length
     bound, from every initial configuration."""
-    machine = Machine(std, env, bounds)
-    return machine_traces(machine)
+    return machine_traces(Machine(std, env, bounds))
 
 
 def machine_traces(machine: Machine) -> TraceSet:
+    k = machine.bounds.max_input_len
+    return _build(machine, lambda seq: machine.inputs if len(seq) < k else ())
+
+
+def simulate_prefixes(
+    std: Std,
+    env: Environment,
+    input_seq: tuple[Msg, ...],
+    bounds: Bounds = DEFAULT_BOUNDS,
+) -> TraceSet:
+    """Entries for every prefix of one concrete input sequence (the same
+    semantics and warnings as `traces`, without enumerating the whole
+    alphabet).  Every prefix after a chaotic one is listed as `CHAOS_ENTRY`,
+    so that `entry` answers for the whole sequence whatever its length."""
+    machine = Machine(std, env, bounds)
+    input_seq = tuple(input_seq)
+    for m in input_seq:
+        if m not in machine.inputs:
+            raise ValueError(f"{m} is not an input message instance of {std.name}")
+    ts = _build(machine, lambda seq: input_seq[len(seq) : len(seq) + 1])
+    for cut in range(len(ts.entries), len(input_seq) + 1):
+        ts.entries[input_seq[:cut]] = CHAOS_ENTRY
+    return ts
+
+
+def _build(machine: Machine, children) -> TraceSet:
+    """The trace set of `machine`, built breadth-first from the empty input
+    sequence: each recorded, non-chaotic sequence `seq` is extended with
+    every message of `children(seq)`, in that order.
+
+    A node carries its branches (configuration, accumulated outputs) and the
+    divergent outputs it inherits.  A child where some branch is chaotic is
+    recorded as `CHAOS_ENTRY` and not expanded; what the branches stepped
+    before that one touched depends on their order and is dropped.
+    """
     bounds = machine.bounds
     cap = bounds.output_cap
     entries: dict[tuple[Msg, ...], Entry] = {}
@@ -410,41 +432,46 @@ def machine_traces(machine: Machine) -> TraceSet:
             suppressed += 1
 
     _check_state_cap(bounds, reached)
+    start = {(c, ()) for c in machine.initial}
+    entries[()] = _make_entry({u for _, u in start}, (), cap)
+    layer: list[tuple[tuple[Msg, ...], set, set]] = [((), start, set())]
 
-    # A live node: the branch states (configuration, accumulated outputs)
-    # plus parked divergent outputs inherited by every extension.
-    Branches = set  # of (Configuration, Outputs)
-    start_branches: Branches = {(c, ()) for c in machine.initial}
-
-    entries[()] = _make_entry({u for _, u in start_branches}, (), cap)
-    layer: list[tuple[tuple[Msg, ...], Branches, set]] = [((), start_branches, set())]
-
-    for _depth in range(bounds.max_input_len):
-        next_layer: list[tuple[tuple[Msg, ...], Branches, set]] = []
+    while layer:
+        next_layer: list[tuple[tuple[Msg, ...], set, set]] = []
         for seq, branches, divergent in layer:
-            for m in machine.inputs:
+            for m in children(seq):
                 child_seq = seq + (m,)
-                child = _advance(machine, branches, divergent, m)
-                # A chaotic child is recorded, not expanded.
-                if child is None:
-                    entries[child_seq] = CHAOS_ENTRY
-                    continue
-                child_branches, child_divergent, child_touched, diverged = child
-                reached |= child_touched
-                _check_state_cap(bounds, reached)
-                if diverged:
-                    warn(
-                        "internal-step budget exhausted while processing "
-                        f"{m} after input {format_sequence(seq)}"
-                    )
-                entry = _make_entry({u for _, u in child_branches}, child_divergent, cap)
-                if entry.capped:
-                    warn(
-                        "output cap hit at input "
-                        f"{format_sequence(child_seq)} (outputs clipped at {cap})"
-                    )
-                entries[child_seq] = entry
-                next_layer.append((child_seq, child_branches, child_divergent))
+                child_branches: set[tuple[Configuration, Outputs]] = set()
+                child_divergent: set[Outputs] = set(divergent)
+                touched: set[Configuration] = set()
+                diverged = False
+                for cfg, u in branches:
+                    res = machine.step(cfg, m)
+                    if res.chaotic:
+                        entries[child_seq] = CHAOS_ENTRY
+                        break
+                    touched |= res.touched
+                    for outs, succ in res.reactions:
+                        child_branches.add((succ, u + outs))
+                    for outs in res.divergent:
+                        child_divergent.add(u + outs)
+                    diverged = diverged or bool(res.divergent)
+                else:  # no branch was chaotic
+                    reached |= touched
+                    _check_state_cap(bounds, reached)
+                    if diverged:
+                        warn(
+                            "internal-step budget exhausted while processing "
+                            f"{m} after input {format_sequence(seq)}"
+                        )
+                    entry = _make_entry({u for _, u in child_branches}, child_divergent, cap)
+                    if entry.capped:
+                        warn(
+                            "output cap hit at input "
+                            f"{format_sequence(child_seq)} (outputs clipped at {cap})"
+                        )
+                    entries[child_seq] = entry
+                    next_layer.append((child_seq, child_branches, child_divergent))
         layer = next_layer
 
     if suppressed:
@@ -456,48 +483,6 @@ def machine_traces(machine: Machine) -> TraceSet:
         entries=entries,
         reached=frozenset(reached),
         warnings=tuple(warnings),
-    )
-
-
-def simulate_prefixes(
-    std: Std,
-    env: Environment,
-    input_seq: tuple[Msg, ...],
-    bounds: Bounds = DEFAULT_BOUNDS,
-) -> TraceSet:
-    """Entries for every prefix of one concrete input sequence (the same
-    semantics as `traces`, without enumerating the whole alphabet)."""
-    machine = Machine(std, env, bounds)
-    input_seq = tuple(input_seq)
-    for m in input_seq:
-        if m not in machine.inputs:
-            raise ValueError(f"{m} is not an input message instance of {std.name}")
-    cap = bounds.output_cap
-    entries: dict[tuple[Msg, ...], Entry] = {}
-    reached: set[Configuration] = set(machine.initial)
-    branches = {(c, ()) for c in machine.initial}
-    divergent: set[Outputs] = set()
-    _check_state_cap(bounds, reached)
-    entries[()] = _make_entry({u for _, u in branches}, divergent, cap)
-    chaotic = False
-    for i, m in enumerate(input_seq):
-        prefix = input_seq[: i + 1]
-        child = None if chaotic else _advance(machine, branches, divergent, m)
-        if child is None:
-            chaotic = True
-            entries[prefix] = CHAOS_ENTRY
-            continue
-        branches, divergent, touched, _diverged = child
-        reached |= touched
-        _check_state_cap(bounds, reached)
-        entries[prefix] = _make_entry({u for _, u in branches}, divergent, cap)
-    return TraceSet(
-        std_name=std.name,
-        bounds=bounds,
-        inputs=machine.inputs,
-        entries=entries,
-        reached=frozenset(reached),
-        warnings=(),
     )
 
 

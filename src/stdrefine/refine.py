@@ -11,7 +11,7 @@ The six transformation rules are syntactic machine edits whose side conditions
 guarantee refinement by construction, at every bound.  A side condition that
 needs the environment binds the machine the rule is applied to the way the
 interpreter does, as an `interp.Machine`, and asks that machine's questions:
-"enabled" is productive enabledness as its `index` answers it (the guard
+"enabled" is productive enabledness as `Machine.enabled` answers it (the guard
 holds, the outputs are defined and the postcondition is satisfiable), and
 "reachable" is membership in the saturated `interp.reachable_configurations`
 of it, which holds every configuration that any bounds reach (so the
@@ -50,14 +50,11 @@ from .model import (
     Environment,
     Expr,
     Msg,
-    Not,
     Std,
     Transition,
-    TransitionIndex,
     Value,
     attribute_reads,
     config_key,
-    conj,
     desugar,
     enumerate_valuations,
     format_value,
@@ -186,37 +183,21 @@ def _resolve_transition(t: Transition, std: Std, rule: str) -> Transition:
     return replace(t, guard=guard, outputs=outputs, post=fix(t.post))
 
 
-def _desugar_payload(transitions: tuple[Transition, ...], rule: str) -> tuple[Transition, ...]:
-    """Priorities inside one payload batch are local to the batch: each
-    prioritized transition's guard is conjoined with the negations of all
-    strictly higher-priority guards in its (source, trigger) group.  `else`
-    has no meaning relative to a payload and is rejected."""
-    for t in transitions:
-        if has_else(t.guard):
-            raise RuleError(rule, "'else' guards are not allowed in rule payloads",
-                            witness=f"transition {t.label or t.source}")
-    groups: dict[tuple[str, Optional[str]], list[Transition]] = {}
-    for t in transitions:
-        groups.setdefault((t.source, t.trigger), []).append(t)
-    out = []
-    for t in transitions:
-        if t.priority is None:
-            out.append(t)
-            continue
-        negs = [
-            Not(t2.guard)
-            for t2 in groups[(t.source, t.trigger)]
-            if t2 is not t and t2.priority is not None and t2.priority < t.priority
-        ]
-        out.append(replace(t, guard=conj(t.guard, *negs), priority=None))
-    return tuple(out)
-
-
 def _prepare_payload(
     transitions: tuple[Transition, ...], std: Std, rule: str
 ) -> tuple[Transition, ...]:
+    """The payload with its names resolved against `std` and its priorities
+    desugared.  Priorities are local to the batch: `desugar` sees the batch
+    alone, so each prioritized guard is conjoined with the negations of the
+    strictly higher-priority guards of its (source, trigger) group in the
+    batch only.  `else` has no meaning relative to a payload and is rejected
+    first, since `desugar` would accept it."""
     resolved = tuple(_resolve_transition(t, std, rule) for t in transitions)
-    return _desugar_payload(resolved, rule)
+    for t in resolved:
+        if has_else(t.guard):
+            raise RuleError(rule, "'else' guards are not allowed in rule payloads",
+                            witness=f"transition {t.label or t.source}")
+    return desugar(replace(std, transitions=resolved)).transitions
 
 
 # ---------------------------------------------------------------------------
@@ -510,13 +491,12 @@ def _apply_add_transitions(work: Std, app: AddTransitions, env: Environment) -> 
                             witness=f"transition {t.label or t.source}")
 
     machine = Machine(work, env)
-    tables, inputs, existing = machine.tables, machine.inputs, machine.index
+    tables, inputs = machine.tables, machine.inputs
     valuations = enumerate_valuations(work.attributes, work.domain_map())
     # Each question is asked once per what decides it: a payload guard per
-    # trigger instance and values of the attributes it reads, and `existing`
-    # per (`existing.key`, trigger), however many payload transitions and
-    # trigger instances raise it.
-    answers: dict[tuple[tuple, Optional[Msg]], list] = {}
+    # trigger instance and values of the attributes it reads, and the machine
+    # once per (read key, trigger) by `Machine.enabled`, however many payload
+    # transitions and trigger instances raise it.
 
     # Disjointness is checked against the machine being extended, not against
     # other members of the same batch: the batch as a whole claims previously
@@ -534,11 +514,8 @@ def _apply_add_transitions(work: Std, app: AddTransitions, env: Environment) -> 
                 if not holds[read]:
                     continue
                 cfg = make_config(t.source, v)
-                cfg_key = existing.key(cfg)
                 for ask in [None, *inputs] if t.is_internal else [trigger, None]:
-                    clash = answers.get((cfg_key, ask))
-                    if clash is None:
-                        clash = answers[(cfg_key, ask)] = existing.enabled(cfg, ask)
+                    clash = machine.enabled(cfg, ask)
                     if not clash:
                         continue
                     name = clash[0].transition.label or clash[0].transition.source
@@ -586,15 +563,12 @@ def _apply_remove_transitions(
     kept = replace(work, transitions=tuple(t for t in work.transitions if t not in removed_set))
 
     machine = _reach_machine(work, env, state_cap)
-    rest = TransitionIndex(kept, machine.tables)
-    # `rest` is asked once per (`rest.key`, trigger).
-    answers: dict[tuple[tuple, Optional[Msg]], bool] = {}
 
     def covered(cfg: Configuration, trigger: Optional[Msg]) -> bool:
-        key = (rest.key(cfg), trigger)
-        if key not in answers:
-            answers[key] = bool(rest.enabled(cfg, trigger))
-        return answers[key]
+        # `enabled` decides each transition on its own, so the kept ones
+        # enabled in `work` are exactly those enabled in `kept`; reachability
+        # has asked `machine` every such question already.
+        return any(e.transition not in removed_set for e in machine.enabled(cfg, trigger))
 
     # In canonical order, so that the witness is the least offending
     # configuration whatever the string-hash seed.

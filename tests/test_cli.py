@@ -113,6 +113,29 @@ def test_simulate_json_validates_against_schema():
     check_against(doc, "traces")
 
 
+def test_simulate_json_lists_the_warnings_of_its_prefixes(tmp_path):
+    p = tmp_path / "loop.std"
+    p.write_text(LOOP_SRC)
+    code, out, _ = run("simulate", str(p), "--input", "go, go", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    check_against(doc, "traces")
+    assert doc["warnings"] == [
+        "internal-step budget exhausted while processing go after input []",
+        "internal-step budget exhausted while processing go after input [go]",
+    ]
+
+
+def test_simulate_json_lists_every_prefix_of_a_chaotic_input_longer_than_k():
+    code, out, _ = run("simulate", TEL, "--input", "OH, LT, LT", "--k", "1", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    check_against(doc, "traces")
+    assert [([m["ctor"] for m in e["input"]], e["chaos"]) for e in doc["entries"]] == [
+        ([], False), (["OH"], True), (["OH", "LT"], True), (["OH", "LT", "LT"], True)
+    ]
+
+
 def test_simulate_rejects_garbage_input_sequence():
     code, _, err = run("simulate", TEL, "--input", "DL(")
     assert code == 2 and err
@@ -132,8 +155,7 @@ def test_simulate_honors_state_cap():
     assert "state cap" in err
 
 
-def test_simulate_reports_divergence_flag(tmp_path):
-    src = """
+LOOP_SRC = """
 std loop = {
   input go
   output tick
@@ -142,8 +164,11 @@ std loop = {
   g1: s -> s : go
 }
 """
+
+
+def test_simulate_reports_divergence_flag(tmp_path):
     p = tmp_path / "loop.std"
-    p.write_text(src)
+    p.write_text(LOOP_SRC)
     code, out, _ = run("simulate", str(p), "--input", "go")
     assert code == 0
     assert "diverged" in out

@@ -55,14 +55,30 @@ def test_model_does_not_import_the_interpreter():
     assert offending == [], f"model.py imports the interpreter at lines {offending}"
 
 
+def test_only_the_interpreter_builds_a_transition_index():
+    # `Machine` is the one place a diagram meets its environment; everything
+    # else asks a machine's `enabled` instead of indexing a diagram itself.
+    offending = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        if path.name != "interp.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and _called_name(node) == "TransitionIndex"
+    ]
+    assert offending == [], f"TransitionIndex built outside interp.py: {', '.join(offending)}"
+
+
+def _called_name(node: ast.Call):
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
 def _is_truth_test_of_eval(node: ast.AST) -> bool:
     """`eval_expr(...) is True` or `eval_expr(...) is not True`."""
     if not (isinstance(node, ast.Compare) and isinstance(node.left, ast.Call)):
         return False
-    func = node.left.func
-    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
     return (
-        name == "eval_expr"
+        _called_name(node.left) == "eval_expr"
         and len(node.ops) == 1
         and isinstance(node.ops[0], (ast.Is, ast.IsNot))
         and isinstance(node.comparators[0], ast.Constant)

@@ -451,6 +451,31 @@ def test_each_enabledness_question_goes_to_the_index_once(monkeypatch, n):
     assert asked and len(asked) == len(set(asked))
 
 
+def test_machine_enabled_answers_as_the_index_and_asks_it_once(monkeypatch):
+    # Chain step 5 under the default environment: every reachable
+    # configuration, every trigger.  A question whose (read key, trigger) was
+    # asked before, by another configuration or by the same one, is answered
+    # from the memo.
+    machine = Machine(build_step(5), default_env(), K4)
+    configs = sorted(traces(build_step(5), default_env(), K4).reached, key=config_key)
+    questions = [(c, m) for c in configs for m in (None, *machine.inputs)]
+    expected = [machine.index.enabled(c, m) for c, m in questions]
+    asked = []
+    enabled = TransitionIndex.enabled
+
+    def counting(index, config, trigger):
+        asked.append((index.key(config), trigger))
+        return enabled(index, config, trigger)
+
+    monkeypatch.setattr(TransitionIndex, "enabled", counting)
+    assert [machine.enabled(c, m) for c, m in questions] == expected
+    distinct = {(machine.index.key(c), m) for c, m in questions}
+    assert len(asked) == len(distinct) < len(questions)
+    assert set(asked) == distinct
+    assert [machine.enabled(c, m) for c, m in questions] == expected
+    assert len(asked) == len(distinct)
+
+
 @pytest.mark.parametrize("n", range(6))
 def test_chain_steps_agree_with_oracle_under_default_env(n):
     # Table lookups such as ok(ph) are only reached under an environment.

@@ -137,12 +137,15 @@ def test_trace_sets_grow_monotonically_and_absorb_chaos(seed):
     assert verdict.ok, verdict.describe()
 
     # `traces` and `simulate_prefixes` record entries in canonical order, and
-    # simulating one input sequence reproduces the entries of its prefixes.
+    # simulating one input sequence reproduces the entries of its prefixes
+    # and, unless the trace set's were cut off, their warnings.
     assert list(ts3.entries) == sorted(ts3.entries, key=seq_key)
     longest = ts3.sequences()[-1]
     sim = simulate_prefixes(std, EMPTY_ENV, longest, B3)
     assert list(sim.entries) == sorted(sim.entries, key=seq_key)
     assert sim.entries == {seq: ts3.entry(seq) for seq in sim.entries}
+    if not ts3.warnings or "suppressed" not in ts3.warnings[-1]:
+        assert set(sim.warnings) <= set(ts3.warnings)
 
 
 @given(seeds)

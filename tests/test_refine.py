@@ -39,9 +39,12 @@ from stdrefine.model import (
     TRUE,
     AttrRef,
     BinOp,
+    ElseGuard,
     Lit,
+    Not,
     PrimedRef,
     TransitionIndex,
+    conj,
 )
 
 B = Bounds(max_input_len=3, eps_budget=3, output_cap=16)
@@ -285,16 +288,16 @@ def test_add_internal_accepts_disjoint_guard(guarded):
     assert check_refinement(guarded, out, EMPTY_ENV, B).ok
 
 
-def _counting_enabled(monkeypatch, owner=TransitionIndex):
-    """Record (key, trigger) for every `enabled` call of `owner`'s indexes."""
+def _counting_enabled(monkeypatch):
+    """Record (key, trigger) for every `TransitionIndex.enabled` call."""
     asked = []
-    enabled = owner.enabled
+    enabled = TransitionIndex.enabled
 
     def counting(index, config, trigger):
         asked.append((index.key(config), trigger))
         return enabled(index, config, trigger)
 
-    monkeypatch.setattr(owner, "enabled", counting)
+    monkeypatch.setattr(TransitionIndex, "enabled", counting)
     return asked
 
 
@@ -356,6 +359,40 @@ std wide = {
     assert [v["x"] for v in guards] == [0, 1, 2]
 
 
+def test_rule_payloads_may_not_use_else(base):
+    t = _t("t3", "s1", "s1", "go", guard=ElseGuard())
+    with pytest.raises(RuleError, match="'else' guards are not allowed in rule payloads"):
+        apply_rule(base, AddTransitions((t,)), EMPTY_ENV, B)
+
+
+def test_payload_priorities_are_local_to_the_batch():
+    # t0 is @1 in the same (s, go) group as the payload, but p2's guard
+    # negates only the higher-priority guard of its own batch, p1's.
+    std = parse_std(PRIO_TEMPLATE.format("t0: s -> s : {x == 0} go / [a] {x' == x} @1"))
+    p1, p2 = parse_std(PRIO_TEMPLATE.format(PRIO_PAYLOAD)).transitions
+    out = apply_rule(std, AddTransitions((p1, p2)), EMPTY_ENV, B)
+    assert [(t.label, t.priority) for t in out.transitions] == [
+        ("t0", None), ("p1", None), ("p2", None)
+    ]
+    assert out.transition("p1").guard == p1.guard
+    assert out.transition("p2").guard == conj(p2.guard, Not(p1.guard))
+
+
+PRIO_TEMPLATE = """
+std prio = {{
+  input go
+  output a | b | c
+  attributes x :: Int 0..3
+  states s init {{x == 0}}
+  {}
+}}
+"""
+PRIO_PAYLOAD = """
+  p1: s -> s : {x >= 2} go / [b] {x' == x} @1
+  p2: s -> s : {x >= 1} go / [c] {x' == x} @2
+"""
+
+
 def test_add_transitions_rejects_duplicate_label(base):
     t = _t("t1", "s0", "s0", "stop")
     with pytest.raises(RuleError, match="label"):
@@ -392,9 +429,10 @@ def test_remove_transition_rejects_uncovering_removal(base):
 
 
 def test_remove_transitions_asks_each_question_once_per_read_key(monkeypatch):
-    # No kept transition leaving s0 reads x, so the three reachable
-    # configurations of s0 share one key: the kept machine is asked once for
-    # eps and once for go, not three times each.
+    # No transition leaving s0 reads x, so the three reachable configurations
+    # of s0 share one key.  The side condition asks the machine's memoised
+    # `enabled`, which reachability has already asked every question it
+    # raises: the index sees exactly the questions of reachability alone.
     std = parse_std(
         """
 std cover = {
@@ -409,14 +447,15 @@ std cover = {
 """
     )
 
-    class Kept(TransitionIndex):
-        pass
-
-    monkeypatch.setattr(refine, "TransitionIndex", Kept)
-    asked = _counting_enabled(monkeypatch, Kept)
+    asked = _counting_enabled(monkeypatch)
     out = apply_rule(std, RemoveTransitions(("t1b",)), EMPTY_ENV, B)
     assert [t.label for t in out.transitions] == ["t1", "t2"]
-    assert asked == [(("s0", ()), None), (("s0", ()), Msg("go"))]
+    assert len(asked) == len(set(asked))
+    monkeypatch.undo()
+    alone = _counting_enabled(monkeypatch)
+    interp.reachable_configurations(interp.Machine(std, EMPTY_ENV, Bounds(eps_budget=1)))
+    assert sorted(asked, key=repr) == sorted(alone, key=repr)
+    assert (("s0", ()), Msg("go")) in asked
 
 
 # t2's guard holds, but its postcondition pins x out of range, so t2 has no
