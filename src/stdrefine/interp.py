@@ -24,11 +24,12 @@ produce.  The single-message building block is `step`:
 
 * A step depends only on what its configuration's control state reads: the
   state and the attributes that the guards, output arguments and
-  postconditions of the transitions leaving it read unprimed.  `Machine`
-  keys its step memo by exactly that (`TransitionIndex.key`), which is exact
-  because a step's result never mentions its start configuration and there
-  is no frame rule: a primed attribute a postcondition leaves unconstrained
-  ranges over its whole sort, whatever its old value.
+  postconditions of the transitions leaving it read unprimed, and the class
+  of the message there.  `Machine` keys its step memo by exactly that
+  (`TransitionIndex.key` and `message_class`), which is exact because a
+  step's result mentions neither its start configuration nor its message
+  and there is no frame rule: a primed attribute a postcondition leaves
+  unconstrained ranges over its whole sort, whatever its old value.
 
 One breadth-first builder steps the branches of each recorded sequence:
 `machine_traces` extends every sequence with every input up to the length
@@ -148,8 +149,11 @@ class Machine:
     and there is no frame rule (a primed attribute a postcondition leaves
     unconstrained ranges over its whole sort), so two configurations that
     agree on what their state reads have the same reactions, divergent
-    outputs, chaos flag and touched set.  `step` keeps its result per (key,
-    message), and one exploration its outcomes per (key, allowance).
+    outputs, chaos flag and touched set.  Nor does it mention the message,
+    which only `enabled` reads, through its class at the start state
+    (`TransitionIndex.message_class`).  So `step` keeps its result per (key,
+    class), explored with the first message of the class it is asked, and
+    one exploration its outcomes per (key, allowance).
     `enabled`, which depends on neither the remaining internal-step allowance
     nor (for eps) the pending message, keeps its answers per (key, trigger),
     with None for eps, for the machine's lifetime: each such question goes to
@@ -166,7 +170,7 @@ class Machine:
         self.inputs: tuple[Msg, ...] = tuple(
             message_instances(self.std.signature.inputs, self.std.domain_map())
         )
-        self._step_memo: dict[tuple[tuple, Msg], StepResult] = {}
+        self._step_memo: dict[tuple[tuple, tuple | None], StepResult] = {}
         self._enabled: dict[tuple[tuple, Msg | None], list[EnabledTransition]] = {}
 
     @cached_property
@@ -192,13 +196,11 @@ class Machine:
         return hit
 
     def step(self, config: Configuration, message: Msg) -> StepResult:
-        key = (self.index.key(config), message)
+        key = (self.index.key(config), self.index.message_class(config.control, message))
         hit = self._step_memo.get(key)
-        if hit is not None:
-            return hit
-        result = self._explore(config, message)
-        self._step_memo[key] = result
-        return result
+        if hit is None:
+            hit = self._step_memo[key] = self._explore(config, message)
+        return hit
 
     def _explore(self, config: Configuration, message: Msg) -> StepResult:
         touched: set[Configuration] = set()

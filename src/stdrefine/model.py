@@ -263,10 +263,10 @@ def conj(*parts: Expr) -> Expr:
 _UNARY = (Not, Neg, Defined, Head, Tail, Len)
 
 
-def walk(expr: Expr) -> list[Expr]:
-    """expr and every sub-expression, in pre-order."""
+def walk(*exprs: Expr) -> list[Expr]:
+    """Each of exprs and every sub-expression, in pre-order."""
     out: list[Expr] = []
-    todo = [expr]
+    todo = list(reversed(exprs))
     while todo:
         e = todo.pop()
         out.append(e)
@@ -284,9 +284,11 @@ def walk(expr: Expr) -> list[Expr]:
     return out
 
 
-def attribute_reads(expr: Expr) -> set[str]:
-    """The attributes `expr` reads unprimed: the names of its `AttrRef`s."""
-    return {e.name for e in walk(expr) if isinstance(e, AttrRef)}
+def reads(*exprs: Expr) -> tuple[set[str], set[str]]:
+    """The names of the attributes `exprs` read unprimed and of the trigger parameters they read."""
+    nodes = walk(*exprs)
+    return ({e.name for e in nodes if type(e) is AttrRef},
+            {e.name for e in nodes if type(e) is ParamRef})
 
 
 def map_children(expr: Expr, f: Callable[[Expr], Expr]) -> Expr:
@@ -1250,9 +1252,10 @@ class TransitionIndex:
     configuration is computed here, once: the transitions grouped by (source,
     trigger constructor, or None for eps) in declaration order, so `enabled`
     lists them in the order of `std.transitions`; each transition's pins (see
-    `_pins`); the attribute names with each attribute's pool of values; and,
-    per control state, the attributes its outgoing transitions read (see
-    `key`).  `enabled` then does only the per-configuration work.
+    `_pins`) and the positions of the trigger's arguments it reads (see
+    `message_class`); the attribute names with each attribute's pool of
+    values; and, per control state, the attributes its outgoing transitions
+    read (see `key`).  `enabled` then does only the per-configuration work.
     """
 
     def __init__(self, std: Std, tables: dict[str, dict[tuple[Value, ...], Value]]) -> None:
@@ -1264,18 +1267,18 @@ class TransitionIndex:
         sorts = std.attr_map()
         self.pools = tuple(enumerate_sort(sorts[n], domains) for n in self.names)
         position = {n: i for i, n in enumerate(self.names)}
-        self._groups: dict[tuple[str, Optional[str]], list[tuple[Transition, tuple]]] = {}
-        reads: dict[str, set[int]] = {}
+        self._groups: dict[tuple[str, Optional[str]], list[tuple[Transition, tuple, tuple]]] = {}
+        state_reads: dict[str, set[int]] = {}
         for t in std.transitions:
             pins = tuple((position[n], e) for n, e in _pins(t.post, self.names))
-            self._groups.setdefault((t.source, t.trigger), []).append((t, pins))
-            parts = (t.guard, *(a for _, args in t.outputs for a in args), t.post)
-            reads.setdefault(t.source, set()).update(
-                position[n] for p in parts for n in attribute_reads(p)
-            )
+            attrs, params = reads(t.guard, *(a for _, args in t.outputs for a in args), t.post)
+            args = tuple(i for i, p in enumerate(t.params) if p in params) if params else ()
+            self._groups.setdefault((t.source, t.trigger), []).append((t, pins, args))
+            state_reads.setdefault(t.source, set()).update(position[n] for n in attrs)
         # Positions in `names`, which is also the order of `Configuration.valuation`.
-        self.reads = {s: tuple(sorted(r)) for s, r in reads.items()}
+        self.reads = {s: tuple(sorted(r)) for s, r in state_reads.items()}
         self._project = {s: itemgetter(*r) for s, r in self.reads.items() if r}
+        self._classes: dict[str, dict[str, Callable]] = {}
 
     def key(self, config: Configuration) -> tuple:
         """What `enabled` reads of `config`: its control state and the
@@ -1289,6 +1292,30 @@ class TransitionIndex:
         postcondition leaves unconstrained ranges over its whole sort."""
         project = self._project.get(config.control)
         return (config.control, project(config.valuation) if project else ())
+
+    def message_class(self, control: str, message: Msg) -> tuple | None:
+        """What a step from a configuration at `control` reads of `message`:
+        None when no transition leaving the eps closure of `control` (the
+        states its eps transitions reach, guards ignored, and itself) has its
+        constructor as trigger, else that constructor and the arguments such
+        transitions read; a pending message is read only by `enabled`, only
+        there and only through these.  Tables are built on demand."""
+        table = self._classes.get(control)
+        if table is None:
+            closure, todo = set(), [control]
+            while todo:
+                if (state := todo.pop()) not in closure:
+                    closure.add(state)
+                    todo += (t.target for t, _, _ in self._groups.get((state, None), ()))
+            read: dict[str, set[int]] = {}
+            for (source, ctor), group in self._groups.items():
+                if ctor is not None and source in closure:
+                    read.setdefault(ctor, set()).update(i for _, _, args in group for i in args)
+            table = self._classes[control] = {
+                c: itemgetter(*sorted(r)) if r else (lambda args: ()) for c, r in read.items()
+            }
+        project = table.get(message.ctor)
+        return None if project is None else (message.ctor, project(message.args))
 
     def enabled(self, config: Configuration, trigger: Msg | None) -> list[EnabledTransition]:
         """The transitions productively enabled at `config` for `trigger` (a
@@ -1315,7 +1342,7 @@ class TransitionIndex:
         names = self.names
         valuation = config.value_map()
         out: list[EnabledTransition] = []
-        for t, pins in group:
+        for t, pins, _ in group:
             if trigger is None:
                 params: dict[str, Value] = {}
             elif len(t.params) != len(trigger.args):

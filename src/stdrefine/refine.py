@@ -53,7 +53,6 @@ from .model import (
     Std,
     Transition,
     Value,
-    attribute_reads,
     config_key,
     desugar,
     enumerate_valuations,
@@ -61,6 +60,7 @@ from .model import (
     guard_holds,
     has_else,
     make_config,
+    reads,
     resolve_names,
     validate_std,
 )
@@ -502,8 +502,8 @@ def _apply_add_transitions(work: Std, app: AddTransitions, env: Environment) -> 
     # other members of the same batch: the batch as a whole claims previously
     # unspecified situations, and may distribute them among its members.
     for t in payload:
-        reads = sorted(attribute_reads(t.guard))
-        project = itemgetter(*reads) if reads else lambda v: ()
+        attrs = sorted(reads(t.guard)[0])
+        project = itemgetter(*attrs) if attrs else lambda v: ()
         for trigger in _triggers(t, inputs):
             binding = _binding(t, trigger)
             holds: dict[object, bool] = {}

@@ -43,7 +43,7 @@ from stdrefine.interp import (
 from stdrefine.model import EMPTY_ENV, TransitionIndex, config_key, make_environment
 
 from machine_gen import gen_std
-from oracles import input_closure, oracle_step
+from oracles import all_configs, input_closure, oracle_step
 
 K2 = Bounds(max_input_len=2, eps_budget=4, output_cap=16)
 K4 = Bounds(max_input_len=4, eps_budget=4, output_cap=16)
@@ -424,14 +424,95 @@ def test_configurations_that_differ_in_an_unread_attribute_share_one_exploration
     assert {c for _, c in x0.reactions} == {make_config("s", {"x": v, "y": 0}) for v in (0, 1)}
 
 
-@pytest.mark.parametrize("n, explorations, entries, reached", [(0, 110, 111, 36), (5, 121, 210, 57)])
+@pytest.mark.parametrize("n, explorations, entries, reached", [(0, 19, 111, 36), (5, 38, 210, 57)])
 def test_chain_explorations_at_k4(monkeypatch, n, explorations, entries, reached):
     # No transition leaving `idle` reads sub, ph or org: its 27 initial
-    # configurations share one exploration per input.
+    # configurations share one exploration per message class, and the inputs
+    # that no transition of a state's eps closure tells apart share one class.
     explored = _counting_explore(monkeypatch)
     ts = traces(build_step(n), default_env(), K4)
     assert len(explored) == explorations
     assert (len(ts.entries), len(ts.reached)) == (entries, reached)
+
+
+CLASS_TEMPLATE = """
+std classes = {{
+  input go(Int 0..1) | stop(Int 0..1) | halt
+  output done | val(Int 0..1)
+  states s init, t, u
+  {transitions}
+}}
+"""
+
+
+def _class_machine(transitions):
+    return Machine(parse_std(CLASS_TEMPLATE.format(transitions=transitions)), EMPTY_ENV, K2)
+
+
+def test_messages_that_differ_in_an_unread_argument_share_one_exploration(monkeypatch):
+    machine = _class_machine("a: s -> t : go(v) / [done]")
+    explored = _counting_explore(monkeypatch)
+    s = make_config("s", {})
+    assert machine.step(s, Msg("go", (0,))) is machine.step(s, Msg("go", (1,)))
+    assert len(explored) == 1
+
+
+def test_an_argument_read_one_eps_step_away_keeps_its_messages_apart(monkeypatch):
+    # Only the output argument of `a`, which leaves t, reads v; s reaches t over eps.
+    machine = _class_machine("e: s -> t : eps / [done]\n  a: t -> s : go(v) / [val(v)]")
+    explored = _counting_explore(monkeypatch)
+    s = make_config("s", {})
+    go0, go1 = (machine.step(s, Msg("go", (v,))) for v in (0, 1))
+    assert go0.reactions == {((Msg("done"), Msg("val", (0,))), s)}
+    assert go1.reactions == {((Msg("done"), Msg("val", (1,))), s)}
+    assert len(explored) == 2
+
+
+def test_constructors_no_transition_of_the_closure_handles_share_one_exploration(monkeypatch):
+    # `h` handles stop, but leaves u, which s does not reach over eps.
+    machine = _class_machine(
+        "e: s -> t : eps / [done]\n  a: t -> s : go(v) / [done]\n  h: u -> s : stop(w) / [val(w)]"
+    )
+    explored = _counting_explore(monkeypatch)
+    s = make_config("s", {})
+    unhandled = [machine.step(s, m) for m in (Msg("halt"), Msg("stop", (0,)), Msg("stop", (1,)))]
+    assert all(r is unhandled[0] for r in unhandled) and unhandled[0].chaotic
+    assert len(explored) == 1
+    u = make_config("u", {})
+    assert machine.step(u, Msg("stop", (0,))) != machine.step(u, Msg("stop", (1,)))
+    assert len(explored) == 3
+
+
+@pytest.mark.parametrize("eps", ["e: s -> s : eps / [done]", "e: s -> t : eps\n  f: t -> s : eps"])
+def test_eps_cycles_close_and_step_as_the_oracle(eps):
+    machine = _class_machine(eps + "\n  a: s -> t : go(v) / [val(v)]\n  b: t -> s : stop(v)")
+    for config in all_configs(machine.std):
+        for message in machine.inputs:
+            sr = machine.step(config, message)
+            assert oracle_step(machine.std, config, message, EMPTY_ENV, K2) == (
+                sr.reactions,
+                sr.divergent,
+                sr.chaotic,
+                sr.touched,
+            )
+
+
+def test_the_first_message_of_a_class_does_not_change_the_step():
+    # A class's step is explored with whichever of its messages comes first:
+    # stepping every pair forwards on one machine, and backwards on a fresh
+    # one, must give the oracle's answer either way.
+    rng = random.Random(7)
+    bounds = Bounds(max_input_len=3, eps_budget=2, output_cap=4)
+    for i in range(400):
+        std = gen_std(rng, name=f"gen{i}")
+        forwards, backwards = Machine(std, EMPTY_ENV, bounds), Machine(std, EMPTY_ENV, bounds)
+        pairs = [(c, m) for c in all_configs(std) for m in forwards.inputs]
+        stepped = [forwards.step(c, m) for c, m in pairs]
+        stepped_back = [backwards.step(c, m) for c, m in reversed(pairs)][::-1]
+        for (config, message), sr, back in zip(pairs, stepped, stepped_back):
+            want = oracle_step(std, config, message, EMPTY_ENV, bounds)
+            assert want == (sr.reactions, sr.divergent, sr.chaotic, sr.touched)
+            assert want == (back.reactions, back.divergent, back.chaotic, back.touched)
 
 
 @pytest.mark.parametrize("n", range(6))
