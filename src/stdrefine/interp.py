@@ -33,8 +33,10 @@ produce.  The single-message building block is `step`:
 
 One breadth-first builder steps the branches of each recorded sequence:
 `machine_traces` extends every sequence with every input up to the length
-bound, and `simulate_prefixes` follows one input sequence.  Output sequences
-longer than the output cap are clipped and flagged, never silently dropped.
+bound, and `simulate_prefixes` follows one input sequence.  It asks `step`
+through the machine's step rows, once per (read key, input), not once per
+branch and sequence.  Output sequences longer than the output cap are
+clipped and flagged, never silently dropped.
 A configured state cap aborts exploration with a `ResourceLimit` naming the
 offending bound.
 """
@@ -157,7 +159,9 @@ class Machine:
     `enabled`, which depends on neither the remaining internal-step allowance
     nor (for eps) the pending message, keeps its answers per (key, trigger),
     with None for eps, for the machine's lifetime: each such question goes to
-    `index` once.
+    `index` once.  In front of `step`, `row` keeps one list per key, aligned
+    with `inputs`, whose cell i `fill` sets to the step of `inputs[i]`: the
+    trace builder and reachability index a row instead of asking `step`.
     """
 
     def __init__(self, std: Std, env: Environment, bounds: Bounds = DEFAULT_BOUNDS) -> None:
@@ -172,6 +176,7 @@ class Machine:
         )
         self._step_memo: dict[tuple[tuple, tuple | None], StepResult] = {}
         self._enabled: dict[tuple[tuple, Msg | None], list[EnabledTransition]] = {}
+        self._rows: dict[tuple, list[StepResult | None]] = {}
 
     @cached_property
     def initial(self) -> tuple[Configuration, ...]:
@@ -194,6 +199,19 @@ class Machine:
         if hit is None:
             hit = self._enabled[(read, trigger)] = self.index.enabled(config, trigger)
         return hit
+
+    def row(self, config: Configuration) -> list[StepResult | None]:
+        """The step row of `config`'s key: cell i is None until filled."""
+        key = self.index.key(config)
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = [None] * len(self.inputs)
+        return row
+
+    def fill(self, row: list[StepResult | None], config: Configuration, i: int) -> StepResult:
+        """Sets cell i of `config`'s `row` to `step(config, inputs[i])`."""
+        res = row[i] = self.step(config, self.inputs[i])
+        return res
 
     def step(self, config: Configuration, message: Msg) -> StepResult:
         key = (self.index.key(config), self.index.message_class(config.control, message))
@@ -358,8 +376,9 @@ def reachable_configurations(machine: Machine) -> set[Configuration]:
     todo = list(reached)
     while todo:
         config = todo.pop()
-        for m in machine.inputs:
-            for succ in machine.step(config, m).touched:
+        row = machine.row(config)
+        for i, res in enumerate(row):
+            for succ in (res or machine.fill(row, config, i)).touched:
                 if succ not in reached:
                     reached.add(succ)
                     todo.append(succ)
@@ -368,13 +387,12 @@ def reachable_configurations(machine: Machine) -> set[Configuration]:
 
 
 def _make_entry(outputs, divergent, cap: int) -> Entry:
-    """A non-chaotic entry, its output sequences clipped at `cap` and flagged."""
-    return Entry(
-        chaos=False,
-        outputs=frozenset(u[:cap] for u in outputs),
-        divergent=frozenset(u[:cap] for u in divergent),
-        capped=any(len(u) > cap for u in itertools.chain(outputs, divergent)),
-    )
+    """A non-chaotic entry, its output sequences clipped at `cap` and flagged;
+    the words are sliced only when some word is longer than `cap`."""
+    if any(len(u) > cap for u in itertools.chain(outputs, divergent)):
+        return Entry(chaos=False, outputs=frozenset(u[:cap] for u in outputs),
+                     divergent=frozenset(u[:cap] for u in divergent), capped=True)
+    return Entry(chaos=False, outputs=frozenset(outputs), divergent=frozenset(divergent))
 
 
 def traces(std: Std, env: Environment, bounds: Bounds = DEFAULT_BOUNDS) -> TraceSet:
@@ -385,7 +403,8 @@ def traces(std: Std, env: Environment, bounds: Bounds = DEFAULT_BOUNDS) -> Trace
 
 def machine_traces(machine: Machine) -> TraceSet:
     k = machine.bounds.max_input_len
-    return _build(machine, lambda seq: machine.inputs if len(seq) < k else ())
+    every = range(len(machine.inputs))
+    return _build(machine, lambda seq: every if len(seq) < k else ())
 
 
 def simulate_prefixes(
@@ -403,7 +422,8 @@ def simulate_prefixes(
     for m in input_seq:
         if m not in machine.inputs:
             raise ValueError(f"{m} is not an input message instance of {std.name}")
-    ts = _build(machine, lambda seq: input_seq[len(seq) : len(seq) + 1])
+    positions = [machine.inputs.index(m) for m in input_seq]
+    ts = _build(machine, lambda seq: positions[len(seq) : len(seq) + 1])
     for cut in range(len(ts.entries), len(input_seq) + 1):
         ts.entries[input_seq[:cut]] = CHAOS_ENTRY
     return ts
@@ -411,16 +431,20 @@ def simulate_prefixes(
 
 def _build(machine: Machine, children) -> TraceSet:
     """The trace set of `machine`, built breadth-first from the empty input
-    sequence: each recorded, non-chaotic sequence `seq` is extended with
-    every message of `children(seq)`, in that order.
+    sequence: each recorded, non-chaotic sequence `seq` is extended with the
+    input at every position of `children(seq)` into `machine.inputs`, in that
+    order.
 
     A node carries its branches (configuration, accumulated outputs) and the
-    divergent outputs it inherits.  A child where some branch is chaotic is
-    recorded as `CHAOS_ENTRY` and not expanded; what the branches stepped
-    before that one touched depends on their order and is dropped.
+    divergent outputs it inherits.  It fetches one step row per branch
+    (`Machine.row`) and each child indexes it, so a (read key, input) pair is
+    asked of `Machine.step` once per machine.  A child where some branch is
+    chaotic is recorded as `CHAOS_ENTRY` and not expanded; nothing is
+    allocated for it, and what its other branches touched is dropped.
     """
     bounds = machine.bounds
     cap = bounds.output_cap
+    inputs = machine.inputs
     entries: dict[tuple[Msg, ...], Entry] = {}
     warnings: list[str] = []
     suppressed = 0
@@ -441,32 +465,35 @@ def _build(machine: Machine, children) -> TraceSet:
     while layer:
         next_layer: list[tuple[tuple[Msg, ...], set, set]] = []
         for seq, branches, divergent in layer:
-            for m in children(seq):
-                child_seq = seq + (m,)
-                child_branches: set[tuple[Configuration, Outputs]] = set()
-                child_divergent: set[Outputs] = set(divergent)
-                touched: set[Configuration] = set()
-                diverged = False
-                for cfg, u in branches:
-                    res = machine.step(cfg, m)
-                    if res.chaotic:
+            positions = children(seq)
+            if not positions:
+                continue
+            rows = [(machine.row(cfg), cfg, u) for cfg, u in branches]
+            for i in positions:
+                child_seq = seq + (inputs[i],)
+                for row, cfg, _ in rows:
+                    if (row[i] or machine.fill(row, cfg, i)).chaotic:
                         entries[child_seq] = CHAOS_ENTRY
                         break
-                    touched |= res.touched
-                    for outs, succ in res.reactions:
-                        child_branches.add((succ, u + outs))
-                    for outs in res.divergent:
-                        child_divergent.add(u + outs)
-                    diverged = diverged or bool(res.divergent)
                 else:  # no branch was chaotic
-                    reached |= touched
+                    child_branches: set[tuple[Configuration, Outputs]] = set()
+                    child_divergent: set[Outputs] = set(divergent)
+                    diverged = False
+                    for row, _, u in rows:
+                        res = row[i]
+                        reached |= res.touched
+                        for outs, succ in res.reactions:
+                            child_branches.add((succ, u + outs))
+                        if res.divergent:
+                            diverged = True
+                            child_divergent.update(u + outs for outs in res.divergent)
                     _check_state_cap(bounds, reached)
                     if diverged:
                         warn(
                             "internal-step budget exhausted while processing "
-                            f"{m} after input {format_sequence(seq)}"
+                            f"{inputs[i]} after input {format_sequence(seq)}"
                         )
-                    entry = _make_entry({u for _, u in child_branches}, child_divergent, cap)
+                    entry = _make_entry(frozenset(u for _, u in child_branches), child_divergent, cap)
                     if entry.capped:
                         warn(
                             "output cap hit at input "
@@ -481,7 +508,7 @@ def _build(machine: Machine, children) -> TraceSet:
     return TraceSet(
         std_name=machine.std.name,
         bounds=bounds,
-        inputs=machine.inputs,
+        inputs=inputs,
         entries=entries,
         reached=frozenset(reached),
         warnings=tuple(warnings),

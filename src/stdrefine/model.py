@@ -284,11 +284,13 @@ def walk(*exprs: Expr) -> list[Expr]:
     return out
 
 
-def reads(*exprs: Expr) -> tuple[set[str], set[str]]:
-    """The names of the attributes `exprs` read unprimed and of the trigger parameters they read."""
+def reads(*exprs: Expr) -> tuple[set[str], set[str], int]:
+    """The names of the attributes `exprs` read unprimed and of the trigger
+    parameters they read, and the number of primed references in them."""
     nodes = walk(*exprs)
     return ({e.name for e in nodes if type(e) is AttrRef},
-            {e.name for e in nodes if type(e) is ParamRef})
+            {e.name for e in nodes if type(e) is ParamRef},
+            list(map(type, nodes)).count(PrimedRef))
 
 
 def map_children(expr: Expr, f: Callable[[Expr], Expr]) -> Expr:
@@ -1222,26 +1224,30 @@ def _outputs_of(
     return tuple(msgs)
 
 
-def _pins(post: Expr, attributes: tuple[str, ...]) -> tuple[tuple[str, Expr], ...]:
+def _pins(post: Expr, attributes: tuple[str, ...], primed: int):
     """The pins of a postcondition: each conjunct ``x' == e`` or ``e == x'``
     of its top-level ``and`` chain, with x an attribute and e free of primed
-    references, as an (x, e) pair."""
+    references, as an (x, e) pair; and whether every conjunct is a pin of a
+    different attribute.  `primed` counts the primed references in `post`:
+    when each is the x' of a conjunct, no e has one, and none is walked."""
     pins: list[tuple[str, Expr]] = []
+    conjuncts = 0
     todo = [post]
     while todo:
         e = todo.pop()
-        if not isinstance(e, BinOp):
-            continue
-        if e.op == "and":
+        if isinstance(e, BinOp) and e.op == "and":
             todo += (e.left, e.right)
             continue
-        if e.op != "eq":
+        conjuncts += 1
+        if not isinstance(e, BinOp) or e.op != "eq":
             continue
         for lhs, rhs in ((e.left, e.right), (e.right, e.left)):
-            if isinstance(lhs, PrimedRef) and lhs.name in attributes and not has_primed(rhs):
+            if isinstance(lhs, PrimedRef) and lhs.name in attributes:
                 pins.append((lhs.name, rhs))
                 break
-    return tuple(pins)
+    if len(pins) != primed:
+        pins = [(x, e) for x, e in pins if not has_primed(e)]
+    return tuple(pins), len(pins) == conjuncts == len({x for x, _ in pins})
 
 
 class TransitionIndex:
@@ -1251,9 +1257,9 @@ class TransitionIndex:
     it; neither may change afterwards.  What does not depend on the
     configuration is computed here, once: the transitions grouped by (source,
     trigger constructor, or None for eps) in declaration order, so `enabled`
-    lists them in the order of `std.transitions`; each transition's pins (see
-    `_pins`) and the positions of the trigger's arguments it reads (see
-    `message_class`); the attribute names with each attribute's pool of
+    lists them in the order of `std.transitions`; each transition's pins and
+    whether its postcondition is exactly them (see `_pins`), and the positions
+    of the trigger's arguments it reads (see `message_class`); the attribute names with each attribute's pool of
     values; and, per control state, the attributes its outgoing transitions
     read (see `key`).  `enabled` then does only the per-configuration work.
     """
@@ -1267,13 +1273,14 @@ class TransitionIndex:
         sorts = std.attr_map()
         self.pools = tuple(enumerate_sort(sorts[n], domains) for n in self.names)
         position = {n: i for i, n in enumerate(self.names)}
-        self._groups: dict[tuple[str, Optional[str]], list[tuple[Transition, tuple, tuple]]] = {}
+        self._groups: dict[tuple[str, Optional[str]], list[tuple[Transition, tuple, tuple, bool]]] = {}
         state_reads: dict[str, set[int]] = {}
         for t in std.transitions:
-            pins = tuple((position[n], e) for n, e in _pins(t.post, self.names))
-            attrs, params = reads(t.guard, *(a for _, args in t.outputs for a in args), t.post)
+            attrs, params, primed = reads(t.guard, *(a for _, xs in t.outputs for a in xs), t.post)
+            pins, solved = _pins(t.post, self.names, primed)
+            pins = tuple((position[n], e) for n, e in pins)
             args = tuple(i for i, p in enumerate(t.params) if p in params) if params else ()
-            self._groups.setdefault((t.source, t.trigger), []).append((t, pins, args))
+            self._groups.setdefault((t.source, t.trigger), []).append((t, pins, args, solved))
             state_reads.setdefault(t.source, set()).update(position[n] for n in attrs)
         # Positions in `names`, which is also the order of `Configuration.valuation`.
         self.reads = {s: tuple(sorted(r)) for s, r in state_reads.items()}
@@ -1306,11 +1313,11 @@ class TransitionIndex:
             while todo:
                 if (state := todo.pop()) not in closure:
                     closure.add(state)
-                    todo += (t.target for t, _, _ in self._groups.get((state, None), ()))
+                    todo += (t.target for t, *_ in self._groups.get((state, None), ()))
             read: dict[str, set[int]] = {}
             for (source, ctor), group in self._groups.items():
                 if ctor is not None and source in closure:
-                    read.setdefault(ctor, set()).update(i for _, _, args in group for i in args)
+                    read.setdefault(ctor, set()).update(i for _, _, args, _ in group for i in args)
             table = self._classes[control] = {
                 c: itemgetter(*sorted(r)) if r else (lambda args: ()) for c, r in read.items()
             }
@@ -1334,7 +1341,9 @@ class TransitionIndex:
         value, and none at all when e is Undefined.  Unpinned attributes range
         over their whole sort, and every candidate is still checked against
         the full postcondition, so the reactions are exactly those of
-        enumerating every primed valuation."""
+        enumerating every primed valuation.  A postcondition that is exactly
+        its pins is not checked: the pools were narrowed with the ``==`` its
+        conjuncts evaluate, so every candidate satisfies it."""
         group = self._groups.get((config.control, None if trigger is None else trigger.ctor))
         if not group:
             return []
@@ -1342,7 +1351,7 @@ class TransitionIndex:
         names = self.names
         valuation = config.value_map()
         out: list[EnabledTransition] = []
-        for t, pins, _ in group:
+        for t, pins, _, solved in group:
             if trigger is None:
                 params: dict[str, Value] = {}
             elif len(t.params) != len(trigger.args):
@@ -1360,7 +1369,7 @@ class TransitionIndex:
             reactions = set()
             for combo in itertools.product(*pools):
                 primed = tuple(zip(names, combo))
-                if guard_holds(t.post, valuation, tables, params, dict(primed)):
+                if solved or guard_holds(t.post, valuation, tables, params, dict(primed)):
                     reactions.add((outputs, Configuration(t.target, primed)))
             if reactions:
                 out.append(

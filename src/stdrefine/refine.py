@@ -646,14 +646,15 @@ def trace_inclusion(ts_abstract: TraceSet, ts_concrete: TraceSet) -> Verdict:
     abstract CHAOS licensing anything.  Fails on the minimal counterexample
     (shortest input sequence, then lexicographically least offending output).
     Extensions of abstract chaos are licensed, so only recorded abstract
-    sequences are visited; concrete chaos before one has failed already."""
+    sequences are visited, in the canonical insertion order of `entries`; an
+    abstract chaotic one is passed before the concrete side is looked up, and
+    concrete chaos before one has failed already."""
     _require_same_alphabet(ts_abstract, ts_concrete)
     bounds = ts_abstract.bounds
-    for seq in ts_abstract.sequences():
-        ea = ts_abstract.entries[seq]
-        ec = ts_concrete.entry(seq)
+    for seq, ea in ts_abstract.entries.items():
         if ea.chaos:
             continue
+        ec = ts_concrete.entry(seq)
         if ec.chaos:
             return Verdict(
                 ok=False,

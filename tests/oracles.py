@@ -22,7 +22,7 @@ from stdrefine.model import (
     make_config,
     message_instances,
 )
-from stdrefine.interp import Bounds
+from stdrefine.interp import CHAOS_ENTRY, Bounds, Entry
 
 
 def _post_valuations(std: Std):
@@ -173,6 +173,23 @@ def input_closure(inputs, k: int):
     return [seq for n in range(k + 1) for seq in itertools.product(inputs, repeat=n)]
 
 
+def _inputs_and_initial(std: Std, env):
+    """The desugared diagram, its input messages and its initial
+    configurations under `env`, by raw enumeration of valuations."""
+    std = desugar(std)
+    tables, problems = bind_environment(std, env)
+    if problems:
+        raise ValueError("; ".join(problems))
+    inputs = message_instances(std.signature.inputs, std.domain_map())
+    initial = {
+        make_config(state, valuation)
+        for state, pred in std.initial
+        for valuation in _post_valuations(std)
+        if eval_expr(pred, valuation, tables) is True
+    }
+    return std, inputs, initial
+
+
 def oracle_reachable(std: Std, env, depth: int, eps_budget: int):
     """Reference bounded reachability: breadth-first over `oracle_enabled`.
 
@@ -180,18 +197,7 @@ def oracle_reachable(std: Std, env, depth: int, eps_budget: int):
     processed, reaching what `oracle_touched` touches.  Depth 0 is the
     initial configurations.
     """
-    std = desugar(std)
-    tables, problems = bind_environment(std, env)
-    if problems:
-        raise ValueError("; ".join(problems))
-    inputs = message_instances(std.signature.inputs, std.domain_map())
-
-    reached = {
-        make_config(state, valuation)
-        for state, pred in std.initial
-        for valuation in _post_valuations(std)
-        if eval_expr(pred, valuation, tables) is True
-    }
+    std, inputs, reached = _inputs_and_initial(std, env)
     layer = set(reached)
     explored: dict = {}
     for _ in range(depth):
@@ -207,3 +213,53 @@ def oracle_reachable(std: Std, env, depth: int, eps_budget: int):
             break
         layer = nxt
     return reached
+
+
+def oracle_traces(std: Std, env, bounds: Bounds):
+    """Reference trace set: the (entries, reached) that `machine_traces`
+    records, by plain enumeration.
+
+    Every input sequence of `input_closure` is run from the initial
+    configurations, every branch stepped with `oracle_step` (memoised per
+    full configuration and message).  A sequence with a chaotic proper
+    prefix is not recorded, since chaos is recorded once, at the shortest
+    chaotic input.  Divergent outputs of any step are inherited by the rest
+    of the sequence.  Outputs longer than the output cap are clipped and the
+    entry flagged.  `reached` is the initial configurations and everything
+    the steps of non-chaotic sequences touch.
+    """
+    std, inputs, initial = _inputs_and_initial(std, env)
+    steps: dict = {}
+    cap = bounds.output_cap
+    entries: dict = {}
+    reached = set(initial)
+    for seq in input_closure(inputs, bounds.max_input_len):
+        if any(entries[seq[:cut]].chaos for cut in range(len(seq))):
+            continue
+        branches = {(c, ()) for c in initial}
+        divergent: set = set()
+        touched: set = set()
+        chaotic = False
+        for m in seq:
+            after = set()
+            for cfg, u in branches:
+                if (cfg, m) not in steps:
+                    steps[(cfg, m)] = oracle_step(std, cfg, m, env, bounds)
+                reactions, div, chaos, tch = steps[(cfg, m)]
+                chaotic = chaotic or chaos
+                touched |= tch
+                after |= {(succ, u + outs) for outs, succ in reactions}
+                divergent |= {u + outs for outs in div}
+            branches = after
+        if chaotic:
+            entries[seq] = CHAOS_ENTRY
+            continue
+        reached |= touched
+        words = {u for _, u in branches} | divergent
+        entries[seq] = Entry(
+            chaos=False,
+            outputs=frozenset(u[:cap] for _, u in branches),
+            divergent=frozenset(u[:cap] for u in divergent),
+            capped=any(len(u) > cap for u in words),
+        )
+    return entries, reached

@@ -36,6 +36,7 @@ from stdrefine.interp import (
     CHAOS_ENTRY,
     Machine,
     format_sequence,
+    machine_traces,
     outputs_key,
     seq_key,
     traceset_to_json,
@@ -43,7 +44,7 @@ from stdrefine.interp import (
 from stdrefine.model import EMPTY_ENV, TransitionIndex, config_key, make_environment
 
 from machine_gen import gen_std
-from oracles import all_configs, input_closure, oracle_step
+from oracles import all_configs, input_closure, oracle_step, oracle_traces
 
 K2 = Bounds(max_input_len=2, eps_budget=4, output_cap=16)
 K4 = Bounds(max_input_len=4, eps_budget=4, output_cap=16)
@@ -435,6 +436,56 @@ def test_chain_explorations_at_k4(monkeypatch, n, explorations, entries, reached
     assert (len(ts.entries), len(ts.reached)) == (entries, reached)
 
 
+@pytest.mark.parametrize("n, calls", [(0, 110), (5, 121)])
+def test_chain_step_calls_at_k4(monkeypatch, n, calls):
+    # The builder asks each (read key, input) pair once, through the rows.
+    asked = []
+    step = Machine.step
+
+    def counting(machine, config, message):
+        asked.append((config, message))
+        return step(machine, config, message)
+
+    monkeypatch.setattr(Machine, "step", counting)
+    traces(build_step(n), default_env(), K4)
+    assert len(asked) == calls
+
+
+def test_a_row_cell_is_the_step_of_every_configuration_with_that_key():
+    machine = Machine(build_step(5), default_env(), K4)
+    ts = machine_traces(machine)
+    for config in sorted(ts.reached, key=config_key):
+        row = machine.row(config)
+        assert row is machine.row(config)
+        for i, m in enumerate(machine.inputs):
+            if row[i] is not None:
+                assert row[i] is machine.step(config, m)
+
+
+@pytest.mark.parametrize("n", range(3))
+def test_chain_trace_sets_agree_with_the_enumerating_oracle(n):
+    std, env, bounds = build_step(n), default_env(), Bounds(max_input_len=3)
+    ts = traces(std, env, bounds)
+    entries, reached = oracle_traces(std, env, bounds)
+    assert list(ts.entries.items()) == list(entries.items())
+    assert ts.reached == reached
+
+
+def test_generated_trace_sets_agree_with_the_enumerating_oracle():
+    # An output cap of 4 clips on some of these machines.
+    bounds = Bounds(max_input_len=3, eps_budget=2, output_cap=4)
+    rng = random.Random(7)
+    capped = 0
+    for _ in range(300):
+        std = gen_std(rng)
+        ts = traces(std, EMPTY_ENV, bounds)
+        entries, reached = oracle_traces(std, EMPTY_ENV, bounds)
+        assert list(ts.entries.items()) == list(entries.items()), print_std(std)
+        assert ts.reached == reached, print_std(std)
+        capped += any(e.capped for e in entries.values())
+    assert capped
+
+
 CLASS_TEMPLATE = """
 std classes = {{
   input go(Int 0..1) | stop(Int 0..1) | halt
@@ -641,6 +692,30 @@ def test_equivalence_requires_identical_alphabets():
     stack = traces(stack_std(), EMPTY_ENV, K2)
     with pytest.raises(SignatureMismatch):
         trace_equivalence(tel, stack)
+
+
+def test_inclusion_looks_up_the_concrete_side_only_where_the_abstract_is_not_chaotic(monkeypatch):
+    # Chaos licenses every behaviour; on the failing 1 => 0 chain pair the
+    # lookups stop at the witness.
+    for a, c, ok in ((0, 1, True), (1, 0, False)):
+        abstract = traces(build_step(a), default_env(), K4)
+        concrete = traces(build_step(c), default_env(), K4)
+        looked = []
+        entry = concrete.entry
+
+        def counting(seq):
+            looked.append(seq)
+            return entry(seq)
+
+        monkeypatch.setattr(concrete, "entry", counting)
+        verdict = trace_inclusion(abstract, concrete)
+        assert verdict.ok is ok
+        specified = [seq for seq, e in abstract.entries.items() if not e.chaos]
+        if ok:
+            assert looked == specified
+        else:
+            assert [m.ctor for m in verdict.witness.input] == ["call", "abandon"]
+            assert looked == specified[: specified.index(verdict.witness.input) + 1]
 
 
 SPEC_SRC = """

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from machine_gen import gen_std
-from oracles import oracle_enabled, oracle_reachable
+from oracles import all_configs, oracle_enabled, oracle_reachable
 
 from stdrefine import (
     Bounds,
@@ -561,6 +561,43 @@ def test_pinned_postconditions_agree_with_oracle(post, expected):
     }
     assert got == oracle_enabled(std, cfg, Msg("go"), env)
     assert sum(len(reactions) for _, _, reactions in got) == expected
+
+
+# With x, y :: Int 0..2 and b :: Bool, the first two postconditions are
+# exactly their pins, one conjunct per attribute, so every candidate of the
+# narrowed pools satisfies them; the last two are not.
+SOLVED_POSTS = [
+    (conj(_pin("x", SymApp("F", (AttrRef("x"),))), _keep("y"), _keep("b")), True),
+    (conj(_pin("x", BinOp("add", AttrRef("x"), Lit(1))), _keep("y"), _keep("b")), True),
+    (conj(_pin("x", Lit(1)), _pin("x", AttrRef("y")), _keep("b")), False),
+    (conj(_pin("x", Lit(0)), BinOp("ge", PrimedRef("y"), AttrRef("y"))), False),
+]
+
+
+def test_a_postcondition_that_is_exactly_its_pins_is_not_tested_again(monkeypatch):
+    attrs = (("x", IntSort(0, 2)), ("y", IntSort(0, 2)), ("b", BoolSort()))
+    decl = EnvSymDecl(params=(IntSort(0, 2),), result=IntSort(0, 2), total=False)
+    transitions = tuple(_t(label=f"t{i}", post=post) for i, (post, _) in enumerate(SOLVED_POSTS))
+    std = _tiny(transitions, attributes=attrs, uses=(("F", decl),))
+    env = make_environment(domains={}, tables={"F": {(0,): 1}})
+    index = Machine(std, env).index
+    tested = []
+    holds = model.guard_holds
+
+    def spy(expr, *args):
+        tested.append(expr)
+        return holds(expr, *args)
+
+    monkeypatch.setattr(model, "guard_holds", spy)
+    fired = set()
+    for config in all_configs(std):
+        for trigger in (None, Msg("go")):
+            got = {(e.transition.label, e.binding, e.reactions)
+                   for e in index.enabled(config, trigger)}
+            assert got == oracle_enabled(std, config, trigger, env)
+            fired |= {label for label, _, _ in got}
+    assert fired == {t.label for t in transitions}
+    assert [t.post in tested for t in transitions] == [not solved for _, solved in SOLVED_POSTS]
 
 
 @pytest.mark.parametrize("n", [2, 5])
