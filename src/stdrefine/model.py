@@ -22,6 +22,11 @@ Undefined guard is simply not satisfied) is decided by `guard_holds`, conjunct
 by conjunct along its top-level ``&&`` chain, stopping at the first conjunct
 that is not True.  Strictness makes that exact: such a chain is True iff
 every conjunct is.
+
+A bare identifier means, in this order of precedence, a trigger parameter, an
+attribute, an enumeration member or a nullary environment symbol.  The parser
+emits it as a `Name`, and `resolve_names`, over the `name_scope` of the
+machine it belongs to, is the one place that gives it one of those meanings.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 
 class UndefinedType:
@@ -232,10 +237,9 @@ class ElseGuard:
 
 @dataclass(frozen=True)
 class Name:
-    """An identifier whose resolution (parameter, attribute, enum member or
-    environment symbol) was deferred — produced when parsing a feature patch
-    without its subject diagram.  `resolve_names` eliminates it; evaluation
-    and validation reject it."""
+    """A bare identifier as the parser reads it, before `resolve_names` makes
+    it a parameter, attribute, enum member or nullary environment symbol.
+    Evaluation and validation reject it."""
 
     name: str
 
@@ -317,29 +321,41 @@ def has_else(expr: Expr) -> bool:
     return ElseGuard in map(type, walk(expr))
 
 
-def resolve_names(
-    expr: Expr,
-    attrs: frozenset | set,
-    members: dict[str, str],
-    symbols: frozenset | set,
-    params: frozenset | set,
-) -> Expr:
-    """Replace every deferred `Name` by its resolution.  Parameters shadow
-    attributes, which shadow enum members, which shadow nullary environment
-    symbols.  Raises ValueError on an identifier none of them covers."""
+class Scope(NamedTuple):
+    """What a bare identifier can name in one machine, trigger parameters
+    aside: its attributes, its enumeration members (with their domains) and
+    its environment symbols."""
+
+    attrs: frozenset[str]
+    members: dict[str, str]
+    symbols: frozenset[str]
+
+
+def name_scope(std: Std) -> Scope:
+    return Scope(
+        frozenset(n for n, _ in std.attributes),
+        {m: d for d, ms in std.domains for m in ms},
+        frozenset(n for n, _ in std.uses),
+    )
+
+
+def resolve_names(expr: Expr, scope: Scope, params: frozenset | set) -> Expr:
+    """Replace every `Name` by its meaning: parameters shadow attributes,
+    which shadow enum members, which shadow nullary environment symbols.
+    Raises ValueError on an identifier none of them covers."""
     if isinstance(expr, Name):
         n = expr.name
         if n in params:
             return ParamRef(n)
-        if n in attrs:
+        if n in scope.attrs:
             return AttrRef(n)
-        if n in members:
-            return EnumLit(n, members[n])
-        if n in symbols:
+        if n in scope.members:
+            return EnumLit(n, scope.members[n])
+        if n in scope.symbols:
             return SymApp(n, ())
         raise ValueError(f"unknown identifier {n!r}")
 
-    return map_children(expr, lambda e: resolve_names(e, attrs, members, symbols, params))
+    return map_children(expr, lambda e: resolve_names(e, scope, params))
 
 
 # ---------------------------------------------------------------------------
@@ -983,7 +999,7 @@ def _check_sort_wf(sort: Sort, domains: dict[str, tuple[str, ...]], errors: list
         _check_sort_wf(sort.elem, domains, errors, where)
 
 
-def validate_std(std: Std, extra_decls: dict[str, EnvSymDecl] | None = None) -> list[str]:
+def validate_std(std: Std) -> list[str]:
     """Structural and sort validation.  Returns a deterministic list of
     diagnostics; the Std is valid iff the list is empty.
     """
@@ -1036,7 +1052,7 @@ def validate_std(std: Std, extra_decls: dict[str, EnvSymDecl] | None = None) -> 
         state_set.add(s)
 
     attrs = std.attr_map()
-    decls = {**std.uses_map(), **(extra_decls or {})}
+    decls = std.uses_map()
     init_ctx = SortContext(attrs, decls)
     if not std.initial:
         errors.append("initial: no initial control state")

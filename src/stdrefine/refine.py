@@ -50,6 +50,7 @@ from .model import (
     Environment,
     Expr,
     Msg,
+    Scope,
     Std,
     Transition,
     Value,
@@ -60,6 +61,7 @@ from .model import (
     guard_holds,
     has_else,
     make_config,
+    name_scope,
     reads,
     resolve_names,
     validate_std,
@@ -161,20 +163,12 @@ def rule_name(app: RuleApplication) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _resolution_context(std: Std):
-    attrs = {n for n, _ in std.attributes}
-    members = {m: d for d, ms in std.domains for m in ms}
-    symbols = {n for n, _ in std.uses}
-    return attrs, members, symbols
-
-
-def _resolve_transition(t: Transition, std: Std, rule: str) -> Transition:
-    attrs, members, symbols = _resolution_context(std)
+def _resolve_transition(t: Transition, scope: Scope, rule: str) -> Transition:
     params = set(t.params)
 
     def fix(e: Expr) -> Expr:
         try:
-            return resolve_names(e, attrs, members, symbols, params)
+            return resolve_names(e, scope, params)
         except ValueError as exc:
             raise RuleError(rule, str(exc), witness=f"transition {t.label or t.source}") from exc
 
@@ -192,7 +186,8 @@ def _prepare_payload(
     strictly higher-priority guards of its (source, trigger) group in the
     batch only.  `else` has no meaning relative to a payload and is rejected
     first, since `desugar` would accept it."""
-    resolved = tuple(_resolve_transition(t, std, rule) for t in transitions)
+    scope = name_scope(std)
+    resolved = tuple(_resolve_transition(t, scope, rule) for t in transitions)
     for t in resolved:
         if has_else(t.guard):
             raise RuleError(rule, "'else' guards are not allowed in rule payloads",
@@ -370,7 +365,7 @@ def _apply_split_state(work: Std, app: SplitState, env: Environment) -> Std:
     machine = Machine(work, env)
     tables = machine.tables
     valuations = enumerate_valuations(work.attributes, work.domain_map())
-    attrs, members, symbols = _resolution_context(work)
+    scope = name_scope(work)
 
     checked_redirect: dict[str, tuple[str, Optional[Expr]]] = {}
     for t in incoming:
@@ -379,7 +374,7 @@ def _apply_split_state(work: Std, app: SplitState, env: Environment) -> Std:
             checked_redirect[t.label] = (part, None)
             continue
         try:
-            post = resolve_names(post, attrs, members, symbols, set(t.params))
+            post = resolve_names(post, scope, set(t.params))
         except ValueError as exc:
             raise RuleError(rule, str(exc), witness=f"redirect of {t.label!r}") from exc
         for trigger in _triggers(t, machine.inputs):

@@ -14,6 +14,16 @@ continues an identifier when it is directly attached on the left and a letter
 or underscore follows, so ``a-b`` is one name while ``a - b`` and ``a-1``
 are subtractions.  ``#`` starts a comment running to the end of the line.
 
+A bare identifier is read as a `Name`, and `model.resolve_names` gives it its
+meaning: a trigger parameter, else an attribute, else an enumeration member,
+else a nullary environment symbol.  `parse_std` resolves each one against the
+machine being read: in initial predicates, outputs and postconditions as it
+is read, in a guard (written before its trigger) once the trigger's
+parameters are read.  `parse_feature` does the same for payload transitions
+when it is given the subject machine.  A payload parsed without it, and every
+redirect postcondition, keeps its `Name`s until `apply_rule` resolves them
+against the machine the rule rewrites.
+
 `print_std` emits a canonical form that `parse_std` maps back to the same
 machine, `export_dot` renders the state graph, and `std_to_json` /
 `std_from_json` give a lossless structured encoding.
@@ -21,8 +31,8 @@ machine, `export_dot` renders the state graph, and `std_to_json` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, TypeVar
 
 from .model import (
     AttrRef,
@@ -48,6 +58,7 @@ from .model import (
     Not,
     ParamRef,
     PrimedRef,
+    Scope,
     Signature,
     Sort,
     Std,
@@ -58,9 +69,9 @@ from .model import (
     Value,
     format_value,
     make_environment,
-    map_children,
+    name_scope,
+    resolve_names,
     validate_std,
-    walk,
 )
 from .model import Environment
 from .refine import (
@@ -73,6 +84,8 @@ from .refine import (
     SplitState,
 )
 from .features import FeaturePatch
+
+T = TypeVar("T")
 
 
 # ---------------------------------------------------------------------------
@@ -214,13 +227,18 @@ class _Parser:
     def __init__(self, text: str) -> None:
         self.toks = tokenize(text)
         self.i = 0
+        # Bare identifiers whose meaning is checked only after more input is
+        # read: a guard's names once its trigger's parameters are known, an
+        # environment's values once all its domains are.
+        self.names: list[Token] = []
 
     def peek(self, k: int = 0) -> Token:
         j = min(self.i + k, len(self.toks) - 1)
         return self.toks[j]
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind != "eof"
+        t = self.toks[self.i]
+        return t.text == text and t.kind != "eof"
 
     def at_kind(self, kind: str) -> bool:
         return self.peek().kind == kind
@@ -261,58 +279,20 @@ class _Parser:
         if not self.at_kind("eof"):
             self.fail(f"expected end of input, found {self._describe(self.peek())}")
 
+    def commas(self, item: Callable[[], T]) -> list[T]:
+        """`item (, item)*`: one item or more."""
+        items = [item()]
+        while self.at(","):
+            self.take()
+            items.append(item())
+        return items
 
-# ---------------------------------------------------------------------------
-# Name resolution context
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Naming:
-    """What identifiers mean while parsing expressions.  With `deferred` set
-    (feature patch without its subject machine), unknown names become `Name`
-    nodes for later resolution."""
-
-    attrs: frozenset[str]
-    members: dict[str, str]
-    symbols: frozenset[str]
-    input_ctors: Optional[dict[str, MsgCtor]]
-    output_names: Optional[frozenset[str]]
-    deferred: bool
-
-    @staticmethod
-    def for_std(
-        attrs, members, symbols, input_ctors, output_names
-    ) -> "_Naming":
-        return _Naming(
-            attrs=frozenset(attrs),
-            members=dict(members),
-            symbols=frozenset(symbols),
-            input_ctors=dict(input_ctors),
-            output_names=frozenset(output_names),
-            deferred=False,
-        )
-
-    @staticmethod
-    def from_base(base: Std) -> "_Naming":
-        return _Naming.for_std(
-            attrs={n for n, _ in base.attributes},
-            members={m: d for d, ms in base.domains for m in ms},
-            symbols={n for n, _ in base.uses},
-            input_ctors={c.name: c for c in base.signature.inputs if c.name is not None},
-            output_names={c.name for c in base.signature.outputs if c.name is not None},
-        )
-
-    @staticmethod
-    def deferred_naming() -> "_Naming":
-        return _Naming(
-            attrs=frozenset(),
-            members={},
-            symbols=frozenset(),
-            input_ctors=None,
-            output_names=None,
-            deferred=True,
-        )
+    def enclosed(self, open_: str, close: str, item: Callable[[], T]) -> list[T]:
+        """`open_`, then `item (, item)*` or nothing, then `close`."""
+        self.expect(open_)
+        items = [] if self.at(close) else self.commas(item)
+        self.expect(close)
+        return items
 
 
 # ---------------------------------------------------------------------------
@@ -322,62 +302,66 @@ class _Naming:
 _CMP_OPS = {"==": "eq", "!=": "ne", "<=": "le", ">=": "ge", "<": "lt", ">": "gt"}
 
 
-def _parse_expr(p: _Parser, naming: _Naming, params: frozenset[str]) -> Expr:
-    return _parse_or(p, naming, params)
+def _parse_expr(p: _Parser, scope: Optional[Scope], params: Optional[frozenset[str]]) -> Expr:
+    """An expression.  Without a `scope` (a payload parsed without its subject,
+    or a redirect postcondition) its names are left for `apply_rule` to
+    resolve; with one, names are checked as they are read, and resolved at
+    once unless `params` is None (a guard, read before its trigger)."""
+    return _parse_or(p, scope, params)
 
 
-def _parse_or(p, naming, params) -> Expr:
-    left = _parse_and(p, naming, params)
+def _parse_or(p, scope, params) -> Expr:
+    left = _parse_and(p, scope, params)
     while p.at("||"):
         p.take()
-        left = BinOp("or", left, _parse_and(p, naming, params))
+        left = BinOp("or", left, _parse_and(p, scope, params))
     return left
 
 
-def _parse_and(p, naming, params) -> Expr:
-    left = _parse_cmp(p, naming, params)
+def _parse_and(p, scope, params) -> Expr:
+    left = _parse_cmp(p, scope, params)
     while p.at("&&"):
         p.take()
-        left = BinOp("and", left, _parse_cmp(p, naming, params))
+        left = BinOp("and", left, _parse_cmp(p, scope, params))
     return left
 
 
-def _parse_cmp(p, naming, params) -> Expr:
-    left = _parse_add(p, naming, params)
+def _parse_cmp(p, scope, params) -> Expr:
+    left = _parse_add(p, scope, params)
     for text, op in _CMP_OPS.items():
         if p.at(text):
             p.take()
-            return BinOp(op, left, _parse_add(p, naming, params))
+            return BinOp(op, left, _parse_add(p, scope, params))
     return left
 
 
-def _parse_add(p, naming, params) -> Expr:
-    left = _parse_mul(p, naming, params)
+def _parse_add(p, scope, params) -> Expr:
+    left = _parse_mul(p, scope, params)
     while p.at("+") or p.at("-"):
         op = "add" if p.take().text == "+" else "sub"
-        left = BinOp(op, left, _parse_mul(p, naming, params))
+        left = BinOp(op, left, _parse_mul(p, scope, params))
     return left
 
 
-def _parse_mul(p, naming, params) -> Expr:
-    left = _parse_unary(p, naming, params)
+def _parse_mul(p, scope, params) -> Expr:
+    left = _parse_unary(p, scope, params)
     while p.at("*"):
         p.take()
-        left = BinOp("mul", left, _parse_unary(p, naming, params))
+        left = BinOp("mul", left, _parse_unary(p, scope, params))
     return left
 
 
-def _parse_unary(p, naming, params) -> Expr:
+def _parse_unary(p, scope, params) -> Expr:
     if p.at("!"):
         p.take()
-        return Not(_parse_unary(p, naming, params))
+        return Not(_parse_unary(p, scope, params))
     if p.at("-"):
         p.take()
-        return Neg(_parse_unary(p, naming, params))
-    return _parse_atom(p, naming, params)
+        return Neg(_parse_unary(p, scope, params))
+    return _parse_atom(p, scope, params)
 
 
-def _parse_atom(p, naming: _Naming, params: frozenset[str]) -> Expr:
+def _parse_atom(p, scope: Optional[Scope], params: Optional[frozenset[str]]) -> Expr:
     t = p.peek()
     if t.kind == "int":
         p.take()
@@ -390,19 +374,11 @@ def _parse_atom(p, naming: _Naming, params: frozenset[str]) -> Expr:
         return Lit(False)
     if p.at("("):
         p.take()
-        e = _parse_expr(p, naming, params)
+        e = _parse_expr(p, scope, params)
         p.expect(")")
         return e
     if p.at("["):
-        p.take()
-        items = []
-        if not p.at("]"):
-            items.append(_parse_expr(p, naming, params))
-            while p.at(","):
-                p.take()
-                items.append(_parse_expr(p, naming, params))
-        p.expect("]")
-        return ListLit(tuple(items))
+        return ListLit(tuple(p.enclosed("[", "]", lambda: _parse_expr(p, scope, params))))
     if t.kind != "ident":
         p.fail(f"expected an expression, found {p._describe(t)}")
     if t.text in RESERVED and t.text not in ("true", "false"):
@@ -411,19 +387,11 @@ def _parse_atom(p, naming: _Naming, params: frozenset[str]) -> Expr:
     name = name_tok.text
     if p.at("'"):
         p.take()
-        if not naming.deferred and name not in naming.attrs:
+        if scope is not None and name not in scope.attrs:
             p.fail(f"unknown attribute {name!r} (primed references name attributes)", name_tok)
         return PrimedRef(name)
     if p.at("("):
-        p.take()
-        args = []
-        if not p.at(")"):
-            args.append(_parse_expr(p, naming, params))
-            while p.at(","):
-                p.take()
-                args.append(_parse_expr(p, naming, params))
-        p.expect(")")
-        args_t = tuple(args)
+        args_t = tuple(p.enclosed("(", ")", lambda: _parse_expr(p, scope, params)))
         if name in _BUILTIN_FUNCS:
             arity = {"defined": 1, "head": 1, "tail": 1, "len": 1, "cons": 2}[name]
             if len(args_t) != arity:
@@ -437,31 +405,36 @@ def _parse_atom(p, naming: _Naming, params: frozenset[str]) -> Expr:
             if name == "len":
                 return Len(args_t[0])
             return Cons(args_t[0], args_t[1])
-        if not naming.deferred and name not in naming.symbols:
+        if scope is not None and name not in scope.symbols:
             p.fail(f"unknown environment symbol {name!r}", name_tok)
         return SymApp(name, args_t)
-    # Bare identifier: parameters shadow attributes, which shadow enum
-    # members, which shadow nullary environment symbols.
-    if name in params:
-        return ParamRef(name)
-    if name in naming.attrs:
-        return AttrRef(name)
-    if name in naming.members:
-        return EnumLit(name, naming.members[name])
-    if name in naming.symbols:
-        return SymApp(name, ())
-    if naming.deferred:
-        return Name(name)
-    p.fail(f"unknown identifier {name!r}", name_tok)
+    return _bind(p, name_tok, scope, params)
 
 
-def _parse_guard(p: _Parser, naming: _Naming, params: frozenset[str]) -> Expr:
+def _bind(
+    p: _Parser, tok: Token, scope: Optional[Scope], params: Optional[frozenset[str]]
+) -> Expr:
+    """The bare identifier `tok`: resolved when `scope` and `params` are both
+    known, an unknown one reported at `tok`; otherwise a `Name`, whose token
+    `p.names` keeps when only `params` is missing."""
+    if scope is None:
+        return Name(tok.text)
+    if params is None:
+        p.names.append(tok)
+        return Name(tok.text)
+    try:
+        return resolve_names(Name(tok.text), scope, params)
+    except ValueError as exc:
+        p.fail(str(exc), tok)
+
+
+def _parse_guard(p: _Parser, scope: Optional[Scope]) -> Expr:
     p.expect("{")
     if p.at("else"):
         p.take()
         p.expect("}")
         return ElseGuard()
-    e = _parse_expr(p, naming, params)
+    e = _parse_expr(p, scope, None)
     p.expect("}")
     return e
 
@@ -521,7 +494,11 @@ def _parse_sort(
 # ---------------------------------------------------------------------------
 
 
-def _parse_transition(p: _Parser, naming: _Naming) -> Transition:
+def _parse_transition(
+    p: _Parser, signature: Optional[Signature], scope: Optional[Scope]
+) -> Transition:
+    """One transition, resolved against `scope` if it is given; `signature`
+    and `scope` are both given (the machine's) or both None."""
     start = p.peek()
     label: Optional[str] = None
     if p.peek().kind == "ident" and p.peek(1).text == ":":
@@ -534,59 +511,34 @@ def _parse_transition(p: _Parser, naming: _Naming) -> Transition:
     guard: Expr = TRUE
     trigger: Optional[str] = None
     params: tuple[str, ...] = ()
-    guard_parsed = False
+    p.names.clear()
     if p.at("{"):
-        # The guard is written before the trigger introduces its parameter
-        # names; parse it leniently (unknown identifiers become Name nodes)
-        # and rebind once the parameters are known.
-        lenient = _Naming(
-            attrs=naming.attrs,
-            members=naming.members,
-            symbols=naming.symbols,
-            input_ctors=naming.input_ctors,
-            output_names=naming.output_names,
-            deferred=True,
-        )
-        guard = _parse_guard(p, lenient, frozenset())
-        guard_parsed = True
+        guard = _parse_guard(p, scope)
     if p.at("eps"):
         p.take()
     else:
         trig_tok = p.expect_name("an input message name")
         trigger = trig_tok.text
-        if naming.input_ctors is not None and trigger not in naming.input_ctors:
+        if signature is not None and signature.input_ctor(trigger) is None:
             p.fail(f"unknown input message {trigger!r}", trig_tok)
         if p.at("("):
-            p.take()
-            names = []
-            if not p.at(")"):
-                names.append(p.expect_name("a parameter name").text)
-                while p.at(","):
-                    p.take()
-                    names.append(p.expect_name("a parameter name").text)
-            p.expect(")")
-            params = tuple(names)
+            params = tuple(p.enclosed("(", ")", lambda: p.expect_name("a parameter name").text))
     param_set = frozenset(params)
-    if guard_parsed:
-        guard = _rebind_params(guard, param_set, naming)
-        if not naming.deferred:
-            for e in walk(guard):
-                if isinstance(e, Name):
-                    p.fail(f"unknown identifier {e.name!r} in guard", start)
+    if scope is not None:
+        # The guard's names, at their tokens, now that its parameters are known.
+        for tok in p.names:
+            _bind(p, tok, scope, param_set)
+        guard = resolve_names(guard, scope, param_set)
     outputs: list[tuple[Optional[str], tuple[Expr, ...]]] = []
     if p.at("/"):
         p.take()
-        p.expect("[")
-        if not p.at("]"):
-            outputs.append(_parse_output_term(p, naming, param_set))
-            while p.at(","):
-                p.take()
-                outputs.append(_parse_output_term(p, naming, param_set))
-        p.expect("]")
+        outputs = p.enclosed(
+            "[", "]", lambda: _parse_output_term(p, signature, scope, param_set)
+        )
     post: Expr = TRUE
     if p.at("{"):
         p.take()
-        post = _parse_expr(p, naming, param_set)
+        post = _parse_expr(p, scope, param_set)
         p.expect("}")
     priority: Optional[int] = None
     if p.at("@"):
@@ -606,44 +558,22 @@ def _parse_transition(p: _Parser, naming: _Naming) -> Transition:
     )
 
 
-def _rebind_params(expr: Expr, params: frozenset[str], naming: _Naming) -> Expr:
-    """The guard is written before the trigger introduces its parameter names,
-    so identifiers that turn out to be parameters were provisionally read as
-    attributes/members/symbols/names; rebind them."""
-
-    def go(e: Expr) -> Expr:
-        if isinstance(e, (AttrRef, Name)) and e.name in params:
-            return ParamRef(e.name)
-        if isinstance(e, EnumLit) and e.value in params:
-            return ParamRef(e.value)
-        if isinstance(e, SymApp) and not e.args and e.name in params:
-            return ParamRef(e.name)
-        return map_children(e, go)
-
-    return go(expr)
-
-
 def _parse_output_term(
-    p: _Parser, naming: _Naming, params: frozenset[str]
+    p: _Parser, signature: Optional[Signature], scope: Optional[Scope], params: frozenset[str]
 ) -> tuple[Optional[str], tuple[Expr, ...]]:
     t = p.peek()
     if t.kind == "ident" and t.text not in RESERVED and t.text not in _BUILTIN_FUNCS:
-        is_ctor = (
-            naming.output_names is not None and t.text in naming.output_names
-        ) or (naming.output_names is None and t.text not in params)
+        if signature is None:
+            is_ctor = t.text not in params
+        else:
+            is_ctor = signature.output_ctor(t.text) is not None
         if is_ctor:
             name = p.take().text
             args: list[Expr] = []
             if p.at("("):
-                p.take()
-                if not p.at(")"):
-                    args.append(_parse_expr(p, naming, params))
-                    while p.at(","):
-                        p.take()
-                        args.append(_parse_expr(p, naming, params))
-                p.expect(")")
+                args = p.enclosed("(", ")", lambda: _parse_expr(p, scope, params))
             return (name, tuple(args))
-    expr = _parse_expr(p, naming, params)
+    expr = _parse_expr(p, scope, params)
     return (None, (expr,))
 
 
@@ -667,23 +597,13 @@ def parse_std(
     p.expect("=")
     p.expect("{")
 
-    domains: list[tuple[str, tuple[str, ...]]] = []
-    domain_names: set[str] = set()
+    domains: dict[str, tuple[str, ...]] = {}
     while p.at("domain"):
-        p.take()
-        dn = p.expect_name("a domain name")
-        if dn.text in domain_names:
-            p.fail(f"domain {dn.text!r} declared twice", dn)
-        domain_names.add(dn.text)
-        p.expect("=")
-        p.expect("{")
-        members = [p.expect_name("a domain member").text]
-        while p.at(","):
-            p.take()
-            members.append(p.expect_name("a domain member").text)
-        p.expect("}")
-        domains.append((dn.text, tuple(members)))
-    domain_set = frozenset(domain_names)
+        _parse_domain(p, domains)
+    domain_set = frozenset(domains)
+
+    def sort() -> Sort:
+        return _parse_sort(p, domain_set, default_int, default_list_len)
 
     uses: list[tuple[str, EnvSymDecl]] = []
     if p.at("uses"):
@@ -695,22 +615,14 @@ def parse_std(
             if sym.text in seen_syms:
                 p.fail(f"environment symbol {sym.text!r} declared twice", sym)
             seen_syms.add(sym.text)
-            p.expect("(")
-            psorts: list[Sort] = []
-            if not p.at(")"):
-                psorts.append(_parse_sort(p, domain_set, default_int, default_list_len))
-                while p.at(","):
-                    p.take()
-                    psorts.append(_parse_sort(p, domain_set, default_int, default_list_len))
-            p.expect(")")
+            psorts = p.enclosed("(", ")", sort)
             total = True
             if p.at("->?"):
                 p.take()
                 total = False
             else:
                 p.expect("->", "'->' or '->?'")
-            rsort = _parse_sort(p, domain_set, default_int, default_list_len)
-            uses.append((sym.text, EnvSymDecl(tuple(psorts), rsort, total)))
+            uses.append((sym.text, EnvSymDecl(tuple(psorts), sort(), total)))
         p.expect("}")
 
     def parse_alternatives(keyword: str) -> tuple[MsgCtor, ...]:
@@ -723,17 +635,13 @@ def parse_std(
                 or (t.kind == "ident" and t.text in domain_set)
             )
             if bare_sort:
-                sort = _parse_sort(p, domain_set, default_int, default_list_len)
-                alts.append(MsgCtor(None, (sort,)))
+                alts.append(MsgCtor(None, (sort(),)))
             else:
                 cname = p.expect_name("a message constructor").text
                 psorts: list[Sort] = []
                 if p.at("("):
                     p.take()
-                    psorts.append(_parse_sort(p, domain_set, default_int, default_list_len))
-                    while p.at(","):
-                        p.take()
-                        psorts.append(_parse_sort(p, domain_set, default_int, default_list_len))
+                    psorts = p.commas(sort)
                     p.expect(")")
                 alts.append(MsgCtor(cname, tuple(psorts)))
             if p.at("|"):
@@ -744,71 +652,75 @@ def parse_std(
 
     inputs = parse_alternatives("input")
     outputs = parse_alternatives("output")
-    signature = Signature(inputs, outputs)
 
     attributes: list[tuple[str, Sort]] = []
     while p.at("attributes"):
         p.take()
         while True:
-            names = [p.expect_name("an attribute name").text]
-            while p.at(","):
-                p.take()
-                names.append(p.expect_name("an attribute name").text)
+            names = p.commas(lambda: p.expect_name("an attribute name").text)
             p.expect("::")
-            sort = _parse_sort(p, domain_set, default_int, default_list_len)
-            attributes.extend((n, sort) for n in names)
+            attr_sort = sort()
+            attributes.extend((n, attr_sort) for n in names)
             if p.at("states") or p.at("attributes") or p.at("}"):
                 break
 
-    naming = _Naming.for_std(
-        attrs={n for n, _ in attributes},
-        members={m: d for d, ms in domains for m in ms},
-        symbols={n for n, _ in uses},
-        input_ctors={c.name: c for c in inputs if c.name is not None},
-        output_names={c.name for c in outputs if c.name is not None},
+    header = Std(
+        name=name,
+        domains=tuple(domains.items()),
+        uses=tuple(uses),
+        signature=Signature(inputs, outputs),
+        attributes=tuple(attributes),
+        states=(),
+        initial=(),
+        transitions=(),
     )
+    scope = name_scope(header)
 
     p.expect("states")
-    states: list[str] = []
     initial: list[tuple[str, Expr]] = []
-    while True:
+
+    def state() -> str:
         sname = p.expect_name("a state name").text
-        states.append(sname)
         if p.at("init"):
             p.take()
             pred: Expr = TRUE
             if p.at("{"):
                 p.take()
-                pred = _parse_expr(p, naming, frozenset())
+                pred = _parse_expr(p, scope, frozenset())
                 p.expect("}")
             initial.append((sname, pred))
-        if p.at(","):
-            p.take()
-            continue
-        break
+        return sname
+
+    states = p.commas(state)
 
     transitions: list[Transition] = []
     while not p.at("}"):
         if p.at_kind("eof"):
             p.fail("expected a transition or '}'")
-        transitions.append(_parse_transition(p, naming))
+        transitions.append(_parse_transition(p, header.signature, scope))
     p.expect("}")
     p.expect_eof()
 
-    std = Std(
-        name=name,
-        domains=tuple(domains),
-        uses=tuple(uses),
-        signature=signature,
-        attributes=tuple(attributes),
-        states=tuple(states),
-        initial=tuple(initial),
-        transitions=tuple(transitions),
+    std = replace(
+        header, states=tuple(states), initial=tuple(initial), transitions=tuple(transitions)
     )
     problems = validate_std(std)
     if problems:
         raise ParseFailure([ParseError(m, std_tok.span) for m in problems])
     return std
+
+
+def _parse_domain(p: _Parser, domains: dict[str, tuple[str, ...]]) -> None:
+    """Add ``domain NAME = {MEMBER, ...}`` to `domains`, which must not
+    declare NAME yet."""
+    p.expect("domain")
+    dn = p.expect_name("a domain name")
+    if dn.text in domains:
+        p.fail(f"domain {dn.text!r} declared twice", dn)
+    p.expect("=")
+    p.expect("{")
+    domains[dn.text] = tuple(p.commas(lambda: p.expect_name("a domain member").text))
+    p.expect("}")
 
 
 # ---------------------------------------------------------------------------
@@ -823,46 +735,10 @@ def parse_env(text: str) -> Environment:
     domains: dict[str, tuple[str, ...]] = {}
     tables: dict[str, dict[tuple[Value, ...], Value]] = {}
     defaults: dict[str, Value] = {}
-    member_uses: list[tuple[Token, str]] = []
-
-    def parse_value() -> Value:
-        t = p.peek()
-        if p.at("true"):
-            p.take()
-            return True
-        if p.at("false"):
-            p.take()
-            return False
-        if t.kind == "int" or p.at("-"):
-            return _parse_signed_int(p)
-        if p.at("["):
-            p.take()
-            items: list[Value] = []
-            if not p.at("]"):
-                items.append(parse_value())
-                while p.at(","):
-                    p.take()
-                    items.append(parse_value())
-            p.expect("]")
-            return tuple(items)
-        tok = p.expect_name("a value")
-        member_uses.append((tok, tok.text))
-        return tok.text
 
     while not p.at_kind("eof"):
         if p.at("domain"):
-            p.take()
-            dn = p.expect_name("a domain name")
-            if dn.text in domains:
-                p.fail(f"domain {dn.text!r} declared twice", dn)
-            p.expect("=")
-            p.expect("{")
-            members = [p.expect_name("a domain member").text]
-            while p.at(","):
-                p.take()
-                members.append(p.expect_name("a domain member").text)
-            p.expect("}")
-            domains[dn.text] = tuple(members)
+            _parse_domain(p, domains)
             continue
         if p.at("default"):
             p.take()
@@ -870,42 +746,30 @@ def parse_env(text: str) -> Environment:
             if sym.text in defaults:
                 p.fail(f"default for {sym.text!r} given twice", sym)
             p.expect("=")
-            defaults[sym.text] = parse_value()
+            defaults[sym.text] = _parse_ground_value(p)
             continue
         sym = p.expect_name("an environment symbol")
         args: tuple[Value, ...] = ()
         if p.at("("):
-            p.take()
-            items: list[Value] = []
-            if not p.at(")"):
-                items.append(parse_value())
-                while p.at(","):
-                    p.take()
-                    items.append(parse_value())
-            p.expect(")")
-            args = tuple(items)
+            args = tuple(p.enclosed("(", ")", lambda: _parse_ground_value(p)))
         p.expect("=")
-        value = parse_value()
+        value = _parse_ground_value(p)
         rows = tables.setdefault(sym.text, {})
         if args in rows:
             p.fail(f"duplicate row for {sym.text}{args!r}", sym)
         rows[args] = value
 
     all_members = {m for ms in domains.values() for m in ms}
-    for tok, name in member_uses:
-        if name not in all_members:
-            raise ParseFailure(
-                [
-                    ParseError(
-                        f"{name!r} is not a member of any domain declared in this environment",
-                        tok.span,
-                    )
-                ]
+    for tok in p.names:
+        if tok.text not in all_members:
+            p.fail(
+                f"{tok.text!r} is not a member of any domain declared in this environment", tok
             )
     return make_environment(domains, tables, defaults)
 
 
-def _parse_ground_value(p: "_Parser") -> Value:
+def _parse_ground_value(p: _Parser) -> Value:
+    """A value literal; a member name's token also goes to `p.names`."""
     t = p.peek()
     if p.at("true"):
         p.take()
@@ -916,16 +780,10 @@ def _parse_ground_value(p: "_Parser") -> Value:
     if t.kind == "int" or p.at("-"):
         return _parse_signed_int(p)
     if p.at("["):
-        p.take()
-        items: list[Value] = []
-        if not p.at("]"):
-            items.append(_parse_ground_value(p))
-            while p.at(","):
-                p.take()
-                items.append(_parse_ground_value(p))
-        p.expect("]")
-        return tuple(items)
-    return p.expect_name("a value").text
+        return tuple(p.enclosed("[", "]", lambda: _parse_ground_value(p)))
+    tok = p.expect_name("a value")
+    p.names.append(tok)
+    return tok.text
 
 
 def parse_messages(text: str) -> tuple[Msg, ...]:
@@ -936,29 +794,20 @@ def parse_messages(text: str) -> tuple[Msg, ...]:
     signature alternative.  Empty text is the empty sequence.  Whether each
     message actually belongs to a machine's alphabet is checked at use."""
     p = _Parser(text)
-    msgs: list[Msg] = []
     if p.at_kind("eof"):
         return ()
-    while True:
+
+    def message() -> Msg:
         t = p.peek()
         if t.kind == "int" or p.at("-") or p.at("true") or p.at("false") or p.at("["):
-            msgs.append(Msg(None, (_parse_ground_value(p),)))
-        else:
-            name = p.expect_name("a message constructor")
-            args: list[Value] = []
-            if p.at("("):
-                p.take()
-                if not p.at(")"):
-                    args.append(_parse_ground_value(p))
-                    while p.at(","):
-                        p.take()
-                        args.append(_parse_ground_value(p))
-                p.expect(")")
-            msgs.append(Msg(name.text, tuple(args)))
-        if p.at(","):
-            p.take()
-            continue
-        break
+            return Msg(None, (_parse_ground_value(p),))
+        name = p.expect_name("a message constructor")
+        args: list[Value] = []
+        if p.at("("):
+            args = p.enclosed("(", ")", lambda: _parse_ground_value(p))
+        return Msg(name.text, tuple(args))
+
+    msgs = p.commas(message)
     p.expect_eof()
     return tuple(msgs)
 
@@ -970,24 +819,31 @@ def parse_messages(text: str) -> tuple[Msg, ...]:
 
 def parse_feature(text: str, base: Optional[Std] = None) -> FeaturePatch:
     """Parse a feature patch.  When `base` (the subject machine) is given,
-    identifiers in payload expressions are resolved against it immediately;
-    otherwise they are deferred and resolved when the patch is applied."""
+    payload transitions are resolved against it as they are read.  Without
+    it, payload names stay `Name`s; redirect postconditions keep theirs
+    either way, since the redirected transition may be one the patch adds.
+    `apply_rule` resolves what is left against the machine it rewrites."""
     p = _Parser(text)
     p.expect("feature")
     fname = p.expect_name("the feature name").text
     p.expect("on")
     subject = p.expect_name("the subject machine name").text
     p.expect("{")
-    naming = _Naming.from_base(base) if base is not None else _Naming.deferred_naming()
+    signature, scope = (base.signature, name_scope(base)) if base is not None else (None, None)
 
-    def name_list() -> tuple[str, ...]:
+    def name_list(what: str = "a state name") -> tuple[str, ...]:
         p.expect("{")
-        names = [p.expect_name("a state name").text]
-        while p.at(","):
-            p.take()
-            names.append(p.expect_name("a state name").text)
+        names = p.commas(lambda: p.expect_name(what).text)
         p.expect("}")
         return tuple(names)
+
+    def transitions() -> tuple[Transition, ...]:
+        p.expect("{")
+        ts = []
+        while not p.at("}"):
+            ts.append(_parse_transition(p, signature, scope))
+        p.expect("}")
+        return tuple(ts)
 
     apps: list[RuleApplication] = []
     while not p.at("}"):
@@ -997,12 +853,7 @@ def parse_feature(text: str, base: Optional[Std] = None) -> FeaturePatch:
             payload: tuple[Transition, ...] = ()
             if p.at("with"):
                 p.take()
-                p.expect("{")
-                ts = []
-                while not p.at("}"):
-                    ts.append(_parse_transition(p, naming))
-                p.expect("}")
-                payload = tuple(ts)
+                payload = transitions()
             apps.append(AddStates(names, payload))
         elif p.at("remove-states"):
             p.take()
@@ -1023,47 +874,17 @@ def parse_feature(text: str, base: Optional[Std] = None) -> FeaturePatch:
                 if p.at("with"):
                     p.take()
                     p.expect("{")
-                    post_tok = p.peek()
-                    lenient = _Naming(
-                        attrs=naming.attrs,
-                        members=naming.members,
-                        symbols=naming.symbols,
-                        input_ctors=naming.input_ctors,
-                        output_names=naming.output_names,
-                        deferred=True,
-                    )
-                    post = _parse_expr(p, lenient, frozenset())
-                    if base is not None:
-                        t = base.transition(label)
-                        if t is not None and t.params:
-                            post = _rebind_params(post, frozenset(t.params), naming)
-                        for e in walk(post):
-                            if isinstance(e, Name):
-                                p.fail(
-                                    f"unknown identifier {e.name!r} in redirect postcondition",
-                                    post_tok,
-                                )
+                    post = _parse_expr(p, None, None)
                     p.expect("}")
                 redirects.append((label, part, post))
             p.expect("}")
             apps.append(SplitState(sname, parts, tuple(redirects)))
         elif p.at("add-transitions"):
             p.take()
-            p.expect("{")
-            ts = []
-            while not p.at("}"):
-                ts.append(_parse_transition(p, naming))
-            p.expect("}")
-            apps.append(AddTransitions(tuple(ts)))
+            apps.append(AddTransitions(transitions()))
         elif p.at("remove-transitions"):
             p.take()
-            p.expect("{")
-            labels = [p.expect_name("a transition label").text]
-            while p.at(","):
-                p.take()
-                labels.append(p.expect_name("a transition label").text)
-            p.expect("}")
-            apps.append(RemoveTransitions(tuple(labels)))
+            apps.append(RemoveTransitions(name_list("a transition label")))
         elif p.at("remove-initial-states"):
             p.take()
             apps.append(RemoveInitialStates(name_list()))

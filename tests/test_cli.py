@@ -232,6 +232,26 @@ def test_refine_apply_rule_error_exit_code(tmp_path):
     assert "overlaps existing" in err
 
 
+def test_refine_apply_redirects_a_transition_the_patch_adds(tmp_path):
+    # The redirect postcondition names the parameter of t1, which exists only
+    # once the patch's own add-transitions has run.
+    machine = tmp_path / "m.std"
+    machine.write_text(
+        "std m = { input go(Int 0..2) | stop  output o  attributes n :: Int 0..2"
+        "  states a init, b  t0: a -> a : stop }\n"
+    )
+    patch = tmp_path / "f.feat"
+    patch.write_text(
+        "feature f on m {\n"
+        "  add-transitions { t1: a -> b : go(v) {n' == v} }\n"
+        "  split b into { b1, b2 } { redirect t1 -> b1 with {n' == v} }\n"
+        "}\n"
+    )
+    code, out, err = run("refine", "apply", str(machine), str(patch))
+    assert code == 0 and err == ""
+    assert "t1: a -> b1 : go(v) {n' == v}" in out
+
+
 def test_refine_apply_takes_no_exploration_bounds():
     # Rule side conditions do not depend on the length, internal-step or
     # output bounds, so refine apply does not accept them.

@@ -104,3 +104,29 @@ def test_guard_holds_is_the_only_truth_test():
             if _is_truth_test_of_eval(node) and id(node) not in allowed
         ]
     assert offending == [], f"truth tests outside guard_holds: {', '.join(offending)}"
+
+
+def test_only_resolve_names_gives_identifiers_meaning():
+    # A bare identifier becomes a parameter, attribute or enum member in
+    # model.py (`resolve_names`) alone; elsewhere only the JSON reader, which
+    # reads nodes already resolved, builds one.
+    resolved = {"ParamRef", "AttrRef", "EnumLit"}
+    offending = []
+    for path in MODULES:
+        if path.name == "model.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = {
+            id(n)
+            for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef) and f.name == "expr_from_json"
+            for n in ast.walk(f)
+        }
+        offending += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and _called_name(node) in resolved
+            and id(node) not in allowed
+        ]
+    assert offending == [], f"resolved names built outside model.py: {', '.join(offending)}"

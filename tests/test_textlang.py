@@ -26,7 +26,15 @@ from stdrefine import (
     tel_std,
 )
 from stdrefine.callproc import _PATCH_NAMES  # the shipped .feat inventory
-from stdrefine.model import EMPTY_ENV
+from stdrefine.model import (
+    EMPTY_ENV,
+    AttrRef,
+    BinOp,
+    EnumLit,
+    ParamRef,
+    PrimedRef,
+    SymApp,
+)
 
 STD_FILES = ("callproc.std", "tel.std", "stack.std", "duo.std")
 ENV_FILES = ("default.env", "quiet.env")
@@ -205,6 +213,161 @@ def test_feature_payload_names_resolve_at_application():
     resolved = parse_feature(LISTS_PATCH, base=lists)
     assert deferred != resolved
     assert apply_feature(lists, deferred, EMPTY_ENV) == apply_feature(lists, resolved, EMPTY_ENV)
+
+
+def test_redirect_postcondition_may_name_a_transition_the_patch_adds():
+    # t1 exists only once the add-transitions before the split has run, so
+    # its parameter v is known at application, not against the subject.
+    m = parse_std(
+        "std m = { input go(Int 0..2) | stop  output o  attributes n :: Int 0..2"
+        "  states a init, b  t0: a -> a : stop }"
+    )
+    text = (
+        "feature f on m { add-transitions { t1: a -> b : go(v) {n' == v} }"
+        "  split b into { b1, b2 } { redirect t1 -> b1 with {n' == v} } }"
+    )
+    with_base = apply_feature(m, parse_feature(text, base=m), EMPTY_ENV)
+    assert with_base == apply_feature(m, parse_feature(text), EMPTY_ENV)
+    assert with_base.transition("t1").post == BinOp("eq", PrimedRef("n"), ParamRef("v"))
+
+
+# ---------------------------------------------------------------------------
+# What a bare identifier means, in every position it can take
+# ---------------------------------------------------------------------------
+
+
+def _subject(param: str, init: str = "true", guard: str = "true", out: str = "true",
+             post: str = "true") -> str:
+    return (
+        "std m = {\n"
+        "  domain Hue = {red, green}\n"
+        "  uses { K() -> Int 0..2 }\n"
+        "  input go(Int 0..2) | stop\n"
+        "  output o(Bool)\n"
+        "  attributes n :: Int 0..2\n"
+        f"  states a init {{{init}}}, b\n"
+        f"  t: a -> b : {{{guard}}} go({param}) / [o({out})] {{{post}}}\n"
+        "}\n"
+    )
+
+
+PATCH_BASE = (
+    "std m = { domain Hue = {red, green}  uses { K() -> Int 0..2 }"
+    "  input go(Int 0..2) | stop  output o(Bool)  attributes n :: Int 0..2"
+    "  states a init, b  t0: a -> a : stop }"
+)
+
+
+def _payload(param: str, cond: str) -> str:
+    return f"feature f on m {{\n  add-transitions {{ t1: a -> b : {{{cond}}} go({param}) }}\n}}\n"
+
+
+def _redirect(param: str, cond: str) -> str:
+    return (
+        "feature f on m {\n"
+        f"  add-transitions {{ t1: a -> b : go({param}) }}\n"
+        f"  split b into {{ b1, b2 }} {{ redirect t1 -> b1 with {{{cond}}} }}\n"
+        "}\n"
+    )
+
+
+def _std_position(where: str):
+    def text(param: str, cond: str) -> str:
+        return _subject(param, **{where: cond})
+
+    def read(text: str):
+        std = parse_std(text)
+        t = std.transition("t")
+        return {
+            "init": dict(std.initial)["a"],
+            "guard": t.guard,
+            "out": t.outputs[0][1][0],
+            "post": t.post,
+        }[where]
+
+    return text, read
+
+
+def _patch_position(text, with_base: bool, part: str):
+    def read(text: str):
+        base = parse_std(PATCH_BASE)
+        patch = parse_feature(text, base=base if with_base else None)
+        return getattr(apply_feature(base, patch, parse_env("K = 1")).transition("t1"), part)
+
+    return text, read
+
+
+POSITIONS = {
+    "init predicate": _std_position("init"),
+    "guard": _std_position("guard"),
+    "output argument": _std_position("out"),
+    "postcondition": _std_position("post"),
+    "payload with base": _patch_position(_payload, True, "guard"),
+    "payload without base": _patch_position(_payload, False, "guard"),
+    "redirect postcondition with base": _patch_position(_redirect, True, "post"),
+    "redirect postcondition without base": _patch_position(_redirect, False, "post"),
+}
+
+K_SYM = SymApp("K", ())
+SHADOWS = "parameter 'n' shadows an attribute"
+UNKNOWN = "unknown identifier 'zz'"
+# kind: (identifier, trigger parameter, meaning in a transition, meaning in
+# an initial predicate, which has no parameters)
+KINDS = {
+    "parameter over attribute": ("n", "n", SHADOWS, SHADOWS),
+    "parameter over symbol": ("K", "K", ParamRef("K"), K_SYM),
+    "attribute": ("n", "v", AttrRef("n"), AttrRef("n")),
+    "enum member": ("red", "v", EnumLit("red", "Hue"), EnumLit("red", "Hue")),
+    "nullary symbol": ("K", "v", K_SYM, K_SYM),
+    "call of a symbol that is also a parameter": ("K()", "K", K_SYM, K_SYM),
+    "unknown": ("zz", "v", UNKNOWN, UNKNOWN),
+}
+
+
+def _error(position: str, problem: str, text: str):
+    """The exception type, message and span (None for a RuleError) that
+    `problem` gets in `position`."""
+    if problem == SHADOWS:
+        if "base" not in position:
+            return ParseFailure, f"line 1, col 1: transition t: {SHADOWS}", (1, 1)
+        return RuleError, (
+            "rule add-transitions: feature 'f', application #1 (add-transitions): "
+            f"the transformed machine is invalid: transition t1: {SHADOWS}"
+        ), None
+    if position.startswith("redirect"):
+        return RuleError, (
+            "rule split-state: feature 'f', application #2 (split-state): "
+            f"{UNKNOWN} [witness: redirect of 't1']"
+        ), None
+    if position == "payload without base":
+        return RuleError, (
+            "rule add-transitions: feature 'f', application #1 (add-transitions): "
+            f"{UNKNOWN} [witness: transition t1]"
+        ), None
+    # Wherever parsing has the machine to resolve against, at the first
+    # occurrence of the identifier.
+    line = next(i for i, row in enumerate(text.splitlines(), 1) if "zz" in row)
+    col = text.splitlines()[line - 1].index("zz") + 1
+    return ParseFailure, f"line {line}, col {col}: {UNKNOWN}", (line, col)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("position", POSITIONS)
+def test_identifier_precedence(position, kind):
+    ident, param, in_transition, in_init = KINDS[kind]
+    want = in_init if position == "init predicate" else in_transition
+    make, read = POSITIONS[position]
+    text = make(param, f"{ident} == {ident}")
+    if not isinstance(want, str):
+        assert read(text) == BinOp("eq", want, want)
+        return
+    exc_type, message, span = _error(position, want, text)
+    with pytest.raises(exc_type) as info:
+        read(text)
+    assert str(info.value) == message
+    if span is not None:
+        (err,) = info.value.errors
+        assert (err.span.line, err.span.col) == span
 
 
 # ---------------------------------------------------------------------------
