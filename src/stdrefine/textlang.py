@@ -27,11 +27,16 @@ against the machine the rule rewrites.
 `print_std` emits a canonical form that `parse_std` maps back to the same
 machine, `export_dot` renders the state graph, and `std_to_json` /
 `std_from_json` give a lossless structured encoding.
+
+Expression syntax is stated once, in the tables under "Expressions": the
+binary operator levels, the prefix operators, the built-in functions and the
+std/1 tags of expression and sort nodes.  The parser, the printer and the
+std/1 codec are all read off them, so what one accepts the others produce.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional, TypeVar
 
 from .model import (
@@ -138,8 +143,10 @@ class Token:
         return SourceSpan(self.line, self.col, self.line, self.col + max(len(self.text), 1))
 
 
-_MULTI_PUNCT = ("->?", "->", "::", "..", "==", "!=", "<=", ">=", "&&", "||")
-_SINGLE_PUNCT = set("{}()[],:=|/@'!<>+-*^")
+_PUNCT = frozenset(
+    ("->?", "->", "::", "..", "==", "!=", "<=", ">=", "&&", "||", *"{}()[],:=|/@'!<>+-*^")
+)
+_DIGITS = frozenset("0123456789")
 
 RESERVED = frozenset(
     {
@@ -148,9 +155,6 @@ RESERVED = frozenset(
         "redirect", "with", "default",
     }
 )
-
-_BUILTIN_FUNCS = {"defined", "head", "tail", "len", "cons"}
-
 
 def _ident_char(c: str) -> bool:
     return c.isalnum() or c == "_"
@@ -177,9 +181,9 @@ def tokenize(text: str) -> list[Token]:
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
             toks.append(Token("int", text[start:i], line, col))
             col += i - start
@@ -200,20 +204,18 @@ def tokenize(text: str) -> list[Token]:
             toks.append(Token("ident", text[start:i], line, col))
             col += i - start
             continue
-        matched = None
-        for p in _MULTI_PUNCT:
-            if text.startswith(p, i):
-                matched = p
+        # The longest punctuation token that starts here.
+        for width in (3, 2, 1):
+            piece = text[i:i + width]
+            if piece in _PUNCT:
                 break
-        if matched is None and c in _SINGLE_PUNCT:
-            matched = c
-        if matched is None:
+        else:
             raise ParseFailure(
                 [ParseError(f"unexpected character {c!r}", SourceSpan(line, col, line, col + 1))]
             )
-        toks.append(Token("punct", matched, line, col))
-        i += len(matched)
-        col += len(matched)
+        toks.append(Token("punct", piece, line, col))
+        i += len(piece)
+        col += len(piece)
     toks.append(Token("eof", "", line, col))
     return toks
 
@@ -233,8 +235,7 @@ class _Parser:
         self.names: list[Token] = []
 
     def peek(self, k: int = 0) -> Token:
-        j = min(self.i + k, len(self.toks) - 1)
-        return self.toks[j]
+        return self.toks[self.i + k]
 
     def at(self, text: str) -> bool:
         t = self.toks[self.i]
@@ -299,66 +300,58 @@ class _Parser:
 # Expressions
 # ---------------------------------------------------------------------------
 
-_CMP_OPS = {"==": "eq", "!=": "ne", "<=": "le", ">=": "ge", "<": "lt", ">": "gt"}
+# The expression syntax, in one place: `_parse_expr`, `print_expr` and the
+# std/1 codec below all read these tables.
+
+# Binary operators by precedence level, loosest first: spelling -> `BinOp.op`.
+# Each level associates to the left, except that comparisons do not chain.
+_BINARY_LEVELS = (
+    {"||": "or"},
+    {"&&": "and"},
+    {"==": "eq", "!=": "ne", "<=": "le", ">=": "ge", "<": "lt", ">": "gt"},
+    {"+": "add", "-": "sub"},
+    {"*": "mul"},
+)
+_COMPARISON = 2  # the comparison level, which does not chain
+# Prefix operators, one level tighter than every binary one.
+_UNARY = len(_BINARY_LEVELS)
+_UNARY_OPS = {"!": Not, "-": Neg}
+# Built-in functions: each takes one argument per field of its node.
+_BUILTINS = {"defined": Defined, "head": Head, "tail": Tail, "len": Len, "cons": Cons}
+
+# std/1 tags.  Every other key of a node's JSON object is one of its fields.
+_EXPR_TAGS = {
+    Lit: "lit", EnumLit: "enum", AttrRef: "attr", PrimedRef: "primed", ParamRef: "param",
+    Name: "name", SymApp: "sym", Defined: "defined", Not: "not", Neg: "neg", BinOp: "bin",
+    ListLit: "list", Cons: "cons", Head: "head", Tail: "tail", Len: "len", ElseGuard: "else",
+}
+_SORT_TAGS = {BoolSort: "bool", IntSort: "int", EnumSort: "enum", ListSort: "list"}
+
+_FIELDS = {kind: tuple(f.name for f in fields(kind)) for kind in (*_EXPR_TAGS, *_SORT_TAGS)}
 
 
-def _parse_expr(p: _Parser, scope: Optional[Scope], params: Optional[frozenset[str]]) -> Expr:
-    """An expression.  Without a `scope` (a payload parsed without its subject,
-    or a redirect postcondition) its names are left for `apply_rule` to
-    resolve; with one, names are checked as they are read, and resolved at
-    once unless `params` is None (a guard, read before its trigger)."""
-    return _parse_or(p, scope, params)
-
-
-def _parse_or(p, scope, params) -> Expr:
-    left = _parse_and(p, scope, params)
-    while p.at("||"):
+def _parse_expr(
+    p: _Parser, scope: Optional[Scope], params: Optional[frozenset[str]], level: int = 0
+) -> Expr:
+    """An expression whose operators bind at `level` or tighter.  Without a
+    `scope` (a payload parsed without its subject, or a redirect
+    postcondition) its names are left for `apply_rule` to resolve; with one,
+    names are checked as they are read, and resolved at once unless `params`
+    is None (a guard, read before its trigger)."""
+    if level == _UNARY:
+        unary = _UNARY_OPS.get(p.peek().text)
+        if unary is None:
+            return _parse_atom(p, scope, params)
         p.take()
-        left = BinOp("or", left, _parse_and(p, scope, params))
+        return unary(_parse_expr(p, scope, params, _UNARY))
+    ops = _BINARY_LEVELS[level]
+    left = _parse_expr(p, scope, params, level + 1)
+    while p.peek().text in ops:
+        op = ops[p.take().text]
+        left = BinOp(op, left, _parse_expr(p, scope, params, level + 1))
+        if level == _COMPARISON:
+            break
     return left
-
-
-def _parse_and(p, scope, params) -> Expr:
-    left = _parse_cmp(p, scope, params)
-    while p.at("&&"):
-        p.take()
-        left = BinOp("and", left, _parse_cmp(p, scope, params))
-    return left
-
-
-def _parse_cmp(p, scope, params) -> Expr:
-    left = _parse_add(p, scope, params)
-    for text, op in _CMP_OPS.items():
-        if p.at(text):
-            p.take()
-            return BinOp(op, left, _parse_add(p, scope, params))
-    return left
-
-
-def _parse_add(p, scope, params) -> Expr:
-    left = _parse_mul(p, scope, params)
-    while p.at("+") or p.at("-"):
-        op = "add" if p.take().text == "+" else "sub"
-        left = BinOp(op, left, _parse_mul(p, scope, params))
-    return left
-
-
-def _parse_mul(p, scope, params) -> Expr:
-    left = _parse_unary(p, scope, params)
-    while p.at("*"):
-        p.take()
-        left = BinOp("mul", left, _parse_unary(p, scope, params))
-    return left
-
-
-def _parse_unary(p, scope, params) -> Expr:
-    if p.at("!"):
-        p.take()
-        return Not(_parse_unary(p, scope, params))
-    if p.at("-"):
-        p.take()
-        return Neg(_parse_unary(p, scope, params))
-    return _parse_atom(p, scope, params)
 
 
 def _parse_atom(p, scope: Optional[Scope], params: Optional[frozenset[str]]) -> Expr:
@@ -392,19 +385,12 @@ def _parse_atom(p, scope: Optional[Scope], params: Optional[frozenset[str]]) -> 
         return PrimedRef(name)
     if p.at("("):
         args_t = tuple(p.enclosed("(", ")", lambda: _parse_expr(p, scope, params)))
-        if name in _BUILTIN_FUNCS:
-            arity = {"defined": 1, "head": 1, "tail": 1, "len": 1, "cons": 2}[name]
+        builtin = _BUILTINS.get(name)
+        if builtin is not None:
+            arity = len(_FIELDS[builtin])
             if len(args_t) != arity:
                 p.fail(f"{name} takes {arity} argument(s), got {len(args_t)}", name_tok)
-            if name == "defined":
-                return Defined(args_t[0])
-            if name == "head":
-                return Head(args_t[0])
-            if name == "tail":
-                return Tail(args_t[0])
-            if name == "len":
-                return Len(args_t[0])
-            return Cons(args_t[0], args_t[1])
+            return builtin(*args_t)
         if scope is not None and name not in scope.symbols:
             p.fail(f"unknown environment symbol {name!r}", name_tok)
         return SymApp(name, args_t)
@@ -562,7 +548,7 @@ def _parse_output_term(
     p: _Parser, signature: Optional[Signature], scope: Optional[Scope], params: frozenset[str]
 ) -> tuple[Optional[str], tuple[Expr, ...]]:
     t = p.peek()
-    if t.kind == "ident" and t.text not in RESERVED and t.text not in _BUILTIN_FUNCS:
+    if t.kind == "ident" and t.text not in RESERVED and t.text not in _BUILTINS:
         if signature is None:
             is_ctor = t.text not in params
         else:
@@ -905,70 +891,51 @@ def parse_feature(text: str, base: Optional[Std] = None) -> FeaturePatch:
 # Canonical printing
 # ---------------------------------------------------------------------------
 
-_OP_TEXT = {
-    "or": "||", "and": "&&", "eq": "==", "ne": "!=", "le": "<=", "ge": ">=",
-    "lt": "<", "gt": ">", "add": "+", "sub": "-", "mul": "*",
-}
-
-_PREC = {
-    "or": 1, "and": 2,
-    "eq": 3, "ne": 3, "le": 3, "ge": 3, "lt": 3, "gt": 3,
-    "add": 4, "sub": 4, "mul": 5,
-}
-
-def _expr_prec(e: Expr) -> int:
-    if isinstance(e, BinOp):
-        return _PREC[e.op]
-    if isinstance(e, (Not, Neg)):
-        return 6
-    return 7
+_OP_TEXT = {op: text for level in _BINARY_LEVELS for text, op in level.items()}
+_PREC = {op: prec for prec, level in enumerate(_BINARY_LEVELS) for op in level.values()}
+_UNARY_TEXT = {node: text for text, node in _UNARY_OPS.items()}
+_BUILTIN_NAMES = {node: name for name, node in _BUILTINS.items()}
 
 
 def print_expr(e: Expr) -> str:
-    if isinstance(e, Lit):
+    kind = type(e)
+    if kind is BinOp:
+        prec = _PREC[e.op]
+        return f"{_operand(e.left, prec, False)} {_OP_TEXT[e.op]} {_operand(e.right, prec, True)}"
+    if kind in _UNARY_TEXT:
+        return _UNARY_TEXT[kind] + _operand(e.arg, _UNARY, False)
+    if kind in _BUILTIN_NAMES:
+        return _call(_BUILTIN_NAMES[kind], [getattr(e, f) for f in _FIELDS[kind]])
+    if kind is SymApp:
+        return _call(e.name, e.args)
+    if kind is Lit:
         if isinstance(e.value, bool):
             return "true" if e.value else "false"
         return str(e.value)
-    if isinstance(e, EnumLit):
+    if kind is EnumLit:
         return e.value
-    if isinstance(e, (AttrRef, ParamRef, Name)):
+    if kind in (AttrRef, ParamRef, Name):
         return e.name
-    if isinstance(e, PrimedRef):
+    if kind is PrimedRef:
         return f"{e.name}'"
-    if isinstance(e, SymApp):
-        if not e.args:
-            return e.name
-        return f"{e.name}({', '.join(print_expr(a) for a in e.args)})"
-    if isinstance(e, Defined):
-        return f"defined({print_expr(e.arg)})"
-    if isinstance(e, Head):
-        return f"head({print_expr(e.arg)})"
-    if isinstance(e, Tail):
-        return f"tail({print_expr(e.arg)})"
-    if isinstance(e, Len):
-        return f"len({print_expr(e.arg)})"
-    if isinstance(e, Cons):
-        return f"cons({print_expr(e.head)}, {print_expr(e.tail)})"
-    if isinstance(e, ListLit):
-        return "[" + ", ".join(print_expr(a) for a in e.items) + "]"
-    if isinstance(e, Not):
-        return "!" + _child(e.arg, 6, right=False)
-    if isinstance(e, Neg):
-        return "-" + _child(e.arg, 6, right=False)
-    if isinstance(e, ElseGuard):
+    if kind is ListLit:
+        return "[" + ", ".join(map(print_expr, e.items)) + "]"
+    if kind is ElseGuard:
         return "else"
-    if isinstance(e, BinOp):
-        prec = _PREC[e.op]
-        left = _child(e.left, prec, right=False)
-        right = _child(e.right, prec, right=True)
-        return f"{left} {_OP_TEXT[e.op]} {right}"
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _child(e: Expr, parent_prec: int, right: bool) -> str:
+def _call(name: str, args) -> str:
+    return f"{name}({', '.join(map(print_expr, args))})"
+
+
+def _operand(e: Expr, parent: int, right: bool) -> str:
+    """`e` as an operand of an operator at precedence `parent`: bracketed if
+    it binds more loosely, or as tightly on the right or in a comparison."""
     text = print_expr(e)
-    prec = _expr_prec(e)
-    if prec < parent_prec or (right and prec == parent_prec):
+    kind = type(e)
+    prec = _PREC[e.op] if kind is BinOp else _UNARY if kind in _UNARY_TEXT else _UNARY + 1
+    if prec < parent or (prec == parent and (right or parent == _COMPARISON)):
         return f"({text})"
     return text
 
@@ -1164,109 +1131,59 @@ def export_dot(std: Std) -> str:
 # ---------------------------------------------------------------------------
 
 
+_EXPR_KINDS = {tag: kind for kind, tag in _EXPR_TAGS.items()}
+_SORT_KINDS = {tag: kind for kind, tag in _SORT_TAGS.items()}
+
+
+def _to_json(node, key: str, tags: dict) -> dict:
+    """`node` as a std/1 object: its tag under `key`, then its fields in
+    order, with tuples as lists."""
+    kind = type(node)
+    doc = {key: tags[kind]}
+    for name in _FIELDS[kind]:
+        value = getattr(node, name)
+        if type(value) in tags:
+            value = _to_json(value, key, tags)
+        elif type(value) is tuple:
+            value = [_to_json(v, key, tags) if type(v) in tags else v for v in value]
+        doc[name] = value
+    return doc
+
+
+def _from_json(doc: dict, key: str, kinds: dict, what: str):
+    """The node that `_to_json` encoded as `doc`."""
+    kind = kinds.get(doc[key])
+    if kind is None:
+        raise ValueError(f"unknown {what} {doc[key]!r}")
+    args = []
+    for name in _FIELDS[kind]:
+        value = doc[name]
+        if type(value) is dict:
+            value = _from_json(value, key, kinds, what)
+        elif type(value) is list:
+            value = tuple(_from_json(v, key, kinds, what) if type(v) is dict else v for v in value)
+        args.append(value)
+    return kind(*args)
+
+
 def sort_to_json(s: Sort) -> dict:
-    if isinstance(s, BoolSort):
-        return {"kind": "bool"}
-    if isinstance(s, IntSort):
-        return {"kind": "int", "lo": s.lo, "hi": s.hi}
-    if isinstance(s, EnumSort):
-        return {"kind": "enum", "domain": s.domain}
-    if isinstance(s, ListSort):
-        return {"kind": "list", "elem": sort_to_json(s.elem), "max_len": s.max_len}
-    raise TypeError(f"not a sort: {s!r}")
+    if type(s) not in _SORT_TAGS:
+        raise TypeError(f"not a sort: {s!r}")
+    return _to_json(s, "kind", _SORT_TAGS)
 
 
 def sort_from_json(d: dict) -> Sort:
-    kind = d["kind"]
-    if kind == "bool":
-        return BoolSort()
-    if kind == "int":
-        return IntSort(d["lo"], d["hi"])
-    if kind == "enum":
-        return EnumSort(d["domain"])
-    if kind == "list":
-        return ListSort(sort_from_json(d["elem"]), d["max_len"])
-    raise ValueError(f"unknown sort kind {kind!r}")
+    return _from_json(d, "kind", _SORT_KINDS, "sort kind")
 
 
-def expr_to_json(e: Expr):
-    if isinstance(e, Lit):
-        return {"node": "lit", "value": e.value}
-    if isinstance(e, EnumLit):
-        return {"node": "enum", "value": e.value, "domain": e.domain}
-    if isinstance(e, AttrRef):
-        return {"node": "attr", "name": e.name}
-    if isinstance(e, PrimedRef):
-        return {"node": "primed", "name": e.name}
-    if isinstance(e, ParamRef):
-        return {"node": "param", "name": e.name}
-    if isinstance(e, Name):
-        return {"node": "name", "name": e.name}
-    if isinstance(e, SymApp):
-        return {"node": "sym", "name": e.name, "args": [expr_to_json(a) for a in e.args]}
-    if isinstance(e, Defined):
-        return {"node": "defined", "arg": expr_to_json(e.arg)}
-    if isinstance(e, Not):
-        return {"node": "not", "arg": expr_to_json(e.arg)}
-    if isinstance(e, Neg):
-        return {"node": "neg", "arg": expr_to_json(e.arg)}
-    if isinstance(e, BinOp):
-        return {
-            "node": "bin", "op": e.op,
-            "left": expr_to_json(e.left), "right": expr_to_json(e.right),
-        }
-    if isinstance(e, ListLit):
-        return {"node": "list", "items": [expr_to_json(a) for a in e.items]}
-    if isinstance(e, Cons):
-        return {"node": "cons", "head": expr_to_json(e.head), "tail": expr_to_json(e.tail)}
-    if isinstance(e, Head):
-        return {"node": "head", "arg": expr_to_json(e.arg)}
-    if isinstance(e, Tail):
-        return {"node": "tail", "arg": expr_to_json(e.arg)}
-    if isinstance(e, Len):
-        return {"node": "len", "arg": expr_to_json(e.arg)}
-    if isinstance(e, ElseGuard):
-        return {"node": "else"}
-    raise TypeError(f"not an expression: {e!r}")
+def expr_to_json(e: Expr) -> dict:
+    if type(e) not in _EXPR_TAGS:
+        raise TypeError(f"not an expression: {e!r}")
+    return _to_json(e, "node", _EXPR_TAGS)
 
 
-def expr_from_json(d) -> Expr:
-    node = d["node"]
-    if node == "lit":
-        return Lit(d["value"])
-    if node == "enum":
-        return EnumLit(d["value"], d["domain"])
-    if node == "attr":
-        return AttrRef(d["name"])
-    if node == "primed":
-        return PrimedRef(d["name"])
-    if node == "param":
-        return ParamRef(d["name"])
-    if node == "name":
-        return Name(d["name"])
-    if node == "sym":
-        return SymApp(d["name"], tuple(expr_from_json(a) for a in d["args"]))
-    if node == "defined":
-        return Defined(expr_from_json(d["arg"]))
-    if node == "not":
-        return Not(expr_from_json(d["arg"]))
-    if node == "neg":
-        return Neg(expr_from_json(d["arg"]))
-    if node == "bin":
-        return BinOp(d["op"], expr_from_json(d["left"]), expr_from_json(d["right"]))
-    if node == "list":
-        return ListLit(tuple(expr_from_json(a) for a in d["items"]))
-    if node == "cons":
-        return Cons(expr_from_json(d["head"]), expr_from_json(d["tail"]))
-    if node == "head":
-        return Head(expr_from_json(d["arg"]))
-    if node == "tail":
-        return Tail(expr_from_json(d["arg"]))
-    if node == "len":
-        return Len(expr_from_json(d["arg"]))
-    if node == "else":
-        return ElseGuard()
-    raise ValueError(f"unknown expression node {node!r}")
+def expr_from_json(d: dict) -> Expr:
+    return _from_json(d, "node", _EXPR_KINDS, "expression node")
 
 
 def _ctor_to_json(c: MsgCtor) -> dict:

@@ -141,6 +141,12 @@ def test_simulate_rejects_garbage_input_sequence():
     assert code == 2 and err
 
 
+def test_simulate_rejects_a_non_ascii_digit_at_its_column():
+    code, out, err = run("simulate", TEL, "--input", "DL(\u00b2)")
+    assert (code, out) == (2, "")
+    assert err == "--input: line 1, col 4: unexpected character '\u00b2'\n"
+
+
 def test_simulate_rejects_a_foreign_message_after_chaos():
     code, out, err = run("simulate", TEL, "--input", "OH, Zap")
     assert code == 2 and out == ""

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import ast
+import json
+import typing
 from pathlib import Path
 
 import pytest
 
 import stdrefine
+from stdrefine import model, textlang
 
 PACKAGE = Path(stdrefine.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -108,25 +111,45 @@ def test_guard_holds_is_the_only_truth_test():
 
 def test_only_resolve_names_gives_identifiers_meaning():
     # A bare identifier becomes a parameter, attribute or enum member in
-    # model.py (`resolve_names`) alone; elsewhere only the JSON reader, which
-    # reads nodes already resolved, builds one.
+    # model.py (`resolve_names`) alone; the JSON reader builds nodes through
+    # its tag table, not by name.
     resolved = {"ParamRef", "AttrRef", "EnumLit"}
-    offending = []
-    for path in MODULES:
-        if path.name == "model.py":
-            continue
-        tree = ast.parse(path.read_text(), filename=str(path))
-        allowed = {
-            id(n)
-            for f in ast.walk(tree)
-            if isinstance(f, ast.FunctionDef) and f.name == "expr_from_json"
-            for n in ast.walk(f)
-        }
-        offending += [
-            f"{path.name}:{node.lineno}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and _called_name(node) in resolved
-            and id(node) not in allowed
-        ]
+    offending = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        if path.name != "model.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and _called_name(node) in resolved
+    ]
     assert offending == [], f"resolved names built outside model.py: {', '.join(offending)}"
+
+
+def _schema_branches(definition: dict, key: str) -> dict:
+    """Each tag of a std/1 schema definition, with the other keys its
+    objects may carry."""
+    branches = {}
+    for branch in definition["oneOf"]:
+        tag = branch["properties"][key]
+        for name in [tag["const"]] if "const" in tag else tag["enum"]:
+            branches[name] = set(branch["properties"]) - {key}
+            assert set(branch["required"]) == set(branch["properties"])
+    return branches
+
+
+@pytest.mark.parametrize(
+    "union, tags, definition, key",
+    [
+        (model.Expr, textlang._EXPR_TAGS, "expr", "node"),
+        (model.Sort, textlang._SORT_TAGS, "sort", "kind"),
+    ],
+    ids=["expr", "sort"],
+)
+def test_every_node_has_a_std1_tag_that_the_schema_knows(union, tags, definition, key):
+    # A node added to the model without syntax fails here, as does a tag or
+    # a field that the schema does not describe.
+    assert set(typing.get_args(union)) == set(tags)
+    schema = json.loads((PACKAGE / "schemas" / "std.schema.json").read_text())
+    branches = _schema_branches(schema["definitions"][definition], key)
+    assert set(branches) == set(tags.values())
+    for kind, tag in tags.items():
+        assert branches[tag] == set(textlang._FIELDS[kind]), tag

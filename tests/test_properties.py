@@ -19,6 +19,7 @@ from oracles import all_configs, input_closure, oracle_enabled, oracle_step
 
 from stdrefine import (
     Bounds,
+    parse_feature,
     RuleError,
     apply_rule,
     check_monotone,
@@ -35,13 +36,85 @@ from stdrefine import (
     validate_std,
 )
 from stdrefine.interp import Machine, seq_key
-from stdrefine.model import message_instances
+from stdrefine.model import (
+    AttrRef,
+    BinOp,
+    Cons,
+    Defined,
+    ElseGuard,
+    EnumLit,
+    Head,
+    Len,
+    ListLit,
+    Lit,
+    Name,
+    Neg,
+    Not,
+    ParamRef,
+    PrimedRef,
+    SymApp,
+    Tail,
+    message_instances,
+)
+from stdrefine.textlang import expr_from_json, expr_to_json, print_expr
 
 EMPTY_ENV = make_environment({}, {}, {})
 B3 = Bounds(max_input_len=3, eps_budget=3, output_cap=64)
 B2 = Bounds(max_input_len=2, eps_budget=3, output_cap=64)
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+# Every binary operator, loosest level first.
+BINARY_OPS = ("or", "and", "eq", "ne", "le", "ge", "lt", "gt", "add", "sub", "mul")
+# Identifiers, hyphenated and builtin-named ones among them; only a call's
+# name must not be a builtin, or it would read back as that builtin.
+idents = st.sampled_from(("a", "b2", "x-y", "_n", "len", "Bool"))
+callees = st.sampled_from(("f", "busy-tone", "K"))
+
+
+def _exprs(leaves):
+    def extend(sub):
+        return st.one_of(
+            st.builds(BinOp, st.sampled_from(BINARY_OPS), sub, sub),
+            st.builds(Not, sub),
+            st.builds(Neg, sub),
+            st.builds(Defined, sub),
+            st.builds(Head, sub),
+            st.builds(Tail, sub),
+            st.builds(Len, sub),
+            st.builds(Cons, sub, sub),
+            st.builds(ListLit, st.lists(sub, max_size=3).map(tuple)),
+            st.builds(SymApp, callees, st.lists(sub, min_size=1, max_size=3).map(tuple)),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+# What a parse with no scope can give back: literals (integer literals are
+# never negative; `-1` is `Neg(Lit(1))`), names, primed names and calls.
+surface_leaves = st.one_of(
+    st.builds(Lit, st.booleans() | st.integers(min_value=0, max_value=99)),
+    st.builds(Name, idents),
+    st.builds(PrimedRef, idents),
+    st.builds(SymApp, callees, st.just(())),
+)
+surface_exprs = _exprs(surface_leaves)
+# Every one of the 17 expression kinds.
+all_exprs = _exprs(
+    surface_leaves
+    | st.builds(EnumLit, idents, idents)
+    | st.builds(AttrRef, idents)
+    | st.builds(ParamRef, idents)
+    | st.just(ElseGuard())
+)
+
+
+def parse_expr(text: str):
+    """`text` read with no scope, as a redirect postcondition is."""
+    patch = parse_feature(
+        f"feature f on m {{ split s into {{ p }} {{ redirect t -> p with {{{text}}} }} }}"
+    )
+    return patch.applications[0].redirects[0][2]
 
 
 def make_std(seed: int):
@@ -194,3 +267,29 @@ def test_rules_accepted_on_a_fixed_stream_are_refinements():
                 continue
             verdict = check_refinement(std, result, EMPTY_ENV, B3)
             assert verdict.ok, (std.name, application, verdict.describe())
+
+
+@given(surface_exprs)
+@settings(max_examples=300, deadline=None)
+def test_expressions_print_and_parse_back(expr):
+    assert parse_expr(print_expr(expr)) == expr
+
+
+def test_operators_at_equal_and_unequal_levels_parse_back():
+    # Each operator under each other one, on either side.
+    a, b, c = Name("a"), Lit(1), PrimedRef("c")
+    for outer in BINARY_OPS:
+        for inner in BINARY_OPS:
+            for expr in (
+                BinOp(outer, BinOp(inner, a, b), c),
+                BinOp(outer, a, BinOp(inner, b, c)),
+                Not(BinOp(inner, a, b)),
+                Neg(Neg(Not(BinOp(inner, a, b)))),
+            ):
+                assert parse_expr(print_expr(expr)) == expr, print_expr(expr)
+
+
+@given(all_exprs)
+@settings(max_examples=300, deadline=None)
+def test_expression_json_round_trips(expr):
+    assert expr_from_json(json.loads(json.dumps(expr_to_json(expr)))) == expr

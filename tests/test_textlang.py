@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+from importlib import resources
 
+import jsonschema
 import pytest
 
 from stdrefine import (
@@ -25,12 +27,14 @@ from stdrefine import (
     std_to_json,
     tel_std,
 )
+from stdrefine.textlang import tokenize
 from stdrefine.callproc import _PATCH_NAMES  # the shipped .feat inventory
 from stdrefine.model import (
     EMPTY_ENV,
     AttrRef,
     BinOp,
     EnumLit,
+    Lit,
     ParamRef,
     PrimedRef,
     SymApp,
@@ -397,3 +401,65 @@ def test_parse_messages_empty_is_empty_sequence():
 def test_parse_messages_rejects_garbage():
     with pytest.raises(ParseFailure):
         parse_messages("DL(")
+
+
+@pytest.mark.parametrize("text", ["go(\u00b2)", "DL(\u0663)"])
+def test_parse_messages_reads_only_ascii_digits(text):
+    # A superscript two and an Arabic-Indic three are digits to Python, but
+    # not numbers here: they are rejected where they stand.
+    with pytest.raises(ParseFailure) as info:
+        parse_messages(text)
+    assert str(info.value) == f"line 1, col 4: unexpected character {text[3]!r}"
+
+
+def test_tokenize_takes_the_longest_punctuation():
+    assert [t.text for t in tokenize("a->?b->c::d..e==f|")] == [
+        "a", "->?", "b", "->", "c", "::", "d", "..", "e", "==", "f", "|", "",
+    ]
+    assert [t.text for t in tokenize("->")] == ["->", ""]
+
+
+# ---------------------------------------------------------------------------
+# Printing what parses back
+# ---------------------------------------------------------------------------
+
+ROUND_TRIP_SRC = """
+std m = {
+  uses { n() -> Int 0..3 }
+  input go(Int 0..3)
+  output o
+  attributes x, n :: Int 0..3
+  states a init
+  t1: a -> a : {(x == 1) == true} go(v)
+  t2: a -> a : {n() == 1} go(v)
+}
+"""
+
+
+def test_comparison_operands_are_bracketed():
+    # Comparisons do not chain, so a comparison that is an operand of another
+    # keeps its brackets on either side.
+    m = parse_std(ROUND_TRIP_SRC)
+    assert "{(x == 1) == true}" in print_std(m)
+    assert parse_std(print_std(m)) == m
+
+
+def test_nullary_symbol_prints_as_a_call():
+    # Printed bare, `n` would read back as the attribute `n`.
+    m = parse_std(ROUND_TRIP_SRC)
+    text = print_std(m)
+    assert "{n() == 1}" in text
+    assert parse_std(text) == m
+    assert m.transition("t2").guard == BinOp("eq", SymApp("n", ()), Lit(1))
+
+
+def test_std_json_validates_against_schema():
+    # An enum member, a list and a nullary call, besides the corpus.
+    m = parse_std(
+        "std m = { domain Hue = {red, green}  uses { K() -> Int 0..2 }  input go"
+        "  output o  attributes h :: Hue  attributes xs :: [Int 0..2]^2"
+        "  states a init {h == red && xs == [K()]}  t: a -> a : go }"
+    )
+    schema = json.loads((resources.files("stdrefine") / "schemas" / "std.schema.json").read_text())
+    for std in (m, *(parse_std(corpus_text(f)) for f in STD_FILES)):
+        jsonschema.validate(std_to_json(std), schema)
