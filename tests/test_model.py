@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import typing
 
 import pytest
 
@@ -374,6 +375,163 @@ def test_validate_requires_initial_state():
 def test_validation_is_deterministic():
     bad = _tiny((_t(source="zz"), _t(label="t2", trigger="nope")))
     assert validate_std(bad) == validate_std(bad)
+
+
+# Exact diagnostics: one expression at a time, in one of the four places an
+# expression stands, in a machine that declares one attribute of each sort,
+# a trigger parameter `p`, a partial environment function `f` and an output
+# constructor `val` with one Int argument.
+
+_X, _B, _C, _L, _P = AttrRef("x"), AttrRef("b"), AttrRef("c"), AttrRef("l"), ParamRef("p")
+_INT01 = IntSort(0, 1)
+
+
+def _typed(transitions=None, initial=TRUE) -> Std:
+    return _tiny(
+        (_t(trigger="put", params=("p",)),) if transitions is None else transitions,
+        domains=(("Hue", ("red", "green")),),
+        uses=(("f", EnvSymDecl((_INT01,), _INT01, False)),),
+        signature=Signature(
+            (MsgCtor("go"), MsgCtor("put", (_INT01,))),
+            (MsgCtor("out"), MsgCtor("val", (_INT01,))),
+        ),
+        attributes=(
+            ("x", _INT01), ("b", BoolSort()), ("c", EnumSort("Hue")), ("l", ListSort(_INT01, 2)),
+        ),
+        initial=(("a", initial),),
+    )
+
+
+def _guard(e) -> Std:
+    return _typed((_t(trigger="put", params=("p",), guard=e),))
+
+
+def _post(e) -> Std:
+    return _typed((_t(trigger="put", params=("p",), post=e),))
+
+
+def _init(e) -> Std:
+    return _typed(initial=e)
+
+
+def _output(*args, ctor="val") -> Std:
+    return _typed((_t(trigger="put", params=("p",), outputs=((ctor, args),)),))
+
+
+def _eq(a, b):
+    return BinOp("eq", a, b)
+
+
+_T, _I = "transition t1: ", "initial a: "
+_G, _O, _Q = "transition t1 guard: ", "transition t1 output 0: ", "transition t1 post: "
+
+# A well-sorted minimal instance of every member of `model.Expr`, in the
+# place it may stand.
+_MEMBERS = [
+    ("Lit", _guard(TRUE), []),
+    ("EnumLit", _guard(_eq(_C, EnumLit("red", "Hue"))), []),
+    ("AttrRef", _guard(_B), []),
+    ("PrimedRef", _post(_eq(PrimedRef("x"), _X)), []),
+    ("ParamRef", _output(_P), []),
+    ("SymApp", _output(SymApp("f", (_X,))), []),
+    ("Defined", _guard(Defined(SymApp("f", (_P,)))), []),
+    ("Not", _guard(Not(_B)), []),
+    ("Neg", _guard(_eq(Neg(_X), Lit(0))), []),
+    ("BinOp", _guard(BinOp("and", _B, BinOp("lt", _X, _P))), []),
+    ("ListLit", _post(_eq(PrimedRef("l"), ListLit((_X, Lit(1))))), []),
+    ("Cons", _guard(_eq(Cons(_P, ListLit(())), _L)), []),
+    ("Head", _output(Head(_L)), []),
+    ("Tail", _guard(_eq(Tail(_L), ListLit(()))), []),
+    ("Len", _output(Len(_L)), []),
+    ("ElseGuard", _guard(ElseGuard()), []),
+    ("Name", _guard(model.Name("b")), [_G + "unresolved identifier 'b'"]),
+]
+
+# Each diagnostic text `infer_kind` and the expression positions of
+# `validate_std` emit, each with the full list it comes in.
+_DIAGNOSTICS = [
+    ("and-left", _guard(BinOp("and", Lit(1), _B)), [_G + "left operand of 'and' must be Bool"]),
+    ("or-right", _guard(BinOp("or", _B, _X)), [_G + "right operand of 'or' must be Bool"]),
+    ("eq", _guard(_eq(_X, _B)), [_G + "'==' compares values of the same sort"]),
+    ("eq-enum", _guard(_eq(_C, _X)), [_G + "'==' compares values of the same sort"]),
+    ("eq-list", _guard(_eq(_L, ListLit((_B,)))), [_G + "'==' compares values of the same sort"]),
+    ("eq-int-bounds", _guard(_eq(_X, Lit(7))), []),
+    ("eq-empty-lists", _guard(_eq(ListLit(()), ListLit((ListLit(()),)))), []),
+    ("ne-empty-nonlist", _guard(BinOp("ne", ListLit(()), _X)),
+     [_G + "'==' compares values of the same sort"]),
+    ("lt", _guard(BinOp("lt", _B, _X)), [_G + "'lt' compares Int values"]),
+    ("ge-both", _guard(BinOp("ge", _B, _C)), [_G + "'ge' compares Int values"] * 2),
+    ("add", _guard(_eq(BinOp("add", _B, _X), _X)), [_G + "arithmetic applies to Int"]),
+    ("operator", _guard(BinOp("xor", _B, _B)), [_G + "unknown operator 'xor'"]),
+    ("attribute", _guard(AttrRef("zz")), [_G + "unknown attribute 'zz'"]),
+    ("primed-attribute", _post(PrimedRef("zz")), [_Q + "unknown attribute 'zz'"]),
+    ("parameter", _guard(ParamRef("q")), [_G + "unknown parameter 'q'"]),
+    ("symbol", _guard(_eq(SymApp("g", (AttrRef("zz"),)), _X)),
+     [_G + "unknown environment symbol 'g'", _G + "unknown attribute 'zz'"]),
+    ("symbol-arity", _guard(_eq(SymApp("f", ()), _X)), [_G + "f expects 1 argument(s), got 0"]),
+    ("symbol-argument", _output(SymApp("f", (_B,))),
+     [_O + "argument of f has the wrong sort (expected Int 0..1)"]),
+    ("not", _guard(Not(_X)), [_G + "'!' applies to Bool"]),
+    ("neg", _guard(Neg(_B)), [_G + "unary '-' applies to Int", _T + "guard must be Bool"]),
+    ("list-elements", _post(_eq(PrimedRef("l"), ListLit((_X, _B)))),
+     [_Q + "list elements must share one sort"]),
+    ("cons-tail", _guard(_eq(Cons(_X, _X), _L)), [_G + "second argument of cons must be a list"]),
+    ("cons-head", _output(Len(Cons(_B, _L))), [_O + "cons head must match the list element sort"]),
+    ("head", _output(Head(_X)), [_O + "head applies to a list"]),
+    ("head-empty", _output(Head(ListLit(()))), []),
+    ("tail", _guard(_eq(Tail(_X), _X)), [_G + "tail applies to a list"]),
+    ("len", _output(Len(_B)), [_O + "len applies to a list"]),
+    ("init-bool", _init(_X), [_I + "initialization predicate must be Bool"]),
+    ("guard-bool", _guard(Lit(3)), [_T + "guard must be Bool"]),
+    ("post-bool", _post(_L), [_T + "postcondition must be Bool"]),
+    ("output-sort", _output(_C), [_O + "argument has the wrong sort (expected Int 0..1)"]),
+    ("output-arity", _output(ctor="val"), [_O + "val expects 1 argument(s)"]),
+    ("output-ctor", _output(ctor="zz"), [_O + "no output constructor for zz"]),
+    ("else-twice", _typed((_t(guard=ElseGuard()), _t(label="t2", guard=ElseGuard()))),
+     ["group (a, go): 2 'else' guards in one group (at most one is allowed)"]),
+    # Where `x'` and `else` may not stand.
+    ("primed-guard", _guard(_eq(PrimedRef("x"), Lit(1))),
+     [_T + "guard must not use primed references",
+      _G + "primed reference x' is only allowed in postconditions"]),
+    ("primed-init", _init(_eq(PrimedRef("x"), Lit(1))),
+     [_I + "initialization predicate must not use primed references",
+      _I + "primed reference x' is only allowed in postconditions"]),
+    ("primed-output", _output(PrimedRef("x")),
+     [_O + "output expressions must not use primed references",
+      _O + "primed reference x' is only allowed in postconditions"]),
+    ("primed-extra-argument", _guard(_eq(SymApp("f", (_X, PrimedRef("x"))), _X)),
+     [_T + "guard must not use primed references", _G + "f expects 1 argument(s), got 2"]),
+    ("else-guard", _guard(BinOp("and", _B, ElseGuard())),
+     [_T + "'else' may only appear as the entire guard",
+      _G + "'else' may only appear as the entire guard of a transition"]),
+    ("else-init", _init(ElseGuard()),
+     [_I + "initialization predicate must not use 'else'",
+      _I + "'else' may only appear as the entire guard of a transition"]),
+    ("else-output", _output(Neg(ElseGuard())),
+     [_O + "'else' may only appear as the entire guard",
+      _O + "'else' may only appear as the entire guard of a transition",
+      _O + "unary '-' applies to Int"]),
+    ("else-post", _post(ElseGuard()), [_T + "'else' may only appear as the entire guard"]),
+    ("else-post-and-more", _post(BinOp("and", ElseGuard(), _X)),
+     [_T + "'else' may only appear as the entire guard"]),
+    # Literals and enumeration members.
+    ("literal-negative", _guard(_eq(_X, Lit(-1))), []),
+    ("enum-member", _guard(_eq(_C, EnumLit("blue", "Hue"))), []),
+    ("enum-domain", _guard(_eq(EnumLit("x", "NOPE"), EnumLit("x", "NOPE"))), []),
+]
+
+
+@pytest.mark.parametrize(
+    "std, expected", [pytest.param(s, e, id=i) for i, s, e in _MEMBERS + _DIAGNOSTICS]
+)
+def test_validate_reports_exactly(std, expected):
+    assert validate_std(std) == expected
+
+
+def test_the_exact_diagnostics_cover_every_expression_node():
+    # A node kind without a case here could fall through `infer_kind` to its
+    # TypeError.
+    assert [i for i, _, _ in _MEMBERS] == [k.__name__ for k in typing.get_args(model.Expr)]
 
 
 # ---------------------------------------------------------------------------
