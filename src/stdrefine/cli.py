@@ -31,7 +31,7 @@ from .interp import (
     traceset_to_json,
     verdict_to_json,
 )
-from .model import EMPTY_ENV, ElseGuard, Environment, Std, TRUE, desugar
+from .model import EMPTY_ENV, ElseGuard, Environment, Std, TRUE
 from .refine import RuleError, check_refinement
 from .textlang import (
     ParseFailure,
@@ -184,7 +184,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if t.priority is not None or isinstance(t.guard, ElseGuard)
     ]
     if rewritten:
-        desugar(std)  # raises ValueError on ill-formed priority/else groups
         lines.append(
             f"  desugaring: rewrites {len(rewritten)} guard(s): " + ", ".join(rewritten)
         )

@@ -797,61 +797,41 @@ def guard_holds(
 # Sort checking
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class _Kind:
-    """Expression-level type: 'bool' | 'int' | ('enum', domain) | ('list', kind) | 'emptylist'."""
-
-    tag: str
-    detail: object = None
-
-
-_BOOL_KIND = _Kind("bool")
-_INT_KIND = _Kind("int")
+# Sorts the checker makes up, compared only with `_compatible`: an integer
+# result (its bounds mean nothing) and the sort of `[]`, a list of nothing yet.
+_BOOL = BoolSort()
+_INT = IntSort(0, 0)
+_EMPTY_LIST = ListSort(None, 0)
 
 
-def _kind_of_sort(sort: Sort) -> _Kind:
-    if isinstance(sort, BoolSort):
-        return _BOOL_KIND
-    if isinstance(sort, IntSort):
-        return _INT_KIND
-    if isinstance(sort, EnumSort):
-        return _Kind("enum", sort.domain)
-    if isinstance(sort, ListSort):
-        return _Kind("list", _kind_of_sort(sort.elem))
-    raise TypeError(sort)
-
-
-def _kinds_compatible(a: _Kind, b: _Kind) -> bool:
-    if a.tag == "emptylist":
-        return b.tag in ("list", "emptylist")
-    if b.tag == "emptylist":
-        return a.tag == "list"
-    if a.tag != b.tag:
+def _compatible(a: Sort, b: Sort) -> bool:
+    """Whether values of sorts `a` and `b` may meet, integer bounds and list
+    lengths aside; `[]` meets every list."""
+    if type(a) is not type(b):
         return False
-    if a.tag in ("bool", "int"):
-        return True
-    if a.tag == "enum":
-        return a.detail == b.detail
-    if a.tag == "list":
-        return _kinds_compatible(a.detail, b.detail)
-    return False
+    if type(a) is ListSort:
+        return a.elem is None or b.elem is None or _compatible(a.elem, b.elem)
+    return type(a) is not EnumSort or a.domain == b.domain
 
 
 @dataclass(frozen=True)
 class SortContext:
     """Name resolution context for checking one expression: the sorts of the
     attributes and of the trigger parameters, the environment symbols'
-    declarations, and whether primed references are allowed.  The maps are
-    shared, never copied, by the contexts of one validation."""
+    declarations, the domains, and whether primed references are allowed.
+    The maps are shared, never copied, by the contexts of one validation."""
 
     attrs: dict[str, Sort]
     decls: dict[str, EnvSymDecl]
+    domains: dict[str, tuple[str, ...]]
     params: dict[str, Sort] = field(default_factory=dict)
     allow_primed: bool = False
 
 
-def infer_kind(expr: Expr, ctx: SortContext, errors: list[str], where: str) -> _Kind | None:
-    """Infer the expression-level type, appending diagnostics to `errors`."""
+def infer_kind(expr: Expr, ctx: SortContext, errors: list[str], where: str) -> Sort | None:
+    """The sort of `expr`, or None where it has none, appending diagnostics to
+    `errors`.  The sorts it makes up for literals and operators are only
+    good for `_compatible`; diagnostics name declared sorts only."""
 
     def err(msg: str) -> None:
         errors.append(f"{where}: {msg}")
@@ -861,123 +841,106 @@ def infer_kind(expr: Expr, ctx: SortContext, errors: list[str], where: str) -> _
         rk = infer_kind(expr.right, ctx, errors, where)
         if expr.op in ("and", "or"):
             for k, side in ((lk, "left"), (rk, "right")):
-                if k is not None and k.tag != "bool":
+                if k is not None and type(k) is not BoolSort:
                     err(f"{side} operand of '{expr.op}' must be Bool")
-            return _BOOL_KIND
+            return _BOOL
         if expr.op in ("eq", "ne"):
-            if lk is not None and rk is not None and not (
-                _kinds_compatible(lk, rk) or _kinds_compatible(rk, lk)
-            ):
+            if lk is not None and rk is not None and not _compatible(lk, rk):
                 err("'==' compares values of the same sort")
-            return _BOOL_KIND
-        if expr.op in ("lt", "le", "gt", "ge"):
+            return _BOOL
+        if expr.op in ("lt", "le", "gt", "ge", "add", "sub", "mul"):
+            compares = expr.op in ("lt", "le", "gt", "ge")
             for k in (lk, rk):
-                if k is not None and k.tag != "int":
-                    err(f"'{expr.op}' compares Int values")
-            return _BOOL_KIND
-        if expr.op in ("add", "sub", "mul"):
-            for k in (lk, rk):
-                if k is not None and k.tag != "int":
-                    err("arithmetic applies to Int")
-            return _INT_KIND
+                if k is not None and type(k) is not IntSort:
+                    err(f"'{expr.op}' compares Int values" if compares else "arithmetic applies to Int")
+            return _BOOL if compares else _INT
         err(f"unknown operator {expr.op!r}")
         return None
     if isinstance(expr, Lit):
-        if isinstance(expr.value, bool):
-            return _BOOL_KIND
-        return _INT_KIND
+        v = expr.value
+        if type(v) is bool:
+            return _BOOL
+        if type(v) is int and v >= 0:
+            return _INT
+        err(f"literal {v!r} is not true, false or a natural number")
+        return None
     if isinstance(expr, Name):
         err(f"unresolved identifier {expr.name!r}")
         return None
     if isinstance(expr, EnumLit):
-        return _Kind("enum", expr.domain)
-    if isinstance(expr, AttrRef):
-        if expr.name not in ctx.attrs:
-            err(f"unknown attribute {expr.name!r}")
+        members = ctx.domains.get(expr.domain)
+        if members is None:
+            err(f"unknown domain {expr.domain!r}")
             return None
-        return _kind_of_sort(ctx.attrs[expr.name])
-    if isinstance(expr, ParamRef):
-        if expr.name not in ctx.params:
-            err(f"unknown parameter {expr.name!r}")
-            return None
-        return _kind_of_sort(ctx.params[expr.name])
-    if isinstance(expr, PrimedRef):
-        if not ctx.allow_primed:
+        if expr.value not in members:
+            err(f"{expr.value!r} is not a member of domain {expr.domain}")
+        return EnumSort(expr.domain)
+    if isinstance(expr, (AttrRef, PrimedRef)):
+        if isinstance(expr, PrimedRef) and not ctx.allow_primed:
             err(f"primed reference {expr.name}' is only allowed in postconditions")
         if expr.name not in ctx.attrs:
             err(f"unknown attribute {expr.name!r}")
             return None
-        return _kind_of_sort(ctx.attrs[expr.name])
+        return ctx.attrs[expr.name]
+    if isinstance(expr, ParamRef):
+        if expr.name not in ctx.params:
+            err(f"unknown parameter {expr.name!r}")
+            return None
+        return ctx.params[expr.name]
     if isinstance(expr, SymApp):
         decl = ctx.decls.get(expr.name)
         if decl is None:
             err(f"unknown environment symbol {expr.name!r}")
-            for a in expr.args:
-                infer_kind(a, ctx, errors, where)
-            return None
-        if len(expr.args) != len(decl.params):
+        elif len(expr.args) != len(decl.params):
             err(f"{expr.name} expects {len(decl.params)} argument(s), got {len(expr.args)}")
-        for a, s in zip(expr.args, decl.params):
+        expected = decl.params if decl is not None else ()
+        for i, a in enumerate(expr.args):
             k = infer_kind(a, ctx, errors, where)
-            if k is not None and not _kinds_compatible(k, _kind_of_sort(s)):
-                err(f"argument of {expr.name} has the wrong sort (expected {s})")
-        return _kind_of_sort(decl.result)
+            if k is not None and i < len(expected) and not _compatible(k, expected[i]):
+                err(f"argument of {expr.name} has the wrong sort (expected {expected[i]})")
+        return None if decl is None else decl.result
     if isinstance(expr, Defined):
         infer_kind(expr.arg, ctx, errors, where)
-        return _BOOL_KIND
+        return _BOOL
     if isinstance(expr, Not):
         k = infer_kind(expr.arg, ctx, errors, where)
-        if k is not None and k.tag != "bool":
+        if k is not None and type(k) is not BoolSort:
             err("'!' applies to Bool")
-        return _BOOL_KIND
+        return _BOOL
     if isinstance(expr, Neg):
         k = infer_kind(expr.arg, ctx, errors, where)
-        if k is not None and k.tag != "int":
+        if k is not None and type(k) is not IntSort:
             err("unary '-' applies to Int")
-        return _INT_KIND
+        return _INT
     if isinstance(expr, ListLit):
-        if not expr.items:
-            return _Kind("emptylist")
-        kinds = [infer_kind(it, ctx, errors, where) for it in expr.items]
-        base = next((k for k in kinds if k is not None and k.tag != "emptylist"), None)
+        sorts = [infer_kind(it, ctx, errors, where) for it in expr.items]
+        base = next((k for k in sorts if k is not None and k != _EMPTY_LIST), None)
         if base is None:
-            return _Kind("emptylist")
-        for k in kinds:
-            if k is not None and not _kinds_compatible(k, base):
+            return _EMPTY_LIST
+        for k in sorts:
+            if k is not None and not _compatible(k, base):
                 err("list elements must share one sort")
-        return _Kind("list", base)
+        return ListSort(base, len(sorts))
     if isinstance(expr, Cons):
         hk = infer_kind(expr.head, ctx, errors, where)
         tk = infer_kind(expr.tail, ctx, errors, where)
-        if tk is not None and tk.tag not in ("list", "emptylist"):
+        sort = tk if hk is None else ListSort(hk, 0)
+        if tk is not None and type(tk) is not ListSort:
             err("second argument of cons must be a list")
-        elif tk is not None and tk.tag == "list" and hk is not None:
-            if not _kinds_compatible(hk, tk.detail):
-                err("cons head must match the list element sort")
-        if hk is None:
-            return tk
-        return _Kind("list", hk)
-    if isinstance(expr, Head):
+        elif tk is not None and not _compatible(sort, tk):
+            err("cons head must match the list element sort")
+        return sort
+    if isinstance(expr, (Head, Tail, Len)):
         k = infer_kind(expr.arg, ctx, errors, where)
-        if k is None or k.tag == "emptylist":
-            return None
-        if k.tag != "list":
-            err("head applies to a list")
-            return None
-        return k.detail
-    if isinstance(expr, Tail):
-        k = infer_kind(expr.arg, ctx, errors, where)
-        if k is not None and k.tag not in ("list", "emptylist"):
-            err("tail applies to a list")
-        return k
-    if isinstance(expr, Len):
-        k = infer_kind(expr.arg, ctx, errors, where)
-        if k is not None and k.tag not in ("list", "emptylist"):
-            err("len applies to a list")
-        return _INT_KIND
+        listed = type(k) is ListSort
+        if k is not None and not listed:
+            err(f"{type(expr).__name__.lower()} applies to a list")
+        if isinstance(expr, Head):
+            return k.elem if listed else None
+        return k if isinstance(expr, Tail) else _INT
     if isinstance(expr, ElseGuard):
         err("'else' may only appear as the entire guard of a transition")
-        return _BOOL_KIND
+        return _BOOL
     raise TypeError(f"not an expression: {expr!r}")
 
 
@@ -1053,19 +1016,14 @@ def validate_std(std: Std) -> list[str]:
 
     attrs = std.attr_map()
     decls = std.uses_map()
-    init_ctx = SortContext(attrs, decls)
+    init_ctx = SortContext(attrs, decls, domains)
     if not std.initial:
         errors.append("initial: no initial control state")
     for s, pred in std.initial:
         if s not in state_set:
             errors.append(f"initial {s}: unknown control state")
-        kinds = set(map(type, walk(pred)))
-        if PrimedRef in kinds:
-            errors.append(f"initial {s}: initialization predicate must not use primed references")
-        if ElseGuard in kinds:
-            errors.append(f"initial {s}: initialization predicate must not use 'else'")
         k = infer_kind(pred, init_ctx, errors, f"initial {s}")
-        if k is not None and k.tag != "bool":
+        if k is not None and type(k) is not BoolSort:
             errors.append(f"initial {s}: initialization predicate must be Bool")
 
     labels = set()
@@ -1102,18 +1060,13 @@ def validate_std(std: Std) -> list[str]:
                 if p in attr_names:
                     errors.append(f"{where}: parameter {p!r} shadows an attribute")
 
-        ctx = SortContext(attrs, decls, params)
+        ctx = SortContext(attrs, decls, domains, params)
         if isinstance(t.guard, ElseGuard):
             key = (t.source, t.trigger)
             group_else[key] = group_else.get(key, 0) + 1
         else:
-            kinds = set(map(type, walk(t.guard)))
-            if ElseGuard in kinds:
-                errors.append(f"{where}: 'else' may only appear as the entire guard")
-            if PrimedRef in kinds:
-                errors.append(f"{where}: guard must not use primed references")
             k = infer_kind(t.guard, ctx, errors, f"{where} guard")
-            if k is not None and k.tag != "bool":
+            if k is not None and type(k) is not BoolSort:
                 errors.append(f"{where}: guard must be Bool")
 
         for j, (oname, oargs) in enumerate(t.outputs):
@@ -1126,22 +1079,14 @@ def validate_std(std: Std) -> list[str]:
             if len(oargs) != len(octor.params):
                 errors.append(f"{owhere}: {oname or 'value'} expects {len(octor.params)} argument(s)")
             for a, s in zip(oargs, octor.params):
-                kinds = set(map(type, walk(a)))
-                if PrimedRef in kinds:
-                    errors.append(f"{owhere}: output expressions must not use primed references")
-                if ElseGuard in kinds:
-                    errors.append(f"{owhere}: 'else' may only appear as the entire guard")
                 k = infer_kind(a, ctx, errors, owhere)
-                if k is not None and not _kinds_compatible(k, _kind_of_sort(s)):
+                if k is not None and not _compatible(k, s):
                     errors.append(f"{owhere}: argument has the wrong sort (expected {s})")
 
-        pctx = SortContext(attrs, decls, params, allow_primed=True)
-        if has_else(t.post):
-            errors.append(f"{where}: 'else' may only appear as the entire guard")
-        else:
-            k = infer_kind(t.post, pctx, errors, f"{where} post")
-            if k is not None and k.tag != "bool":
-                errors.append(f"{where}: postcondition must be Bool")
+        pctx = SortContext(attrs, decls, domains, params, allow_primed=True)
+        k = infer_kind(t.post, pctx, errors, f"{where} post")
+        if k is not None and type(k) is not BoolSort:
+            errors.append(f"{where}: postcondition must be Bool")
 
     for (src, trig), n in sorted(group_else.items(), key=lambda kv: (kv[0][0], kv[0][1] or "")):
         if n > 1:

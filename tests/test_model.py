@@ -489,35 +489,40 @@ _DIAGNOSTICS = [
     ("output-ctor", _output(ctor="zz"), [_O + "no output constructor for zz"]),
     ("else-twice", _typed((_t(guard=ElseGuard()), _t(label="t2", guard=ElseGuard()))),
      ["group (a, go): 2 'else' guards in one group (at most one is allowed)"]),
-    # Where `x'` and `else` may not stand.
+    # Where `x'` and `else` may not stand: each occurrence is reported once.
     ("primed-guard", _guard(_eq(PrimedRef("x"), Lit(1))),
-     [_T + "guard must not use primed references",
-      _G + "primed reference x' is only allowed in postconditions"]),
+     [_G + "primed reference x' is only allowed in postconditions"]),
     ("primed-init", _init(_eq(PrimedRef("x"), Lit(1))),
-     [_I + "initialization predicate must not use primed references",
-      _I + "primed reference x' is only allowed in postconditions"]),
+     [_I + "primed reference x' is only allowed in postconditions"]),
     ("primed-output", _output(PrimedRef("x")),
-     [_O + "output expressions must not use primed references",
-      _O + "primed reference x' is only allowed in postconditions"]),
+     [_O + "primed reference x' is only allowed in postconditions"]),
+    ("primed-twice", _guard(_eq(PrimedRef("x"), BinOp("add", PrimedRef("x"), Lit(1)))),
+     [_G + "primed reference x' is only allowed in postconditions"] * 2),
     ("primed-extra-argument", _guard(_eq(SymApp("f", (_X, PrimedRef("x"))), _X)),
-     [_T + "guard must not use primed references", _G + "f expects 1 argument(s), got 2"]),
+     [_G + "f expects 1 argument(s), got 2",
+      _G + "primed reference x' is only allowed in postconditions"]),
     ("else-guard", _guard(BinOp("and", _B, ElseGuard())),
-     [_T + "'else' may only appear as the entire guard",
-      _G + "'else' may only appear as the entire guard of a transition"]),
+     [_G + "'else' may only appear as the entire guard of a transition"]),
     ("else-init", _init(ElseGuard()),
-     [_I + "initialization predicate must not use 'else'",
-      _I + "'else' may only appear as the entire guard of a transition"]),
+     [_I + "'else' may only appear as the entire guard of a transition"]),
     ("else-output", _output(Neg(ElseGuard())),
-     [_O + "'else' may only appear as the entire guard",
-      _O + "'else' may only appear as the entire guard of a transition",
+     [_O + "'else' may only appear as the entire guard of a transition",
       _O + "unary '-' applies to Int"]),
-    ("else-post", _post(ElseGuard()), [_T + "'else' may only appear as the entire guard"]),
+    ("else-post", _post(ElseGuard()),
+     [_Q + "'else' may only appear as the entire guard of a transition"]),
     ("else-post-and-more", _post(BinOp("and", ElseGuard(), _X)),
-     [_T + "'else' may only appear as the entire guard"]),
-    # Literals and enumeration members.
-    ("literal-negative", _guard(_eq(_X, Lit(-1))), []),
-    ("enum-member", _guard(_eq(_C, EnumLit("blue", "Hue"))), []),
-    ("enum-domain", _guard(_eq(EnumLit("x", "NOPE"), EnumLit("x", "NOPE"))), []),
+     [_Q + "'else' may only appear as the entire guard of a transition",
+      _Q + "right operand of 'and' must be Bool"]),
+    # Literals are true, false or natural numbers; an enumeration literal
+    # names a declared domain and one of its members.
+    ("literal-negative", _guard(_eq(_X, Lit(-1))),
+     [_G + "literal -1 is not true, false or a natural number"]),
+    ("literal-text", _output(Lit("hello")),
+     [_O + "literal 'hello' is not true, false or a natural number"]),
+    ("enum-member", _guard(_eq(_C, EnumLit("blue", "Hue"))),
+     [_G + "'blue' is not a member of domain Hue"]),
+    ("enum-domain", _guard(_eq(EnumLit("x", "NOPE"), EnumLit("x", "NOPE"))),
+     [_G + "unknown domain 'NOPE'"] * 2),
 ]
 
 

@@ -72,7 +72,7 @@ idents = st.sampled_from(("a", "b2", "x-y", "_n", "len", "Bool"))
 callees = st.sampled_from(("f", "busy-tone", "K"))
 
 
-def _exprs(leaves):
+def _exprs(leaves, max_leaves=12):
     def extend(sub):
         return st.one_of(
             st.builds(BinOp, st.sampled_from(BINARY_OPS), sub, sub),
@@ -87,7 +87,7 @@ def _exprs(leaves):
             st.builds(SymApp, callees, st.lists(sub, min_size=1, max_size=3).map(tuple)),
         )
 
-    return st.recursive(leaves, extend, max_leaves=12)
+    return st.recursive(leaves, extend, max_leaves=max_leaves)
 
 
 # What a parse with no scope can give back: literals (integer literals are
@@ -99,13 +99,55 @@ surface_leaves = st.one_of(
     st.builds(SymApp, callees, st.just(())),
 )
 surface_exprs = _exprs(surface_leaves)
+# Literal values the parser never gives back: negative integers and
+# non-numbers.  A fraction is never NaN, so that it equals itself.
+wide_literals = st.builds(
+    Lit,
+    st.integers(min_value=-3, max_value=-1)
+    | st.text(max_size=3)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.just((1, 2))
+    | st.none(),
+)
 # Every one of the 17 expression kinds.
 all_exprs = _exprs(
     surface_leaves
+    | wide_literals
     | st.builds(EnumLit, idents, idents)
     | st.builds(AttrRef, idents)
     | st.builds(ParamRef, idents)
     | st.just(ElseGuard())
+)
+
+# A machine declaring an attribute of each sort, a trigger parameter `p` and
+# the callee `f`, for `test_machines_that_std1_accepts_print_and_parse_back`
+# to put an expression in.  The leaves below name what it declares, with
+# literals widened as above and enumeration literals widened to non-members
+# and an undeclared domain.
+HOLDER_SRC = """
+std m = {
+  domain Hue = {red, green}
+  uses { f(Int 0..2) -> Int 0..2 }
+  input go(Int 0..2)
+  output o
+  attributes x :: Int 0..2
+  attributes h :: Hue
+  attributes b :: Bool
+  attributes l :: [Int 0..2]^2
+  states s init
+  t: s -> s : go(p)
+}
+"""
+held_names = st.sampled_from(("x", "h", "b", "l"))
+held_exprs = _exprs(
+    st.builds(Lit, st.booleans() | st.integers(min_value=0, max_value=3))
+    | wide_literals
+    | st.builds(EnumLit, st.sampled_from(("red", "green", "blue")), st.sampled_from(("Hue", "NOPE")))
+    | st.builds(AttrRef, held_names)
+    | st.builds(PrimedRef, held_names)
+    | st.just(ParamRef("p"))
+    | st.just(ElseGuard()),
+    max_leaves=4,
 )
 
 
@@ -293,3 +335,25 @@ def test_operators_at_equal_and_unequal_levels_parse_back():
 @settings(max_examples=300, deadline=None)
 def test_expression_json_round_trips(expr):
     assert expr_from_json(json.loads(json.dumps(expr_to_json(expr)))) == expr
+
+
+@given(held_exprs, st.sampled_from(("guard", "post", "initial")), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_machines_that_std1_accepts_print_and_parse_back(expr, place, wrap):
+    # A std/1 document is checked as text is, so whatever `std_from_json`
+    # accepts prints as text that `parse_std` reads back to the same machine.
+    # `defined(e)` is Bool whatever the sort of e.
+    if wrap:
+        expr = Defined(expr)
+    doc = std_to_json(parse_std(HOLDER_SRC))
+    if place == "initial":
+        doc["initial"][0]["pred"] = expr_to_json(expr)
+    else:
+        doc["transitions"][0][place] = expr_to_json(expr)
+    try:
+        m = std_from_json(json.loads(json.dumps(doc)))
+    except ValueError:
+        event("rejected")
+        return
+    event(f"accepted in the {place}")
+    assert parse_std(print_std(m)) == m

@@ -463,3 +463,50 @@ def test_std_json_validates_against_schema():
     schema = json.loads((resources.files("stdrefine") / "schemas" / "std.schema.json").read_text())
     for std in (m, *(parse_std(corpus_text(f)) for f in STD_FILES)):
         jsonschema.validate(std_to_json(std), schema)
+
+
+
+# A std/1 document gets the checks a parsed machine gets, so a machine that
+# `std_from_json` accepts prints as text that `parse_std` reads back.
+CHECKED_SRC = (
+    "std m = { domain C = {red, green}  input go  output o"
+    "  attributes x :: Int 0..1  attributes c :: C"
+    "  states a init  t: a -> a : {x == 0 && c == red} go }"
+)
+
+
+def _checked_document() -> tuple[dict, dict]:
+    """The std/1 document of `CHECKED_SRC`, and the `x == 0 && c == red`
+    node of its guard."""
+    doc = std_to_json(parse_std(CHECKED_SRC))
+    return doc, doc["transitions"][0]["guard"]
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [(-1, "-1"), ("hello", "'hello'"), (1.5, "1.5"), ([1, 2], r"\(1, 2\)"), (None, "None")],
+    ids=["negative", "text", "fraction", "list", "null"],
+)
+def test_std_json_rejects_a_literal_that_is_not_a_boolean_or_natural_number(value, shown):
+    doc, guard = _checked_document()
+    guard["left"]["right"]["value"] = value
+    with pytest.raises(ValueError, match=f"guard: literal {shown} is not true, false or a natural"):
+        std_from_json(doc)
+    schema = json.loads((resources.files("stdrefine") / "schemas" / "std.schema.json").read_text())
+    with pytest.raises(jsonschema.ValidationError):
+        jsonschema.validate(doc, schema)
+
+
+def test_std_json_rejects_a_value_outside_its_domain():
+    doc, guard = _checked_document()
+    guard["right"]["right"]["value"] = "blue"
+    with pytest.raises(ValueError, match="guard: 'blue' is not a member of domain C"):
+        std_from_json(doc)
+
+
+def test_std_json_rejects_an_undeclared_domain():
+    doc, _ = _checked_document()
+    nope = {"node": "enum", "value": "x", "domain": "NOPE"}
+    doc["transitions"][0]["guard"] = {"node": "bin", "op": "eq", "left": nope, "right": nope}
+    with pytest.raises(ValueError, match="guard: unknown domain 'NOPE'"):
+        std_from_json(doc)
