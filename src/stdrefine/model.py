@@ -25,15 +25,16 @@ every conjunct is.
 
 A bare identifier means, in this order of precedence, a trigger parameter, an
 attribute, an enumeration member or a nullary environment symbol.  The parser
-emits it as a `Name`, and `resolve_names`, over the `name_scope` of the
-machine it belongs to, is the one place that gives it one of those meanings.
+emits it as a `Name`, and `resolve_names` (for a whole transition,
+`resolve_transition`, which also decides which output terms are constructors),
+over the `name_scope` of the machine it belongs to, gives it one of them.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
+from operator import is_, itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 
@@ -298,18 +299,24 @@ def reads(*exprs: Expr) -> tuple[set[str], set[str], int]:
 
 
 def map_children(expr: Expr, f: Callable[[Expr], Expr]) -> Expr:
-    """`expr` rebuilt with `f` applied to each direct sub-expression; a leaf
-    is returned as is."""
-    if isinstance(expr, _UNARY):
-        return type(expr)(f(expr.arg))
-    if isinstance(expr, BinOp):
-        return BinOp(expr.op, f(expr.left), f(expr.right))
-    if isinstance(expr, SymApp):
-        return SymApp(expr.name, tuple(f(a) for a in expr.args))
-    if isinstance(expr, ListLit):
-        return ListLit(tuple(f(a) for a in expr.items))
-    if isinstance(expr, Cons):
-        return Cons(f(expr.head), f(expr.tail))
+    """`expr` rebuilt with `f` applied to each direct sub-expression; `expr`
+    itself when `f` returns each of them unchanged (`is`), a leaf included."""
+    kind = type(expr)
+    if kind in _UNARY:
+        arg = f(expr.arg)
+        return expr if arg is expr.arg else kind(arg)
+    if kind is BinOp:
+        left, right = f(expr.left), f(expr.right)
+        return expr if left is expr.left and right is expr.right else BinOp(expr.op, left, right)
+    if kind is Cons:
+        head, tail = f(expr.head), f(expr.tail)
+        return expr if head is expr.head and tail is expr.tail else Cons(head, tail)
+    if kind is SymApp:
+        args = tuple(map(f, expr.args))
+        return expr if all(map(is_, args, expr.args)) else SymApp(expr.name, args)
+    if kind is ListLit:
+        items = tuple(map(f, expr.items))
+        return expr if all(map(is_, items, expr.items)) else ListLit(items)
     return expr
 
 
@@ -322,13 +329,15 @@ def has_else(expr: Expr) -> bool:
 
 
 class Scope(NamedTuple):
-    """What a bare identifier can name in one machine, trigger parameters
-    aside: its attributes, its enumeration members (with their domains) and
-    its environment symbols."""
+    """What a name can mean in one machine, trigger parameters aside: its
+    attributes, its enumeration members (with their domains), its environment
+    symbols, and the names of its input and output constructors."""
 
     attrs: frozenset[str]
     members: dict[str, str]
     symbols: frozenset[str]
+    inputs: frozenset[str]
+    outputs: frozenset[str]
 
 
 def name_scope(std: Std) -> Scope:
@@ -336,26 +345,66 @@ def name_scope(std: Std) -> Scope:
         frozenset(n for n, _ in std.attributes),
         {m: d for d, ms in std.domains for m in ms},
         frozenset(n for n, _ in std.uses),
+        frozenset(c.name for c in std.signature.inputs),
+        frozenset(c.name for c in std.signature.outputs if c.name is not None),
     )
+
+
+class UnknownName(ValueError):
+    """A name with no meaning in a `Scope`.  `node` holds it: an expression,
+    or the transition whose trigger it is."""
+
+    def __init__(self, message: str, node) -> None:
+        super().__init__(message)
+        self.node = node
 
 
 def resolve_names(expr: Expr, scope: Scope, params: frozenset | set) -> Expr:
     """Replace every `Name` by its meaning: parameters shadow attributes,
     which shadow enum members, which shadow nullary environment symbols.
-    Raises ValueError on an identifier none of them covers."""
-    if isinstance(expr, Name):
-        n = expr.name
-        if n in params:
-            return ParamRef(n)
-        if n in scope.attrs:
-            return AttrRef(n)
-        if n in scope.members:
-            return EnumLit(n, scope.members[n])
-        if n in scope.symbols:
-            return SymApp(n, ())
-        raise ValueError(f"unknown identifier {n!r}")
+    Raises UnknownName at the first node, in source order, that names nothing:
+    a `Name` none of them covers, a call of an undeclared symbol or a primed
+    reference to a non-attribute."""
 
-    return map_children(expr, lambda e: resolve_names(e, scope, params))
+    def resolve(e: Expr) -> Expr:
+        kind = type(e)
+        if kind is Name:
+            n = e.name
+            if n in params:
+                return ParamRef(n)
+            if n in scope.attrs:
+                return AttrRef(n)
+            if n in scope.members:
+                return EnumLit(n, scope.members[n])
+            if n in scope.symbols:
+                return SymApp(n, ())
+            raise UnknownName(f"unknown identifier {n!r}", e)
+        if kind is SymApp and e.name not in scope.symbols:
+            raise UnknownName(f"unknown environment symbol {e.name!r}", e)
+        if kind is PrimedRef and e.name not in scope.attrs:
+            raise UnknownName(f"unknown attribute {e.name!r} (primed references name attributes)", e)
+        return map_children(e, resolve)
+
+    return resolve(expr)
+
+
+def resolve_transition(t: Transition, scope: Scope) -> Transition:
+    """`t` with its trigger checked, then its guard (unless it is `else`),
+    outputs and postcondition resolved, in source order.  An output term that
+    is a `Name` or a call naming an output constructor is that constructor,
+    whatever else the name means.  An unknown trigger's UnknownName holds `t`."""
+    if t.trigger is not None and t.trigger not in scope.inputs:
+        raise UnknownName(f"unknown input message {t.trigger!r}", t)
+    params = frozenset(t.params)
+    guard = t.guard if type(t.guard) is ElseGuard else resolve_names(t.guard, scope, params)
+    outputs = []
+    for cname, args in t.outputs:
+        if cname is None and len(args) == 1 and type(args[0]) in (Name, SymApp):
+            if args[0].name in scope.outputs:
+                cname, args = args[0].name, getattr(args[0], "args", ())
+        outputs.append((cname, tuple(resolve_names(a, scope, params) for a in args)))
+    post = resolve_names(t.post, scope, params)
+    return replace(t, guard=guard, outputs=tuple(outputs), post=post)
 
 
 # ---------------------------------------------------------------------------
@@ -380,18 +429,6 @@ class MsgCtor:
 class Signature:
     inputs: tuple[MsgCtor, ...]
     outputs: tuple[MsgCtor, ...]
-
-    def input_ctor(self, name: Optional[str]) -> Optional[MsgCtor]:
-        for c in self.inputs:
-            if c.name == name:
-                return c
-        return None
-
-    def output_ctor(self, name: Optional[str]) -> Optional[MsgCtor]:
-        for c in self.outputs:
-            if c.name == name:
-                return c
-        return None
 
 
 @dataclass(frozen=True)
@@ -924,10 +961,11 @@ def infer_kind(expr: Expr, ctx: SortContext, errors: list[str], where: str) -> S
     if isinstance(expr, Cons):
         hk = infer_kind(expr.head, ctx, errors, where)
         tk = infer_kind(expr.tail, ctx, errors, where)
-        sort = tk if hk is None else ListSort(hk, 0)
         if tk is not None and type(tk) is not ListSort:
             err("second argument of cons must be a list")
-        elif tk is not None and not _compatible(sort, tk):
+            return None
+        sort = tk if hk is None else ListSort(hk, 0)
+        if tk is not None and not _compatible(sort, tk):
             err("cons head must match the list element sort")
         return sort
     if isinstance(expr, (Head, Tail, Len)):
@@ -935,9 +973,9 @@ def infer_kind(expr: Expr, ctx: SortContext, errors: list[str], where: str) -> S
         listed = type(k) is ListSort
         if k is not None and not listed:
             err(f"{type(expr).__name__.lower()} applies to a list")
-        if isinstance(expr, Head):
-            return k.elem if listed else None
-        return k if isinstance(expr, Tail) else _INT
+        if isinstance(expr, Len):
+            return _INT
+        return (k.elem if isinstance(expr, Head) else k) if listed else None
     if isinstance(expr, ElseGuard):
         err("'else' may only appear as the entire guard of a transition")
         return _BOOL
@@ -977,6 +1015,14 @@ def validate_std(std: Std) -> list[str]:
             if m in seen_members:
                 errors.append(f"domain {dname}: member {m!r} already belongs to domain {seen_members[m]}")
             seen_members[m] = dname
+
+    seen_syms: set[str] = set()
+    for sym, decl in std.uses:
+        if sym in seen_syms:
+            errors.append(f"environment symbol {sym}: declared twice")
+        seen_syms.add(sym)
+        for s in (*decl.params, decl.result):
+            _check_sort_wf(s, domains, errors, f"environment symbol {sym}")
 
     if not std.signature.inputs:
         errors.append("signature: input message set is empty")
@@ -1026,6 +1072,9 @@ def validate_std(std: Std) -> list[str]:
         if k is not None and type(k) is not BoolSort:
             errors.append(f"initial {s}: initialization predicate must be Bool")
 
+    # The first constructor of each name, as duplicates are reported above.
+    inputs = {c.name: c for c in reversed(std.signature.inputs)}
+    outputs = {c.name: c for c in reversed(std.signature.outputs)}
     labels = set()
     group_else: dict[tuple[str, Optional[str]], int] = {}
     for i, t in enumerate(std.transitions):
@@ -1044,7 +1093,7 @@ def validate_std(std: Std) -> list[str]:
             if t.params:
                 errors.append(f"{where}: the internal trigger binds no parameters")
         else:
-            ctor = std.signature.input_ctor(t.trigger)
+            ctor = inputs.get(t.trigger)
             if ctor is None:
                 errors.append(f"{where}: unknown input constructor {t.trigger!r}")
             else:
@@ -1070,7 +1119,7 @@ def validate_std(std: Std) -> list[str]:
                 errors.append(f"{where}: guard must be Bool")
 
         for j, (oname, oargs) in enumerate(t.outputs):
-            octor = std.signature.output_ctor(oname)
+            octor = outputs.get(oname)
             owhere = f"{where} output {j}"
             if octor is None:
                 label = oname if oname is not None else "a bare value"
@@ -1078,9 +1127,9 @@ def validate_std(std: Std) -> list[str]:
                 continue
             if len(oargs) != len(octor.params):
                 errors.append(f"{owhere}: {oname or 'value'} expects {len(octor.params)} argument(s)")
-            for a, s in zip(oargs, octor.params):
+            for a, s in itertools.zip_longest(oargs, octor.params[: len(oargs)]):
                 k = infer_kind(a, ctx, errors, owhere)
-                if k is not None and not _compatible(k, s):
+                if k is not None and s is not None and not _compatible(k, s):
                     errors.append(f"{owhere}: argument has the wrong sort (expected {s})")
 
         pctx = SortContext(attrs, decls, domains, params, allow_primed=True)

@@ -50,9 +50,9 @@ from .model import (
     Environment,
     Expr,
     Msg,
-    Scope,
     Std,
     Transition,
+    UnknownName,
     Value,
     config_key,
     desugar,
@@ -64,6 +64,7 @@ from .model import (
     name_scope,
     reads,
     resolve_names,
+    resolve_transition,
     validate_std,
 )
 from .interp import (
@@ -163,20 +164,6 @@ def rule_name(app: RuleApplication) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_transition(t: Transition, scope: Scope, rule: str) -> Transition:
-    params = set(t.params)
-
-    def fix(e: Expr) -> Expr:
-        try:
-            return resolve_names(e, scope, params)
-        except ValueError as exc:
-            raise RuleError(rule, str(exc), witness=f"transition {t.label or t.source}") from exc
-
-    guard = t.guard if has_else(t.guard) else fix(t.guard)
-    outputs = tuple((c, tuple(fix(a) for a in args)) for c, args in t.outputs)
-    return replace(t, guard=guard, outputs=outputs, post=fix(t.post))
-
-
 def _prepare_payload(
     transitions: tuple[Transition, ...], std: Std, rule: str
 ) -> tuple[Transition, ...]:
@@ -187,12 +174,17 @@ def _prepare_payload(
     batch only.  `else` has no meaning relative to a payload and is rejected
     first, since `desugar` would accept it."""
     scope = name_scope(std)
-    resolved = tuple(_resolve_transition(t, scope, rule) for t in transitions)
+    resolved = []
+    for t in transitions:
+        try:
+            resolved.append(resolve_transition(t, scope))
+        except UnknownName as exc:
+            raise RuleError(rule, str(exc), witness=f"transition {t.label or t.source}") from exc
     for t in resolved:
         if has_else(t.guard):
             raise RuleError(rule, "'else' guards are not allowed in rule payloads",
                             witness=f"transition {t.label or t.source}")
-    return desugar(replace(std, transitions=resolved)).transitions
+    return desugar(replace(std, transitions=tuple(resolved))).transitions
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +367,7 @@ def _apply_split_state(work: Std, app: SplitState, env: Environment) -> Std:
             continue
         try:
             post = resolve_names(post, scope, set(t.params))
-        except ValueError as exc:
+        except UnknownName as exc:
             raise RuleError(rule, str(exc), witness=f"redirect of {t.label!r}") from exc
         for trigger in _triggers(t, machine.inputs):
             binding = _binding(t, trigger)

@@ -14,15 +14,20 @@ continues an identifier when it is directly attached on the left and a letter
 or underscore follows, so ``a-b`` is one name while ``a - b`` and ``a-1``
 are subtractions.  ``#`` starts a comment running to the end of the line.
 
-A bare identifier is read as a `Name`, and `model.resolve_names` gives it its
-meaning: a trigger parameter, else an attribute, else an enumeration member,
-else a nullary environment symbol.  `parse_std` resolves each one against the
-machine being read: in initial predicates, outputs and postconditions as it
-is read, in a guard (written before its trigger) once the trigger's
-parameters are read.  `parse_feature` does the same for payload transitions
-when it is given the subject machine.  A payload parsed without it, and every
-redirect postcondition, keeps its `Name`s until `apply_rule` resolves them
-against the machine the rule rewrites.
+A transition is read first, then resolved.  The expression parser reads no
+scope: a bare identifier is a `Name`, a call ``S(...)`` a `SymApp` and ``x'``
+a `PrimedRef`, each remembered with its token, and an output term is read as
+a plain expression.  `model.resolve_transition` then checks the trigger and
+has `model.resolve_names` give each `Name` its meaning: a trigger parameter,
+else an attribute, else an enumeration member, else a nullary environment
+symbol.  An output term that is a bare name or a call naming an output
+constructor is that constructor, whatever else the name means.  So a syntax
+error in a transition is reported before its name errors, and a name error at
+the token of the offending name.  `parse_std` resolves each transition and
+initial predicate against the machine being read, and `parse_feature` each
+payload transition when it is given the subject machine.  `apply_rule`
+resolves the same way whatever it gets unresolved (a payload parsed without
+its subject, every redirect postcondition), so one text means one patch.
 
 `print_std` emits a canonical form that `parse_std` maps back to the same
 machine, `export_dot` renders the state graph, and `std_to_json` /
@@ -71,11 +76,13 @@ from .model import (
     Tail,
     TRUE,
     Transition,
+    UnknownName,
     Value,
     format_value,
     make_environment,
     name_scope,
     resolve_names,
+    resolve_transition,
     validate_std,
 )
 from .model import Environment
@@ -229,9 +236,10 @@ class _Parser:
     def __init__(self, text: str) -> None:
         self.toks = tokenize(text)
         self.i = 0
-        # Bare identifiers whose meaning is checked only after more input is
-        # read: a guard's names once its trigger's parameters are known, an
-        # environment's values once all its domains are.
+        # By `id`, the token each naming expression was read at (a transition:
+        # its trigger), for `_resolve` to report a name error at.
+        self.tokens: dict[int, Token] = {}
+        # An environment's member values, checked once all its domains are read.
         self.names: list[Token] = []
 
     def peek(self, k: int = 0) -> Token:
@@ -330,31 +338,26 @@ _SORT_TAGS = {BoolSort: "bool", IntSort: "int", EnumSort: "enum", ListSort: "lis
 _FIELDS = {kind: tuple(f.name for f in fields(kind)) for kind in (*_EXPR_TAGS, *_SORT_TAGS)}
 
 
-def _parse_expr(
-    p: _Parser, scope: Optional[Scope], params: Optional[frozenset[str]], level: int = 0
-) -> Expr:
-    """An expression whose operators bind at `level` or tighter.  Without a
-    `scope` (a payload parsed without its subject, or a redirect
-    postcondition) its names are left for `apply_rule` to resolve; with one,
-    names are checked as they are read, and resolved at once unless `params`
-    is None (a guard, read before its trigger)."""
+def _parse_expr(p: _Parser, level: int = 0) -> Expr:
+    """An expression whose operators bind at `level` or tighter, its names
+    left for `_resolve` or `apply_rule` to resolve."""
     if level == _UNARY:
         unary = _UNARY_OPS.get(p.peek().text)
         if unary is None:
-            return _parse_atom(p, scope, params)
+            return _parse_atom(p)
         p.take()
-        return unary(_parse_expr(p, scope, params, _UNARY))
+        return unary(_parse_expr(p, _UNARY))
     ops = _BINARY_LEVELS[level]
-    left = _parse_expr(p, scope, params, level + 1)
+    left = _parse_expr(p, level + 1)
     while p.peek().text in ops:
         op = ops[p.take().text]
-        left = BinOp(op, left, _parse_expr(p, scope, params, level + 1))
+        left = BinOp(op, left, _parse_expr(p, level + 1))
         if level == _COMPARISON:
             break
     return left
 
 
-def _parse_atom(p, scope: Optional[Scope], params: Optional[frozenset[str]]) -> Expr:
+def _parse_atom(p: _Parser) -> Expr:
     t = p.peek()
     if t.kind == "int":
         p.take()
@@ -367,11 +370,11 @@ def _parse_atom(p, scope: Optional[Scope], params: Optional[frozenset[str]]) -> 
         return Lit(False)
     if p.at("("):
         p.take()
-        e = _parse_expr(p, scope, params)
+        e = _parse_expr(p)
         p.expect(")")
         return e
     if p.at("["):
-        return ListLit(tuple(p.enclosed("[", "]", lambda: _parse_expr(p, scope, params))))
+        return ListLit(tuple(p.enclosed("[", "]", lambda: _parse_expr(p))))
     if t.kind != "ident":
         p.fail(f"expected an expression, found {p._describe(t)}")
     if t.text in RESERVED and t.text not in ("true", "false"):
@@ -380,49 +383,31 @@ def _parse_atom(p, scope: Optional[Scope], params: Optional[frozenset[str]]) -> 
     name = name_tok.text
     if p.at("'"):
         p.take()
-        if scope is not None and name not in scope.attrs:
-            p.fail(f"unknown attribute {name!r} (primed references name attributes)", name_tok)
-        return PrimedRef(name)
-    if p.at("("):
-        args_t = tuple(p.enclosed("(", ")", lambda: _parse_expr(p, scope, params)))
+        node: Expr = PrimedRef(name)
+    elif p.at("("):
+        args_t = tuple(p.enclosed("(", ")", lambda: _parse_expr(p)))
         builtin = _BUILTINS.get(name)
         if builtin is not None:
             arity = len(_FIELDS[builtin])
             if len(args_t) != arity:
                 p.fail(f"{name} takes {arity} argument(s), got {len(args_t)}", name_tok)
             return builtin(*args_t)
-        if scope is not None and name not in scope.symbols:
-            p.fail(f"unknown environment symbol {name!r}", name_tok)
-        return SymApp(name, args_t)
-    return _bind(p, name_tok, scope, params)
+        node = SymApp(name, args_t)
+    else:
+        node = Name(name)
+    p.tokens[id(node)] = name_tok
+    return node
 
 
-def _bind(
-    p: _Parser, tok: Token, scope: Optional[Scope], params: Optional[frozenset[str]]
-) -> Expr:
-    """The bare identifier `tok`: resolved when `scope` and `params` are both
-    known, an unknown one reported at `tok`; otherwise a `Name`, whose token
-    `p.names` keeps when only `params` is missing."""
-    if scope is None:
-        return Name(tok.text)
-    if params is None:
-        p.names.append(tok)
-        return Name(tok.text)
+def _resolve(p: _Parser, node: Transition | Expr, scope: Scope):
+    """`node`, a transition or an initial predicate, with its names given
+    their meaning in `scope`; a name without one is reported at its token."""
     try:
-        return resolve_names(Name(tok.text), scope, params)
-    except ValueError as exc:
-        p.fail(str(exc), tok)
-
-
-def _parse_guard(p: _Parser, scope: Optional[Scope]) -> Expr:
-    p.expect("{")
-    if p.at("else"):
-        p.take()
-        p.expect("}")
-        return ElseGuard()
-    e = _parse_expr(p, scope, None)
-    p.expect("}")
-    return e
+        if type(node) is Transition:
+            return resolve_transition(node, scope)
+        return resolve_names(node, scope, frozenset())
+    except UnknownName as exc:
+        p.fail(str(exc), p.tokens[id(exc.node)])
 
 
 # ---------------------------------------------------------------------------
@@ -480,11 +465,8 @@ def _parse_sort(
 # ---------------------------------------------------------------------------
 
 
-def _parse_transition(
-    p: _Parser, signature: Optional[Signature], scope: Optional[Scope]
-) -> Transition:
-    """One transition, resolved against `scope` if it is given; `signature`
-    and `scope` are both given (the machine's) or both None."""
+def _parse_transition(p: _Parser) -> Transition:
+    """One transition, its names and output terms left unresolved."""
     start = p.peek()
     label: Optional[str] = None
     if p.peek().kind == "ident" and p.peek(1).text == ":":
@@ -497,40 +479,35 @@ def _parse_transition(
     guard: Expr = TRUE
     trigger: Optional[str] = None
     params: tuple[str, ...] = ()
-    p.names.clear()
     if p.at("{"):
-        guard = _parse_guard(p, scope)
+        p.take()
+        if p.at("else"):
+            p.take()
+            guard = ElseGuard()
+        else:
+            guard = _parse_expr(p)
+        p.expect("}")
+    trigger_tok = p.peek()
     if p.at("eps"):
         p.take()
     else:
-        trig_tok = p.expect_name("an input message name")
-        trigger = trig_tok.text
-        if signature is not None and signature.input_ctor(trigger) is None:
-            p.fail(f"unknown input message {trigger!r}", trig_tok)
+        trigger = p.expect_name("an input message name").text
         if p.at("("):
             params = tuple(p.enclosed("(", ")", lambda: p.expect_name("a parameter name").text))
-    param_set = frozenset(params)
-    if scope is not None:
-        # The guard's names, at their tokens, now that its parameters are known.
-        for tok in p.names:
-            _bind(p, tok, scope, param_set)
-        guard = resolve_names(guard, scope, param_set)
     outputs: list[tuple[Optional[str], tuple[Expr, ...]]] = []
     if p.at("/"):
         p.take()
-        outputs = p.enclosed(
-            "[", "]", lambda: _parse_output_term(p, signature, scope, param_set)
-        )
+        outputs = p.enclosed("[", "]", lambda: (None, (_parse_expr(p),)))
     post: Expr = TRUE
     if p.at("{"):
         p.take()
-        post = _parse_expr(p, scope, param_set)
+        post = _parse_expr(p)
         p.expect("}")
     priority: Optional[int] = None
     if p.at("@"):
         p.take()
         priority = p.expect_int()
-    return Transition(
+    t = Transition(
         label=label,
         source=source,
         target=target,
@@ -542,25 +519,8 @@ def _parse_transition(
         priority=priority,
         span=(start.line, start.col),
     )
-
-
-def _parse_output_term(
-    p: _Parser, signature: Optional[Signature], scope: Optional[Scope], params: frozenset[str]
-) -> tuple[Optional[str], tuple[Expr, ...]]:
-    t = p.peek()
-    if t.kind == "ident" and t.text not in RESERVED and t.text not in _BUILTINS:
-        if signature is None:
-            is_ctor = t.text not in params
-        else:
-            is_ctor = signature.output_ctor(t.text) is not None
-        if is_ctor:
-            name = p.take().text
-            args: list[Expr] = []
-            if p.at("("):
-                args = p.enclosed("(", ")", lambda: _parse_expr(p, scope, params))
-            return (name, tuple(args))
-    expr = _parse_expr(p, scope, params)
-    return (None, (expr,))
+    p.tokens[id(t)] = trigger_tok
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -672,7 +632,7 @@ def parse_std(
             pred: Expr = TRUE
             if p.at("{"):
                 p.take()
-                pred = _parse_expr(p, scope, frozenset())
+                pred = _resolve(p, _parse_expr(p), scope)
                 p.expect("}")
             initial.append((sname, pred))
         return sname
@@ -683,7 +643,7 @@ def parse_std(
     while not p.at("}"):
         if p.at_kind("eof"):
             p.fail("expected a transition or '}'")
-        transitions.append(_parse_transition(p, header.signature, scope))
+        transitions.append(_resolve(p, _parse_transition(p), scope))
     p.expect("}")
     p.expect_eof()
 
@@ -805,17 +765,18 @@ def parse_messages(text: str) -> tuple[Msg, ...]:
 
 def parse_feature(text: str, base: Optional[Std] = None) -> FeaturePatch:
     """Parse a feature patch.  When `base` (the subject machine) is given,
-    payload transitions are resolved against it as they are read.  Without
-    it, payload names stay `Name`s; redirect postconditions keep theirs
-    either way, since the redirected transition may be one the patch adds.
-    `apply_rule` resolves what is left against the machine it rewrites."""
+    each payload transition is resolved against it once it is read; without
+    it, payload transitions are left as read.  Redirect postconditions are
+    left as read either way, since the redirected transition may be one the
+    patch adds.  `apply_rule` resolves what is left against the machine it
+    rewrites, the same way."""
     p = _Parser(text)
     p.expect("feature")
     fname = p.expect_name("the feature name").text
     p.expect("on")
     subject = p.expect_name("the subject machine name").text
     p.expect("{")
-    signature, scope = (base.signature, name_scope(base)) if base is not None else (None, None)
+    scope = name_scope(base) if base is not None else None
 
     def name_list(what: str = "a state name") -> tuple[str, ...]:
         p.expect("{")
@@ -827,7 +788,8 @@ def parse_feature(text: str, base: Optional[Std] = None) -> FeaturePatch:
         p.expect("{")
         ts = []
         while not p.at("}"):
-            ts.append(_parse_transition(p, signature, scope))
+            t = _parse_transition(p)
+            ts.append(t if scope is None else _resolve(p, t, scope))
         p.expect("}")
         return tuple(ts)
 
@@ -860,7 +822,7 @@ def parse_feature(text: str, base: Optional[Std] = None) -> FeaturePatch:
                 if p.at("with"):
                     p.take()
                     p.expect("{")
-                    post = _parse_expr(p, None, None)
+                    post = _parse_expr(p)
                     p.expect("}")
                 redirects.append((label, part, post))
             p.expect("}")
@@ -968,14 +930,10 @@ def print_transition(t: Transition) -> str:
         if t.params:
             parts.append("(" + ", ".join(t.params) + ")")
     if t.outputs:
-        terms = []
-        for cname, args in t.outputs:
-            if cname is None:
-                terms.append(print_expr(args[0]))
-            elif args:
-                terms.append(f"{cname}(" + ", ".join(print_expr(a) for a in args) + ")")
-            else:
-                terms.append(cname)
+        terms = (
+            print_expr(args[0]) if cname is None else _call(cname, args) if args else cname
+            for cname, args in t.outputs
+        )
         parts.append(" / [" + ", ".join(terms) + "]")
     if t.post != TRUE:
         parts.append(" {" + print_expr(t.post) + "}")

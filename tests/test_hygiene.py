@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import ast
+import inspect
 import json
+import re
 import typing
 from pathlib import Path
 
@@ -122,6 +124,32 @@ def test_only_resolve_names_gives_identifiers_meaning():
         if isinstance(node, ast.Call) and _called_name(node) in resolved
     ]
     assert offending == [], f"resolved names built outside model.py: {', '.join(offending)}"
+
+
+@pytest.mark.parametrize("name", ["_parse_expr", "_parse_atom", "_parse_transition"])
+def test_the_transition_parser_reads_no_scope(name):
+    # A transition is read the same whatever machine it is read for, and is
+    # resolved once it is read.
+    signature = inspect.signature(getattr(textlang, name))
+    for param in signature.parameters.values():
+        assert param.annotation is not param.empty, f"{name}: {param.name} is not annotated"
+        assert not re.search(r"\b(Scope|Signature)\b", str(param.annotation)), f"{name}{signature}"
+
+
+def test_textlang_resolves_names_in_one_place():
+    # Only `_resolve`, which reports a name error at its token, hands what the
+    # parser read to `resolve_names` or `resolve_transition`.
+    tree = ast.parse((PACKAGE / "textlang.py").read_text())
+
+    def uses(node: ast.AST) -> list[int]:
+        return [
+            n.lineno
+            for n in ast.walk(node)
+            if isinstance(n, ast.Name) and n.id in ("resolve_names", "resolve_transition")
+        ]
+
+    helper = next(f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef) and f.name == "_resolve")
+    assert uses(helper) and uses(tree) == uses(helper)
 
 
 def _schema_branches(definition: dict, key: str) -> dict:

@@ -480,12 +480,20 @@ _DIAGNOSTICS = [
     ("head", _output(Head(_X)), [_O + "head applies to a list"]),
     ("head-empty", _output(Head(ListLit(()))), []),
     ("tail", _guard(_eq(Tail(_X), _X)), [_G + "tail applies to a list"]),
+    # A list misuse leaves no sort behind for the enclosing operator to report.
+    ("tail-no-cascade", _guard(_eq(Tail(_X), _L)), [_G + "tail applies to a list"]),
+    ("cons-no-cascade", _guard(_eq(Cons(AttrRef("zz"), _X), _L)),
+     [_G + "unknown attribute 'zz'", _G + "second argument of cons must be a list"]),
     ("len", _output(Len(_B)), [_O + "len applies to a list"]),
     ("init-bool", _init(_X), [_I + "initialization predicate must be Bool"]),
     ("guard-bool", _guard(Lit(3)), [_T + "guard must be Bool"]),
     ("post-bool", _post(_L), [_T + "postcondition must be Bool"]),
     ("output-sort", _output(_C), [_O + "argument has the wrong sort (expected Int 0..1)"]),
     ("output-arity", _output(ctor="val"), [_O + "val expects 1 argument(s)"]),
+    ("output-extra-arguments", _output(_X, PrimedRef("x"), AttrRef("zz")),
+     [_O + "val expects 1 argument(s)",
+      _O + "primed reference x' is only allowed in postconditions",
+      _O + "unknown attribute 'zz'"]),
     ("output-ctor", _output(ctor="zz"), [_O + "no output constructor for zz"]),
     ("else-twice", _typed((_t(guard=ElseGuard()), _t(label="t2", guard=ElseGuard()))),
      ["group (a, go): 2 'else' guards in one group (at most one is allowed)"]),
@@ -531,6 +539,23 @@ _DIAGNOSTICS = [
 )
 def test_validate_reports_exactly(std, expected):
     assert validate_std(std) == expected
+
+
+@pytest.mark.parametrize(
+    "uses, expected",
+    [
+        pytest.param((("f", EnvSymDecl((IntSort(3, 1),), BoolSort(), True)),),
+                     ["environment symbol f: empty integer range 3..1"], id="parameter-range"),
+        pytest.param((("f", EnvSymDecl((), ListSort(EnumSort("NOPE"), -1), False)),),
+                     ["environment symbol f: negative list bound",
+                      "environment symbol f: unknown domain 'NOPE'"], id="result-sort"),
+        pytest.param((("f", EnvSymDecl((), BoolSort(), True)),) * 2,
+                     ["environment symbol f: declared twice"], id="declared-twice"),
+    ],
+)
+def test_validate_checks_uses_declarations(uses, expected):
+    # Each of these prints as text that `parse_std` rejects.
+    assert validate_std(_tiny(uses=uses)) == expected
 
 
 def test_the_exact_diagnostics_cover_every_expression_node():

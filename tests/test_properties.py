@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -39,13 +40,18 @@ from stdrefine.interp import Machine, seq_key
 from stdrefine.model import (
     AttrRef,
     BinOp,
+    BoolSort,
     Cons,
     Defined,
     ElseGuard,
     EnumLit,
+    EnumSort,
+    EnvSymDecl,
     Head,
+    IntSort,
     Len,
     ListLit,
+    ListSort,
     Lit,
     Name,
     Neg,
@@ -148,6 +154,25 @@ held_exprs = _exprs(
     | st.just(ParamRef("p"))
     | st.just(ElseGuard()),
     max_leaves=4,
+)
+
+
+# Environment symbol declarations beside the holder's `f`: sorts with empty
+# integer ranges, negative list bounds and undeclared domains, and names that
+# may repeat one another or `f`.
+wide_sorts = st.recursive(
+    st.just(BoolSort())
+    | st.builds(IntSort, st.integers(-2, 3), st.integers(-2, 3))
+    | st.builds(EnumSort, st.sampled_from(("Hue", "NOPE"))),
+    lambda sub: st.builds(ListSort, sub, st.integers(-1, 3)),
+    max_leaves=3,
+)
+held_uses = st.lists(
+    st.tuples(
+        st.sampled_from(("f", "g", "h")),
+        st.builds(EnvSymDecl, st.lists(wide_sorts, max_size=2).map(tuple), wide_sorts, st.booleans()),
+    ),
+    max_size=2,
 )
 
 
@@ -337,15 +362,16 @@ def test_expression_json_round_trips(expr):
     assert expr_from_json(json.loads(json.dumps(expr_to_json(expr)))) == expr
 
 
-@given(held_exprs, st.sampled_from(("guard", "post", "initial")), st.booleans())
+@given(held_exprs, st.sampled_from(("guard", "post", "initial")), st.booleans(), held_uses)
 @settings(max_examples=300, deadline=None)
-def test_machines_that_std1_accepts_print_and_parse_back(expr, place, wrap):
+def test_machines_that_std1_accepts_print_and_parse_back(expr, place, wrap, uses):
     # A std/1 document is checked as text is, so whatever `std_from_json`
     # accepts prints as text that `parse_std` reads back to the same machine.
     # `defined(e)` is Bool whatever the sort of e.
     if wrap:
         expr = Defined(expr)
-    doc = std_to_json(parse_std(HOLDER_SRC))
+    holder = parse_std(HOLDER_SRC)
+    doc = std_to_json(replace(holder, uses=holder.uses + tuple(uses)))
     if place == "initial":
         doc["initial"][0]["pred"] = expr_to_json(expr)
     else:

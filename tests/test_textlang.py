@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import random
+from dataclasses import replace
 from importlib import resources
 
 import jsonschema
@@ -16,6 +18,7 @@ from stdrefine import (
     base_std,
     corpus_text,
     default_env,
+    duo_std,
     parse_env,
     parse_feature,
     parse_messages,
@@ -27,8 +30,10 @@ from stdrefine import (
     std_to_json,
     tel_std,
 )
+from machine_gen import gen_application, gen_std
 from stdrefine.textlang import tokenize
 from stdrefine.callproc import _PATCH_NAMES  # the shipped .feat inventory
+from stdrefine.features import FeaturePatch
 from stdrefine.model import (
     EMPTY_ENV,
     AttrRef,
@@ -38,7 +43,10 @@ from stdrefine.model import (
     ParamRef,
     PrimedRef,
     SymApp,
+    name_scope,
+    resolve_transition,
 )
+from stdrefine.refine import AddStates, AddTransitions
 
 STD_FILES = ("callproc.std", "tel.std", "stack.std", "duo.std")
 ENV_FILES = ("default.env", "quiet.env")
@@ -372,6 +380,91 @@ def test_identifier_precedence(position, kind):
     if span is not None:
         (err,) = info.value.errors
         assert (err.span.line, err.span.col) == span
+
+
+# ---------------------------------------------------------------------------
+# One text, one patch: a payload means the same with or without its subject
+# ---------------------------------------------------------------------------
+
+# An output alphabet of bare values beside the constructor `v`, which is also
+# the name of the trigger parameter in the payloads below.
+ONE_PATCH_BASE = """
+std m = {
+  input go(Int 0..3)
+  output Int 0..3 | v
+  attributes n :: Int 0..3
+  states s init {n == 0}
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "transition, output",
+    [
+        # The attribute's value, not a constructor `n`.
+        ("t1: s -> s : go(v) / [n]", (None, (AttrRef("n"),))),
+        # A compound output term, not a constructor followed by a stray '+'.
+        ("t1: s -> s : {n < 3} go(v) / [n + 1]", (None, (BinOp("add", AttrRef("n"), Lit(1)),))),
+        # The constructor `v` wins over the parameter `v`.
+        ("t1: s -> s : go(v) / [v]", ("v", ())),
+    ],
+    ids=["attribute", "compound", "constructor-over-parameter"],
+)
+def test_a_payload_means_one_thing_with_or_without_its_subject(transition, output):
+    m = parse_std(ONE_PATCH_BASE)
+    text = f"feature f on m {{ add-transitions {{ {transition} }} }}"
+    with_base = apply_feature(m, parse_feature(text, base=m), EMPTY_ENV)
+    assert with_base.transition("t1").outputs == (output,)
+    assert apply_feature(m, parse_feature(text), EMPTY_ENV) == with_base
+
+
+def test_a_syntax_error_in_a_transition_comes_before_its_name_errors():
+    text = ONE_PATCH_BASE.replace("}\n}", "}\n  t1: s -> s : {zz == 1} go(v) / [n] {n' == }\n}")
+    with pytest.raises(ParseFailure) as info:
+        parse_std(text)
+    assert str(info.value) == "line 7, col 45: expected an expression, found '}'"
+
+
+def _resolved(patch: FeaturePatch, base) -> FeaturePatch:
+    """`patch` with each payload transition resolved against `base`."""
+    scope = name_scope(base)
+
+    def resolve(app):
+        if not isinstance(app, (AddStates, AddTransitions)):
+            return app
+        return replace(app, transitions=tuple(resolve_transition(t, scope) for t in app.transitions))
+
+    return replace(patch, applications=tuple(map(resolve, patch.applications)))
+
+
+def _applied(base, patch, env):
+    try:
+        return apply_feature(base, patch, env)
+    except RuleError as exc:
+        return str(exc)
+
+
+def _assert_one_patch(text: str, base, env) -> None:
+    with_base, bare = parse_feature(text, base=base), parse_feature(text)
+    assert with_base == _resolved(bare, base)
+    assert _applied(base, with_base, env) == _applied(base, bare, env)
+
+
+@pytest.mark.parametrize("fname", FEAT_FILES)
+def test_corpus_patches_mean_one_thing(fname):
+    duo = fname.startswith("conflict-")
+    base, env = (duo_std(), EMPTY_ENV) if duo else (base_std(), default_env())
+    _assert_one_patch(corpus_text(fname), base, env)
+
+
+def test_generated_proposals_mean_one_thing():
+    # Each proposal of the first 200 generated machines, as a one-rule patch.
+    rng = random.Random(7)
+    for i in range(200):
+        std = gen_std(rng, name=f"gen{i}")
+        for _ in range(3):
+            app = gen_application(rng, std)
+            _assert_one_patch(print_feature(FeaturePatch("p", std.name, (app,))), std, EMPTY_ENV)
 
 
 # ---------------------------------------------------------------------------
