@@ -6,10 +6,12 @@ inclusion), ``refine apply`` (apply a feature patch), ``feature conflicts``
 (pairwise conflict matrix), and ``export dot|json``.
 
 Exit codes: 0 success / check passed; 1 a check failed or a conflict was
-found (a report is still printed); 2 usage, parse, or sort error; 3 a
-resource bound was exceeded.  Results go to stdout, diagnostics to stderr,
-and identical invocations produce byte-identical output.  Every report
-names the bounds it was computed under, so verdicts are reproducible.
+found (a report is still printed), or a rule application was rejected, a
+patch that does not sort-check against its machine included; 2 usage,
+parse, or sort error in an input file; 3 a resource bound was exceeded.
+Results go to stdout, diagnostics to stderr, and identical invocations
+produce byte-identical output.  Every report names the bounds it was
+computed under, so verdicts are reproducible.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .interp import (
     traceset_to_json,
     verdict_to_json,
 )
-from .model import EMPTY_ENV, ElseGuard, Environment, Std, TRUE
+from .model import EMPTY_ENV, ElseGuard, TRUE
 from .refine import RuleError, check_refinement
 from .textlang import (
     ParseFailure,
@@ -70,37 +72,17 @@ def _read_text(path: str) -> str:
         raise _CliFailure(EXIT_USAGE, [f"{path}: {e.strerror or e}"]) from e
 
 
-def _load_std(path: str) -> Std:
-    text = _read_text(path)
+def _parsed(parse, label: str, text: str, **kwargs):
+    """`parse(text, **kwargs)`; a `ParseFailure` is a usage error with one
+    `label: error` line per error."""
     try:
-        return parse_std(text)
+        return parse(text, **kwargs)
     except ParseFailure as pf:
-        raise _CliFailure(EXIT_USAGE, [f"{path}: {e}" for e in pf.errors]) from pf
+        raise _CliFailure(EXIT_USAGE, [f"{label}: {e}" for e in pf.errors]) from pf
 
 
-def _load_env(path: Optional[str]) -> Environment:
-    if path is None:
-        return EMPTY_ENV
-    text = _read_text(path)
-    try:
-        return parse_env(text)
-    except ParseFailure as pf:
-        raise _CliFailure(EXIT_USAGE, [f"{path}: {e}" for e in pf.errors]) from pf
-
-
-def _load_feature(path: str, base: Std):
-    text = _read_text(path)
-    try:
-        return parse_feature(text, base=base)
-    except ParseFailure as pf:
-        raise _CliFailure(EXIT_USAGE, [f"{path}: {e}" for e in pf.errors]) from pf
-
-
-def _parse_input(text: str):
-    try:
-        return parse_messages(text)
-    except ParseFailure as pf:
-        raise _CliFailure(EXIT_USAGE, [f"--input: {e}" for e in pf.errors]) from pf
+def _load(parse, path: str, **kwargs):
+    return _parsed(parse, path, _read_text(path), **kwargs)
 
 
 def _bounds(args: argparse.Namespace) -> Bounds:
@@ -155,7 +137,7 @@ def _add_common(sub: argparse.ArgumentParser, env: bool = True, bounds: bool = T
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    std = _load_std(args.file)
+    std = _load(parse_std, args.file)
     if args.json:
         sys.stdout.write(dump_json(std_to_json(std)))
         return EXIT_PASS
@@ -195,10 +177,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    std = _load_std(args.file)
-    env = _load_env(args.env)
+    std = _load(parse_std, args.file)
+    env = EMPTY_ENV if args.env is None else _load(parse_env, args.env)
     bounds = _bounds(args)
-    msgs = _parse_input(args.input)
+    msgs = _parsed(parse_messages, "--input", args.input)
     ts = simulate_prefixes(std, env, msgs, bounds)
     if args.json:
         sys.stdout.write(dump_json(traceset_to_json(ts)))
@@ -229,9 +211,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_refine_verify(args: argparse.Namespace) -> int:
-    abstract = _load_std(args.abstract)
-    concrete = _load_std(args.concrete)
-    env = _load_env(args.env)
+    abstract = _load(parse_std, args.abstract)
+    concrete = _load(parse_std, args.concrete)
+    env = EMPTY_ENV if args.env is None else _load(parse_env, args.env)
     bounds = _bounds(args)
     verdict = check_refinement(abstract, concrete, env, bounds)
     if args.json:
@@ -242,9 +224,9 @@ def _cmd_refine_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_refine_apply(args: argparse.Namespace) -> int:
-    std = _load_std(args.file)
-    patch = _load_feature(args.patch, base=std)
-    env = _load_env(args.env)
+    std = _load(parse_std, args.file)
+    patch = _load(parse_feature, args.patch, base=std)
+    env = EMPTY_ENV if args.env is None else _load(parse_env, args.env)
     result = apply_feature(std, patch, env, Bounds(state_cap=args.state_cap))
     text = dump_json(std_to_json(result)) if args.json else print_std(result)
     if args.output:
@@ -263,9 +245,9 @@ def _cmd_feature_conflicts(args: argparse.Namespace) -> int:
         raise _CliFailure(
             EXIT_USAGE, ["feature conflicts needs at least two patch files"]
         )
-    std = _load_std(args.file)
-    patches = tuple(_load_feature(p, base=std) for p in args.patches)
-    env = _load_env(args.env)
+    std = _load(parse_std, args.file)
+    patches = tuple(_load(parse_feature, p, base=std) for p in args.patches)
+    env = EMPTY_ENV if args.env is None else _load(parse_env, args.env)
     bounds = _bounds(args)
     reports = conflict_matrix(std, patches, env, bounds)
     any_conflict = any(r.is_conflict for _, r in reports)
@@ -284,7 +266,7 @@ def _cmd_feature_conflicts(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    std = _load_std(args.file)
+    std = _load(parse_std, args.file)
     if args.format == "dot" and not args.json:
         sys.stdout.write(export_dot(std))
     else:

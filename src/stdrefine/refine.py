@@ -8,16 +8,20 @@ and returns a replayable verdict; the minimal counterexample (shortest input
 sequence, then lexicographically least) is reported on failure.
 
 The six transformation rules are syntactic machine edits whose side conditions
-guarantee refinement by construction, at every bound.  A side condition that
-needs the environment binds the machine the rule is applied to the way the
-interpreter does, as an `interp.Machine`, and asks that machine's questions:
-"enabled" is productive enabledness as `Machine.enabled` answers it (the guard
-holds, the outputs are defined and the postcondition is satisfiable), and
-"reachable" is membership in the saturated `interp.reachable_configurations`
-of it, which holds every configuration that any bounds reach (so the
-internal-step budget of 1 it is built with is the least reachability takes,
-not a bound the rule depends on).  The transition a rule adds or removes is
-tested by its guard alone, which can only reject more.
+guarantee refinement by construction, at every bound.  `apply_rule` applies
+one in three steps.  The rule's edit checks the application's structure and
+builds the transformed machine; `validate_std` sort-checks that machine, so
+no side condition ever evaluates an expression that is not well-sorted; then
+the side condition, for the rules that have one, is asked of the machine the
+rule is applied to, bound once to the environment the way the interpreter
+binds it, as an `interp.Machine`.  "Enabled" is productive enabledness as
+`Machine.enabled` answers it (the guard holds, the outputs are defined and
+the postcondition is satisfiable), and "reachable" is membership in the
+saturated `interp.reachable_configurations` of it, which holds every
+configuration that any bounds reach (so the internal-step budget of 1 it is
+built with is the least reachability takes, not a bound the rule depends
+on).  The transition a rule adds or removes is tested by its guard alone,
+which can only reject more.
 
 * add-states: fresh, unreachable states (plus transitions among them only).
 * remove-states: states no reachable configuration occupies.
@@ -34,16 +38,16 @@ tested by its guard alone, which can only reject more.
   trigger, or a kept internal transition, is still enabled.
 * remove-initial-states: drop initial markings, keeping at least one.
 
-`apply_rule` checks the side conditions against the machine the rule is
-applied to and raises `RuleError`, naming the violated condition with a
-witness, instead of producing an unsound result.
+A rejected application raises `RuleError`, naming the violated condition
+(with a witness where there is one) or the invalid result, instead of
+producing an unsound machine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from operator import itemgetter
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .model import (
     Configuration,
@@ -147,16 +151,20 @@ RuleApplication = Union[
     AddStates, RemoveStates, SplitState, AddTransitions, RemoveTransitions, RemoveInitialStates
 ]
 
+#: A rule's side condition, asked of the machine the rule is applied to as a
+#: bound `interp.Machine`: raises `RuleError` where the edit is no refinement.
+Check = Callable[[Machine], None]
+
 
 def rule_name(app: RuleApplication) -> str:
-    return {
-        AddStates: "add-states",
-        RemoveStates: "remove-states",
-        SplitState: "split-state",
-        AddTransitions: "add-transitions",
-        RemoveTransitions: "remove-transitions",
-        RemoveInitialStates: "remove-initial-states",
-    }[type(app)]
+    return _rule(app)[0]
+
+
+def _rule(app: RuleApplication) -> tuple[str, Callable]:
+    try:
+        return _RULES[type(app)]
+    except KeyError:
+        raise TypeError(f"not a rule application: {app!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -192,12 +200,6 @@ def _prepare_payload(
 # ---------------------------------------------------------------------------
 
 
-def _reach_machine(work: Std, env: Environment, state_cap: Optional[int]) -> Machine:
-    """`work` bound to `env` for `reachable_configurations`, at the cheapest
-    internal-step budget, 1 (saturation reaches the same set at any)."""
-    return Machine(work, env, Bounds(eps_budget=1, state_cap=state_cap))
-
-
 def _triggers(t: Transition, inputs: tuple[Msg, ...]) -> list[Optional[Msg]]:
     """The ground triggers of `t`: the members of `inputs` (a machine's, in
     `msg_key` order) with its constructor, or [None] for eps."""
@@ -229,38 +231,26 @@ def apply_rule(
     env: Environment,
     bounds: Bounds = DEFAULT_BOUNDS,
 ) -> Std:
-    """Apply one transformation rule, checking its side conditions against the
-    machine it is applied to.  The result is validated before it is returned;
-    the input machine is never modified.
+    """Apply one transformation rule: edit the desugared machine, validate
+    the result, then check the rule's side condition against the machine it
+    is applied to.  The input machine is never modified.
 
     The side conditions do not depend on the bounds: an accepted rule is a
     refinement at every bound.  Of `bounds` only `state_cap` is read; the
     reachability the side conditions explore raises `ResourceLimit` when it
-    is exceeded."""
+    is exceeded.  Anything but a rule application raises `TypeError`."""
+    name, edit = _rule(app)
     work = desugar(std)
-    name = rule_name(app)
-    if isinstance(app, AddStates):
-        result = _apply_add_states(work, app)
-    elif isinstance(app, RemoveStates):
-        result = _apply_remove_states(work, app, env, bounds.state_cap)
-    elif isinstance(app, SplitState):
-        result = _apply_split_state(work, app, env)
-    elif isinstance(app, AddTransitions):
-        result = _apply_add_transitions(work, app, env)
-    elif isinstance(app, RemoveTransitions):
-        result = _apply_remove_transitions(work, app, env, bounds.state_cap)
-    elif isinstance(app, RemoveInitialStates):
-        result = _apply_remove_initial(work, app)
-    else:  # pragma: no cover - exhaustive over RuleApplication
-        raise RuleError(str(type(app)), "unknown rule application")
+    result, check = edit(work, app, name)
     problems = validate_std(result)
     if problems:
         raise RuleError(name, "the transformed machine is invalid: " + "; ".join(problems))
+    if check is not None:
+        check(Machine(work, env, Bounds(eps_budget=1, state_cap=bounds.state_cap)))
     return result
 
 
-def _apply_add_states(work: Std, app: AddStates) -> Std:
-    rule = "add-states"
+def _add_states(work: Std, app: AddStates, rule: str) -> tuple[Std, None]:
     if not app.names:
         raise RuleError(rule, "no states to add")
     existing = set(work.states)
@@ -284,27 +274,26 @@ def _apply_add_states(work: Std, app: AddStates) -> Std:
         work,
         states=work.states + tuple(app.names),
         transitions=work.transitions + payload,
-    )
+    ), None
 
 
-def _apply_remove_states(
-    work: Std, app: RemoveStates, env: Environment, state_cap: Optional[int]
-) -> Std:
-    rule = "remove-states"
+def _remove_states(work: Std, app: RemoveStates, rule: str) -> tuple[Std, Check]:
     if not app.names:
         raise RuleError(rule, "no states to remove")
     existing = set(work.states)
     for n in app.names:
         if n not in existing:
             raise RuleError(rule, f"state {n!r} does not exist")
-    machine = _reach_machine(work, env, state_cap)
-    reachable = {c.control for c in reachable_configurations(machine)}
     doomed = set(app.names)
-    hit = sorted(doomed & reachable)
-    if hit:
-        raise RuleError(
-            rule, "only unreachable states may be removed", witness=f"state {hit[0]!r} is reachable"
-        )
+
+    def check(machine: Machine) -> None:
+        hit = sorted(doomed & {c.control for c in reachable_configurations(machine)})
+        if hit:
+            raise RuleError(
+                rule, "only unreachable states may be removed",
+                witness=f"state {hit[0]!r} is reachable",
+            )
+
     return replace(
         work,
         states=tuple(s for s in work.states if s not in doomed),
@@ -312,11 +301,10 @@ def _apply_remove_states(
         transitions=tuple(
             t for t in work.transitions if t.source not in doomed and t.target not in doomed
         ),
-    )
+    ), check
 
 
-def _apply_split_state(work: Std, app: SplitState, env: Environment) -> Std:
-    rule = "split-state"
+def _split_state(work: Std, app: SplitState, rule: str) -> tuple[Std, Check]:
     if app.name not in work.states:
         raise RuleError(rule, f"state {app.name!r} does not exist")
     if not app.parts:
@@ -339,7 +327,6 @@ def _apply_split_state(work: Std, app: SplitState, env: Environment) -> Std:
         redirect[label] = (part, post)
 
     incoming = [t for t in work.transitions if t.target == app.name]
-    incoming_labels = set()
     for t in incoming:
         if t.label is None:
             raise RuleError(
@@ -347,113 +334,87 @@ def _apply_split_state(work: Std, app: SplitState, env: Environment) -> Std:
                 "every transition into the split state must be labeled so it can be redirected",
                 witness=f"{t.source}->{t.target} on {t.trigger or 'eps'}",
             )
-        incoming_labels.add(t.label)
         if t.label not in redirect:
             raise RuleError(rule, f"incoming transition {t.label!r} has no redirect")
+    incoming_labels = {t.label for t in incoming}
     for label in redirect:
         if label not in incoming_labels:
             raise RuleError(rule, f"redirect names {label!r}, which does not enter {app.name!r}")
 
-    machine = Machine(work, env)
-    tables = machine.tables
-    valuations = enumerate_valuations(work.attributes, work.domain_map())
+    # The parts take the split state's place; each incoming transition is
+    # redirected, and each outgoing one (a self-loop as redirected) copied to
+    # every part.
     scope = name_scope(work)
-
-    checked_redirect: dict[str, tuple[str, Optional[Expr]]] = {}
-    for t in incoming:
-        part, post = redirect[t.label]
-        if post is None:
-            checked_redirect[t.label] = (part, None)
-            continue
-        try:
-            post = resolve_names(post, scope, set(t.params))
-        except UnknownName as exc:
-            raise RuleError(rule, str(exc), witness=f"redirect of {t.label!r}") from exc
-        for trigger in _triggers(t, machine.inputs):
-            binding = _binding(t, trigger)
-            for v in valuations:
-                if not guard_holds(t.guard, v, tables, binding):
-                    continue
-                original_sat = False
-                strengthened_sat = False
-                for v2 in valuations:
-                    orig = guard_holds(t.post, v, tables, binding, v2)
-                    strong = guard_holds(post, v, tables, binding, v2)
-                    if strong and not orig:
-                        raise RuleError(
-                            rule,
-                            f"strengthened postcondition of {t.label!r} does not imply the original",
-                            witness=(
-                                f"valuation {_format_valuation(v)}, trigger "
-                                f"{_format_trigger(trigger)}, primed {_format_valuation(v2)}"
-                            ),
-                        )
-                    original_sat = original_sat or orig
-                    strengthened_sat = strengthened_sat or strong
-                if original_sat and not strengthened_sat:
-                    raise RuleError(
-                        rule,
-                        f"strengthened postcondition of {t.label!r} is unsatisfiable "
-                        "where the original was satisfiable",
-                        witness=(
-                            f"valuation {_format_valuation(v)}, trigger "
-                            f"{_format_trigger(trigger)}"
-                        ),
-                    )
-        checked_redirect[t.label] = (part, post)
-
-    # Rebuild the state list with the parts in place of the split state.
-    new_states: list[str] = []
+    strengthened: dict[str, Expr] = {}
+    states: list[str] = []
     for s in work.states:
-        if s == app.name:
-            new_states.extend(app.parts)
-        else:
-            new_states.append(s)
-
-    new_initial: list[tuple[str, Expr]] = []
+        states.extend(app.parts if s == app.name else (s,))
+    initial: list[tuple[str, Expr]] = []
     for s, pred in work.initial:
-        if s == app.name:
-            new_initial.extend((p, pred) for p in app.parts)
-        else:
-            new_initial.append((s, pred))
-
-    new_transitions: list[Transition] = []
-    used_labels = {t.label for t in work.transitions if t.label is not None}
+        initial.extend(((p, pred) for p in app.parts) if s == app.name else ((s, pred),))
+    transitions: list[Transition] = []
     for t in work.transitions:
+        if t.target == app.name:
+            part, post = redirect[t.label]
+            if post is not None:
+                try:
+                    post = strengthened[t.label] = resolve_names(post, scope, set(t.params))
+                except UnknownName as exc:
+                    raise RuleError(rule, str(exc), witness=f"redirect of {t.label!r}") from exc
+            t = replace(t, target=part, post=t.post if post is None else post)
         if t.source == app.name:
-            # Copied to every part; a self-loop's target follows its redirect.
-            part_target, strengthened = (None, None)
-            if t.target == app.name:
-                part_target, strengthened = checked_redirect[t.label]
-            for p in app.parts:
-                label = f"{t.label}__{p}" if t.label is not None else None
-                if label is not None and label in used_labels:
-                    raise RuleError(rule, f"copied label {label!r} collides with an existing label")
-                copy = replace(
-                    t,
-                    label=label,
-                    source=p,
-                    target=part_target if part_target is not None else t.target,
-                    post=strengthened if strengthened is not None else t.post,
-                )
-                new_transitions.append(copy)
-        elif t.target == app.name:
-            part, strengthened = checked_redirect[t.label]
-            new_transitions.append(
-                replace(t, target=part, post=strengthened if strengthened is not None else t.post)
+            transitions.extend(
+                replace(t, label=None if t.label is None else f"{t.label}__{p}", source=p)
+                for p in app.parts
             )
         else:
-            new_transitions.append(t)
+            transitions.append(t)
+
+    def check(machine: Machine) -> None:
+        tables = machine.tables
+        valuations = enumerate_valuations(work.attributes, work.domain_map())
+        for t in incoming:
+            post = strengthened.get(t.label)
+            if post is None:
+                continue
+            for trigger in _triggers(t, machine.inputs):
+                binding = _binding(t, trigger)
+                for v in valuations:
+                    if not guard_holds(t.guard, v, tables, binding):
+                        continue
+                    original_sat = False
+                    strengthened_sat = False
+                    for v2 in valuations:
+                        orig = guard_holds(t.post, v, tables, binding, v2)
+                        strong = guard_holds(post, v, tables, binding, v2)
+                        if strong and not orig:
+                            raise RuleError(
+                                rule,
+                                f"strengthened postcondition of {t.label!r} does not imply the original",
+                                witness=(
+                                    f"valuation {_format_valuation(v)}, trigger "
+                                    f"{_format_trigger(trigger)}, primed {_format_valuation(v2)}"
+                                ),
+                            )
+                        original_sat = original_sat or orig
+                        strengthened_sat = strengthened_sat or strong
+                    if original_sat and not strengthened_sat:
+                        raise RuleError(
+                            rule,
+                            f"strengthened postcondition of {t.label!r} is unsatisfiable "
+                            "where the original was satisfiable",
+                            witness=(
+                                f"valuation {_format_valuation(v)}, trigger "
+                                f"{_format_trigger(trigger)}"
+                            ),
+                        )
 
     return replace(
-        work,
-        states=tuple(new_states),
-        initial=tuple(new_initial),
-        transitions=tuple(new_transitions),
-    )
+        work, states=tuple(states), initial=tuple(initial), transitions=tuple(transitions)
+    ), check
 
 
-def _apply_add_transitions(work: Std, app: AddTransitions, env: Environment) -> Std:
+def _add_transitions(work: Std, app: AddTransitions, rule: str) -> tuple[Std, Check]:
     """New transitions may only act where the machine was unspecified.
 
     Wherever a new external transition's guard holds, the existing machine
@@ -464,67 +425,58 @@ def _apply_add_transitions(work: Std, app: AddTransitions, env: Environment) -> 
     transition has no reaction, the rule rejects what it could accept, never
     the other way round, and it saves solving the new postconditions.
     """
-    rule = "add-transitions"
     if not app.transitions:
         raise RuleError(rule, "no transitions to add")
     payload = _prepare_payload(app.transitions, work, rule)
-    states = set(work.states)
-    for t in payload:
-        if t.source not in states:
-            raise RuleError(rule, f"source state {t.source!r} does not exist",
-                            witness=f"transition {t.label or t.source}")
-        if t.target not in states:
-            raise RuleError(rule, f"target state {t.target!r} does not exist",
-                            witness=f"transition {t.label or t.source}")
 
-    machine = Machine(work, env)
-    tables, inputs = machine.tables, machine.inputs
-    valuations = enumerate_valuations(work.attributes, work.domain_map())
-    # Each question is asked once per what decides it: a payload guard per
-    # trigger instance and values of the attributes it reads, and the machine
-    # once per (read key, trigger) by `Machine.enabled`, however many payload
-    # transitions and trigger instances raise it.
+    def check(machine: Machine) -> None:
+        tables, inputs = machine.tables, machine.inputs
+        valuations = enumerate_valuations(work.attributes, work.domain_map())
+        # Each question is asked once per what decides it: a payload guard per
+        # trigger instance and values of the attributes it reads, and the
+        # machine once per (read key, trigger) by `Machine.enabled`, however
+        # many payload transitions and trigger instances raise it.
 
-    # Disjointness is checked against the machine being extended, not against
-    # other members of the same batch: the batch as a whole claims previously
-    # unspecified situations, and may distribute them among its members.
-    for t in payload:
-        attrs = sorted(reads(t.guard)[0])
-        project = itemgetter(*attrs) if attrs else lambda v: ()
-        for trigger in _triggers(t, inputs):
-            binding = _binding(t, trigger)
-            holds: dict[object, bool] = {}
-            for v in valuations:
-                read = project(v)
-                if read not in holds:
-                    holds[read] = guard_holds(t.guard, v, tables, binding)
-                if not holds[read]:
-                    continue
-                cfg = make_config(t.source, v)
-                for ask in [None, *inputs] if t.is_internal else [trigger, None]:
-                    clash = machine.enabled(cfg, ask)
-                    if not clash:
+        # Disjointness is checked against the machine being extended, not
+        # against other members of the same batch: the batch as a whole
+        # claims previously unspecified situations, and may distribute them
+        # among its members.
+        for t in payload:
+            attrs = sorted(reads(t.guard)[0])
+            project = itemgetter(*attrs) if attrs else lambda v: ()
+            for trigger in _triggers(t, inputs):
+                binding = _binding(t, trigger)
+                holds: dict[object, bool] = {}
+                for v in valuations:
+                    read = project(v)
+                    if read not in holds:
+                        holds[read] = guard_holds(t.guard, v, tables, binding)
+                    if not holds[read]:
                         continue
-                    name = clash[0].transition.label or clash[0].transition.source
-                    new = "new internal transition" if t.is_internal else "new transition"
-                    where = f"state {t.source}, valuation {_format_valuation(v)}"
-                    if ask is None:
+                    cfg = make_config(t.source, v)
+                    for ask in [None, *inputs] if t.is_internal else [trigger, None]:
+                        clash = machine.enabled(cfg, ask)
+                        if not clash:
+                            continue
+                        name = clash[0].transition.label or clash[0].transition.source
+                        new = "new internal transition" if t.is_internal else "new transition"
+                        where = f"state {t.source}, valuation {_format_valuation(v)}"
+                        if ask is None:
+                            raise RuleError(
+                                rule, f"{new} overlaps existing internal transition {name!r}",
+                                witness=where,
+                            )
+                        detail = ("(the machine was not unspecified there)" if t.is_internal
+                                  else "on the same trigger")
                         raise RuleError(
-                            rule, f"{new} overlaps existing internal transition {name!r}",
-                            witness=where,
+                            rule, f"{new} overlaps existing transition {name!r} {detail}",
+                            witness=f"{where}, trigger {ask}",
                         )
-                    detail = ("(the machine was not unspecified there)" if t.is_internal
-                              else "on the same trigger")
-                    raise RuleError(
-                        rule, f"{new} overlaps existing transition {name!r} {detail}",
-                        witness=f"{where}, trigger {ask}",
-                    )
-    return replace(work, transitions=work.transitions + payload)
+
+    return replace(work, transitions=work.transitions + payload), check
 
 
-def _apply_remove_transitions(
-    work: Std, app: RemoveTransitions, env: Environment, state_cap: Optional[int]
-) -> Std:
+def _remove_transitions(work: Std, app: RemoveTransitions, rule: str) -> tuple[Std, Check]:
     """Removed transitions must be redundant wherever they can act.
 
     At every reachable configuration where a removed transition's guard holds
@@ -533,7 +485,6 @@ def _apply_remove_transitions(
     removal makes nothing unspecified.  The removed transition is tested by
     its guard alone, which can only reject more.
     """
-    rule = "remove-transitions"
     if not app.labels:
         raise RuleError(rule, "no transitions to remove")
     removed: list[Transition] = []
@@ -547,45 +498,44 @@ def _apply_remove_transitions(
             raise RuleError(rule, f"no transition labeled {label!r}")
         removed.append(t)
     removed_set = set(removed)
-    kept = replace(work, transitions=tuple(t for t in work.transitions if t not in removed_set))
 
-    machine = _reach_machine(work, env, state_cap)
+    def check(machine: Machine) -> None:
+        def covered(cfg: Configuration, trigger: Optional[Msg]) -> bool:
+            # `enabled` decides each transition on its own, so the kept ones
+            # enabled in `work` are exactly those enabled in the result;
+            # reachability has asked `machine` every such question already.
+            return any(e.transition not in removed_set for e in machine.enabled(cfg, trigger))
 
-    def covered(cfg: Configuration, trigger: Optional[Msg]) -> bool:
-        # `enabled` decides each transition on its own, so the kept ones
-        # enabled in `work` are exactly those enabled in `kept`; reachability
-        # has asked `machine` every such question already.
-        return any(e.transition not in removed_set for e in machine.enabled(cfg, trigger))
-
-    # In canonical order, so that the witness is the least offending
-    # configuration whatever the string-hash seed.
-    for cfg in sorted(reachable_configurations(machine), key=config_key):
-        v = cfg.value_map()
-        for t in removed:
-            if t.source != cfg.control:
-                continue
-            for trigger in _triggers(t, machine.inputs):
-                if not guard_holds(t.guard, v, machine.tables, _binding(t, trigger)):
+        # In canonical order, so that the witness is the least offending
+        # configuration whatever the string-hash seed.
+        for cfg in sorted(reachable_configurations(machine), key=config_key):
+            v = cfg.value_map()
+            for t in removed:
+                if t.source != cfg.control:
                     continue
-                if covered(cfg, None):
-                    continue
-                if trigger is None:
-                    raise RuleError(
-                        rule,
-                        f"removing {t.label!r} leaves no internal transition where it was enabled",
-                        witness=f"configuration {cfg}",
-                    )
-                if not covered(cfg, trigger):
-                    raise RuleError(
-                        rule,
-                        f"removing {t.label!r} leaves {trigger} unhandled where it was accepted",
-                        witness=f"configuration {cfg}",
-                    )
-    return kept
+                for trigger in _triggers(t, machine.inputs):
+                    if not guard_holds(t.guard, v, machine.tables, _binding(t, trigger)):
+                        continue
+                    if covered(cfg, None):
+                        continue
+                    if trigger is None:
+                        raise RuleError(
+                            rule,
+                            f"removing {t.label!r} leaves no internal transition where it was enabled",
+                            witness=f"configuration {cfg}",
+                        )
+                    if not covered(cfg, trigger):
+                        raise RuleError(
+                            rule,
+                            f"removing {t.label!r} leaves {trigger} unhandled where it was accepted",
+                            witness=f"configuration {cfg}",
+                        )
+
+    kept = tuple(t for t in work.transitions if t not in removed_set)
+    return replace(work, transitions=kept), check
 
 
-def _apply_remove_initial(work: Std, app: RemoveInitialStates) -> Std:
-    rule = "remove-initial-states"
+def _remove_initial(work: Std, app: RemoveInitialStates, rule: str) -> tuple[Std, None]:
     if not app.names:
         raise RuleError(rule, "no initial markings to remove")
     marked = {s for s, _ in work.initial}
@@ -599,7 +549,20 @@ def _apply_remove_initial(work: Std, app: RemoveInitialStates) -> Std:
     kept = tuple((s, p) for s, p in work.initial if s not in doomed)
     if not kept:
         raise RuleError(rule, "at least one initial state must remain")
-    return replace(work, initial=kept)
+    return replace(work, initial=kept), None
+
+
+#: Each rule's name and edit.  An edit checks the application's structure
+#: against the desugared machine and returns the transformed machine with
+#: the rule's side condition, or None for a rule that needs none.
+_RULES: dict[type, tuple[str, Callable]] = {
+    AddStates: ("add-states", _add_states),
+    RemoveStates: ("remove-states", _remove_states),
+    SplitState: ("split-state", _split_state),
+    AddTransitions: ("add-transitions", _add_transitions),
+    RemoveTransitions: ("remove-transitions", _remove_transitions),
+    RemoveInitialStates: ("remove-initial-states", _remove_initial),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -638,55 +601,28 @@ def trace_inclusion(ts_abstract: TraceSet, ts_concrete: TraceSet) -> Verdict:
     concrete chaos before one has failed already."""
     _require_same_alphabet(ts_abstract, ts_concrete)
     bounds = ts_abstract.bounds
+
+    def fail(seq, note: str, extra=None) -> Verdict:
+        output = None if extra is None else min(extra, key=outputs_key)
+        return Verdict(ok=False, kind="refinement", bounds=bounds,
+                       witness=Witness(input=seq, output=output, note=note))
+
     for seq, ea in ts_abstract.entries.items():
         if ea.chaos:
             continue
         ec = ts_concrete.entry(seq)
         if ec.chaos:
-            return Verdict(
-                ok=False,
-                kind="refinement",
-                bounds=bounds,
-                witness=Witness(
-                    input=seq,
-                    note="the concrete machine is unspecified (chaos) where the "
-                    "abstract machine is specified",
-                ),
-            )
+            return fail(seq, "the concrete machine is unspecified (chaos) where the "
+                        "abstract machine is specified")
         if ec.capped and not ea.capped:
-            return Verdict(
-                ok=False,
-                kind="refinement",
-                bounds=bounds,
-                witness=Witness(
-                    input=seq,
-                    note="the concrete machine hit the output cap where the abstract "
-                    "machine did not; outputs are incomparable at this bound",
-                ),
-            )
+            return fail(seq, "the concrete machine hit the output cap where the abstract "
+                        "machine did not; outputs are incomparable at this bound")
         if not ec.outputs <= ea.outputs:
-            return Verdict(
-                ok=False,
-                kind="refinement",
-                bounds=bounds,
-                witness=Witness(
-                    input=seq,
-                    output=min(ec.outputs - ea.outputs, key=outputs_key),
-                    note="concrete output is not among the abstract outputs",
-                ),
-            )
+            return fail(seq, "concrete output is not among the abstract outputs",
+                        ec.outputs - ea.outputs)
         if not ec.divergent <= ea.divergent:
-            return Verdict(
-                ok=False,
-                kind="refinement",
-                bounds=bounds,
-                witness=Witness(
-                    input=seq,
-                    output=min(ec.divergent - ea.divergent, key=outputs_key),
-                    note="concrete divergent (budget-truncated) output has no "
-                    "abstract counterpart",
-                ),
-            )
+            return fail(seq, "concrete divergent (budget-truncated) output has no "
+                        "abstract counterpart", ec.divergent - ea.divergent)
     return Verdict(
         ok=True, kind="refinement", bounds=bounds,
         note=_divergence_note(ts_abstract, ts_concrete),

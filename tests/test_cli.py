@@ -233,9 +233,43 @@ def test_refine_apply_rule_error_exit_code(tmp_path):
     grown = tmp_path / "grown.std"
     code, out, _ = run("refine", "apply", DUO, LEFT, "--output", str(grown))
     assert code == 0
+    # Re-applying a patch to its own result is invalid before any side
+    # condition is asked; the rival patch reaches the overlap check.
     code, _, err = run("refine", "apply", str(grown), LEFT)
     assert code == 1
+    assert "duplicate label" in err
+    code, _, err = run("refine", "apply", str(grown), RIGHT)
+    assert code == 1
     assert "overlaps existing" in err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        "add-transitions { t9: s -> s : {head(n) == 1} go(v) / [o] }",
+        "add-transitions { t9: s -> s : {n' == 1} go(v) / [o] }",
+        "split b into { b1, b2 } { redirect t0 -> b1 with {n' == len(n)} }",
+    ],
+    ids=["ill-sorted-guard", "primed-guard", "ill-sorted-redirect"],
+)
+def test_an_ill_sorted_payload_is_a_rule_rejection(tmp_path, payload):
+    machine = tmp_path / "m.std"
+    machine.write_text(
+        "std m = { input go(Int 0..3) | stop  output o  attributes n :: Int 0..3"
+        "  states s init, b  t0: s -> b : stop / [o]  t1: b -> s : stop / [o] }\n"
+    )
+    bad = tmp_path / "bad.feat"
+    bad.write_text(f"feature bad on m {{ {payload} }}\n")
+    other = tmp_path / "other.feat"
+    other.write_text("feature other on m { add-states { z } }\n")
+    code, out, err = run("refine", "apply", str(machine), str(bad))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and "the transformed machine is invalid: " in err
+    # feature conflicts reports the rejection as its not-independent evidence.
+    code, out, err = run("feature", "conflicts", str(machine), str(bad), str(other))
+    assert code == 1 and err == ""
+    assert "bad x other: not-independent" in out
+    assert "the transformed machine is invalid: " in out
 
 
 def test_refine_apply_redirects_a_transition_the_patch_adds(tmp_path):

@@ -19,7 +19,10 @@ from machine_gen import gen_application, gen_std
 from oracles import all_configs, input_closure, oracle_enabled, oracle_step
 
 from stdrefine import (
+    AddTransitions,
     Bounds,
+    SplitState,
+    Transition,
     parse_feature,
     RuleError,
     apply_rule,
@@ -59,6 +62,7 @@ from stdrefine.model import (
     ParamRef,
     PrimedRef,
     SymApp,
+    TRUE,
     Tail,
     message_instances,
 )
@@ -383,3 +387,24 @@ def test_machines_that_std1_accepts_print_and_parse_back(expr, place, wrap, uses
         return
     event(f"accepted in the {place}")
     assert parse_std(print_std(m)) == m
+
+
+HOLDER_ENV = make_environment(tables={"f": {(i,): i for i in range(3)}})
+
+
+@given(held_exprs, st.sampled_from(("guard", "redirect")))
+@settings(max_examples=300, deadline=None)
+def test_rules_sort_check_a_payload_before_evaluating_it(expr, place):
+    # Whatever the payload holds, a rule applies or is rejected: no side
+    # condition evaluates an expression that validation would refuse.
+    holder = parse_std(HOLDER_SRC)
+    if place == "guard":
+        app = AddTransitions((Transition("t9", "s", "s", None, (), expr, (), TRUE),))
+    else:
+        app = SplitState("s", ("p",), (("t", "p", expr),))
+    try:
+        apply_rule(holder, app, HOLDER_ENV)
+    except RuleError as exc:
+        event("rejected as invalid" if "is invalid" in exc.reason else "rejected")
+    else:
+        event(f"applied with the expression as a {place}")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -40,6 +41,8 @@ from stdrefine.model import (
     AttrRef,
     BinOp,
     ElseGuard,
+    Head,
+    Len,
     Lit,
     Not,
     PrimedRef,
@@ -626,33 +629,63 @@ std painted = {
 MISFIT = make_environment(domains={"Hue": ("blue",)})
 
 
+INVALID = "the transformed machine is invalid: "
+
+
 @pytest.mark.parametrize(
-    "app,raised",
+    "app,raised,match",
     [
-        pytest.param(AddStates(("limbo",)), None, id="add-states"),
-        pytest.param(RemoveInitialStates(("s1",)), None, id="remove-initial-states"),
-        pytest.param(SplitState("s1", ("s1a", "s1b"), ()), RuleError, id="split-state-malformed"),
+        pytest.param(AddStates(("limbo",)), None, None, id="add-states"),
+        pytest.param(RemoveInitialStates(("s1",)), None, None, id="remove-initial-states"),
+        pytest.param(SplitState("s1", ("s1a", "s1b"), ()), RuleError, "has no redirect",
+                     id="split-state-malformed"),
         pytest.param(SplitState("s1", ("s1a",), (("t0", "s1a", None),)), ValueError,
-                     id="split-state"),
+                     "does not fit", id="split-state"),
         pytest.param(AddTransitions((_t("t9", "nowhere", "s0", "go", post=TRUE),)), RuleError,
+                     INVALID + "transition t9: unknown source state 'nowhere'",
                      id="add-transitions-malformed"),
         pytest.param(AddTransitions((_t("t9", "s0", "s0", None, post=TRUE),)), ValueError,
-                     id="add-transitions"),
-        pytest.param(RemoveStates(("nowhere",)), RuleError, id="remove-states-malformed"),
-        pytest.param(RemoveStates(("s1",)), ValueError, id="remove-states"),
-        pytest.param(RemoveTransitions(("nosuch",)), RuleError, id="remove-transitions-malformed"),
-        pytest.param(RemoveTransitions(("t1",)), ValueError, id="remove-transitions"),
+                     "does not fit", id="add-transitions"),
+        pytest.param(RemoveStates(("nowhere",)), RuleError, "does not exist",
+                     id="remove-states-malformed"),
+        pytest.param(RemoveStates(("s1",)), ValueError, "does not fit", id="remove-states"),
+        pytest.param(RemoveTransitions(("nosuch",)), RuleError, "no transition labeled",
+                     id="remove-transitions-malformed"),
+        pytest.param(RemoveTransitions(("t1",)), ValueError, "does not fit",
+                     id="remove-transitions"),
+        # Payloads that are not well-sorted are rejected by validation, before
+        # a side condition could evaluate them.
+        pytest.param(AddTransitions((_t("t9", "s0", "s0", None, post=TRUE,
+                                        guard=BinOp("eq", Head(Lit(1)), Lit(1))),)),
+                     RuleError, INVALID + "transition t9 guard: head applies to a list",
+                     id="add-transitions-ill-sorted-guard"),
+        pytest.param(AddTransitions((_t("t9", "s0", "s0", None, post=TRUE,
+                                        guard=BinOp("eq", PrimedRef("h"), AttrRef("h"))),)),
+                     RuleError, INVALID + "transition t9 guard: primed reference h'",
+                     id="add-transitions-primed-guard"),
+        pytest.param(SplitState("s1", ("s1a",), (("t0", "s1a", BinOp(
+                         "eq", PrimedRef("h"), Len(AttrRef("h")))),)),
+                     RuleError, INVALID + "transition t0 post: len applies to a list",
+                     id="split-state-ill-sorted-redirect"),
     ],
 )
-def test_the_environment_is_bound_where_a_side_condition_first_needs_it(app, raised):
-    # Rules without environment conditions never bind it, and a malformed
-    # payload is reported before an environment that does not fit.
+def test_the_environment_is_bound_where_a_side_condition_first_needs_it(app, raised, match):
+    # Rules without environment conditions never bind it, and a malformed or
+    # ill-sorted payload is reported before an environment that does not fit.
     painted = parse_std(PAINTED_SRC)
     if raised is None:
         apply_rule(painted, app, MISFIT)
     else:
-        with pytest.raises(raised, match=None if raised is RuleError else "does not fit"):
+        with pytest.raises(raised, match=re.escape(match)):
             apply_rule(painted, app, MISFIT)
+
+
+@pytest.mark.parametrize("app", ["add-states", None, ("limbo",)], ids=["str", "none", "tuple"])
+def test_apply_rule_takes_only_rule_applications(base, app):
+    with pytest.raises(TypeError, match="not a rule application"):
+        apply_rule(base, app, EMPTY_ENV)
+    with pytest.raises(TypeError, match="not a rule application"):
+        refine.rule_name(app)
 
 
 # ---------------------------------------------------------------------------
