@@ -22,11 +22,10 @@ procedure tries both application orders:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .interp import Bounds, DEFAULT_BOUNDS, TraceSet, bounds_to_json, traces
-from .model import Environment, Std
+from .model import Environment, Record, Std
 from .refine import (
     AddStates,
     AddTransitions,
@@ -39,8 +38,7 @@ from .refine import (
 )
 
 
-@dataclass(frozen=True)
-class FeaturePatch:
+class FeaturePatch(Record):
     """A named sequence of rule applications against one subject machine."""
 
     name: str
@@ -110,8 +108,7 @@ def introduced_labels(patch: FeaturePatch) -> frozenset[str]:
     return frozenset(labels)
 
 
-@dataclass
-class ConflictReport:
+class ConflictReport(Record):
     """Outcome of conflict detection (or of a failed integration chain)."""
 
     verdict: str  # "not-independent" | "conflicting" | "compatible"
@@ -181,14 +178,16 @@ def detect_conflict(
         )
 
     s1, s2 = singles[f1.name], singles[f2.name]
-    # Keyed by value: an id() key could be reused by a later machine once a
-    # rejected combined machine is freed, and serve it stale traces.
-    ts_cache: dict[Std, TraceSet] = {}
+    # Keyed by id(), so that no lookup hashes a whole machine.  An entry holds
+    # its machine, which keeps the id from being given to a later one, and
+    # serves only that very machine.
+    ts_cache: dict[int, tuple[Std, TraceSet]] = {}
 
     def ts_of(machine: Std) -> TraceSet:
-        if machine not in ts_cache:
-            ts_cache[machine] = traces(machine, env, bounds)
-        return ts_cache[machine]
+        hit = ts_cache.get(id(machine))
+        if hit is None or hit[0] is not machine:
+            hit = ts_cache[id(machine)] = (machine, traces(machine, env, bounds))
+        return hit[1]
 
     evidence: list[str] = []
 

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -54,6 +53,7 @@ from .model import (
     EnabledTransition,
     Environment,
     Msg,
+    Record,
     Std,
     TransitionIndex,
     Value,
@@ -74,8 +74,7 @@ class ResourceLimit(Exception):
         self.limit = limit
 
 
-@dataclass(frozen=True)
-class Bounds:
+class Bounds(Record):
     """Exploration bounds: input-sequence length, internal-step budget per
     processed message, output-length cap, and an optional cap on the number of
     distinct configurations explored."""
@@ -105,8 +104,7 @@ DEFAULT_BOUNDS = Bounds()
 Outputs = tuple[Msg, ...]
 
 
-@dataclass(frozen=True)
-class StepResult:
+class StepResult(Record):
     """Everything one message can do from one configuration.
 
     reactions: (complete output sequence, configuration after consumption).
@@ -264,16 +262,10 @@ class Machine:
 
         reactions, divergent, chaotic = outcomes(config, self.bounds.eps_budget)
         del outcomes  # a self-referencing closure: free the Machine without the cycle collector
-        return StepResult(
-            reactions=reactions,
-            divergent=divergent,
-            chaotic=chaotic,
-            touched=frozenset(touched),
-        )
+        return StepResult(reactions, divergent, chaotic, frozenset(touched))
 
 
-@dataclass(frozen=True)
-class Entry:
+class Entry(Record):
     """The recorded behavior at one input sequence: CHAOS, or a set of output
     sequences plus parked divergent outputs, with an output-cap flag."""
 
@@ -289,8 +281,7 @@ class Entry:
 CHAOS_ENTRY = Entry(chaos=True)
 
 
-@dataclass
-class TraceSet:
+class TraceSet(Record):
     """Bounded denotation of a machine: an entry for every input sequence up to
     the length bound, plus the configurations reached along the way.
 
@@ -390,9 +381,9 @@ def _make_entry(outputs, divergent, cap: int) -> Entry:
     """A non-chaotic entry, its output sequences clipped at `cap` and flagged;
     the words are sliced only when some word is longer than `cap`."""
     if any(len(u) > cap for u in itertools.chain(outputs, divergent)):
-        return Entry(chaos=False, outputs=frozenset(u[:cap] for u in outputs),
-                     divergent=frozenset(u[:cap] for u in divergent), capped=True)
-    return Entry(chaos=False, outputs=frozenset(outputs), divergent=frozenset(divergent))
+        return Entry(False, frozenset(u[:cap] for u in outputs),
+                     frozenset(u[:cap] for u in divergent), True)
+    return Entry(False, frozenset(outputs), frozenset(divergent), False)
 
 
 def traces(std: Std, env: Environment, bounds: Bounds = DEFAULT_BOUNDS) -> TraceSet:
@@ -530,8 +521,7 @@ def simulate(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """Replayable counterexample: an input sequence, optionally the offending
     output, and for monotonicity failures the extended input sequence."""
 
@@ -541,8 +531,7 @@ class Witness:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     ok: bool
     kind: str
     bounds: Bounds

@@ -33,9 +33,99 @@ over the `name_scope` of the machine it belongs to, gives it one of them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
 from operator import is_, itemgetter
-from typing import Callable, Iterable, NamedTuple, Optional, Union
+from types import MappingProxyType
+from typing import Callable, Iterable, NamedTuple, Optional, TypeVar, Union
+
+try:
+    # CPython's C field getter, which `collections.namedtuple` uses: a field
+    # read through it takes about 0.6 of the time `property(itemgetter(i))` does.
+    from _collections import _tuplegetter
+except ImportError:
+    def _tuplegetter(index: int, doc: Optional[str]):
+        return property(itemgetter(index), doc=doc)
+
+
+# ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+
+class Record(tuple):
+    """An immutable value: the tuple of its class, then the fields the class
+    annotates (`_fields`), in order, each read by name.  A field is given by
+    position or by keyword; one the class body assigns a value defaults to
+    that value.  Holding its class makes a record equal only to a record of
+    the same class with equal fields, and hash by both, with tuple's own C
+    methods.  A class's `__post_init__`, when it has one, checks each new
+    record.  Assigning an attribute raises AttributeError.
+
+    These methods are ordinary source: declaring a record class generates no
+    code.  Of construction, hashing, comparison and field reads, only
+    construction runs Python, one call of `__new__`."""
+
+    _fields: tuple[str, ...] = ()
+    _arity = 0  # len(_fields), which `__new__` reads faster this way
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = tuple(cls.__annotations__)
+        cls._arity = len(cls._fields)
+        cls._defaults = {n: cls.__dict__[n] for n in cls._fields if n in cls.__dict__}
+        for i, name in enumerate(cls._fields, 1):
+            setattr(cls, name, _tuplegetter(i, None))
+        if "__post_init__" in cls.__dict__:
+            cls.__init__ = _post_init
+
+    def __new__(cls, *args, **kwargs):
+        if kwargs or len(args) != cls._arity:
+            args = cls._complete(args, kwargs)
+        return _new_tuple(cls, (cls,) + args)
+
+    @classmethod
+    def _complete(cls, args: tuple, kwargs: dict) -> tuple:
+        if len(args) > cls._arity:
+            raise TypeError(f"{cls.__name__} takes {cls._arity} fields, not {len(args)}")
+        values = list(args)
+        for name in cls._fields[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in cls._defaults:
+                values.append(cls._defaults[name])
+            else:
+                raise TypeError(f"{cls.__name__} is missing field {name!r}")
+        if kwargs:
+            raise TypeError(f"{cls.__name__} got unexpected field(s) {', '.join(kwargs)}")
+        return tuple(values)
+
+    def __repr__(self) -> str:
+        items = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self[1:]))
+        return f"{self.__class__.__qualname__}({items})"
+
+    def __getnewargs__(self) -> tuple:
+        return self[1:]  # the fields, which copy and pickle pass to `__new__`
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+
+_new_tuple = tuple.__new__
+
+
+def _post_init(self: Record, *args, **kwargs) -> None:
+    self.__post_init__()
+
+
+RecordT = TypeVar("RecordT", bound=Record)
+
+
+def replace(record: RecordT, /, **changes) -> RecordT:
+    """`record` with the named fields changed, built by its constructor."""
+    values = [changes.pop(n, v) for n, v in zip(record._fields, record[1:])]
+    if changes:
+        raise TypeError(f"{record.__class__.__name__} has no field(s) {', '.join(changes)}")
+    return record.__class__(*values)
 
 
 class UndefinedType:
@@ -63,14 +153,12 @@ Value = Union[bool, int, str, tuple]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoolSort:
+class BoolSort(Record):
     def __str__(self) -> str:
         return "Bool"
 
 
-@dataclass(frozen=True)
-class IntSort:
+class IntSort(Record):
     lo: int
     hi: int
 
@@ -78,16 +166,14 @@ class IntSort:
         return f"Int {self.lo}..{self.hi}"
 
 
-@dataclass(frozen=True)
-class EnumSort:
+class EnumSort(Record):
     domain: str
 
     def __str__(self) -> str:
         return self.domain
 
 
-@dataclass(frozen=True)
-class ListSort:
+class ListSort(Record):
     elem: "Sort"
     max_len: int
 
@@ -138,106 +224,89 @@ def value_in_sort(value: Value, sort: Sort, domains: dict[str, tuple[str, ...]])
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(Record):
     """Boolean or integer literal."""
 
     value: Value
 
 
-@dataclass(frozen=True)
-class EnumLit:
+class EnumLit(Record):
     """A member of a named finite domain."""
 
     value: str
     domain: str
 
 
-@dataclass(frozen=True)
-class AttrRef:
+class AttrRef(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class PrimedRef:
+class PrimedRef(Record):
     """Post-state attribute reference; only legal inside postconditions."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class ParamRef:
+class ParamRef(Record):
     """Reference to a trigger-bound parameter."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class SymApp:
+class SymApp(Record):
     """Application of a declared environment function or predicate."""
 
     name: str
     args: tuple["Expr", ...]
 
 
-@dataclass(frozen=True)
-class Defined:
+class Defined(Record):
     """defined(e): true iff e does not evaluate to Undefined.  Never Undefined itself."""
 
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Record):
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(Record):
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(Record):
     op: str  # and or eq ne lt le gt ge add sub mul
     left: "Expr"
     right: "Expr"
 
 
-@dataclass(frozen=True)
-class ListLit:
+class ListLit(Record):
     items: tuple["Expr", ...]
 
 
-@dataclass(frozen=True)
-class Cons:
+class Cons(Record):
     head: "Expr"
     tail: "Expr"
 
 
-@dataclass(frozen=True)
-class Head:
+class Head(Record):
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class Tail:
+class Tail(Record):
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class Len:
+class Len(Record):
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class ElseGuard:
+class ElseGuard(Record):
     """Surface-only guard: the negation of every other guard in the transition's
     (source, trigger) group.  Eliminated by `desugar`."""
 
 
-@dataclass(frozen=True)
-class Name:
+class Name(Record):
     """A bare identifier as the parser reads it, before `resolve_names` makes
     it a parameter, attribute, enum member or nullary environment symbol.
     Evaluation and validation reject it."""
@@ -412,8 +481,7 @@ def resolve_transition(t: Transition, scope: Scope) -> Transition:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MsgCtor:
+class MsgCtor(Record):
     """One alternative of a message set.
 
     `name` is None for a bare value alternative (the message is the carried
@@ -425,14 +493,12 @@ class MsgCtor:
     params: tuple[Sort, ...] = ()
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     inputs: tuple[MsgCtor, ...]
     outputs: tuple[MsgCtor, ...]
 
 
-@dataclass(frozen=True)
-class Msg:
+class Msg(Record):
     """A ground message instance: constructor name (None for a bare value) and
     its argument values."""
 
@@ -481,11 +547,12 @@ def message_instances(ctors: Iterable[MsgCtor], domains: dict[str, tuple[str, ..
     return out
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(Record):
     """A guarded transition.  `trigger` is an input constructor name, or None
     for the internal trigger eps (in which case `params` must be empty).
     `outputs` items are (output-constructor-name-or-None, argument exprs).
+    `span`, where in its source text the parser read it, takes no part in
+    equality or hashing.
     """
 
     label: Optional[str]
@@ -497,15 +564,24 @@ class Transition:
     outputs: tuple[tuple[Optional[str], tuple[Expr, ...]], ...]
     post: Expr
     priority: Optional[int] = None
-    span: Optional[tuple[int, int]] = field(default=None, compare=False)
+    span: Optional[tuple[int, int]] = None
+
+    def __eq__(self, other):
+        if other.__class__ is not Transition:
+            return NotImplemented
+        return self[:-1] == other[:-1]
+
+    __ne__ = object.__ne__  # the inverse of __eq__, where tuple's counts `span`
+
+    def __hash__(self) -> int:
+        return hash(self[:-1])
 
     @property
     def is_internal(self) -> bool:
         return self.trigger is None
 
 
-@dataclass(frozen=True)
-class EnvSymDecl:
+class EnvSymDecl(Record):
     """Declared environment symbol: parameter sorts, result sort, totality."""
 
     params: tuple[Sort, ...]
@@ -513,8 +589,7 @@ class EnvSymDecl:
     total: bool
 
 
-@dataclass(frozen=True, eq=True)
-class Std:
+class Std(Record):
     """A state transition diagram over finite domains."""
 
     name: str
@@ -547,8 +622,7 @@ class Std:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Environment:
+class Environment(Record):
     """Interpretation context: named domains plus function/predicate tables.
 
     `tables` maps a symbol name to rows (argument tuple -> value).  `defaults`
@@ -654,8 +728,7 @@ def bind_environment(std: Std, env: Environment) -> tuple[dict[str, dict[tuple[V
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(Record):
     """Control state plus a total attribute valuation (sorted name/value pairs)."""
 
     control: str
@@ -851,8 +924,7 @@ def _compatible(a: Sort, b: Sort) -> bool:
     return type(a) is not EnumSort or a.domain == b.domain
 
 
-@dataclass(frozen=True)
-class SortContext:
+class SortContext(Record):
     """Name resolution context for checking one expression: the sorts of the
     attributes and of the trigger parameters, the environment symbols'
     declarations, the domains, and whether primed references are allowed.
@@ -861,7 +933,7 @@ class SortContext:
     attrs: dict[str, Sort]
     decls: dict[str, EnvSymDecl]
     domains: dict[str, tuple[str, ...]]
-    params: dict[str, Sort] = field(default_factory=dict)
+    params: dict[str, Sort] = MappingProxyType({})
     allow_primed: bool = False
 
 
@@ -1204,8 +1276,7 @@ def desugar(std: Std) -> Std:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EnabledTransition:
+class EnabledTransition(Record):
     """One enabled transition at a configuration under a trigger: the bound
     parameters plus the set of (output sequence, successor) reactions the
     relational postcondition admits."""
@@ -1382,13 +1453,7 @@ class TransitionIndex:
                 if solved or guard_holds(t.post, valuation, tables, params, dict(primed)):
                     reactions.add((outputs, Configuration(t.target, primed)))
             if reactions:
-                out.append(
-                    EnabledTransition(
-                        transition=t,
-                        binding=tuple(sorted(params.items())),
-                        reactions=frozenset(reactions),
-                    )
-                )
+                out.append(EnabledTransition(t, tuple(sorted(params.items())), frozenset(reactions)))
         return out
 
     def _solve(

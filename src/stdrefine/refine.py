@@ -45,7 +45,6 @@ producing an unsound machine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Callable, Optional, Union
 
@@ -54,6 +53,7 @@ from .model import (
     Environment,
     Expr,
     Msg,
+    Record,
     Std,
     Transition,
     UnknownName,
@@ -67,6 +67,7 @@ from .model import (
     make_config,
     name_scope,
     reads,
+    replace,
     resolve_names,
     resolve_transition,
     validate_std,
@@ -109,21 +110,18 @@ class SignatureMismatch(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AddStates:
+class AddStates(Record):
     """New, unreachable states, optionally with transitions among them."""
 
     names: tuple[str, ...]
     transitions: tuple[Transition, ...] = ()
 
 
-@dataclass(frozen=True)
-class RemoveStates:
+class RemoveStates(Record):
     names: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class SplitState:
+class SplitState(Record):
     """Replace `name` by `parts`.  `redirects` maps each incoming transition
     label to (part, optional strengthened postcondition)."""
 
@@ -132,18 +130,15 @@ class SplitState:
     redirects: tuple[tuple[str, str, Optional[Expr]], ...]
 
 
-@dataclass(frozen=True)
-class AddTransitions:
+class AddTransitions(Record):
     transitions: tuple[Transition, ...]
 
 
-@dataclass(frozen=True)
-class RemoveTransitions:
+class RemoveTransitions(Record):
     labels: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class RemoveInitialStates:
+class RemoveInitialStates(Record):
     names: tuple[str, ...]
 
 
@@ -547,8 +542,6 @@ def _remove_initial(work: Std, app: RemoveInitialStates, rule: str) -> tuple[Std
             raise RuleError(rule, f"state {n!r} listed twice")
         doomed.add(n)
     kept = tuple((s, p) for s, p in work.initial if s not in doomed)
-    if not kept:
-        raise RuleError(rule, "at least one initial state must remain")
     return replace(work, initial=kept), None
 
 

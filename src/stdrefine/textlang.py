@@ -41,7 +41,6 @@ std/1 codec are all read off them, so what one accepts the others produce.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
 from typing import Callable, Optional, TypeVar
 
 from .model import (
@@ -68,6 +67,7 @@ from .model import (
     Not,
     ParamRef,
     PrimedRef,
+    Record,
     Scope,
     Signature,
     Sort,
@@ -81,6 +81,7 @@ from .model import (
     format_value,
     make_environment,
     name_scope,
+    replace,
     resolve_names,
     resolve_transition,
     validate_std,
@@ -105,8 +106,7 @@ T = TypeVar("T")
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(Record):
     line: int
     col: int
     end_line: int
@@ -116,8 +116,7 @@ class SourceSpan:
         return f"line {self.line}, col {self.col}"
 
 
-@dataclass(frozen=True)
-class ParseError:
+class ParseError(Record):
     message: str
     span: SourceSpan
 
@@ -138,8 +137,7 @@ class ParseFailure(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(Record):
     kind: str  # "ident" | "int" | "punct" | "eof"
     text: str
     line: int
@@ -335,9 +333,6 @@ _EXPR_TAGS = {
 }
 _SORT_TAGS = {BoolSort: "bool", IntSort: "int", EnumSort: "enum", ListSort: "list"}
 
-_FIELDS = {kind: tuple(f.name for f in fields(kind)) for kind in (*_EXPR_TAGS, *_SORT_TAGS)}
-
-
 def _parse_expr(p: _Parser, level: int = 0) -> Expr:
     """An expression whose operators bind at `level` or tighter, its names
     left for `_resolve` or `apply_rule` to resolve."""
@@ -388,7 +383,7 @@ def _parse_atom(p: _Parser) -> Expr:
         args_t = tuple(p.enclosed("(", ")", lambda: _parse_expr(p)))
         builtin = _BUILTINS.get(name)
         if builtin is not None:
-            arity = len(_FIELDS[builtin])
+            arity = len(builtin._fields)
             if len(args_t) != arity:
                 p.fail(f"{name} takes {arity} argument(s), got {len(args_t)}", name_tok)
             return builtin(*args_t)
@@ -867,7 +862,7 @@ def print_expr(e: Expr) -> str:
     if kind in _UNARY_TEXT:
         return _UNARY_TEXT[kind] + _operand(e.arg, _UNARY, False)
     if kind in _BUILTIN_NAMES:
-        return _call(_BUILTIN_NAMES[kind], [getattr(e, f) for f in _FIELDS[kind]])
+        return _call(_BUILTIN_NAMES[kind], [getattr(e, f) for f in kind._fields])
     if kind is SymApp:
         return _call(e.name, e.args)
     if kind is Lit:
@@ -1098,7 +1093,7 @@ def _to_json(node, key: str, tags: dict) -> dict:
     order, with tuples as lists."""
     kind = type(node)
     doc = {key: tags[kind]}
-    for name in _FIELDS[kind]:
+    for name in kind._fields:
         value = getattr(node, name)
         if type(value) in tags:
             value = _to_json(value, key, tags)
@@ -1114,7 +1109,7 @@ def _from_json(doc: dict, key: str, kinds: dict, what: str):
     if kind is None:
         raise ValueError(f"unknown {what} {doc[key]!r}")
     args = []
-    for name in _FIELDS[kind]:
+    for name in kind._fields:
         value = doc[name]
         if type(value) is dict:
             value = _from_json(value, key, kinds, what)

@@ -5,7 +5,10 @@ from __future__ import annotations
 import ast
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
 import typing
 from pathlib import Path
 
@@ -39,6 +42,19 @@ def test_modules_import_only_names_they_use(path):
         f"{name} (line {line})" for name, line in _imported(tree).items() if name not in used
     )
     assert unused == [], f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def test_importing_the_console_loads_neither_dataclasses_nor_inspect():
+    # Records are declared without generating code, so starting the console
+    # needs neither module; each would cost milliseconds on every call.
+    src = str(PACKAGE.resolve().parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    probe = "import sys, stdrefine.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert proc.stdout == "[]\n"
 
 
 def test_model_does_not_import_the_interpreter():
@@ -180,4 +196,4 @@ def test_every_node_has_a_std1_tag_that_the_schema_knows(union, tags, definition
     branches = _schema_branches(schema["definitions"][definition], key)
     assert set(branches) == set(tags.values())
     for kind, tag in tags.items():
-        assert branches[tag] == set(textlang._FIELDS[kind]), tag
+        assert branches[tag] == set(kind._fields), tag

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import pickle
 import random
 import typing
 
@@ -14,6 +15,7 @@ from oracles import all_configs, oracle_enabled, oracle_reachable
 from stdrefine import (
     Bounds,
     EnvSymDecl,
+    Entry,
     Msg,
     MsgCtor,
     ResourceLimit,
@@ -48,10 +50,13 @@ from stdrefine.model import (
     ListLit,
     ListSort,
     Lit,
+    Name,
     Neg,
     Not,
     ParamRef,
     PrimedRef,
+    Record,
+    SortContext,
     SymApp,
     Tail,
     bind_environment,
@@ -63,10 +68,141 @@ from stdrefine.model import (
     guard_holds,
     message_instances,
     msg_key,
+    replace,
 )
 from stdrefine import model
 
 DOMS = {"Hue": ("red", "green")}
+
+
+# ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+
+def _record_classes(base=Record) -> list[type]:
+    found = []
+    for cls in base.__subclasses__():
+        found += [cls, *_record_classes(cls)]
+    return found
+
+
+#: Every record class of the package (importing `stdrefine` imports them all).
+RECORDS = sorted(_record_classes(), key=lambda cls: f"{cls.__module__}.{cls.__qualname__}")
+
+
+def _sample(cls: type) -> Record:
+    """A record of `cls` whose fields are the integers 0, 1, ..."""
+    return cls(*range(len(cls._fields)))
+
+
+def test_every_value_class_of_the_package_is_a_record():
+    modules = {cls.__module__ for cls in RECORDS}
+    assert modules == {f"stdrefine.{m}" for m in ("model", "interp", "refine", "textlang", "features")}
+    assert len(RECORDS) == 48
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
+def test_a_record_equals_a_record_of_its_class_with_equal_fields(cls):
+    rec = _sample(cls)
+    twin = _sample(cls)
+    assert rec == twin and not rec != twin and hash(rec) == hash(twin)
+    assert rec != tuple(range(len(cls._fields))) and bool(rec)
+    for name in cls._fields:
+        if (cls, name) != (Transition, "span"):
+            assert rec != replace(rec, **{name: 100})
+    assert pickle.loads(pickle.dumps(rec)) == rec
+
+
+def test_records_of_different_classes_with_equal_fields_are_unequal():
+    pairs = [
+        (Not(AttrRef("x")), Neg(AttrRef("x"))),
+        (AttrRef("x"), PrimedRef("x")),
+        (AttrRef("x"), Name("x")),
+        (PrimedRef("x"), Name("x")),
+    ]
+    pairs += [
+        (_sample(c1), _sample(c2))
+        for c1, c2 in itertools.combinations(RECORDS, 2)
+        if len(c1._fields) == len(c2._fields)
+    ]
+    for a, b in pairs:
+        assert a != b and b != a, (a, b)
+        assert not a == b and not b == a, (a, b)
+        assert len({a, b}) == 2, (a, b)
+
+
+def test_transition_equality_and_hash_ignore_the_span():
+    t = Transition("t", "s", "s", "go", (), TRUE, (), TRUE, span=(1, 2))
+    moved = replace(t, span=(5, 6))
+    assert moved == t and not moved != t and hash(moved) == hash(t)
+    assert replace(t, span=None) == t
+    assert replace(t, priority=1) != t and replace(t, label="u") != t
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
+def test_a_record_refuses_attribute_assignment(cls):
+    rec = _sample(cls)
+    for name in (*cls._fields, "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(rec, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(rec, name)
+    assert rec == _sample(cls)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
+def test_replace_changes_only_the_named_fields(cls):
+    rec = _sample(cls)
+    for i, name in enumerate(cls._fields):
+        changed = replace(rec, **{name: 100 + i})
+        assert type(changed) is cls
+        assert [getattr(changed, n) for n in cls._fields] == [
+            100 + i if n == name else j for j, n in enumerate(cls._fields)
+        ]
+    assert replace(rec) == rec
+    with pytest.raises(TypeError, match="not_a_field"):
+        replace(rec, not_a_field=1)
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
+def test_a_record_repr_has_the_dataclass_format(cls):
+    fields = ", ".join(f"{name}={i}" for i, name in enumerate(cls._fields))
+    assert repr(_sample(cls)) == f"{cls.__qualname__}({fields})"
+
+
+def test_record_reprs_read_as_before():
+    assert repr(Msg("go")) == "Msg(ctor='go', args=())"
+    assert repr(Not(AttrRef("x"))) == "Not(arg=AttrRef(name='x'))"
+    assert repr(ElseGuard()) == "ElseGuard()"
+    assert repr(Bounds()) == "Bounds(max_input_len=4, eps_budget=4, output_cap=16, state_cap=None)"
+    assert repr(Transition("t", "s", "s", None, (), TRUE, (), TRUE)) == (
+        "Transition(label='t', source='s', target='s', trigger=None, params=(), "
+        "guard=Lit(value=True), outputs=(), post=Lit(value=True), priority=None, span=None)"
+    )
+
+
+def test_bounds_reject_negative_values():
+    for bad in ((-1,), (4, -1), (4, 4, -1), (4, 4, 16, -1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            Bounds(*bad)
+    with pytest.raises(ValueError, match="non-negative"):
+        replace(Bounds(), eps_budget=-1)
+
+
+def test_keyword_construction_fills_defaults():
+    assert Entry(chaos=True) == Entry(True, frozenset(), frozenset(), False)
+    assert Msg("go") == Msg("go", ()) == Msg(ctor="go") == Msg(args=(), ctor="go")
+    assert Bounds(eps_budget=1) == Bounds(4, 1, 16, None)
+    assert SortContext({}, {}, {}).params == {}
+    with pytest.raises(TypeError, match="missing field 'ctor'"):
+        Msg()
+    with pytest.raises(TypeError, match="unexpected field"):
+        Msg("go", colour="red")
+    with pytest.raises(TypeError, match="unexpected field"):
+        Msg("go", ctor="stop")
+    with pytest.raises(TypeError, match="takes 2 fields"):
+        Msg("go", (), 3)
 
 
 # ---------------------------------------------------------------------------

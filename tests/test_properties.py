@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import replace
 
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -65,6 +64,7 @@ from stdrefine.model import (
     TRUE,
     Tail,
     message_instances,
+    replace,
 )
 from stdrefine.textlang import expr_from_json, expr_to_json, print_expr
 

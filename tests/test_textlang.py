@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import replace
 from importlib import resources
 
 import jsonschema
@@ -44,6 +43,7 @@ from stdrefine.model import (
     PrimedRef,
     SymApp,
     name_scope,
+    replace,
     resolve_transition,
 )
 from stdrefine.refine import AddStates, AddTransitions
