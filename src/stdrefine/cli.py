@@ -26,9 +26,8 @@ from .interp import (
     Bounds,
     ResourceLimit,
     dump_json,
-    format_outputs,
     format_sequence,
-    outputs_key,
+    seq_key,
     simulate_prefixes,
     traceset_to_json,
     verdict_to_json,
@@ -196,11 +195,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
     else:
         lines.append(f"  outputs ({len(entry.outputs)}):")
-        for o in sorted(entry.outputs, key=outputs_key):
-            lines.append(f"    {format_outputs(o)}")
-        for o in sorted(entry.divergent, key=outputs_key):
+        for o in sorted(entry.outputs, key=seq_key):
+            lines.append(f"    {format_sequence(o)}")
+        for o in sorted(entry.divergent, key=seq_key):
             lines.append(
-                f"    {format_outputs(o)} (diverged: internal-step budget exhausted)"
+                f"    {format_sequence(o)} (diverged: internal-step budget exhausted)"
             )
         if entry.capped:
             lines.append(

@@ -22,15 +22,6 @@ produce.  The single-message building block is `step`:
   inherited verbatim by every extension (the branch makes no further progress
   inside the bound).  Divergence is deliberately not chaos.
 
-* A step depends only on what its configuration's control state reads: the
-  state and the attributes that the guards, output arguments and
-  postconditions of the transitions leaving it read unprimed, and the class
-  of the message there.  `Machine` keys its step memo by exactly that
-  (`TransitionIndex.key` and `message_class`), which is exact because a
-  step's result mentions neither its start configuration nor its message
-  and there is no frame rule: a primed attribute a postcondition leaves
-  unconstrained ranges over its whole sort, whatever its old value.
-
 One breadth-first builder steps the branches of each recorded sequence:
 `machine_traces` extends every sequence with every input up to the length
 bound, and `simulate_prefixes` follows one input sequence.  It asks `step`
@@ -46,22 +37,31 @@ from __future__ import annotations
 import itertools
 import json
 from functools import cached_property
+from operator import itemgetter
 from typing import Optional
 
 from .model import (
+    BinOp,
     Configuration,
-    EnabledTransition,
     Environment,
+    Expr,
     Msg,
+    PrimedRef,
     Record,
     Std,
-    TransitionIndex,
+    Transition,
+    Undefined,
     Value,
     bind_environment,
+    config_key,
     desugar,
-    initial_configurations,
+    enumerate_sort,
+    eval_expr,
+    guard_holds,
+    has_primed,
     message_instances,
     msg_key,
+    reads,
 )
 
 
@@ -119,108 +119,267 @@ class StepResult(Record):
     touched: frozenset[Configuration]
 
 
-def outputs_key(outs: Outputs):
-    return (len(outs), tuple(msg_key(m) for m in outs))
-
-
-def _sorted_outputs(outs) -> list[Outputs]:
-    return sorted(outs, key=outputs_key)
-
-
 def is_prefix(short: Outputs, long: Outputs) -> bool:
     return len(short) <= len(long) and long[: len(short)] == short
 
 
+class EnabledTransition(Record):
+    """One enabled transition at a configuration under a trigger: the bound
+    parameters plus the set of (output sequence, successor) reactions the
+    relational postcondition admits."""
+
+    transition: Transition
+    binding: tuple[tuple[str, Value], ...]
+    reactions: frozenset[tuple[Outputs, Configuration]]
+
+
+def _outputs_of(t: Transition, valuation: dict, tables: dict, params: dict) -> Outputs | None:
+    """Evaluate the output expressions; None if any piece is Undefined."""
+    msgs: list[Msg] = []
+    for oname, oargs in t.outputs:
+        vals = []
+        for a in oargs:
+            v = eval_expr(a, valuation, tables, params=params)
+            if v is Undefined:
+                return None
+            vals.append(v)
+        msgs.append(Msg(oname, tuple(vals)))
+    return tuple(msgs)
+
+
+def _pins(post: Expr, attributes: tuple[str, ...], primed: int):
+    """The pins of a postcondition: each conjunct ``x' == e`` or ``e == x'``
+    of its top-level ``and`` chain, with x an attribute and e free of primed
+    references, as an (x, e) pair; and whether every conjunct is a pin of a
+    different attribute.  `primed` counts the primed references in `post`:
+    when each is the x' of a conjunct, no e has one, and none is walked."""
+    pins: list[tuple[str, Expr]] = []
+    conjuncts = 0
+    todo = [post]
+    while todo:
+        e = todo.pop()
+        if isinstance(e, BinOp) and e.op == "and":
+            todo += (e.left, e.right)
+            continue
+        conjuncts += 1
+        if not isinstance(e, BinOp) or e.op != "eq":
+            continue
+        for lhs, rhs in ((e.left, e.right), (e.right, e.left)):
+            if isinstance(lhs, PrimedRef) and lhs.name in attributes:
+                pins.append((lhs.name, rhs))
+                break
+    if len(pins) != primed:
+        pins = [(x, e) for x, e in pins if not has_primed(e)]
+    return tuple(pins), len(pins) == conjuncts == len({x for x, _ in pins})
+
+
 class Machine:
-    """A diagram bound to an environment, with memoized single-message steps.
+    """A diagram bound to an environment: the one exploration engine, which
+    decides what a configuration enables and what a message does from it.
 
-    This is the one place a diagram meets its environment: the diagram is
-    desugared (`std`), the environment bound against it (`tables`, or
-    `ValueError` when it does not fit) and its input alphabet listed in
-    `msg_key` order (`inputs`); its initial configurations in `config_key`
-    order (`initial`) and its transition index (`index`) are built on first
-    use.  `enabled` is the one enabledness question: `step` and the rule side
-    conditions ask it, and it asks `index`.
+    The diagram is desugared (`std`), the environment bound against it
+    (`tables`, or `ValueError` when it does not fit) and its input alphabet
+    listed in `msg_key` order (`inputs`); `initial`, in `config_key` order,
+    is built on first use.  What does not depend on the configuration is
+    indexed once: the transitions per (source, trigger constructor or None
+    for eps) in declaration order, with their pins (see `_pins`); the sorted
+    attribute names with their pools of values; and, per control state, the
+    attributes and trigger arguments its outgoing transitions read.
 
-    Every memo is keyed by what a configuration's control state reads,
-    `TransitionIndex.key`: the state and the values of the attributes its
-    outgoing transitions read unprimed, not the whole valuation.  This is
-    exact.  A `StepResult` never mentions the configuration it starts from,
-    and there is no frame rule (a primed attribute a postcondition leaves
-    unconstrained ranges over its whole sort), so two configurations that
-    agree on what their state reads have the same reactions, divergent
-    outputs, chaos flag and touched set.  Nor does it mention the message,
-    which only `enabled` reads, through its class at the start state
-    (`TransitionIndex.message_class`).  So `step` keeps its result per (key,
-    class), explored with the first message of the class it is asked, and
-    one exploration its outcomes per (key, allowance).
-    `enabled`, which depends on neither the remaining internal-step allowance
-    nor (for eps) the pending message, keeps its answers per (key, trigger),
-    with None for eps, for the machine's lifetime: each such question goes to
-    `index` once.  In front of `step`, `row` keeps one list per key, aligned
-    with `inputs`, whose cell i `fill` sets to the step of `inputs[i]`: the
-    trace builder and reachability index a row instead of asking `step`.
+    Every memo is keyed by `key`, what a configuration's control state reads:
+    the state and the values of the attributes that a guard, an output
+    argument or a postcondition (table-lookup arguments and pin right-hand
+    sides included) of a transition leaving it reads unprimed, not the whole
+    valuation.  This is exact.  Neither an enabled transition nor a
+    `StepResult` mentions the configuration it starts from, and there is no
+    frame rule (a primed attribute that a postcondition leaves unconstrained
+    ranges over its whole sort), so configurations with one key enable the
+    same transitions with the same reactions and have the same steps.  Nor
+    does a step mention its message, which only `enabled` reads, through the
+    arguments that the transitions it triggers from the eps closure of the
+    start state read.
+
+    `enabled` keeps its answers per (key, trigger), with None for eps, so each
+    question goes to `_find_enabled` once.  `row` keeps one step row per key,
+    aligned with `inputs`: cell i is the step of `inputs[i]` once `step` has
+    filled it, and callers ask `step` only for an empty cell.  `step` shares
+    one exploration between the inputs a state cannot tell apart, and an
+    exploration its outcomes per (key, remaining internal-step allowance).
     """
 
     def __init__(self, std: Std, env: Environment, bounds: Bounds = DEFAULT_BOUNDS) -> None:
-        self.std = desugar(std)
+        self.std = std = desugar(std)
         self.bounds = bounds
-        tables, problems = bind_environment(self.std, env)
+        tables, problems = bind_environment(std, env)
         if problems:
             raise ValueError("environment does not fit the diagram: " + "; ".join(problems))
         self.tables = tables
-        self.inputs: tuple[Msg, ...] = tuple(
-            message_instances(self.std.signature.inputs, self.std.domain_map())
-        )
-        self._step_memo: dict[tuple[tuple, tuple | None], StepResult] = {}
+        domains, sorts = std.domain_map(), std.attr_map()
+        self.inputs = tuple(message_instances(std.signature.inputs, domains))
+        self._position = {m: i for i, m in enumerate(self.inputs)}
+        # Sorted, so that a combination of pool values zips straight into a
+        # `Configuration` valuation.
+        self._names = tuple(sorted(n for n, _ in std.attributes))
+        self._pools = tuple(enumerate_sort(sorts[n], domains) for n in self._names)
+        position = {n: i for i, n in enumerate(self._names)}
+        self._groups: dict[tuple[str, str | None], list[tuple[Transition, tuple, tuple, bool]]] = {}
+        self._arg_reads: dict[tuple[str, str], set[int]] = {}
+        state_reads: dict[str, set[int]] = {}
+        for t in std.transitions:
+            attrs, params, primed = reads(t.guard, *(a for _, xs in t.outputs for a in xs), t.post)
+            pins, solved = _pins(t.post, self._names, primed)
+            pins = tuple((position[n], e) for n, e in pins)
+            self._groups.setdefault((t.source, t.trigger), []).append((t, t.params, pins, solved))
+            if t.trigger is not None:
+                self._arg_reads.setdefault((t.source, t.trigger), set()).update(
+                    i for i, p in enumerate(t.params) if p in params
+                )
+            state_reads.setdefault(t.source, set()).update(position[n] for n in attrs)
+        # Positions in `_names`, which is also the order of `Configuration.valuation`.
+        self._project = {s: itemgetter(*sorted(r)) for s, r in state_reads.items() if r}
+        self._first: dict[str, list[int]] = {}
         self._enabled: dict[tuple[tuple, Msg | None], list[EnabledTransition]] = {}
         self._rows: dict[tuple, list[StepResult | None]] = {}
 
     @cached_property
     def initial(self) -> tuple[Configuration, ...]:
-        return tuple(initial_configurations(self.std, self.tables))
+        """The configurations the initial markings admit, in `config_key` order."""
+        valuations = [tuple(zip(self._names, combo)) for combo in itertools.product(*self._pools)]
+        configs = {
+            Configuration(state, valuation)
+            for state, pred in self.std.initial
+            for valuation in valuations
+            if guard_holds(pred, dict(valuation), self.tables)
+        }
+        return tuple(sorted(configs, key=config_key))
 
-    @cached_property
-    def index(self) -> TransitionIndex:
-        return TransitionIndex(self.std, self.tables)
+    def key(self, config: Configuration) -> tuple:
+        """The state of `config` and the values it reads (one value bare)."""
+        control = config.control
+        project = self._project.get(control)
+        return (control, project(config.valuation) if project else ())
 
     def enabled(self, config: Configuration, trigger: Msg | None) -> list[EnabledTransition]:
-        """`index.enabled(config, trigger)`, asked once per (`index.key`,
-        trigger) for the machine's lifetime."""
-        return self._ask(self.index.key(config), config, trigger)
+        """`_find_enabled(config, trigger)`, asked once per (`key`, trigger)
+        for the machine's lifetime."""
+        return self._ask(self.key(config), config, trigger)
 
-    def _ask(
-        self, read: tuple, config: Configuration, trigger: Msg | None
-    ) -> list[EnabledTransition]:
-        """`enabled` for a `config` whose `index.key` is `read`."""
+    def _ask(self, read: tuple, config: Configuration, trigger: Msg | None) -> list[EnabledTransition]:
+        """`enabled` for a `config` whose `key` is `read`."""
         hit = self._enabled.get((read, trigger))
         if hit is None:
-            hit = self._enabled[(read, trigger)] = self.index.enabled(config, trigger)
+            hit = self._enabled[(read, trigger)] = self._find_enabled(config, trigger)
         return hit
+
+    def _find_enabled(self, config: Configuration, trigger: Msg | None) -> list[EnabledTransition]:
+        """The transitions productively enabled at `config` for `trigger` (a
+        ground input message, or None for eps), with their reactions, in
+        declaration order.
+
+        A transition's guard and each candidate's postcondition are tested
+        with `guard_holds`, which stops at the first conjunct that is not
+        True; output arguments and pin right-hand sides are values, taken with
+        `eval_expr`.  A transition contributes one reaction per primed
+        valuation satisfying its postcondition; an unsatisfiable
+        postcondition, or an Undefined output, contributes nothing.  Pinned
+        attributes are solved rather than enumerated: a top-level conjunct
+        ``x' == e`` (or ``e == x'``) whose ``e`` mentions no primed attribute
+        admits only the values of x's sort that equal e's value (each one's,
+        when pinned twice), and none at all when e is Undefined.  Unpinned
+        attributes range over their whole sort, and every candidate is still
+        checked against the full postcondition, so the reactions are exactly
+        those of enumerating every primed valuation.  A postcondition that is
+        exactly its pins is not checked: the pools were narrowed with the
+        ``==`` its conjuncts evaluate, so every candidate satisfies it."""
+        group = self._groups.get((config.control, None if trigger is None else trigger.ctor))
+        if not group:
+            return []
+        tables = self.tables
+        names = self._names
+        valuation = config.value_map()
+        args = None if trigger is None else trigger.args
+        out: list[EnabledTransition] = []
+        for t, tparams, pins, solved in group:
+            if args is None:
+                params: dict[str, Value] = {}
+            elif len(tparams) != len(args):
+                continue
+            else:
+                params = dict(zip(tparams, args))
+            if not guard_holds(t.guard, valuation, tables, params):
+                continue
+            outputs = _outputs_of(t, valuation, tables, params)
+            if outputs is None:
+                continue
+            pools = list(self._pools)
+            for i, rhs in pins:
+                v = eval_expr(rhs, valuation, tables, params=params)
+                if v is Undefined:  # so is the postcondition
+                    break
+                pools[i] = [u for u in pools[i] if u == v]
+            else:
+                post, target = t.post, t.target
+                reactions = set()
+                for combo in itertools.product(*pools):
+                    primed = tuple(zip(names, combo))
+                    if solved or guard_holds(post, valuation, tables, params, dict(primed)):
+                        reactions.add((outputs, Configuration(target, primed)))
+                if reactions:
+                    out.append(EnabledTransition(t, tuple(sorted(params.items())), frozenset(reactions)))
+        return out
 
     def row(self, config: Configuration) -> list[StepResult | None]:
         """The step row of `config`'s key: cell i is None until filled."""
-        key = self.index.key(config)
+        key = self.key(config)
         row = self._rows.get(key)
         if row is None:
             row = self._rows[key] = [None] * len(self.inputs)
         return row
 
-    def fill(self, row: list[StepResult | None], config: Configuration, i: int) -> StepResult:
-        """Sets cell i of `config`'s `row` to `step(config, inputs[i])`."""
-        res = row[i] = self.step(config, self.inputs[i])
+    def step(self, config: Configuration, message: Msg) -> StepResult:
+        """What `message`, one of `inputs`, does from `config`: its cell of
+        `config`'s row, filled on first use with the step of the first input
+        that the state cannot tell apart from it (see `_first_alike`)."""
+        row = self.row(config)
+        i = self._position[message]
+        res = row[i]
+        if res is None:
+            first = self._first.get(config.control)
+            if first is None:
+                first = self._first[config.control] = self._first_alike(config.control)
+            j = first[i]
+            res = row[j]
+            if res is None:
+                res = row[j] = self._explore(config, self.inputs[j])
+            row[i] = res
         return res
 
-    def step(self, config: Configuration, message: Msg) -> StepResult:
-        key = (self.index.key(config), self.index.message_class(config.control, message))
-        hit = self._step_memo.get(key)
-        if hit is None:
-            hit = self._step_memo[key] = self._explore(config, message)
-        return hit
+    def _first_alike(self, control: str) -> list[int]:
+        """For each input position, the first position that a step from
+        `control` cannot tell apart from it: the same constructor and the
+        same arguments where a transition it triggers from the eps closure of
+        `control` (guards ignored) reads one, or any constructor that no such
+        transition handles."""
+        closure, todo = set(), [control]
+        while todo:
+            if (state := todo.pop()) not in closure:
+                closure.add(state)
+                todo += (t.target for t, *_ in self._groups.get((state, None), ()))
+        read: dict[str, set[int]] = {}
+        for (source, ctor), args in self._arg_reads.items():
+            if source in closure:
+                read.setdefault(ctor, set()).update(args)
+        first: dict[tuple | None, int] = {}
+        alike = []
+        for i, m in enumerate(self.inputs):
+            r = read.get(m.ctor)
+            cls = None if r is None else (m.ctor, tuple(m.args[a] for a in sorted(r)))
+            alike.append(first.setdefault(cls, i))
+        return alike
 
     def _explore(self, config: Configuration, message: Msg) -> StepResult:
         touched: set[Configuration] = set()
-        state_key = self.index.key
+        state_key = self.key
         ask = self._ask
 
         # outcomes relative to a pending-message configuration, keyed by what
@@ -324,12 +483,9 @@ class TraceSet(Record):
 
 
 def seq_key(seq: tuple[Msg, ...]):
-    """The canonical order of input sequences: length, then `msg_key` order."""
+    """The canonical order of message sequences, input or output: length,
+    then `msg_key` order."""
     return (len(seq), tuple(msg_key(m) for m in seq))
-
-
-def format_outputs(outs: Outputs) -> str:
-    return "[" + ", ".join(str(m) for m in outs) + "]"
 
 
 def format_sequence(seq: tuple[Msg, ...]) -> str:
@@ -369,7 +525,7 @@ def reachable_configurations(machine: Machine) -> set[Configuration]:
         config = todo.pop()
         row = machine.row(config)
         for i, res in enumerate(row):
-            for succ in (res or machine.fill(row, config, i)).touched:
+            for succ in (res or machine.step(config, machine.inputs[i])).touched:
                 if succ not in reached:
                     reached.add(succ)
                     todo.append(succ)
@@ -429,7 +585,7 @@ def _build(machine: Machine, children) -> TraceSet:
     A node carries its branches (configuration, accumulated outputs) and the
     divergent outputs it inherits.  It fetches one step row per branch
     (`Machine.row`) and each child indexes it, so a (read key, input) pair is
-    asked of `Machine.step` once per machine.  A child where some branch is
+    asked of `Machine.step` at most once per machine.  A child where some branch is
     chaotic is recorded as `CHAOS_ENTRY` and not expanded; nothing is
     allocated for it, and what its other branches touched is dropped.
     """
@@ -463,7 +619,7 @@ def _build(machine: Machine, children) -> TraceSet:
             for i in positions:
                 child_seq = seq + (inputs[i],)
                 for row, cfg, _ in rows:
-                    if (row[i] or machine.fill(row, cfg, i)).chaotic:
+                    if (row[i] or machine.step(cfg, inputs[i])).chaotic:
                         entries[child_seq] = CHAOS_ENTRY
                         break
                 else:  # no branch was chaotic
@@ -549,7 +705,7 @@ class Verdict(Record):
             if w.extension is not None:
                 lines.append(f"  extended input: {format_sequence(w.extension)}")
             if w.output is not None:
-                lines.append(f"  output: {format_outputs(w.output)}")
+                lines.append(f"  output: {format_sequence(w.output)}")
             if w.note:
                 lines.append(f"  {w.note}")
         return "\n".join(lines)
@@ -589,7 +745,7 @@ def check_monotone(ts: TraceSet) -> Verdict:
                     bounds=ts.bounds,
                     witness=Witness(
                         input=pre,
-                        output=min(lost, key=outputs_key),
+                        output=min(lost, key=seq_key),
                         extension=seq,
                         note="no output at the longer input extends this one",
                     ),
@@ -613,7 +769,7 @@ def msg_to_json(m: Msg) -> dict:
 
 
 def _outputs_to_json(outs) -> list:
-    return [[msg_to_json(m) for m in o] for o in _sorted_outputs(outs)]
+    return [[msg_to_json(m) for m in o] for o in sorted(outs, key=seq_key)]
 
 
 def traceset_to_json(ts: TraceSet) -> dict:

@@ -1269,225 +1269,3 @@ def desugar(std: Std) -> Std:
             new_transitions[i] = replace(t, guard=guard, priority=None)
 
     return replace(std, transitions=tuple(new_transitions))
-
-
-# ---------------------------------------------------------------------------
-# Enabled transitions
-# ---------------------------------------------------------------------------
-
-
-class EnabledTransition(Record):
-    """One enabled transition at a configuration under a trigger: the bound
-    parameters plus the set of (output sequence, successor) reactions the
-    relational postcondition admits."""
-
-    transition: Transition
-    binding: tuple[tuple[str, Value], ...]
-    reactions: frozenset[tuple[tuple[Msg, ...], Configuration]]
-
-
-def _outputs_of(
-    t: Transition,
-    valuation: dict[str, Value],
-    tables: dict[str, dict[tuple[Value, ...], Value]],
-    params: dict[str, Value],
-):
-    """Evaluate the output expressions; None if any piece is Undefined."""
-    msgs: list[Msg] = []
-    for oname, oargs in t.outputs:
-        vals = []
-        for a in oargs:
-            v = eval_expr(a, valuation, tables, params=params)
-            if v is Undefined:
-                return None
-            vals.append(v)
-        msgs.append(Msg(oname, tuple(vals)))
-    return tuple(msgs)
-
-
-def _pins(post: Expr, attributes: tuple[str, ...], primed: int):
-    """The pins of a postcondition: each conjunct ``x' == e`` or ``e == x'``
-    of its top-level ``and`` chain, with x an attribute and e free of primed
-    references, as an (x, e) pair; and whether every conjunct is a pin of a
-    different attribute.  `primed` counts the primed references in `post`:
-    when each is the x' of a conjunct, no e has one, and none is walked."""
-    pins: list[tuple[str, Expr]] = []
-    conjuncts = 0
-    todo = [post]
-    while todo:
-        e = todo.pop()
-        if isinstance(e, BinOp) and e.op == "and":
-            todo += (e.left, e.right)
-            continue
-        conjuncts += 1
-        if not isinstance(e, BinOp) or e.op != "eq":
-            continue
-        for lhs, rhs in ((e.left, e.right), (e.right, e.left)):
-            if isinstance(lhs, PrimedRef) and lhs.name in attributes:
-                pins.append((lhs.name, rhs))
-                break
-    if len(pins) != primed:
-        pins = [(x, e) for x, e in pins if not has_primed(e)]
-    return tuple(pins), len(pins) == conjuncts == len({x for x, _ in pins})
-
-
-class TransitionIndex:
-    """The transitions of one desugared diagram, indexed once for `enabled`.
-
-    Built from a desugared `Std` and the tables `bind_environment` bound for
-    it; neither may change afterwards.  What does not depend on the
-    configuration is computed here, once: the transitions grouped by (source,
-    trigger constructor, or None for eps) in declaration order, so `enabled`
-    lists them in the order of `std.transitions`; each transition's pins and
-    whether its postcondition is exactly them (see `_pins`), and the positions
-    of the trigger's arguments it reads (see `message_class`); the attribute names with each attribute's pool of
-    values; and, per control state, the attributes its outgoing transitions
-    read (see `key`).  `enabled` then does only the per-configuration work.
-    """
-
-    def __init__(self, std: Std, tables: dict[str, dict[tuple[Value, ...], Value]]) -> None:
-        self.tables = tables
-        # Sorted, so that a combination of pool values zips straight into a
-        # `Configuration` valuation.
-        self.names = tuple(sorted(n for n, _ in std.attributes))
-        domains = std.domain_map()
-        sorts = std.attr_map()
-        self.pools = tuple(enumerate_sort(sorts[n], domains) for n in self.names)
-        position = {n: i for i, n in enumerate(self.names)}
-        self._groups: dict[tuple[str, Optional[str]], list[tuple[Transition, tuple, tuple, bool]]] = {}
-        state_reads: dict[str, set[int]] = {}
-        for t in std.transitions:
-            attrs, params, primed = reads(t.guard, *(a for _, xs in t.outputs for a in xs), t.post)
-            pins, solved = _pins(t.post, self.names, primed)
-            pins = tuple((position[n], e) for n, e in pins)
-            args = tuple(i for i, p in enumerate(t.params) if p in params) if params else ()
-            self._groups.setdefault((t.source, t.trigger), []).append((t, pins, args, solved))
-            state_reads.setdefault(t.source, set()).update(position[n] for n in attrs)
-        # Positions in `names`, which is also the order of `Configuration.valuation`.
-        self.reads = {s: tuple(sorted(r)) for s, r in state_reads.items()}
-        self._project = {s: itemgetter(*r) for s, r in self.reads.items() if r}
-        self._classes: dict[str, dict[str, Callable]] = {}
-
-    def key(self, config: Configuration) -> tuple:
-        """What `enabled` reads of `config`: its control state and the
-        (attribute, value) pairs of its valuation at `reads[control]` (one
-        pair bare), the attributes that a guard, an output argument or a
-        postcondition (pin right-hand sides and table-lookup arguments
-        included) of a transition leaving that state reads unprimed.  Two
-        configurations with one key have the same enabled transitions under
-        every trigger, with the same reactions: a reaction never mentions the
-        configuration it starts from, and a primed attribute the
-        postcondition leaves unconstrained ranges over its whole sort."""
-        project = self._project.get(config.control)
-        return (config.control, project(config.valuation) if project else ())
-
-    def message_class(self, control: str, message: Msg) -> tuple | None:
-        """What a step from a configuration at `control` reads of `message`:
-        None when no transition leaving the eps closure of `control` (the
-        states its eps transitions reach, guards ignored, and itself) has its
-        constructor as trigger, else that constructor and the arguments such
-        transitions read; a pending message is read only by `enabled`, only
-        there and only through these.  Tables are built on demand."""
-        table = self._classes.get(control)
-        if table is None:
-            closure, todo = set(), [control]
-            while todo:
-                if (state := todo.pop()) not in closure:
-                    closure.add(state)
-                    todo += (t.target for t, *_ in self._groups.get((state, None), ()))
-            read: dict[str, set[int]] = {}
-            for (source, ctor), group in self._groups.items():
-                if ctor is not None and source in closure:
-                    read.setdefault(ctor, set()).update(i for _, _, args, _ in group for i in args)
-            table = self._classes[control] = {
-                c: itemgetter(*sorted(r)) if r else (lambda args: ()) for c, r in read.items()
-            }
-        project = table.get(message.ctor)
-        return None if project is None else (message.ctor, project(message.args))
-
-    def enabled(self, config: Configuration, trigger: Msg | None) -> list[EnabledTransition]:
-        """The transitions productively enabled at `config` for `trigger` (a
-        ground input message, or None for eps), with their reactions, in
-        declaration order.
-
-        A transition's guard and each candidate's postcondition are tested
-        with `guard_holds`, which stops at the first conjunct that is not
-        True; output arguments and pin right-hand sides are values, taken with
-        `eval_expr`.  A transition contributes one reaction per primed
-        valuation satisfying its postcondition; an unsatisfiable
-        postcondition, or an Undefined output, contributes nothing.  Pinned
-        attributes are solved rather than enumerated (see `_solve`): a
-        top-level conjunct ``x' == e`` (or ``e == x'``) whose ``e`` mentions no
-        primed attribute admits only the values of x's sort that equal e's
-        value, and none at all when e is Undefined.  Unpinned attributes range
-        over their whole sort, and every candidate is still checked against
-        the full postcondition, so the reactions are exactly those of
-        enumerating every primed valuation.  A postcondition that is exactly
-        its pins is not checked: the pools were narrowed with the ``==`` its
-        conjuncts evaluate, so every candidate satisfies it."""
-        group = self._groups.get((config.control, None if trigger is None else trigger.ctor))
-        if not group:
-            return []
-        tables = self.tables
-        names = self.names
-        valuation = config.value_map()
-        out: list[EnabledTransition] = []
-        for t, pins, _, solved in group:
-            if trigger is None:
-                params: dict[str, Value] = {}
-            elif len(t.params) != len(trigger.args):
-                continue
-            else:
-                params = dict(zip(t.params, trigger.args))
-            if not guard_holds(t.guard, valuation, tables, params):
-                continue
-            outputs = _outputs_of(t, valuation, tables, params)
-            if outputs is None:
-                continue
-            pools = self._solve(pins, valuation, params)
-            if pools is None:
-                continue
-            reactions = set()
-            for combo in itertools.product(*pools):
-                primed = tuple(zip(names, combo))
-                if solved or guard_holds(t.post, valuation, tables, params, dict(primed)):
-                    reactions.add((outputs, Configuration(t.target, primed)))
-            if reactions:
-                out.append(EnabledTransition(t, tuple(sorted(params.items())), frozenset(reactions)))
-        return out
-
-    def _solve(
-        self,
-        pins: tuple[tuple[int, Expr], ...],
-        valuation: dict[str, Value],
-        params: dict[str, Value],
-    ) -> list[list[Value]] | None:
-        """The pools narrowed by `pins`: a pinned attribute keeps the values
-        ``==`` to its pin's value (to each one, when pinned twice).  None when
-        some pin is Undefined, which makes the postcondition Undefined."""
-        pools = list(self.pools)
-        for i, rhs in pins:
-            v = eval_expr(rhs, valuation, self.tables, params=params)
-            if v is Undefined:
-                return None
-            pools[i] = [u for u in pools[i] if u == v]
-        return pools
-
-
-# ---------------------------------------------------------------------------
-# Initial configurations
-# ---------------------------------------------------------------------------
-
-
-def initial_configurations(
-    std: Std, tables: dict[str, dict[tuple[Value, ...], Value]]
-) -> list[Configuration]:
-    """The configurations the initial markings of `std` admit under the bound
-    `tables`, in `config_key` order."""
-    domains = std.domain_map()
-    configs: list[Configuration] = []
-    for state, pred in std.initial:
-        for valu in enumerate_valuations(std.attributes, domains):
-            if guard_holds(pred, valu, tables):
-                configs.append(make_config(state, valu))
-    return sorted(set(configs), key=config_key)

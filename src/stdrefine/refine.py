@@ -79,8 +79,8 @@ from .interp import (
     TraceSet,
     Verdict,
     Witness,
-    outputs_key,
     reachable_configurations,
+    seq_key,
     traces,
 )
 
@@ -596,7 +596,7 @@ def trace_inclusion(ts_abstract: TraceSet, ts_concrete: TraceSet) -> Verdict:
     bounds = ts_abstract.bounds
 
     def fail(seq, note: str, extra=None) -> Verdict:
-        output = None if extra is None else min(extra, key=outputs_key)
+        output = None if extra is None else min(extra, key=seq_key)
         return Verdict(ok=False, kind="refinement", bounds=bounds,
                        witness=Witness(input=seq, output=output, note=note))
 
@@ -643,7 +643,7 @@ def trace_equivalence(ts_a: TraceSet, ts_b: TraceSet) -> Verdict:
                 ok=False, kind="trace-equivalence", bounds=bounds,
                 witness=Witness(
                     input=seq,
-                    output=min(a.all_outputs() ^ b.all_outputs(), key=outputs_key, default=None),
+                    output=min(a.all_outputs() ^ b.all_outputs(), key=seq_key, default=None),
                     note="entries differ at this input",
                 ),
             )

@@ -417,12 +417,12 @@ def _parse_signed_int(p: _Parser) -> int:
     return p.expect_int()
 
 
-def _parse_sort(
-    p: _Parser,
-    domains: frozenset[str],
-    default_int: tuple[int, int],
-    default_list_len: int,
-) -> Sort:
+#: The bounds of a bare ``Int`` and the length of a bare ``[SORT]``.
+_DEFAULT_INT = (0, 3)
+_DEFAULT_LIST_LEN = 3
+
+
+def _parse_sort(p: _Parser, domains: frozenset[str]) -> Sort:
     if p.at("Bool"):
         p.take()
         return BoolSort()
@@ -433,15 +433,15 @@ def _parse_sort(
             p.expect("..")
             hi = _parse_signed_int(p)
         else:
-            lo, hi = default_int
+            lo, hi = _DEFAULT_INT
         if lo > hi:
             p.fail(f"empty integer range {lo}..{hi}")
         return IntSort(lo, hi)
     if p.at("["):
         p.take()
-        elem = _parse_sort(p, domains, default_int, default_list_len)
+        elem = _parse_sort(p, domains)
         p.expect("]")
-        length = default_list_len
+        length = _DEFAULT_LIST_LEN
         if p.at("^"):
             p.take()
             length = p.expect_int()
@@ -523,14 +523,10 @@ def _parse_transition(p: _Parser) -> Transition:
 # ---------------------------------------------------------------------------
 
 
-def parse_std(
-    text: str,
-    default_int: tuple[int, int] = (0, 3),
-    default_list_len: int = 3,
-) -> Std:
+def parse_std(text: str) -> Std:
     """Parse a machine and validate it; raises ParseFailure with located
-    diagnostics on any syntax or well-formedness problem.  `default_int` and
-    `default_list_len` fill in bare ``Int`` and ``[SORT]`` sorts."""
+    diagnostics on any syntax or well-formedness problem.  A bare ``Int`` is
+    ``Int 0..3`` and a bare ``[SORT]`` is ``[SORT]^3``."""
     p = _Parser(text)
     std_tok = p.peek()
     p.expect("std", "'std'")
@@ -544,7 +540,7 @@ def parse_std(
     domain_set = frozenset(domains)
 
     def sort() -> Sort:
-        return _parse_sort(p, domain_set, default_int, default_list_len)
+        return _parse_sort(p, domain_set)
 
     uses: list[tuple[str, EnvSymDecl]] = []
     if p.at("uses"):

@@ -76,17 +76,18 @@ def test_model_does_not_import_the_interpreter():
     assert offending == [], f"model.py imports the interpreter at lines {offending}"
 
 
-def test_only_the_interpreter_builds_a_transition_index():
-    # `Machine` is the one place a diagram meets its environment; everything
-    # else asks a machine's `enabled` instead of indexing a diagram itself.
+def test_only_the_interpreter_constructs_enabled_transitions_and_step_results():
+    # `Machine` is the one exploration engine; everything else asks a
+    # machine's `enabled` and `step` instead of deciding them itself.
     offending = [
         f"{path.name}:{node.lineno}"
         for path in MODULES
         if path.name != "interp.py"
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Call) and _called_name(node) == "TransitionIndex"
+        if isinstance(node, ast.Call)
+        and _called_name(node) in {"EnabledTransition", "StepResult"}
     ]
-    assert offending == [], f"TransitionIndex built outside interp.py: {', '.join(offending)}"
+    assert offending == [], f"built outside interp.py: {', '.join(offending)}"
 
 
 def _called_name(node: ast.Call):

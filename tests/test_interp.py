@@ -20,6 +20,7 @@ from stdrefine import (
     ResourceLimit,
     check_monotone,
     check_refinement,
+    duo_std,
     make_config,
     parse_std,
     print_std,
@@ -38,14 +39,13 @@ from stdrefine.interp import (
     TraceSet,
     format_sequence,
     machine_traces,
-    outputs_key,
     seq_key,
     traceset_to_json,
 )
-from stdrefine.model import EMPTY_ENV, TransitionIndex, config_key, make_environment
+from stdrefine.model import EMPTY_ENV, config_key, make_environment
 
 from machine_gen import gen_std
-from oracles import all_configs, input_closure, oracle_step, oracle_traces
+from oracles import _inputs_and_initial, all_configs, input_closure, oracle_step, oracle_traces
 
 K2 = Bounds(max_input_len=2, eps_budget=4, output_cap=16)
 K4 = Bounds(max_input_len=4, eps_budget=4, output_cap=16)
@@ -367,8 +367,55 @@ def test_initial_configs_respect_initial_predicates():
     assert list(m.initial) == [make_config("estack", {"l": ()})]
 
 
+def _oracle_initial(std, env):
+    _, _, initial = _inputs_and_initial(std, env)
+    return tuple(sorted(initial, key=config_key))
+
+
+def test_initial_configurations_agree_with_the_oracle_on_generated_machines():
+    rng = random.Random(7)
+    for i in range(200):
+        std = gen_std(rng, name=f"gen{i}")
+        assert Machine(std, EMPTY_ENV).initial == _oracle_initial(std, EMPTY_ENV), std.name
+
+
+@pytest.mark.parametrize(
+    "std, env",
+    [(tel_std(), EMPTY_ENV), (stack_std(), EMPTY_ENV), (duo_std(), EMPTY_ENV)]
+    + [(build_step(n), default_env()) for n in range(6)],
+    ids=["tel", "stack", "duo"] + [f"step{n}" for n in range(6)],
+)
+def test_initial_configurations_agree_with_the_oracle_on_the_corpus(std, env):
+    assert Machine(std, env).initial == _oracle_initial(std, env)
+
+
+INITIAL_LOOKUP = """
+std lookup = {
+  uses {
+    f(Int 0..2) ->? Bool
+  }
+  input go
+  output done
+  attributes x :: Int 0..2
+  states s init {f(x)}, t init {!f(x)}
+  a: s -> s : go / [done] {x' == x}
+  b: t -> t : go / [done] {x' == x}
+}
+"""
+
+
+def test_an_undefined_initial_lookup_excludes_the_valuation():
+    # f is undefined at 2, so x=2 is initial in neither state, not even
+    # under the negation.
+    std = parse_std(INITIAL_LOOKUP)
+    env = make_environment(tables={"f": {(0,): True, (1,): False}})
+    initial = Machine(std, env).initial
+    assert initial == (make_config("s", {"x": 0}), make_config("t", {"x": 1}))
+    assert initial == _oracle_initial(std, env)
+
+
 # ---------------------------------------------------------------------------
-# The step memo: keyed by what a state reads
+# The step rows: keyed by what a state reads
 # ---------------------------------------------------------------------------
 
 READS_TEMPLATE = """
@@ -570,16 +617,16 @@ def test_the_first_message_of_a_class_does_not_change_the_step():
 @pytest.mark.parametrize("n", range(6))
 def test_each_enabledness_question_goes_to_the_index_once(monkeypatch, n):
     # One memo per machine, keyed by (what the state reads, trigger), with
-    # None for eps: no question reaches the index twice.
+    # None for eps: no question reaches the uncached `_find_enabled` twice.
     std = build_step(n)
     asked = []
-    enabled = TransitionIndex.enabled
+    find = Machine._find_enabled
 
-    def counting(index, config, trigger):
-        asked.append((index.key(config), trigger))
-        return enabled(index, config, trigger)
+    def counting(machine, config, trigger):
+        asked.append((machine.key(config), trigger))
+        return find(machine, config, trigger)
 
-    monkeypatch.setattr(TransitionIndex, "enabled", counting)
+    monkeypatch.setattr(Machine, "_find_enabled", counting)
     traces(std, default_env(), K4)
     assert asked and len(asked) == len(set(asked))
 
@@ -592,17 +639,17 @@ def test_machine_enabled_answers_as_the_index_and_asks_it_once(monkeypatch):
     machine = Machine(build_step(5), default_env(), K4)
     configs = sorted(traces(build_step(5), default_env(), K4).reached, key=config_key)
     questions = [(c, m) for c in configs for m in (None, *machine.inputs)]
-    expected = [machine.index.enabled(c, m) for c, m in questions]
+    expected = [machine._find_enabled(c, m) for c, m in questions]
     asked = []
-    enabled = TransitionIndex.enabled
+    find = Machine._find_enabled
 
-    def counting(index, config, trigger):
-        asked.append((index.key(config), trigger))
-        return enabled(index, config, trigger)
+    def counting(machine, config, trigger):
+        asked.append((machine.key(config), trigger))
+        return find(machine, config, trigger)
 
-    monkeypatch.setattr(TransitionIndex, "enabled", counting)
+    monkeypatch.setattr(Machine, "_find_enabled", counting)
     assert [machine.enabled(c, m) for c, m in questions] == expected
-    distinct = {(machine.index.key(c), m) for c, m in questions}
+    distinct = {(machine.key(c), m) for c, m in questions}
     assert len(asked) == len(distinct) < len(questions)
     assert set(asked) == distinct
     assert [machine.enabled(c, m) for c, m in questions] == expected

@@ -70,7 +70,7 @@ from stdrefine.model import (
     msg_key,
     replace,
 )
-from stdrefine import model
+from stdrefine import interp, model
 
 DOMS = {"Hue": ("red", "green")}
 
@@ -410,11 +410,11 @@ std strict = {
 def test_enabled_is_strict_under_not():
     std = parse_std(STRICT_SRC)
     env = make_environment(tables={"F": {(1,): True}})
-    index = Machine(std, env).index
+    machine = Machine(std, env)
     labels = {}
     for x in (0, 1):
         cfg = make_config("s", {"x": x})
-        got = index.enabled(cfg, Msg("go"))
+        got = machine._find_enabled(cfg, Msg("go"))
         assert {
             (e.transition.label, e.binding, e.reactions) for e in got
         } == oracle_enabled(std, cfg, Msg("go"), env)
@@ -795,10 +795,10 @@ def test_enabled_binds_trigger_parameters():
         ),
         signature=sig,
     )
-    index = Machine(std, EMPTY_ENV).index
+    machine = Machine(std, EMPTY_ENV)
     cfg = make_config("a", {"x": 0})
-    assert index.enabled(cfg, Msg("put", (0,))) == []
-    [en] = index.enabled(cfg, Msg("put", (2,)))
+    assert machine._find_enabled(cfg, Msg("put", (0,))) == []
+    [en] = machine._find_enabled(cfg, Msg("put", (2,)))
     assert en.binding == (("v", 2),)
     [(outs, succ)] = list(en.reactions)
     assert outs == (Msg("echo", (2,)),)
@@ -808,7 +808,7 @@ def test_enabled_binds_trigger_parameters():
 def test_unsatisfiable_postcondition_contributes_nothing():
     std = _tiny((_t(post=Lit(False)),))
     cfg = make_config("a", {"x": 0})
-    assert Machine(std, EMPTY_ENV).index.enabled(cfg, Msg("go")) == []
+    assert Machine(std, EMPTY_ENV)._find_enabled(cfg, Msg("go")) == []
 
 
 def test_undefined_output_contributes_nothing():
@@ -825,15 +825,15 @@ def test_undefined_output_contributes_nothing():
     )
     env = make_environment(domains={"DN": ("d1", "d2")}, tables={"Del": {}})
     cfg = make_config("a", {"x": 0})
-    assert Machine(std, env).index.enabled(cfg, Msg("go")) == []
+    assert Machine(std, env)._find_enabled(cfg, Msg("go")) == []
     env_hit = make_environment(domains={"DN": ("d1", "d2")}, tables={"Del": {("d1",): "d2"}})
-    [en] = Machine(std, env_hit).index.enabled(cfg, Msg("go"))
+    [en] = Machine(std, env_hit)._find_enabled(cfg, Msg("go"))
     assert next(iter(en.reactions))[0] == (Msg("echo", ("d2",)),)
 
 
 def test_relational_post_yields_one_reaction_per_valuation():
     std = _tiny((_t(post=TRUE),))  # x' unconstrained over Int 0..1
-    [en] = Machine(std, EMPTY_ENV).index.enabled(make_config("a", {"x": 0}), Msg("go"))
+    [en] = Machine(std, EMPTY_ENV)._find_enabled(make_config("a", {"x": 0}), Msg("go"))
     succs = {succ for _, succ in en.reactions}
     assert succs == {make_config("b", {"x": 0}), make_config("b", {"x": 1})}
 
@@ -846,7 +846,7 @@ def _keep(attr):
     return _pin(attr, AttrRef(attr))
 
 
-# Postconditions around the pinned-attribute solver of `TransitionIndex.enabled`,
+# Postconditions around the pinned-attribute solver of `Machine._find_enabled`,
 # with x, y :: Int 0..2, b :: Bool, the partial table F = {0: 1}, and the
 # pre-state a[x=2, y=1, b=false]; the last item is the expected number of
 # reactions.
@@ -881,7 +881,7 @@ def test_pinned_postconditions_agree_with_oracle(post, expected):
     cfg = make_config("a", {"x": 2, "y": 1, "b": False})
     got = {
         (e.transition.label, e.binding, e.reactions)
-        for e in Machine(std, env).index.enabled(cfg, Msg("go"))
+        for e in Machine(std, env)._find_enabled(cfg, Msg("go"))
     }
     assert got == oracle_enabled(std, cfg, Msg("go"), env)
     assert sum(len(reactions) for _, _, reactions in got) == expected
@@ -904,20 +904,20 @@ def test_a_postcondition_that_is_exactly_its_pins_is_not_tested_again(monkeypatc
     transitions = tuple(_t(label=f"t{i}", post=post) for i, (post, _) in enumerate(SOLVED_POSTS))
     std = _tiny(transitions, attributes=attrs, uses=(("F", decl),))
     env = make_environment(domains={}, tables={"F": {(0,): 1}})
-    index = Machine(std, env).index
+    machine = Machine(std, env)
     tested = []
-    holds = model.guard_holds
+    holds = interp.guard_holds
 
     def spy(expr, *args):
         tested.append(expr)
         return holds(expr, *args)
 
-    monkeypatch.setattr(model, "guard_holds", spy)
+    monkeypatch.setattr(interp, "guard_holds", spy)
     fired = set()
     for config in all_configs(std):
         for trigger in (None, Msg("go")):
             got = {(e.transition.label, e.binding, e.reactions)
-                   for e in index.enabled(config, trigger)}
+                   for e in machine._find_enabled(config, trigger)}
             assert got == oracle_enabled(std, config, trigger, env)
             fired |= {label for label, _, _ in got}
     assert fired == {t.label for t in transitions}
@@ -935,7 +935,7 @@ def test_enabled_transitions_with_environment_tables_agree_with_oracle(n):
     order = [t.label for t in machine.std.transitions]
     for config in ts.reached:
         for trigger in [None, *ts.inputs]:
-            got = machine.index.enabled(config, trigger)
+            got = machine._find_enabled(config, trigger)
             assert {
                 (e.transition.label, e.binding, e.reactions) for e in got
             } == oracle_enabled(std, config, trigger, env)

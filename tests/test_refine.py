@@ -45,7 +45,6 @@ from stdrefine.model import (
     Lit,
     Not,
     PrimedRef,
-    TransitionIndex,
     conj,
     replace,
 )
@@ -292,15 +291,15 @@ def test_add_internal_accepts_disjoint_guard(guarded):
 
 
 def _counting_enabled(monkeypatch):
-    """Record (key, trigger) for every `TransitionIndex.enabled` call."""
+    """Record (key, trigger) for every `Machine._find_enabled` call."""
     asked = []
-    enabled = TransitionIndex.enabled
+    find = interp.Machine._find_enabled
 
-    def counting(index, config, trigger):
-        asked.append((index.key(config), trigger))
-        return enabled(index, config, trigger)
+    def counting(machine, config, trigger):
+        asked.append((machine.key(config), trigger))
+        return find(machine, config, trigger)
 
-    monkeypatch.setattr(TransitionIndex, "enabled", counting)
+    monkeypatch.setattr(interp.Machine, "_find_enabled", counting)
     return asked
 
 
@@ -435,7 +434,7 @@ def test_remove_transitions_asks_each_question_once_per_read_key(monkeypatch):
     # No transition leaving s0 reads x, so the three reachable configurations
     # of s0 share one key.  The side condition asks the machine's memoised
     # `enabled`, which reachability has already asked every question it
-    # raises: the index sees exactly the questions of reachability alone.
+    # raises: `_find_enabled` sees exactly the questions of reachability alone.
     std = parse_std(
         """
 std cover = {
