@@ -16,10 +16,6 @@ loads those files and rebuilds the development chain:
 
 Steps 1-5 are always produced by applying the shipped patches, never built
 by hand, so rebuilding the chain exercises the rule checker end to end.
-The module also provides the well-formedness checks the chain relies on:
-an environment must keep numbers in good standing out of every feature
-table (`validate_call_env`) and must not let the forwarding directories
-loop (`check_forwarding_acyclic`).
 """
 
 from __future__ import annotations
@@ -28,8 +24,8 @@ from functools import lru_cache
 from importlib import resources
 
 from .features import FeaturePatch, apply_feature
-from .interp import DEFAULT_BOUNDS, Verdict
-from .model import Environment, Std, bind_environment
+from .interp import DEFAULT_BOUNDS
+from .model import Environment, Std
 from .textlang import parse_env, parse_feature, parse_std
 
 #: chain step -> (patch applied, step it is applied to)
@@ -40,12 +36,6 @@ STEP_FEATURES = {
     4: ("blocking", 2),
     5: ("blocking", 3),
 }
-
-#: partial directories consulted by the forwarding transitions, in priority order
-FORWARDING_TABLES = ("FM", "Del", "DelB", "FMNA", "DelNA")
-
-#: total predicates consulted by the blocking transitions
-BLOCKING_TABLES = ("DNR", "VP", "OCS", "TCS", "CNDB", "ACR")
 
 _PATCH_NAMES = ("abandon", "split-connect", "forwarding", "blocking")
 
@@ -128,155 +118,3 @@ def build_step(n: int) -> Std:
         build_step(prev), feature_patch(patch_name), default_env(), DEFAULT_BOUNDS
     )
 
-
-def _call_domain(env: Environment) -> tuple[str, ...]:
-    return tuple(env.domain_map().get("DN", base_std().domain_map()["DN"]))
-
-
-def block_predicates(env: Environment) -> dict[str, dict[tuple[str, str], bool]]:
-    """Pointwise screening verdicts over (origin, subscriber) pairs.
-
-    ``Block-Sub``: the subscriber refuses the attempt — do-not-redirect,
-    a per-caller veto, or anonymous-call rejection.  ``Block-Phone``: the
-    subscriber's phone is vetoed outright.  ``Block-Route``: originating or
-    terminating call screening forbids this particular route.
-    """
-    dn = _call_domain(env)
-    tables = env.table_map()
-    defaults = env.default_map()
-
-    def look(sym: str, *args: str) -> bool:
-        rows = tables.get(sym, {})
-        if args in rows:
-            value = rows[args]
-        elif sym in defaults:
-            value = defaults[sym]
-        else:
-            raise ValueError(
-                f"{sym} has no entry for ({', '.join(args)}) and no default"
-            )
-        if not isinstance(value, bool):
-            raise ValueError(
-                f"{sym}({', '.join(args)}) = {value!r} is not a truth value"
-            )
-        return value
-
-    block_sub: dict[tuple[str, str], bool] = {}
-    block_phone: dict[tuple[str, str], bool] = {}
-    block_route: dict[tuple[str, str], bool] = {}
-    for org in dn:
-        for sub in dn:
-            dnr = look("DNR", sub)
-            cndb = look("CNDB", org, sub)
-            acr = look("ACR", org, sub)
-            block_sub[(org, sub)] = dnr or cndb or acr
-            block_phone[(org, sub)] = look("VP", sub)
-            ocs = look("OCS", org, sub)
-            tcs = look("TCS", org, sub)
-            block_route[(org, sub)] = ocs or tcs
-    return {
-        "Block-Sub": block_sub,
-        "Block-Phone": block_phone,
-        "Block-Route": block_route,
-    }
-
-
-def forwarding_cycle(env: Environment) -> list[str] | None:
-    """A number sequence [a, ..., a] that the forwarding directories send
-    around in a loop, or None when every directory chain terminates."""
-    edges: dict[str, set[str]] = {}
-    tables = env.table_map()
-    for sym in FORWARDING_TABLES:
-        for args, value in tables.get(sym, {}).items():
-            if len(args) == 1 and isinstance(args[0], str) and isinstance(value, str):
-                edges.setdefault(args[0], set()).add(value)
-    adjacent = {src: sorted(dsts) for src, dsts in edges.items()}
-    ON_PATH, DONE = 1, 2
-    state: dict[str, int] = {}
-    path: list[str] = []
-
-    def visit(node: str) -> list[str] | None:
-        state[node] = ON_PATH
-        path.append(node)
-        for nxt in adjacent.get(node, ()):
-            mark = state.get(nxt)
-            if mark == ON_PATH:
-                return path[path.index(nxt):] + [nxt]
-            if mark is None:
-                cycle = visit(nxt)
-                if cycle is not None:
-                    return cycle
-        path.pop()
-        state[node] = DONE
-        return None
-
-    for start in sorted(adjacent):
-        if start not in state:
-            cycle = visit(start)
-            if cycle is not None:
-                return cycle
-    return None
-
-
-def check_forwarding_acyclic(env: Environment) -> Verdict:
-    """Pass iff following forwarding directory entries can never loop.
-
-    Every defined row of every directory is one hop; a loop would let an
-    attempt bounce between numbers forever, which the step semantics would
-    only mask up to the internal-step budget.
-    """
-    cycle = forwarding_cycle(env)
-    if cycle is not None:
-        return Verdict(
-            ok=False,
-            kind="forwarding-acyclicity",
-            bounds=DEFAULT_BOUNDS,
-            note="forwarding directories loop: " + " -> ".join(cycle),
-        )
-    return Verdict(
-        ok=True,
-        kind="forwarding-acyclicity",
-        bounds=DEFAULT_BOUNDS,
-        note="every forwarding directory chain terminates",
-    )
-
-
-def validate_call_env(env: Environment) -> list[str]:
-    """Well-formedness of an environment for the switching-unit corpus.
-
-    Returns human-readable problems, empty when the environment is fit for
-    the full chain.  Checks, in order: the tables bind against the base
-    machine's declarations (arity, sorts, totality of the total symbols);
-    numbers in good standing (ok or ok-s) trigger no feature — the standing
-    disjointness assumption the chain's rule checks rely on; and the
-    forwarding directories are acyclic.
-    """
-    bound, problems = bind_environment(base_std(), env)
-    problems = list(problems)
-
-    def truth(sym: str, *args: str) -> bool:
-        return bool(bound.get(sym, {}).get(tuple(args), False))
-
-    for d in _call_domain(env):
-        if not (truth("ok", d) or truth("ok-s", d)):
-            continue
-        for sym in FORWARDING_TABLES:
-            if (d,) in bound.get(sym, {}):
-                problems.append(
-                    f"{sym}({d}) is defined although {d} is in good standing (ok/ok-s)"
-                )
-        for sym in ("DNR", "VP"):
-            if truth(sym, d):
-                problems.append(
-                    f"{sym}({d}) holds although {d} is in good standing (ok/ok-s)"
-                )
-        for sym in ("OCS", "TCS", "CNDB", "ACR"):
-            for org in _call_domain(env):
-                if truth(sym, org, d):
-                    problems.append(
-                        f"{sym}({org}, {d}) holds although {d} is in good standing (ok/ok-s)"
-                    )
-    acyclic = check_forwarding_acyclic(env)
-    if not acyclic.ok:
-        problems.append(acyclic.note)
-    return problems

@@ -10,9 +10,10 @@ Two features are in conflict when they cannot be combined: there is no
 common machine that refines both single-feature extensions.  The decision
 procedure tries both application orders:
 
-* not-independent — one of the features does not apply to the base machine on
-  its own, or the two patches introduce the same state or transition name
-  (they contend for it rather than compose).
+* inapplicable — one of the features does not apply to the base machine on
+  its own.
+* not-independent — the two patches introduce the same state or transition
+  name (they contend for it rather than compose).
 * compatible — some order applies cleanly and the combined machine passes
   `check_refinement` from both single-feature machines; if both orders work,
   their results must additionally be bounded-trace-equivalent.
@@ -109,9 +110,9 @@ def introduced_labels(patch: FeaturePatch) -> frozenset[str]:
 
 
 class ConflictReport(Record):
-    """Outcome of conflict detection (or of a failed integration chain)."""
+    """Outcome of conflict detection."""
 
-    verdict: str  # "not-independent" | "conflicting" | "compatible"
+    verdict: str  # "inapplicable" | "not-independent" | "conflicting" | "compatible"
     base: str
     features: tuple[str, ...]
     evidence: tuple[str, ...]
@@ -139,7 +140,7 @@ def detect_conflict(
     bounds: Bounds = DEFAULT_BOUNDS,
 ) -> ConflictReport:
     """Decide whether two features can be combined over `std` (see the module
-    docstring for the three verdicts)."""
+    docstring for the four verdicts)."""
 
     def report(verdict: str, evidence: list[str], merged: Optional[Std] = None) -> ConflictReport:
         return ConflictReport(
@@ -158,7 +159,7 @@ def detect_conflict(
             singles[f.name] = apply_feature(std, f, env, bounds)
         except RuleError as exc:
             return report(
-                "not-independent",
+                "inapplicable",
                 [f"feature {f.name!r} does not apply to {std.name}: {exc}"],
             )
 
@@ -227,49 +228,6 @@ def detect_conflict(
     if t21 is not None:
         return report("compatible", evidence, merged=t21)
     return report("conflicting", evidence)
-
-
-def integrate_chain(
-    std: Std,
-    patches: tuple[FeaturePatch, ...],
-    env: Environment,
-    bounds: Bounds = DEFAULT_BOUNDS,
-):
-    """Apply the patches in order.  On success returns the integrated machine
-    after certifying that it refines the original; on failure returns a
-    ConflictReport naming the failing patch."""
-    if not patches:
-        return std
-    work = std
-    applied: list[str] = []
-    for i, patch in enumerate(patches):
-        try:
-            work = apply_feature(work, patch, env, bounds)
-        except (RuleError, ValueError) as exc:
-            ev = [f"patch #{i + 1} ({patch.name!r}) failed: {exc}"]
-            if applied:
-                ev.append("applied so far: " + ", ".join(applied))
-            return ConflictReport(
-                verdict="conflicting",
-                base=std.name,
-                features=tuple(p.name for p in patches),
-                evidence=tuple(ev),
-                bounds=bounds,
-            )
-        applied.append(patch.name)
-    certificate = trace_inclusion(traces(std, env, bounds), traces(work, env, bounds))
-    if not certificate.ok:
-        return ConflictReport(
-            verdict="conflicting",
-            base=std.name,
-            features=tuple(p.name for p in patches),
-            evidence=(
-                "every patch applied, but the result does not refine the base machine; "
-                + certificate.describe(),
-            ),
-            bounds=bounds,
-        )
-    return work
 
 
 def conflict_matrix(

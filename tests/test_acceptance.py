@@ -19,6 +19,7 @@ from stdrefine import (
     Bounds,
     Msg,
     RuleError,
+    apply_feature,
     apply_rule,
     build_step,
     check_monotone,
@@ -27,7 +28,6 @@ from stdrefine import (
     default_env,
     desugar,
     detect_conflict,
-    integrate_chain,
     feature_patch,
     make_environment,
     parse_env,
@@ -39,6 +39,7 @@ from stdrefine import (
     std_from_json,
     std_to_json,
     trace_equivalence,
+    trace_inclusion,
     traces,
     validate_std,
 )
@@ -129,9 +130,15 @@ def test_criterion_03_feature_compatibility():
     report = detect_conflict(base, fwd, blk, env, K4)
     assert report.verdict == "compatible", report.evidence
 
-    both = integrate_chain(base, [fwd, blk], env, K4)
-    swapped = integrate_chain(base, [blk, fwd], env, K4)
-    verdict = trace_equivalence(traces(both, env, K4), traces(swapped, env, K4))
+    # Each order of the two features refines step 2, and the orders agree.
+    base_traces = traces(base, env, K4)
+    folded = []
+    for first, second in ((fwd, blk), (blk, fwd)):
+        both = apply_feature(apply_feature(base, first, env, K4), second, env, K4)
+        folded.append(traces(both, env, K4))
+        verdict = trace_inclusion(base_traces, folded[-1])
+        assert verdict.ok, (first.name, verdict.describe())
+    verdict = trace_equivalence(*folded)
     assert verdict.ok, verdict.describe()
 
 

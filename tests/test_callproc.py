@@ -5,14 +5,11 @@ from __future__ import annotations
 import pytest
 
 from stdrefine import (
-    BLOCKING_TABLES,
-    FORWARDING_TABLES,
     STEP_FEATURES,
     Bounds,
+    apply_feature,
     base_std,
-    block_predicates,
     build_step,
-    check_forwarding_acyclic,
     check_refinement,
     conflict_patches,
     corpus_path,
@@ -20,7 +17,6 @@ from stdrefine import (
     default_env,
     duo_std,
     feature_patch,
-    forwarding_cycle,
     parse_env,
     parse_messages,
     quiet_env,
@@ -29,9 +25,9 @@ from stdrefine import (
     tel_std,
     trace_equivalence,
     traces,
-    validate_call_env,
     validate_std,
 )
+from stdrefine.interp import Machine
 
 B = Bounds(max_input_len=3, eps_budget=4, output_cap=16)
 K2 = Bounds(max_input_len=2, eps_budget=4, output_cap=16)
@@ -52,7 +48,7 @@ default ACR = false
 
 
 def env_with(*rows: str):
-    """A minimal valid call environment with the given extra table rows."""
+    """A minimal call environment with the given extra table rows."""
     return parse_env(ENV_HEADER + "\n".join(rows) + "\n")
 
 
@@ -94,8 +90,6 @@ def test_step_features_inventory():
         4: ("blocking", 2),
         5: ("blocking", 3),
     }
-    assert FORWARDING_TABLES == ("FM", "Del", "DelB", "FMNA", "DelNA")
-    assert BLOCKING_TABLES == ("DNR", "VP", "OCS", "TCS", "CNDB", "ACR")
 
 
 def test_chain_growth():
@@ -108,8 +102,10 @@ def test_chain_growth():
 
 
 def test_shipped_envs_are_valid():
-    assert validate_call_env(default_env()) == []
-    assert validate_call_env(quiet_env()) == []
+    # Binding raises when an environment does not fit a diagram.
+    for env in (default_env(), quiet_env()):
+        for n in range(6):
+            Machine(build_step(n), env)
 
 
 # ---------------------------------------------------------------------------
@@ -131,6 +127,42 @@ def test_reversed_chain_pair_fails_with_witness():
     assert not v.ok
     assert v.witness is not None
     assert any(m.ctor == "abandon" for m in v.witness.input)
+
+
+def _default_env_text(*edits: tuple[str, str]) -> str:
+    text = corpus_text("default.env")
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    return text
+
+
+@pytest.mark.parametrize(
+    "env_text",
+    [
+        # a number in good standing with a follow-me entry
+        _default_env_text(("FM(d2) = d3", "FM(d2) = d3\nFM(d1) = d2")),
+        # d2 and d3 forward to each other, and neither answers
+        _default_env_text(
+            ("ok(d3) = true", "ok(d3) = false"), ("FM(d2) = d3", "FM(d2) = d3\nFM(d3) = d2")
+        ),
+    ],
+    ids=["follow-me-in-good-standing", "forwarding-loop"],
+)
+def test_chain_refines_under_overlapping_or_looping_tables(env_text):
+    # The rules' side conditions bind the environment themselves, so the
+    # chain needs neither disjoint feature tables nor acyclic forwarding:
+    # every step applies and refines its predecessor, and forwarding
+    # redirects once, so a loop does not diverge.
+    env = parse_env(env_text)
+    steps = {0: base_std()}
+    for n, (patch, prev) in sorted(STEP_FEATURES.items()):
+        steps[n] = apply_feature(steps[prev], feature_patch(patch), env)
+    for i, j in CHAIN_PAIRS:
+        v = check_refinement(steps[i], steps[j], env, K2)
+        assert v.ok, (i, j, v.describe())
+    for n in (3, 5):
+        assert not any(e.divergent for e in traces(steps[n], env, K2).entries.values())
 
 
 def test_quiet_env_keeps_features_dormant():
@@ -181,7 +213,6 @@ def test_outputs_appear_while_the_next_message_is_pending():
 
 def test_delegation_resolves_via_second_subscriber():
     env = env_with("Del(d2) = d3", "ok-s(d3) = true", "ok(d3) = true")
-    assert validate_call_env(env) == []
     e = simulate(build_step(3), env, parse_messages("call(d1, d2), abandon"), B)
     assert not e.chaos and outs(e) == ["ring"]
 
@@ -194,7 +225,6 @@ def test_delegate_on_busy_hops_to_third_party():
         "ok-s(d1) = true",
         "ok(d1) = true",
     )
-    assert validate_call_env(env) == []
     e = simulate(build_step(3), env, parse_messages("call(d2, d2), abandon"), B)
     assert not e.chaos and outs(e) == ["ring"]
     assert e.divergent == frozenset()
@@ -202,7 +232,6 @@ def test_delegate_on_busy_hops_to_third_party():
 
 def test_no_answer_delegation_uses_quick_alert_timer():
     env = env_with("FM(d2) = d3", "DelNA(d2) = d1", "ok-s(d1) = true", "ok(d1) = true")
-    assert validate_call_env(env) == []
     s3 = build_step(3)
     armed = simulate(s3, env, parse_messages("call(d1, d2), time-out-alarm"), B)
     assert not armed.chaos and outs(armed) == ["set-quick-alert-timer"]
@@ -212,7 +241,6 @@ def test_no_answer_delegation_uses_quick_alert_timer():
 
 def test_directory_without_reachable_resolution_stays_unspecified():
     env = env_with("DelNA(d2) = d3")  # never reaches the no-answer state
-    assert validate_call_env(env) == []
     e = simulate(build_step(3), env, parse_messages("call(d1, d2), abandon"), B)
     assert e.chaos
 
@@ -235,61 +263,9 @@ def test_blocked_call_can_be_abandoned():
     assert any(c.control == "abandoned" for c in ts.reached)
 
 
-def test_block_predicates_match_table_definitions():
-    bp = block_predicates(env_with("DNR(d2) = true", "VP(d3) = true", "TCS(d1, d2) = true"))
-    dn = ("d1", "d2", "d3")
-    # a subscriber-level block applies whoever calls
-    assert all(bp["Block-Sub"][(o, "d2")] for o in dn)
-    assert not any(bp["Block-Sub"][(o, "d1")] for o in dn)
-    # a phone-level block likewise
-    assert all(bp["Block-Phone"][(o, "d3")] for o in dn)
-    # a route-level block applies to exactly its pair
-    assert bp["Block-Route"][("d1", "d2")]
-    assert sum(bp["Block-Route"].values()) == 1
-
-
-def test_block_predicates_cover_all_pairs():
-    bp = block_predicates(default_env())
-    assert set(bp) == {"Block-Sub", "Block-Phone", "Block-Route"}
-    for table in bp.values():
-        assert len(table) == 9
-        assert not any(table.values())  # default env blocks nothing
-
-
 # ---------------------------------------------------------------------------
-# Forwarding acyclicity and environment hygiene
+# Conflict fixture
 # ---------------------------------------------------------------------------
-
-
-def test_forwarding_cycle_detection():
-    assert forwarding_cycle(env_with("Del(d1) = d2")) is None
-    cyc = forwarding_cycle(env_with("Del(d1) = d2", "FM(d2) = d1"))
-    assert cyc == ["d1", "d2", "d1"]
-
-
-def test_check_forwarding_acyclic_verdicts():
-    ok = check_forwarding_acyclic(env_with("Del(d1) = d2"))
-    assert ok.ok
-    bad = check_forwarding_acyclic(env_with("Del(d1) = d2", "FM(d2) = d1"))
-    assert not bad.ok
-    assert "d1 -> d2 -> d1" in bad.note
-
-
-def test_validate_call_env_flags_good_standing_contradictions():
-    assert validate_call_env(env_with("ok(d2) = true", "FM(d2) = d3")) == [
-        "FM(d2) is defined although d2 is in good standing (ok/ok-s)"
-    ]
-    assert any(
-        "DNR(d2)" in p for p in validate_call_env(env_with("ok-s(d2) = true", "DNR(d2) = true"))
-    )
-    assert any(
-        "TCS(d3, d1)" in p for p in validate_call_env(env_with("ok(d1) = true", "TCS(d3, d1) = true"))
-    )
-
-
-def test_validate_call_env_includes_cycle_check():
-    problems = validate_call_env(env_with("Del(d1) = d2", "FM(d2) = d1"))
-    assert any("loop" in p for p in problems)
 
 
 def test_conflict_fixture_patches_load():

@@ -265,10 +265,10 @@ def test_an_ill_sorted_payload_is_a_rule_rejection(tmp_path, payload):
     code, out, err = run("refine", "apply", str(machine), str(bad))
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and "the transformed machine is invalid: " in err
-    # feature conflicts reports the rejection as its not-independent evidence.
+    # feature conflicts reports the rejection as its inapplicable evidence.
     code, out, err = run("feature", "conflicts", str(machine), str(bad), str(other))
     assert code == 1 and err == ""
-    assert "bad x other: not-independent" in out
+    assert "bad x other: inapplicable" in out
     assert "the transformed machine is invalid: " in out
 
 
@@ -334,15 +334,22 @@ def test_feature_conflicts_compatible_pair_exits_zero(step_file):
     assert "compatible" in out
 
 
-def test_feature_conflicts_inapplicable_feature_is_not_independent():
+def test_feature_conflicts_reports_an_inapplicable_feature():
     fwd = str(corpus_path("forwarding.feat"))
     blk = str(corpus_path("blocking.feat"))
     code, out, _ = run(
         "feature", "conflicts", CALLPROC, fwd, blk, "--env", DEFAULT_ENV, "--k", "2"
     )
     assert code == 1
-    assert "not-independent" in out
+    assert "forwarding x blocking: inapplicable" in out
     assert "does not apply" in out
+    code, out, _ = run(
+        "feature", "conflicts", CALLPROC, fwd, blk, "--env", DEFAULT_ENV, "--k", "2", "--json"
+    )
+    assert code == 1
+    (doc,) = json.loads(out)
+    assert doc["verdict"] == "inapplicable"
+    check_against(doc, "conflict")
 
 
 def test_feature_conflicts_json_validates_against_schema():

@@ -1,4 +1,4 @@
-"""Feature patches: application, conflict detection, chain integration."""
+"""Feature patches: application and conflict detection."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 
 from stdrefine import (
     Bounds,
-    ConflictReport,
     FeatureApplyError,
     FeaturePatch,
     Std,
@@ -22,7 +21,6 @@ from stdrefine import (
     detect_conflict,
     duo_std,
     feature_patch,
-    integrate_chain,
     parse_feature,
     parse_std,
     trace_equivalence,
@@ -111,15 +109,19 @@ def test_name_collision_is_not_independent():
     assert any("blocked" in e for e in report.evidence)
 
 
-def test_patch_failing_alone_is_not_independent():
+def test_patch_failing_alone_is_inapplicable():
     duo = duo_std()
     fine = parse_feature("feature fine on duo { add-states { waiting } }", base=duo)
     broken = parse_feature(
         "feature broken on duo { remove-transitions { nosuch } }", base=duo
     )
     report = detect_conflict(duo, fine, broken, EMPTY_ENV, B)
-    assert report.verdict == "not-independent"
-    assert any("does not apply" in e for e in report.evidence)
+    assert report.verdict == "inapplicable"
+    assert report.is_conflict
+    assert report.evidence == (
+        "feature 'broken' does not apply to duo: rule remove-transitions: feature 'broken', "
+        "application #1 (remove-transitions): no transition labeled 'nosuch'",
+    )
 
 
 PICK_SRC = """
@@ -172,36 +174,6 @@ def test_compatible_orders_are_trace_equivalent():
     ab = apply_feature(apply_feature(step2, fwd, env, SMALL), blk, env, SMALL)
     ba = apply_feature(apply_feature(step2, blk, env, SMALL), fwd, env, SMALL)
     assert trace_equivalence(traces(ab, env, SMALL), traces(ba, env, SMALL)).ok
-
-
-# ---------------------------------------------------------------------------
-# Chain integration
-# ---------------------------------------------------------------------------
-
-
-def test_integrate_chain_empty_is_identity():
-    assert integrate_chain(duo_std(), (), EMPTY_ENV, B) is duo_std()
-
-
-def test_integrate_chain_applies_in_order():
-    out = integrate_chain(
-        base_std(),
-        (feature_patch("abandon"), feature_patch("split-connect")),
-        default_env(),
-        SMALL,
-    )
-    assert isinstance(out, Std)
-    assert out == build_step(2)
-    assert check_refinement(base_std(), out, default_env(), SMALL).ok
-
-
-def test_integrate_chain_failure_names_the_patch():
-    left, right = conflict_patches()
-    rep = integrate_chain(duo_std(), (left, right), EMPTY_ENV, B)
-    assert isinstance(rep, ConflictReport)
-    assert rep.is_conflict
-    assert any("conflict-right" in e for e in rep.evidence)
-    assert any("applied so far" in e for e in rep.evidence)
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,35 @@ def test_guard_holds_is_the_only_truth_test():
     assert offending == [], f"truth tests outside guard_holds: {', '.join(offending)}"
 
 
+def test_only_the_machine_binds_an_environment():
+    # An environment is bound to a diagram when a `Machine` is made, and
+    # nowhere else; everything else asks a machine for its tables.
+    offending = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = {
+            id(n)
+            for c in ast.walk(tree)
+            if isinstance(c, ast.ClassDef) and c.name == "Machine"
+            for f in c.body
+            if isinstance(f, ast.FunctionDef) and f.name == "__init__"
+            for n in ast.walk(f)
+        }
+        offending += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and _called_name(node) == "bind_environment"
+            and id(node) not in allowed
+        ]
+    assert offending == [], f"environments bound outside Machine.__init__: {', '.join(offending)}"
+
+
+def test_the_package_exports_exactly_what_it_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert sorted(stdrefine.__all__) == sorted({*_imported(tree), "__version__"})
+
+
 def test_only_resolve_names_gives_identifiers_meaning():
     # A bare identifier becomes a parameter, attribute or enum member in
     # model.py (`resolve_names`) alone; the JSON reader builds nodes through
