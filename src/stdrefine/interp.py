@@ -147,12 +147,13 @@ def _outputs_of(t: Transition, valuation: dict, tables: dict, params: dict) -> O
     return tuple(msgs)
 
 
-def _pins(post: Expr, attributes: tuple[str, ...], primed: int):
+def _pins(post: Expr, position: dict[str, int], primed: int):
     """The pins of a postcondition: each conjunct ``x' == e`` or ``e == x'``
     of its top-level ``and`` chain, with x an attribute and e free of primed
-    references, as an (x, e) pair; and whether every conjunct is a pin of a
-    different attribute.  `primed` counts the primed references in `post`:
-    when each is the x' of a conjunct, no e has one, and none is walked."""
+    references, as an (x's `position`, e) pair; and whether every conjunct
+    is a pin of a different attribute.  `primed` counts the primed references
+    in `post`: when each is the x' of a conjunct, no e has one, and none is
+    walked."""
     pins: list[tuple[str, Expr]] = []
     conjuncts = 0
     todo = [post]
@@ -165,12 +166,12 @@ def _pins(post: Expr, attributes: tuple[str, ...], primed: int):
         if not isinstance(e, BinOp) or e.op != "eq":
             continue
         for lhs, rhs in ((e.left, e.right), (e.right, e.left)):
-            if isinstance(lhs, PrimedRef) and lhs.name in attributes:
-                pins.append((lhs.name, rhs))
+            if isinstance(lhs, PrimedRef) and lhs.name in position:
+                pins.append((position[lhs.name], rhs))
                 break
     if len(pins) != primed:
-        pins = [(x, e) for x, e in pins if not has_primed(e)]
-    return tuple(pins), len(pins) == conjuncts == len({x for x, _ in pins})
+        pins = [(i, e) for i, e in pins if not has_primed(e)]
+    return tuple(pins), len(pins) == conjuncts == len({i for i, _ in pins})
 
 
 class Machine:
@@ -179,12 +180,12 @@ class Machine:
 
     The diagram is desugared (`std`), the environment bound against it
     (`tables`, or `ValueError` when it does not fit) and its input alphabet
-    listed in `msg_key` order (`inputs`); `initial`, in `config_key` order,
-    is built on first use.  What does not depend on the configuration is
-    indexed once: the transitions per (source, trigger constructor or None
-    for eps) in declaration order, with their pins (see `_pins`); the sorted
-    attribute names with their pools of values; and, per control state, the
-    attributes and trigger arguments its outgoing transitions read.
+    listed in `msg_key` order (`inputs`); `valuations` and `initial` are built
+    on first use.  What does not depend on the configuration is indexed once:
+    the transitions per (source, trigger constructor or None for eps) in
+    declaration order, and the pins (see `_pins`) of their postconditions;
+    the sorted attribute names with their pools of values; and, per control
+    state, the attributes and trigger arguments its outgoing transitions read.
 
     Every memo is keyed by `key`, what a configuration's control state reads:
     the state and the values of the attributes that a guard, an output
@@ -221,15 +222,15 @@ class Machine:
         # `Configuration` valuation.
         self._names = tuple(sorted(n for n, _ in std.attributes))
         self._pools = tuple(enumerate_sort(sorts[n], domains) for n in self._names)
-        position = {n: i for i, n in enumerate(self._names)}
-        self._groups: dict[tuple[str, str | None], list[tuple[Transition, tuple, tuple, bool]]] = {}
+        self._attr_position = position = {n: i for i, n in enumerate(self._names)}
+        self._groups: dict[tuple[str, str | None], list[Transition]] = {}
+        self._pinned: dict[Expr, tuple[tuple[tuple[int, Expr], ...], bool]] = {}
         self._arg_reads: dict[tuple[str, str], set[int]] = {}
         state_reads: dict[str, set[int]] = {}
         for t in std.transitions:
             attrs, params, primed = reads(t.guard, *(a for _, xs in t.outputs for a in xs), t.post)
-            pins, solved = _pins(t.post, self._names, primed)
-            pins = tuple((position[n], e) for n, e in pins)
-            self._groups.setdefault((t.source, t.trigger), []).append((t, t.params, pins, solved))
+            self._pinned[t.post] = _pins(t.post, position, primed)
+            self._groups.setdefault((t.source, t.trigger), []).append(t)
             if t.trigger is not None:
                 self._arg_reads.setdefault((t.source, t.trigger), set()).update(
                     i for i, p in enumerate(t.params) if p in params
@@ -242,13 +243,21 @@ class Machine:
         self._rows: dict[tuple, list[StepResult | None]] = {}
 
     @cached_property
+    def valuations(self) -> tuple[tuple[tuple[str, Value], ...], ...]:
+        """Every attribute valuation, each as a `Configuration` valuation, in
+        declaration order: the product of the attributes' values in the order
+        the diagram declares them, the first declared varying slowest."""
+        declared = [n for n, _ in self.std.attributes]
+        combos = itertools.product(*(self._pools[self._attr_position[n]] for n in declared))
+        return tuple(tuple(sorted(zip(declared, combo))) for combo in combos)
+
+    @cached_property
     def initial(self) -> tuple[Configuration, ...]:
         """The configurations the initial markings admit, in `config_key` order."""
-        valuations = [tuple(zip(self._names, combo)) for combo in itertools.product(*self._pools)]
         configs = {
             Configuration(state, valuation)
             for state, pred in self.std.initial
-            for valuation in valuations
+            for valuation in self.valuations
             if guard_holds(pred, dict(valuation), self.tables)
         }
         return tuple(sorted(configs, key=config_key))
@@ -276,30 +285,21 @@ class Machine:
         ground input message, or None for eps), with their reactions, in
         declaration order.
 
-        A transition's guard and each candidate's postcondition are tested
-        with `guard_holds`, which stops at the first conjunct that is not
-        True; output arguments and pin right-hand sides are values, taken with
-        `eval_expr`.  A transition contributes one reaction per primed
-        valuation satisfying its postcondition; an unsatisfiable
-        postcondition, or an Undefined output, contributes nothing.  Pinned
-        attributes are solved rather than enumerated: a top-level conjunct
-        ``x' == e`` (or ``e == x'``) whose ``e`` mentions no primed attribute
-        admits only the values of x's sort that equal e's value (each one's,
-        when pinned twice), and none at all when e is Undefined.  Unpinned
-        attributes range over their whole sort, and every candidate is still
-        checked against the full postcondition, so the reactions are exactly
-        those of enumerating every primed valuation.  A postcondition that is
-        exactly its pins is not checked: the pools were narrowed with the
-        ``==`` its conjuncts evaluate, so every candidate satisfies it."""
+        A transition's guard is tested with `guard_holds`, which stops at the
+        first conjunct that is not True, and its output arguments are values,
+        taken with `eval_expr`.  A transition contributes one reaction per
+        primed valuation that `solve` finds for its postcondition; an
+        unsatisfiable postcondition, or an Undefined output, contributes
+        nothing."""
         group = self._groups.get((config.control, None if trigger is None else trigger.ctor))
         if not group:
             return []
         tables = self.tables
-        names = self._names
         valuation = config.value_map()
         args = None if trigger is None else trigger.args
         out: list[EnabledTransition] = []
-        for t, tparams, pins, solved in group:
+        for t in group:
+            tparams = t.params
             if args is None:
                 params: dict[str, Value] = {}
             elif len(tparams) != len(args):
@@ -311,21 +311,46 @@ class Machine:
             outputs = _outputs_of(t, valuation, tables, params)
             if outputs is None:
                 continue
-            pools = list(self._pools)
-            for i, rhs in pins:
-                v = eval_expr(rhs, valuation, tables, params=params)
-                if v is Undefined:  # so is the postcondition
-                    break
-                pools[i] = [u for u in pools[i] if u == v]
-            else:
-                post, target = t.post, t.target
-                reactions = set()
-                for combo in itertools.product(*pools):
-                    primed = tuple(zip(names, combo))
-                    if solved or guard_holds(post, valuation, tables, params, dict(primed)):
-                        reactions.add((outputs, Configuration(target, primed)))
-                if reactions:
-                    out.append(EnabledTransition(t, tuple(sorted(params.items())), frozenset(reactions)))
+            target = t.target
+            reactions = frozenset((outputs, Configuration(target, primed))
+                                  for primed in self.solve(t.post, valuation, params))
+            if reactions:
+                out.append(EnabledTransition(t, tuple(sorted(params.items())), reactions))
+        return out
+
+    def solve(self, post: Expr, valuation: dict[str, Value],
+              params: dict[str, Value]) -> list[tuple[tuple[str, Value], ...]]:
+        """The primed valuations, each as a `Configuration` valuation, that
+        satisfy the postcondition `post` from `valuation` under the parameter
+        binding `params`, in the order of the product of the sorted pools.
+
+        Pinned attributes (see `_pins`; a transition's pins are kept from
+        construction, any other postcondition's worked out here) are solved
+        rather than enumerated: a pin ``x' == e`` admits only the values of
+        x's sort that equal e's value (each one's, when pinned twice), and
+        none at all when e is Undefined.  Unpinned attributes range over their
+        whole sort, and every candidate is still tested against the full
+        postcondition with `guard_holds`, so the answer is exactly that of
+        enumerating every primed valuation.  A postcondition that is exactly
+        its pins is not tested: the pools were narrowed with the ``==`` its
+        conjuncts evaluate, so every candidate satisfies it."""
+        pinned = self._pinned.get(post)
+        if pinned is None:
+            pinned = _pins(post, self._attr_position, reads(post)[2])
+        pins, solved = pinned
+        tables = self.tables
+        pools = list(self._pools)
+        for i, rhs in pins:
+            v = eval_expr(rhs, valuation, tables, params=params)
+            if v is Undefined:  # so is the postcondition
+                return []
+            pools[i] = [u for u in pools[i] if u == v]
+        names = self._names
+        out = []
+        for combo in itertools.product(*pools):
+            primed = tuple(zip(names, combo))
+            if solved or guard_holds(post, valuation, tables, params, dict(primed)):
+                out.append(primed)
         return out
 
     def row(self, config: Configuration) -> list[StepResult | None]:
@@ -364,7 +389,7 @@ class Machine:
         while todo:
             if (state := todo.pop()) not in closure:
                 closure.add(state)
-                todo += (t.target for t, *_ in self._groups.get((state, None), ()))
+                todo += (t.target for t in self._groups.get((state, None), ()))
         read: dict[str, set[int]] = {}
         for (source, ctor), args in self._arg_reads.items():
             if source in closure:

@@ -551,8 +551,6 @@ class Transition(Record):
     """A guarded transition.  `trigger` is an input constructor name, or None
     for the internal trigger eps (in which case `params` must be empty).
     `outputs` items are (output-constructor-name-or-None, argument exprs).
-    `span`, where in its source text the parser read it, takes no part in
-    equality or hashing.
     """
 
     label: Optional[str]
@@ -564,17 +562,6 @@ class Transition(Record):
     outputs: tuple[tuple[Optional[str], tuple[Expr, ...]], ...]
     post: Expr
     priority: Optional[int] = None
-    span: Optional[tuple[int, int]] = None
-
-    def __eq__(self, other):
-        if other.__class__ is not Transition:
-            return NotImplemented
-        return self[:-1] == other[:-1]
-
-    __ne__ = object.__ne__  # the inverse of __eq__, where tuple's counts `span`
-
-    def __hash__(self) -> int:
-        return hash(self[:-1])
 
     @property
     def is_internal(self) -> bool:
@@ -751,14 +738,6 @@ def make_config(control: str, values: dict[str, Value]) -> Configuration:
 def config_key(c: Configuration):
     """Deterministic sort key for configurations: control state, then values."""
     return (c.control, tuple(_value_key(v) for _, v in c.valuation))
-
-
-def enumerate_valuations(
-    attributes: tuple[tuple[str, Sort], ...], domains: dict[str, tuple[str, ...]]
-) -> list[dict[str, Value]]:
-    names = [n for n, _ in attributes]
-    pools = [enumerate_sort(s, domains) for _, s in attributes]
-    return [dict(zip(names, combo)) for combo in itertools.product(*pools)]
 
 
 # ---------------------------------------------------------------------------
@@ -1080,7 +1059,11 @@ def validate_std(std: Std) -> list[str]:
     domains = std.domain_map()
 
     seen_members: dict[str, str] = {}
+    seen_domains: set[str] = set()
     for dname, members in std.domains:
+        if dname in seen_domains:
+            errors.append(f"domain {dname}: declared twice")
+        seen_domains.add(dname)
         if not members:
             errors.append(f"domain {dname}: empty domain")
         for m in members:
@@ -1137,7 +1120,11 @@ def validate_std(std: Std) -> list[str]:
     init_ctx = SortContext(attrs, decls, domains)
     if not std.initial:
         errors.append("initial: no initial control state")
+    marked = set()
     for s, pred in std.initial:
+        if s in marked:
+            errors.append(f"initial {s}: state marked initial twice")
+        marked.add(s)
         if s not in state_set:
             errors.append(f"initial {s}: unknown control state")
         k = infer_kind(pred, init_ctx, errors, f"initial {s}")

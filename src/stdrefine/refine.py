@@ -10,18 +10,18 @@ sequence, then lexicographically least) is reported on failure.
 The six transformation rules are syntactic machine edits whose side conditions
 guarantee refinement by construction, at every bound.  `apply_rule` applies
 one in three steps.  The rule's edit checks the application's structure and
-builds the transformed machine; `validate_std` sort-checks that machine, so
-no side condition ever evaluates an expression that is not well-sorted; then
-the side condition, for the rules that have one, is asked of the machine the
+builds the transformed machine; `validate_std` sort-checks that machine, so no
+side condition ever evaluates an expression that is not well-sorted; then the
+side condition, where the application has one, is asked of the machine the
 rule is applied to, bound once to the environment the way the interpreter
 binds it, as an `interp.Machine`.  "Enabled" is productive enabledness as
 `Machine.enabled` answers it (the guard holds, the outputs are defined and
-the postcondition is satisfiable), and "reachable" is membership in the
-saturated `interp.reachable_configurations` of it, which holds every
-configuration that any bounds reach (so the internal-step budget of 1 it is
-built with is the least reachability takes, not a bound the rule depends
-on).  The transition a rule adds or removes is tested by its guard alone,
-which can only reject more.
+`Machine.solve` finds a successor for the postcondition), and "reachable" is
+membership in the saturated `interp.reachable_configurations` of it, which
+holds every configuration that any bounds reach (so the internal-step budget
+of 1 it is built with is the least reachability takes, not a bound the rule
+depends on).  The transition a rule adds or removes is tested by its guard
+alone, which can only reject more.
 
 * add-states: fresh, unreachable states (plus transitions among them only).
 * remove-states: states no reachable configuration occupies.
@@ -60,11 +60,9 @@ from .model import (
     Value,
     config_key,
     desugar,
-    enumerate_valuations,
     format_value,
     guard_holds,
     has_else,
-    make_config,
     name_scope,
     reads,
     replace,
@@ -207,12 +205,8 @@ def _binding(t: Transition, trigger: Optional[Msg]) -> dict[str, Value]:
     return {} if trigger is None else dict(zip(t.params, trigger.args))
 
 
-def _format_trigger(trigger: Optional[Msg]) -> str:
-    return "eps" if trigger is None else str(trigger)
-
-
-def _format_valuation(valuation) -> str:
-    return "{" + ", ".join(f"{k}={format_value(v)}" for k, v in sorted(valuation.items())) + "}"
+def _format_valuation(valuation: tuple[tuple[str, Value], ...]) -> str:
+    return "{" + ", ".join(f"{k}={format_value(v)}" for k, v in valuation) + "}"
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +293,7 @@ def _remove_states(work: Std, app: RemoveStates, rule: str) -> tuple[Std, Check]
     ), check
 
 
-def _split_state(work: Std, app: SplitState, rule: str) -> tuple[Std, Check]:
+def _split_state(work: Std, app: SplitState, rule: str) -> tuple[Std, Optional[Check]]:
     if app.name not in work.states:
         raise RuleError(rule, f"state {app.name!r} does not exist")
     if not app.parts:
@@ -340,7 +334,7 @@ def _split_state(work: Std, app: SplitState, rule: str) -> tuple[Std, Check]:
     # redirected, and each outgoing one (a self-loop as redirected) copied to
     # every part.
     scope = name_scope(work)
-    strengthened: dict[str, Expr] = {}
+    strengthened: list[tuple[Transition, Expr]] = []
     states: list[str] = []
     for s in work.states:
         states.extend(app.parts if s == app.name else (s,))
@@ -353,9 +347,10 @@ def _split_state(work: Std, app: SplitState, rule: str) -> tuple[Std, Check]:
             part, post = redirect[t.label]
             if post is not None:
                 try:
-                    post = strengthened[t.label] = resolve_names(post, scope, set(t.params))
+                    post = resolve_names(post, scope, set(t.params))
                 except UnknownName as exc:
                     raise RuleError(rule, str(exc), witness=f"redirect of {t.label!r}") from exc
+                strengthened.append((t, post))
             t = replace(t, target=part, post=t.post if post is None else post)
         if t.source == app.name:
             transitions.extend(
@@ -365,48 +360,41 @@ def _split_state(work: Std, app: SplitState, rule: str) -> tuple[Std, Check]:
         else:
             transitions.append(t)
 
+    result = replace(work, states=tuple(states), initial=tuple(initial), transitions=tuple(transitions))
+    if not strengthened:
+        return result, None
+
     def check(machine: Machine) -> None:
-        tables = machine.tables
-        valuations = enumerate_valuations(work.attributes, work.domain_map())
-        for t in incoming:
-            post = strengthened.get(t.label)
-            if post is None:
-                continue
+        # A strengthened postcondition admits a subset of the original's
+        # successors, and some successor wherever the original admits one.
+        for t, post in strengthened:
             for trigger in _triggers(t, machine.inputs):
                 binding = _binding(t, trigger)
-                for v in valuations:
-                    if not guard_holds(t.guard, v, tables, binding):
+                for valuation in machine.valuations:
+                    v = dict(valuation)
+                    if not guard_holds(t.guard, v, machine.tables, binding):
                         continue
-                    original_sat = False
-                    strengthened_sat = False
-                    for v2 in valuations:
-                        orig = guard_holds(t.post, v, tables, binding, v2)
-                        strong = guard_holds(post, v, tables, binding, v2)
-                        if strong and not orig:
-                            raise RuleError(
-                                rule,
-                                f"strengthened postcondition of {t.label!r} does not imply the original",
-                                witness=(
-                                    f"valuation {_format_valuation(v)}, trigger "
-                                    f"{_format_trigger(trigger)}, primed {_format_valuation(v2)}"
-                                ),
-                            )
-                        original_sat = original_sat or orig
-                        strengthened_sat = strengthened_sat or strong
-                    if original_sat and not strengthened_sat:
+                    original = set(machine.solve(t.post, v, binding))
+                    stronger = set(machine.solve(post, v, binding))
+                    where = (f"valuation {_format_valuation(valuation)}, "
+                             f"trigger {'eps' if trigger is None else trigger}")
+                    extra = stronger - original
+                    if extra:
+                        primed = next(p for p in machine.valuations if p in extra)
+                        raise RuleError(
+                            rule,
+                            f"strengthened postcondition of {t.label!r} does not imply the original",
+                            witness=f"{where}, primed {_format_valuation(primed)}",
+                        )
+                    if original and not stronger:
                         raise RuleError(
                             rule,
                             f"strengthened postcondition of {t.label!r} is unsatisfiable "
                             "where the original was satisfiable",
-                            witness=(
-                                f"valuation {_format_valuation(v)}, trigger "
-                                f"{_format_trigger(trigger)}"
-                            ),
+                            witness=where,
                         )
 
-    return replace(
-        work, states=tuple(states), initial=tuple(initial), transitions=tuple(transitions)
-    ), check
+    return result, check
 
 
 def _add_transitions(work: Std, app: AddTransitions, rule: str) -> tuple[Std, Check]:
@@ -426,7 +414,6 @@ def _add_transitions(work: Std, app: AddTransitions, rule: str) -> tuple[Std, Ch
 
     def check(machine: Machine) -> None:
         tables, inputs = machine.tables, machine.inputs
-        valuations = enumerate_valuations(work.attributes, work.domain_map())
         # Each question is asked once per what decides it: a payload guard per
         # trigger instance and values of the attributes it reads, and the
         # machine once per (read key, trigger) by `Machine.enabled`, however
@@ -442,20 +429,21 @@ def _add_transitions(work: Std, app: AddTransitions, rule: str) -> tuple[Std, Ch
             for trigger in _triggers(t, inputs):
                 binding = _binding(t, trigger)
                 holds: dict[object, bool] = {}
-                for v in valuations:
+                for valuation in machine.valuations:
+                    v = dict(valuation)
                     read = project(v)
                     if read not in holds:
                         holds[read] = guard_holds(t.guard, v, tables, binding)
                     if not holds[read]:
                         continue
-                    cfg = make_config(t.source, v)
+                    cfg = Configuration(t.source, valuation)
                     for ask in [None, *inputs] if t.is_internal else [trigger, None]:
                         clash = machine.enabled(cfg, ask)
                         if not clash:
                             continue
                         name = clash[0].transition.label or clash[0].transition.source
                         new = "new internal transition" if t.is_internal else "new transition"
-                        where = f"state {t.source}, valuation {_format_valuation(v)}"
+                        where = f"state {t.source}, valuation {_format_valuation(valuation)}"
                         if ask is None:
                             raise RuleError(
                                 rule, f"{new} overlaps existing internal transition {name!r}",
@@ -547,7 +535,7 @@ def _remove_initial(work: Std, app: RemoveInitialStates, rule: str) -> tuple[Std
 
 #: Each rule's name and edit.  An edit checks the application's structure
 #: against the desugared machine and returns the transformed machine with
-#: the rule's side condition, or None for a rule that needs none.
+#: the side condition, or None where the application needs none.
 _RULES: dict[type, tuple[str, Callable]] = {
     AddStates: ("add-states", _add_states),
     RemoveStates: ("remove-states", _remove_states),

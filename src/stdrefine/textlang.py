@@ -462,7 +462,6 @@ def _parse_sort(p: _Parser, domains: frozenset[str]) -> Sort:
 
 def _parse_transition(p: _Parser) -> Transition:
     """One transition, its names and output terms left unresolved."""
-    start = p.peek()
     label: Optional[str] = None
     if p.peek().kind == "ident" and p.peek(1).text == ":":
         label = p.expect_name("a transition label").text
@@ -512,7 +511,6 @@ def _parse_transition(p: _Parser) -> Transition:
         outputs=tuple(outputs),
         post=post,
         priority=priority,
-        span=(start.line, start.col),
     )
     p.tokens[id(t)] = trigger_tok
     return t
@@ -935,7 +933,7 @@ def print_transition(t: Transition) -> str:
 
 def print_std(std: Std) -> str:
     """Canonical text for a machine; `parse_std(print_std(m))` reproduces `m`
-    exactly (source spans aside)."""
+    exactly."""
     lines: list[str] = [f"std {std.name} = {{"]
     for dn, members in std.domains:
         lines.append(f"  domain {dn} = {{{', '.join(members)}}}")

@@ -128,6 +128,32 @@ def test_guard_holds_is_the_only_truth_test():
     assert offending == [], f"truth tests outside guard_holds: {', '.join(offending)}"
 
 
+def test_only_the_machine_solves_postconditions():
+    # Which primed valuations satisfy a postcondition is decided by
+    # `Machine.solve` alone; a rule side condition asks the machine.
+    offending = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        if path.name != "interp.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and _called_name(node) == "guard_holds"
+        and (len(node.args) >= 5 or any(k.arg == "primed" for k in node.keywords))
+    ]
+    assert offending == [], f"postconditions solved outside interp.py: {', '.join(offending)}"
+
+
+def test_only_the_machine_lists_valuations():
+    # Attribute valuations are listed once, by `Machine.valuations`.
+    defined = [
+        f"{path.name}:{node.lineno}"
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name == "enumerate_valuations"
+    ]
+    assert defined == [], f"enumerate_valuations is defined at {', '.join(defined)}"
+
+
 def test_only_the_machine_binds_an_environment():
     # An environment is bound to a diagram when a `Machine` is made, and
     # nowhere else; everything else asks a machine for its tables.

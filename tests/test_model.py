@@ -62,7 +62,6 @@ from stdrefine.model import (
     bind_environment,
     conj,
     enumerate_sort,
-    enumerate_valuations,
     eval_expr,
     format_value,
     guard_holds,
@@ -71,6 +70,7 @@ from stdrefine.model import (
     replace,
 )
 from stdrefine import interp, model
+from stdrefine.textlang import std_from_json, std_to_json
 
 DOMS = {"Hue": ("red", "green")}
 
@@ -109,8 +109,7 @@ def test_a_record_equals_a_record_of_its_class_with_equal_fields(cls):
     assert rec == twin and not rec != twin and hash(rec) == hash(twin)
     assert rec != tuple(range(len(cls._fields))) and bool(rec)
     for name in cls._fields:
-        if (cls, name) != (Transition, "span"):
-            assert rec != replace(rec, **{name: 100})
+        assert rec != replace(rec, **{name: 100})
     assert pickle.loads(pickle.dumps(rec)) == rec
 
 
@@ -130,14 +129,6 @@ def test_records_of_different_classes_with_equal_fields_are_unequal():
         assert a != b and b != a, (a, b)
         assert not a == b and not b == a, (a, b)
         assert len({a, b}) == 2, (a, b)
-
-
-def test_transition_equality_and_hash_ignore_the_span():
-    t = Transition("t", "s", "s", "go", (), TRUE, (), TRUE, span=(1, 2))
-    moved = replace(t, span=(5, 6))
-    assert moved == t and not moved != t and hash(moved) == hash(t)
-    assert replace(t, span=None) == t
-    assert replace(t, priority=1) != t and replace(t, label="u") != t
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__qualname__)
@@ -178,7 +169,7 @@ def test_record_reprs_read_as_before():
     assert repr(Bounds()) == "Bounds(max_input_len=4, eps_budget=4, output_cap=16, state_cap=None)"
     assert repr(Transition("t", "s", "s", None, (), TRUE, (), TRUE)) == (
         "Transition(label='t', source='s', target='s', trigger=None, params=(), "
-        "guard=Lit(value=True), outputs=(), post=Lit(value=True), priority=None, span=None)"
+        "guard=Lit(value=True), outputs=(), post=Lit(value=True), priority=None)"
     )
 
 
@@ -234,11 +225,13 @@ def test_enumerate_list_sort_counts_all_lengths():
     assert all(isinstance(v, tuple) and len(v) <= 2 for v in values)
 
 
-def test_enumerate_valuations_is_cartesian():
-    attrs = (("a", BoolSort()), ("b", IntSort(0, 2)))
-    vals = enumerate_valuations(attrs, {})
-    assert len(vals) == 2 * 3
-    assert {"a": True, "b": 2} in vals
+def test_machine_valuations_are_cartesian_in_declaration_order():
+    # b is declared first, so it varies slowest; each valuation lists the
+    # attributes by name, as a configuration does.
+    std = _tiny(attributes=(("b", IntSort(0, 2)), ("a", BoolSort())))
+    assert Machine(std, EMPTY_ENV).valuations == tuple(
+        (("a", a), ("b", b)) for b in range(3) for a in (False, True)
+    )
 
 
 def test_format_value_booleans_and_lists():
@@ -508,6 +501,25 @@ def test_validate_requires_initial_state():
     assert any("no initial control state" in p for p in validate_std(_tiny((), initial=())))
 
 
+@pytest.mark.parametrize(
+    "overrides, expected",
+    [
+        pytest.param({"domains": (("D", ("p",)), ("D", ("q",)))},
+                     ["domain D: declared twice"], id="domain-twice"),
+        pytest.param({"initial": (("a", BinOp("eq", AttrRef("x"), Lit(0))),
+                                  ("a", BinOp("eq", AttrRef("x"), Lit(1))))},
+                     ["initial a: state marked initial twice"], id="initial-twice"),
+    ],
+)
+def test_validate_rejects_what_text_cannot_say(overrides, expected):
+    # Each would lose a declaration on the way through std/1 or text: the
+    # domain map keeps the last declaration, and the printer the last marking.
+    std = _tiny((), **overrides)
+    assert validate_std(std) == expected
+    with pytest.raises(ValueError, match=expected[0]):
+        std_from_json(std_to_json(std))
+
+
 def test_validation_is_deterministic():
     bad = _tiny((_t(source="zz"), _t(label="t2", trigger="nope")))
     assert validate_std(bad) == validate_std(bad)
@@ -734,7 +746,7 @@ def test_desugar_priorities_conjoin_higher_priority_negations():
     by_label = {t.label: t for t in std.transitions}
     # Highest priority keeps its guard; lower ones get the negations stacked.
     assert by_label["t1"].guard == parse_std(PRIO_SRC).transitions[0].guard
-    for valuation in enumerate_valuations((("x", IntSort(0, 2)),), {}):
+    for valuation in ({"x": x} for x in range(3)):
         holds = [
             eval_expr(by_label[l].guard, valuation, {}) is True for l in ("t1", "t2", "t3")
         ]
@@ -744,7 +756,7 @@ def test_desugar_priorities_conjoin_higher_priority_negations():
 def test_desugar_else_is_negation_of_group():
     std = desugar(parse_std(ELSE_SRC))
     by_label = {t.label: t for t in std.transitions}
-    for valuation in enumerate_valuations((("x", IntSort(0, 2)),), {}):
+    for valuation in ({"x": x} for x in range(3)):
         t1 = eval_expr(by_label["t1"].guard, valuation, {}) is True
         t3 = eval_expr(by_label["t3"].guard, valuation, {}) is True
         assert t3 == (not t1)

@@ -641,10 +641,13 @@ INVALID = "the transformed machine is invalid: "
     [
         pytest.param(AddStates(("limbo",)), None, None, id="add-states"),
         pytest.param(RemoveInitialStates(("s1",)), None, None, id="remove-initial-states"),
+        pytest.param(SplitState("s1", ("s1a",), (("t0", "s1a", None),)), None, None,
+                     id="split-state"),
         pytest.param(SplitState("s1", ("s1a", "s1b"), ()), RuleError, "has no redirect",
                      id="split-state-malformed"),
-        pytest.param(SplitState("s1", ("s1a",), (("t0", "s1a", None),)), ValueError,
-                     "does not fit", id="split-state"),
+        pytest.param(SplitState("s1", ("s1a",), (("t0", "s1a", BinOp(
+                         "eq", PrimedRef("h"), AttrRef("h"))),)),
+                     ValueError, "does not fit", id="split-state-strengthened"),
         pytest.param(AddTransitions((_t("t9", "nowhere", "s0", "go", post=TRUE),)), RuleError,
                      INVALID + "transition t9: unknown source state 'nowhere'",
                      id="add-transitions-malformed"),
@@ -674,8 +677,9 @@ INVALID = "the transformed machine is invalid: "
     ],
 )
 def test_the_environment_is_bound_where_a_side_condition_first_needs_it(app, raised, match):
-    # Rules without environment conditions never bind it, and a malformed or
-    # ill-sorted payload is reported before an environment that does not fit.
+    # Rules without environment conditions never bind it, nor does a split
+    # that strengthens no postcondition; a malformed or ill-sorted payload is
+    # reported before an environment that does not fit.
     painted = parse_std(PAINTED_SRC)
     if raised is None:
         apply_rule(painted, app, MISFIT)
