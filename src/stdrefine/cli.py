@@ -37,7 +37,6 @@ from .refine import RuleError, check_refinement
 from .textlang import (
     ParseFailure,
     _print_ctor,
-    _print_sort,
     export_dot,
     parse_env,
     parse_feature,
@@ -85,12 +84,7 @@ def _load(parse, path: str, **kwargs):
 
 
 def _bounds(args: argparse.Namespace) -> Bounds:
-    return Bounds(
-        max_input_len=DEFAULT_BOUNDS.max_input_len if args.k is None else args.k,
-        eps_budget=DEFAULT_BOUNDS.eps_budget if args.eps_budget is None else args.eps_budget,
-        output_cap=DEFAULT_BOUNDS.output_cap if args.output_cap is None else args.output_cap,
-        state_cap=args.state_cap,
-    )
+    return Bounds(args.k, args.eps_budget, args.output_cap, args.state_cap)
 
 
 def _add_common(sub: argparse.ArgumentParser, env: bool = True, bounds: bool = True) -> None:
@@ -104,18 +98,21 @@ def _add_common(sub: argparse.ArgumentParser, env: bool = True, bounds: bool = T
         sub.add_argument(
             "--k",
             type=int,
+            default=DEFAULT_BOUNDS.max_input_len,
             metavar="N",
             help=f"input length bound (default {DEFAULT_BOUNDS.max_input_len})",
         )
         sub.add_argument(
             "--eps-budget",
             type=int,
+            default=DEFAULT_BOUNDS.eps_budget,
             metavar="N",
             help=f"internal steps allowed per message (default {DEFAULT_BOUNDS.eps_budget})",
         )
         sub.add_argument(
             "--output-cap",
             type=int,
+            default=DEFAULT_BOUNDS.output_cap,
             metavar="N",
             help=f"recorded output-sequence length cap (default {DEFAULT_BOUNDS.output_cap})",
         )
@@ -153,7 +150,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if std.attributes:
         lines.append(
             "  attributes: "
-            + ", ".join(f"{n} :: {_print_sort(s)}" for n, s in std.attributes)
+            + ", ".join(f"{n} :: {s}" for n, s in std.attributes)
         )
     inits = []
     for name, pred in std.initial:
@@ -359,10 +356,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         for line in failure.lines:
             print(line, file=sys.stderr)
         return failure.code
-    except ParseFailure as pf:
-        for e in pf.errors:
-            print(str(e), file=sys.stderr)
-        return EXIT_USAGE
     except ResourceLimit as rl:
         print(f"resource bound exceeded: {rl}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -58,7 +58,6 @@ from .model import (
     enumerate_sort,
     eval_expr,
     guard_holds,
-    has_primed,
     message_instances,
     msg_key,
     reads,
@@ -147,13 +146,11 @@ def _outputs_of(t: Transition, valuation: dict, tables: dict, params: dict) -> O
     return tuple(msgs)
 
 
-def _pins(post: Expr, position: dict[str, int], primed: int):
+def _pins(post: Expr, position: dict[str, int]):
     """The pins of a postcondition: each conjunct ``x' == e`` or ``e == x'``
     of its top-level ``and`` chain, with x an attribute and e free of primed
-    references, as an (x's `position`, e) pair; and whether every conjunct
-    is a pin of a different attribute.  `primed` counts the primed references
-    in `post`: when each is the x' of a conjunct, no e has one, and none is
-    walked."""
+    references (as `reads` counts them), as an (x's `position`, e) pair; and
+    whether every conjunct is a pin of a different attribute."""
     pins: list[tuple[str, Expr]] = []
     conjuncts = 0
     todo = [post]
@@ -166,11 +163,9 @@ def _pins(post: Expr, position: dict[str, int], primed: int):
         if not isinstance(e, BinOp) or e.op != "eq":
             continue
         for lhs, rhs in ((e.left, e.right), (e.right, e.left)):
-            if isinstance(lhs, PrimedRef) and lhs.name in position:
+            if isinstance(lhs, PrimedRef) and lhs.name in position and not reads(rhs)[2]:
                 pins.append((position[lhs.name], rhs))
                 break
-    if len(pins) != primed:
-        pins = [(i, e) for i, e in pins if not has_primed(e)]
     return tuple(pins), len(pins) == conjuncts == len({i for i, _ in pins})
 
 
@@ -185,7 +180,8 @@ class Machine:
     the transitions per (source, trigger constructor or None for eps) in
     declaration order, and the pins (see `_pins`) of their postconditions;
     the sorted attribute names with their pools of values; and, per control
-    state, the attributes and trigger arguments its outgoing transitions read.
+    state, the attributes and trigger arguments its outgoing transitions read
+    (`reads`, one pass over their expressions).
 
     Every memo is keyed by `key`, what a configuration's control state reads:
     the state and the values of the attributes that a guard, an output
@@ -228,8 +224,8 @@ class Machine:
         self._arg_reads: dict[tuple[str, str], set[int]] = {}
         state_reads: dict[str, set[int]] = {}
         for t in std.transitions:
-            attrs, params, primed = reads(t.guard, *(a for _, xs in t.outputs for a in xs), t.post)
-            self._pinned[t.post] = _pins(t.post, position, primed)
+            attrs, params, _ = reads(t.guard, *(a for _, xs in t.outputs for a in xs), t.post)
+            self._pinned[t.post] = _pins(t.post, position)
             self._groups.setdefault((t.source, t.trigger), []).append(t)
             if t.trigger is not None:
                 self._arg_reads.setdefault((t.source, t.trigger), set()).update(
@@ -336,7 +332,7 @@ class Machine:
         conjuncts evaluate, so every candidate satisfies it."""
         pinned = self._pinned.get(post)
         if pinned is None:
-            pinned = _pins(post, self._attr_position, reads(post)[2])
+            pinned = _pins(post, self._attr_position)
         pins, solved = pinned
         tables = self.tables
         pools = list(self._pools)

@@ -33,6 +33,7 @@ over the `name_scope` of the machine it belongs to, gives it one of them.
 from __future__ import annotations
 
 import itertools
+import operator
 from operator import is_, itemgetter
 from types import MappingProxyType
 from typing import Callable, Iterable, NamedTuple, Optional, TypeVar, Union
@@ -334,67 +335,60 @@ def conj(*parts: Expr) -> Expr:
     return acc
 
 
-_UNARY = (Not, Neg, Defined, Head, Tail, Len)
-
-
-def walk(*exprs: Expr) -> list[Expr]:
-    """Each of exprs and every sub-expression, in pre-order."""
-    out: list[Expr] = []
-    todo = list(reversed(exprs))
-    while todo:
-        e = todo.pop()
-        out.append(e)
-        kind = type(e)
-        if kind is BinOp:
-            todo += (e.right, e.left)
-        elif kind in _UNARY:
-            todo.append(e.arg)
-        elif kind is SymApp:
-            todo += reversed(e.args)
-        elif kind is ListLit:
-            todo += reversed(e.items)
-        elif kind is Cons:
-            todo += (e.tail, e.head)
-    return out
+#: The sub-expression fields of each composite node, in source order; every
+#: other node is a leaf.  A field holds one node, or a plain tuple of nodes
+#: (`SymApp.args`, `ListLit.items`): a node is a `Record`, never a plain tuple.
+CHILD_FIELDS: dict[type, tuple[str, ...]] = {
+    BinOp: ("left", "right"),
+    Cons: ("head", "tail"),
+    SymApp: ("args",),
+    ListLit: ("items",),
+    **dict.fromkeys((Not, Neg, Defined, Head, Tail, Len), ("arg",)),
+}
 
 
 def reads(*exprs: Expr) -> tuple[set[str], set[str], int]:
     """The names of the attributes `exprs` read unprimed and of the trigger
     parameters they read, and the number of primed references in them."""
-    nodes = walk(*exprs)
-    return ({e.name for e in nodes if type(e) is AttrRef},
-            {e.name for e in nodes if type(e) is ParamRef},
-            list(map(type, nodes)).count(PrimedRef))
+    attrs: set[str] = set()
+    params: set[str] = set()
+    primed = 0
+    todo = list(exprs)
+    while todo:
+        e = todo.pop()
+        kind = type(e)
+        if kind is AttrRef:
+            attrs.add(e.name)
+        elif kind is ParamRef:
+            params.add(e.name)
+        elif kind is PrimedRef:
+            primed += 1
+        elif kind in CHILD_FIELDS:
+            for name in CHILD_FIELDS[kind]:
+                sub = getattr(e, name)
+                if type(sub) is tuple:
+                    todo += sub
+                else:
+                    todo.append(sub)
+    return attrs, params, primed
 
 
 def map_children(expr: Expr, f: Callable[[Expr], Expr]) -> Expr:
-    """`expr` rebuilt with `f` applied to each direct sub-expression; `expr`
-    itself when `f` returns each of them unchanged (`is`), a leaf included."""
-    kind = type(expr)
-    if kind in _UNARY:
-        arg = f(expr.arg)
-        return expr if arg is expr.arg else kind(arg)
-    if kind is BinOp:
-        left, right = f(expr.left), f(expr.right)
-        return expr if left is expr.left and right is expr.right else BinOp(expr.op, left, right)
-    if kind is Cons:
-        head, tail = f(expr.head), f(expr.tail)
-        return expr if head is expr.head and tail is expr.tail else Cons(head, tail)
-    if kind is SymApp:
-        args = tuple(map(f, expr.args))
-        return expr if all(map(is_, args, expr.args)) else SymApp(expr.name, args)
-    if kind is ListLit:
-        items = tuple(map(f, expr.items))
-        return expr if all(map(is_, items, expr.items)) else ListLit(items)
-    return expr
-
-
-def has_primed(expr: Expr) -> bool:
-    return PrimedRef in map(type, walk(expr))
-
-
-def has_else(expr: Expr) -> bool:
-    return ElseGuard in map(type, walk(expr))
+    """`expr` rebuilt with `f` applied to each direct sub-expression, in
+    source order; `expr` itself when `f` returns each of them unchanged
+    (`is`), a leaf included."""
+    changes = {}
+    for name in CHILD_FIELDS.get(type(expr), ()):
+        old = getattr(expr, name)
+        if type(old) is tuple:
+            new = tuple(map(f, old))
+            if not all(map(is_, new, old)):
+                changes[name] = new
+        else:
+            new = f(old)
+            if new is not old:
+                changes[name] = new
+    return replace(expr, **changes) if changes else expr
 
 
 class Scope(NamedTuple):
@@ -745,6 +739,16 @@ def config_key(c: Configuration):
 # ---------------------------------------------------------------------------
 
 
+#: What each `BinOp.op` computes from its operands' values; on well-sorted
+#: operands, ``and`` and ``or`` see two Bools.
+OPERATORS: dict[str, Callable[[Value, Value], Value]] = {
+    "and": operator.and_, "or": operator.or_,
+    "eq": operator.eq, "ne": operator.ne,
+    "lt": operator.lt, "le": operator.le, "gt": operator.gt, "ge": operator.ge,
+    "add": operator.add, "sub": operator.sub, "mul": operator.mul,
+}
+
+
 def eval_expr(
     expr: Expr,
     valuation: dict[str, Value],
@@ -796,30 +800,10 @@ def eval_expr(
         r = eval_expr(expr.right, valuation, tables, primed, params)
         if r is Undefined:
             return Undefined
-        op = expr.op
-        if op == "and":
-            return l and r
-        if op == "or":
-            return l or r
-        if op == "eq":
-            return l == r
-        if op == "ne":
-            return l != r
-        if op == "lt":
-            return l < r
-        if op == "le":
-            return l <= r
-        if op == "gt":
-            return l > r
-        if op == "ge":
-            return l >= r
-        if op == "add":
-            return l + r
-        if op == "sub":
-            return l - r
-        if op == "mul":
-            return l * r
-        raise ValueError(f"unknown operator {op!r}")
+        compute = OPERATORS.get(expr.op)
+        if compute is None:
+            raise ValueError(f"unknown operator {expr.op!r}")
+        return compute(l, r)
     if isinstance(expr, ListLit):
         items = []
         for it in expr.items:

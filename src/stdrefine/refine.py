@@ -50,6 +50,7 @@ from typing import Callable, Optional, Union
 
 from .model import (
     Configuration,
+    ElseGuard,
     Environment,
     Expr,
     Msg,
@@ -62,7 +63,6 @@ from .model import (
     desugar,
     format_value,
     guard_holds,
-    has_else,
     name_scope,
     reads,
     replace,
@@ -172,8 +172,9 @@ def _prepare_payload(
     desugared.  Priorities are local to the batch: `desugar` sees the batch
     alone, so each prioritized guard is conjoined with the negations of the
     strictly higher-priority guards of its (source, trigger) group in the
-    batch only.  `else` has no meaning relative to a payload and is rejected
-    first, since `desugar` would accept it."""
+    batch only.  An `else` guard has no meaning relative to a payload and is
+    rejected first, since `desugar` would accept it; an `else` below the top
+    of a guard is left to `validate_std`."""
     scope = name_scope(std)
     resolved = []
     for t in transitions:
@@ -182,7 +183,7 @@ def _prepare_payload(
         except UnknownName as exc:
             raise RuleError(rule, str(exc), witness=f"transition {t.label or t.source}") from exc
     for t in resolved:
-        if has_else(t.guard):
+        if type(t.guard) is ElseGuard:
             raise RuleError(rule, "'else' guards are not allowed in rule payloads",
                             witness=f"transition {t.label or t.source}")
     return desugar(replace(std, transitions=tuple(resolved))).transitions

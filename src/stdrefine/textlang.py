@@ -109,8 +109,6 @@ T = TypeVar("T")
 class SourceSpan(Record):
     line: int
     col: int
-    end_line: int
-    end_col: int
 
     def __str__(self) -> str:
         return f"line {self.line}, col {self.col}"
@@ -145,7 +143,7 @@ class Token(Record):
 
     @property
     def span(self) -> SourceSpan:
-        return SourceSpan(self.line, self.col, self.line, self.col + max(len(self.text), 1))
+        return SourceSpan(self.line, self.col)
 
 
 _PUNCT = frozenset(
@@ -215,9 +213,7 @@ def tokenize(text: str) -> list[Token]:
             if piece in _PUNCT:
                 break
         else:
-            raise ParseFailure(
-                [ParseError(f"unexpected character {c!r}", SourceSpan(line, col, line, col + 1))]
-            )
+            raise ParseFailure([ParseError(f"unexpected character {c!r}", SourceSpan(line, col))])
         toks.append(Token("punct", piece, line, col))
         i += len(piece)
         col += len(piece)
@@ -891,16 +887,12 @@ def _operand(e: Expr, parent: int, right: bool) -> str:
     return text
 
 
-def _print_sort(s: Sort) -> str:
-    return str(s)
-
-
 def _print_ctor(c: MsgCtor) -> str:
     if c.name is None:
-        return _print_sort(c.params[0])
+        return str(c.params[0])
     if not c.params:
         return c.name
-    return f"{c.name}({', '.join(_print_sort(s) for s in c.params)})"
+    return f"{c.name}({', '.join(map(str, c.params))})"
 
 
 def print_transition(t: Transition) -> str:
@@ -943,8 +935,8 @@ def print_std(std: Std) -> str:
         lines.append("  uses {")
         for sym, decl in std.uses:
             arrow = "->" if decl.total else "->?"
-            args = ", ".join(_print_sort(s) for s in decl.params)
-            lines.append(f"    {sym}({args}) {arrow} {_print_sort(decl.result)}")
+            args = ", ".join(map(str, decl.params))
+            lines.append(f"    {sym}({args}) {arrow} {decl.result}")
         lines.append("  }")
     lines.append("")
     lines.append("  input " + " | ".join(_print_ctor(c) for c in std.signature.inputs))
@@ -958,7 +950,7 @@ def print_std(std: Std) -> str:
             else:
                 groups.append(([name], sort))
         for names, sort in groups:
-            lines.append(f"  attributes {', '.join(names)} :: {_print_sort(sort)}")
+            lines.append(f"  attributes {', '.join(names)} :: {sort}")
     lines.append("")
     init_map = dict(std.initial)
     state_texts = []

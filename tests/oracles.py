@@ -12,8 +12,21 @@ from __future__ import annotations
 import itertools
 
 from stdrefine.model import (
+    AttrRef,
+    BinOp,
+    Cons,
+    Defined,
+    Head,
+    Len,
+    ListLit,
     Msg,
+    Neg,
+    Not,
+    ParamRef,
+    PrimedRef,
     Std,
+    SymApp,
+    Tail,
     Undefined,
     bind_environment,
     desugar,
@@ -23,6 +36,56 @@ from stdrefine.model import (
     message_instances,
 )
 from stdrefine.interp import CHAOS_ENTRY, Bounds, Entry
+
+
+def oracle_nodes(expr):
+    """`expr` and every sub-expression, in pre-order, by plain recursion over
+    each composite node kind."""
+    yield expr
+    if isinstance(expr, BinOp):
+        children = (expr.left, expr.right)
+    elif isinstance(expr, Cons):
+        children = (expr.head, expr.tail)
+    elif isinstance(expr, SymApp):
+        children = expr.args
+    elif isinstance(expr, ListLit):
+        children = expr.items
+    elif isinstance(expr, (Not, Neg, Defined, Head, Tail, Len)):
+        children = (expr.arg,)
+    else:
+        children = ()
+    for child in children:
+        yield from oracle_nodes(child)
+
+
+def oracle_reads(*exprs):
+    """Reference `model.reads`: the attributes read unprimed, the parameters
+    read and the number of primed references, over `oracle_nodes`."""
+    nodes = [n for e in exprs for n in oracle_nodes(e)]
+    return (
+        {n.name for n in nodes if isinstance(n, AttrRef)},
+        {n.name for n in nodes if isinstance(n, ParamRef)},
+        sum(isinstance(n, PrimedRef) for n in nodes),
+    )
+
+
+def oracle_rebuild(expr, leaf):
+    """`expr` rebuilt bottom-up by each composite node's own constructor,
+    with `leaf` applied to every leaf."""
+    def rebuild(e):
+        return oracle_rebuild(e, leaf)
+
+    if isinstance(expr, BinOp):
+        return BinOp(expr.op, rebuild(expr.left), rebuild(expr.right))
+    if isinstance(expr, Cons):
+        return Cons(rebuild(expr.head), rebuild(expr.tail))
+    if isinstance(expr, SymApp):
+        return SymApp(expr.name, tuple(map(rebuild, expr.args)))
+    if isinstance(expr, ListLit):
+        return ListLit(tuple(map(rebuild, expr.items)))
+    if isinstance(expr, (Not, Neg, Defined, Head, Tail, Len)):
+        return type(expr)(rebuild(expr.arg))
+    return leaf(expr)
 
 
 def _post_valuations(std: Std):

@@ -253,3 +253,22 @@ def test_every_node_has_a_std1_tag_that_the_schema_knows(union, tags, definition
     assert set(branches) == set(tags.values())
     for kind, tag in tags.items():
         assert branches[tag] == set(kind._fields), tag
+
+
+def test_the_child_table_lists_exactly_the_expression_fields():
+    # `reads` and `map_children` know a node's sub-expressions from this
+    # table alone, so a node added without an entry would hide its children.
+    for kind in typing.get_args(model.Expr):
+        fields = tuple(n for n in kind._fields if re.search(r"\bExpr\b", kind.__annotations__[n]))
+        assert model.CHILD_FIELDS.get(kind, ()) == fields, kind.__name__
+    assert set(model.CHILD_FIELDS) <= set(typing.get_args(model.Expr))
+
+
+def test_every_spelled_operator_is_computed_and_sort_checked():
+    spelled = {op for level in textlang._BINARY_LEVELS for op in level.values()}
+    assert spelled == set(model.OPERATORS)
+    ctx = model.SortContext({}, {}, {})
+    for op in sorted(spelled):
+        errors: list[str] = []
+        model.infer_kind(model.BinOp(op, model.TRUE, model.TRUE), ctx, errors, op)
+        assert not [e for e in errors if "unknown operator" in e], op

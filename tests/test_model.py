@@ -10,7 +10,14 @@ import typing
 import pytest
 
 from machine_gen import gen_std
-from oracles import all_configs, oracle_enabled, oracle_reachable
+from oracles import (
+    all_configs,
+    oracle_enabled,
+    oracle_nodes,
+    oracle_reachable,
+    oracle_reads,
+    oracle_rebuild,
+)
 
 from stdrefine import (
     Bounds,
@@ -24,8 +31,11 @@ from stdrefine import (
     Transition,
     Undefined,
     build_step,
+    conflict_patches,
+    corpus_text,
     default_env,
     desugar,
+    feature_patch,
     make_config,
     make_environment,
     parse_std,
@@ -322,6 +332,84 @@ def test_undefined_propagates_through_operators():
     assert _ev(BinOp("eq", miss, EnumLit("d1", "DN")), tables=tables) is Undefined
     assert _ev(Not(BinOp("eq", miss, EnumLit("d1", "DN")), ), tables=tables) is Undefined
     assert _ev(BinOp("and", Lit(True), BinOp("eq", miss, miss)), tables=tables) is Undefined
+
+
+# ---------------------------------------------------------------------------
+# Sub-expressions: `reads` and `map_children` against plain recursion
+# ---------------------------------------------------------------------------
+
+
+def _transition_expressions(transitions):
+    for t in transitions:
+        yield from (t.guard, *(a for _, args in t.outputs for a in args), t.post)
+
+
+def _patch_expressions(patch):
+    for app in patch.applications:
+        yield from _transition_expressions(getattr(app, "transitions", ()))
+        yield from (g for _, _, g in getattr(app, "redirects", ()) if g is not None)
+
+
+def _shipped_and_generated_expressions():
+    """Every top-level expression of the 4 shipped machines, chain steps
+    0-5, the 6 shipped feature payloads and 600 generated machines."""
+    machines = [parse_std(corpus_text(f"{n}.std")) for n in ("callproc", "tel", "stack", "duo")]
+    machines += [build_step(i) for i in range(6)]
+    rng = random.Random(7)
+    machines += [gen_std(rng, name=f"gen{i}") for i in range(600)]
+    patches = [feature_patch(n) for n in ("abandon", "split-connect", "forwarding", "blocking")]
+    patches += conflict_patches()
+    exprs = [e for std in machines for e in (*(p for _, p in std.initial),
+                                             *_transition_expressions(std.transitions))]
+    exprs += [e for patch in patches for e in _patch_expressions(patch)]
+    assert {type(e) for e in exprs} <= set(typing.get_args(model.Expr))
+    return exprs
+
+
+def _renamed_leaf(e):
+    """Names of references and identifiers suffixed; other leaves as they are."""
+    if type(e) in (AttrRef, ParamRef, PrimedRef, Name):
+        return type(e)(e.name + "~")
+    return e
+
+
+def test_reads_and_map_children_agree_with_plain_recursion():
+    exprs = _shipped_and_generated_expressions()
+    nodes = [n for e in exprs for n in oracle_nodes(e)]
+    kinds = {type(n) for n in nodes}
+    assert kinds >= {BinOp, Not, SymApp, ListLit, Cons, AttrRef, ParamRef, PrimedRef}
+
+    def renamed(e):
+        return _renamed_leaf(model.map_children(e, renamed))
+
+    assert model.reads(*exprs) == oracle_reads(*exprs)
+    for n in nodes:
+        assert model.reads(n) == oracle_reads(n), n
+        assert model.map_children(n, lambda c: c) is n, n
+        assert renamed(n) == oracle_rebuild(n, _renamed_leaf), n
+
+
+def test_map_children_applies_f_to_each_direct_child_in_source_order():
+    seen = []
+    expr = BinOp("and", SymApp("f", (Lit(1), Lit(2))), Cons(Lit(3), ListLit((Lit(4),))))
+
+    def f(c):
+        seen.append(c)
+        return c
+
+    assert model.map_children(expr, f) is expr
+    assert model.map_children(expr.left, f) is expr.left
+    assert model.map_children(expr.right, f) is expr.right
+    assert seen == [expr.left, expr.right, Lit(1), Lit(2), Lit(3), ListLit((Lit(4),))]
+    doubled = model.map_children(expr.left, lambda c: Lit(c.value * 2))
+    assert doubled == SymApp("f", (Lit(2), Lit(4)))
+
+
+def test_eval_rejects_an_unknown_operator_only_on_defined_operands():
+    with pytest.raises(ValueError, match="unknown operator 'xor'"):
+        _ev(BinOp("xor", Lit(True), Lit(False)))
+    miss = SymApp("F", (Lit(1),))
+    assert _ev(BinOp("xor", miss, Lit(False)), tables={"F": {}}) is Undefined
 
 
 # Truth values as expressions: Undefined comes from a partial table lookup.

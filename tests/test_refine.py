@@ -367,6 +367,14 @@ def test_rule_payloads_may_not_use_else(base):
         apply_rule(base, AddTransitions((t,)), EMPTY_ENV, B)
 
 
+def test_an_else_below_the_top_of_a_payload_guard_is_invalid(base):
+    # Only an API-built payload can hold one: the parser reads no `else`
+    # inside an expression.
+    t = _t("t3", "s1", "s1", "go", guard=BinOp("and", TRUE, Not(ElseGuard())))
+    with pytest.raises(RuleError, match="'else' may only appear as the entire guard of a transition"):
+        apply_rule(base, AddTransitions((t,)), EMPTY_ENV, B)
+
+
 def test_payload_priorities_are_local_to_the_batch():
     # t0 is @1 in the same (s, go) group as the payload, but p2's guard
     # negates only the higher-priority guard of its own batch, p1's.
