@@ -100,12 +100,8 @@ def introduced_state_names(patch: FeaturePatch) -> frozenset[str]:
 def introduced_labels(patch: FeaturePatch) -> frozenset[str]:
     labels: set[str] = set()
     for app in patch.applications:
-        payload = ()
-        if isinstance(app, AddTransitions):
-            payload = app.transitions
-        elif isinstance(app, AddStates):
-            payload = app.transitions
-        labels.update(t.label for t in payload if t.label is not None)
+        if isinstance(app, (AddStates, AddTransitions)):
+            labels.update(t.label for t in app.transitions if t.label is not None)
     return frozenset(labels)
 
 
@@ -153,32 +149,26 @@ def detect_conflict(
         )
 
     # Independence: each feature must apply to the base machine on its own.
-    singles: dict[str, Std] = {}
+    singles: list[Std] = []
     for f in (f1, f2):
         try:
-            singles[f.name] = apply_feature(std, f, env, bounds)
+            singles.append(apply_feature(std, f, env, bounds))
         except RuleError as exc:
             return report(
                 "inapplicable",
                 [f"feature {f.name!r} does not apply to {std.name}: {exc}"],
             )
+    s1, s2 = singles
 
-    shared_states = introduced_state_names(f1) & introduced_state_names(f2)
-    if shared_states:
-        which = sorted(shared_states)[0]
-        return report(
-            "not-independent",
-            [f"both features introduce a state named {which!r}"],
-        )
-    shared_labels = introduced_labels(f1) & introduced_labels(f2)
-    if shared_labels:
-        which = sorted(shared_labels)[0]
-        return report(
-            "not-independent",
-            [f"both features introduce a transition labeled {which!r}"],
-        )
+    for introduced, what in ((introduced_state_names, "a state named"),
+                             (introduced_labels, "a transition labeled")):
+        shared = introduced(f1) & introduced(f2)
+        if shared:
+            return report(
+                "not-independent",
+                [f"both features introduce {what} {min(shared)!r}"],
+            )
 
-    s1, s2 = singles[f1.name], singles[f2.name]
     # Keyed by id(), so that no lookup hashes a whole machine.  An entry holds
     # its machine, which keeps the id from being given to a later one, and
     # serves only that very machine.

@@ -38,7 +38,7 @@ import itertools
 import json
 from functools import cached_property
 from operator import itemgetter
-from typing import Optional
+from typing import Iterator, Optional
 
 from .model import (
     BinOp,
@@ -123,12 +123,11 @@ def is_prefix(short: Outputs, long: Outputs) -> bool:
 
 
 class EnabledTransition(Record):
-    """One enabled transition at a configuration under a trigger: the bound
-    parameters plus the set of (output sequence, successor) reactions the
-    relational postcondition admits."""
+    """One enabled transition at a configuration under a trigger, with the
+    set of (output sequence, successor) reactions the relational
+    postcondition admits."""
 
     transition: Transition
-    binding: tuple[tuple[str, Value], ...]
     reactions: frozenset[tuple[Outputs, Configuration]]
 
 
@@ -237,6 +236,7 @@ class Machine:
         self._first: dict[str, list[int]] = {}
         self._enabled: dict[tuple[tuple, Msg | None], list[EnabledTransition]] = {}
         self._rows: dict[tuple, list[StepResult | None]] = {}
+        self._guards: dict[Transition, tuple] = {}
 
     @cached_property
     def valuations(self) -> tuple[tuple[tuple[str, Value], ...], ...]:
@@ -311,7 +311,7 @@ class Machine:
             reactions = frozenset((outputs, Configuration(target, primed))
                                   for primed in self.solve(t.post, valuation, params))
             if reactions:
-                out.append(EnabledTransition(t, tuple(sorted(params.items())), reactions))
+                out.append(EnabledTransition(t, reactions))
         return out
 
     def solve(self, post: Expr, valuation: dict[str, Value],
@@ -348,6 +348,28 @@ class Machine:
             if solved or guard_holds(post, valuation, tables, params, dict(primed)):
                 out.append(primed)
         return out
+
+    def guarded(self, t: Transition, valuations: tuple | None = None) -> Iterator[tuple]:
+        """Each (valuation, trigger, binding) at which the guard of `t`, one of
+        the machine's transitions or a payload's, holds: per trigger (the
+        `inputs` with t's constructor, or None for eps), the `Configuration`
+        valuations in the order given, `valuations` by default.  The guard is
+        evaluated once per trigger and values of the attributes it reads, and
+        those read positions and t's triggers are kept per `t`."""
+        if t not in self._guards:
+            read = sorted(self._attr_position[n] for n in reads(t.guard)[0])
+            triggers = [None] if t.is_internal else [m for m in self.inputs if m.ctor == t.trigger]
+            self._guards[t] = (itemgetter(*read) if read else lambda v: (),
+                               [(m, {} if m is None else dict(zip(t.params, m.args))) for m in triggers])
+        project, triggers = self._guards[t]
+        for trigger, binding in triggers:
+            holds: dict[object, bool] = {}
+            for valuation in self.valuations if valuations is None else valuations:
+                key = project(valuation)
+                if key not in holds:
+                    holds[key] = guard_holds(t.guard, dict(valuation), self.tables, binding)
+                if holds[key]:
+                    yield valuation, trigger, binding
 
     def row(self, config: Configuration) -> list[StepResult | None]:
         """The step row of `config`'s key: cell i is None until filled."""

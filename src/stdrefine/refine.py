@@ -21,7 +21,8 @@ membership in the saturated `interp.reachable_configurations` of it, which
 holds every configuration that any bounds reach (so the internal-step budget
 of 1 it is built with is the least reachability takes, not a bound the rule
 depends on).  The transition a rule adds or removes is tested by its guard
-alone, which can only reject more.
+alone, where `Machine.guarded` finds that it holds, which can only reject
+more; the side conditions evaluate no expression themselves.
 
 * add-states: fresh, unreachable states (plus transitions among them only).
 * remove-states: states no reachable configuration occupies.
@@ -45,7 +46,6 @@ producing an unsound machine.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Callable, Optional, Union
 
 from .model import (
@@ -62,9 +62,7 @@ from .model import (
     config_key,
     desugar,
     format_value,
-    guard_holds,
     name_scope,
-    reads,
     replace,
     resolve_names,
     resolve_transition,
@@ -194,20 +192,22 @@ def _prepare_payload(
 # ---------------------------------------------------------------------------
 
 
-def _triggers(t: Transition, inputs: tuple[Msg, ...]) -> list[Optional[Msg]]:
-    """The ground triggers of `t`: the members of `inputs` (a machine's, in
-    `msg_key` order) with its constructor, or [None] for eps."""
-    if t.is_internal:
-        return [None]
-    return [m for m in inputs if m.ctor == t.trigger]
-
-
-def _binding(t: Transition, trigger: Optional[Msg]) -> dict[str, Value]:
-    return {} if trigger is None else dict(zip(t.params, trigger.args))
-
-
 def _format_valuation(valuation: tuple[tuple[str, Value], ...]) -> str:
     return "{" + ", ".join(f"{k}={format_value(v)}" for k, v in valuation) + "}"
+
+
+def _distinct(rule: str, names: tuple[str, ...], what: str,
+              bad: Callable[[str], bool], problem: str) -> set[str]:
+    """The set of `names`, checked in order: a name for which `bad` holds is
+    rejected as "<what> <name> <problem>", and a repeat as listed twice."""
+    seen: set[str] = set()
+    for n in names:
+        if bad(n):
+            raise RuleError(rule, f"{what} {n!r} {problem}")
+        if n in seen:
+            raise RuleError(rule, f"{what} {n!r} listed twice")
+        seen.add(n)
+    return seen
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +244,7 @@ def _add_states(work: Std, app: AddStates, rule: str) -> tuple[Std, None]:
     if not app.names:
         raise RuleError(rule, "no states to add")
     existing = set(work.states)
-    fresh = set()
-    for n in app.names:
-        if n in existing:
-            raise RuleError(rule, f"state {n!r} already exists")
-        if n in fresh:
-            raise RuleError(rule, f"state {n!r} listed twice")
-        fresh.add(n)
+    fresh = _distinct(rule, app.names, "state", lambda n: n in existing, "already exists")
     payload = _prepare_payload(app.transitions, work, rule)
     for t in payload:
         if t.source not in fresh or t.target not in fresh:
@@ -271,10 +265,7 @@ def _remove_states(work: Std, app: RemoveStates, rule: str) -> tuple[Std, Check]
     if not app.names:
         raise RuleError(rule, "no states to remove")
     existing = set(work.states)
-    for n in app.names:
-        if n not in existing:
-            raise RuleError(rule, f"state {n!r} does not exist")
-    doomed = set(app.names)
+    doomed = _distinct(rule, app.names, "state", lambda n: n not in existing, "does not exist")
 
     def check(machine: Machine) -> None:
         hit = sorted(doomed & {c.control for c in reachable_configurations(machine)})
@@ -300,13 +291,8 @@ def _split_state(work: Std, app: SplitState, rule: str) -> tuple[Std, Optional[C
     if not app.parts:
         raise RuleError(rule, "a split needs at least one part")
     existing = set(work.states)
-    seen = set()
-    for p in app.parts:
-        if p in existing:
-            raise RuleError(rule, f"part {p!r} collides with an existing state")
-        if p in seen:
-            raise RuleError(rule, f"part {p!r} listed twice")
-        seen.add(p)
+    seen = _distinct(rule, app.parts, "part", lambda p: p in existing,
+                     "collides with an existing state")
 
     redirect: dict[str, tuple[str, Optional[Expr]]] = {}
     for label, part, post in app.redirects:
@@ -369,31 +355,27 @@ def _split_state(work: Std, app: SplitState, rule: str) -> tuple[Std, Optional[C
         # A strengthened postcondition admits a subset of the original's
         # successors, and some successor wherever the original admits one.
         for t, post in strengthened:
-            for trigger in _triggers(t, machine.inputs):
-                binding = _binding(t, trigger)
-                for valuation in machine.valuations:
-                    v = dict(valuation)
-                    if not guard_holds(t.guard, v, machine.tables, binding):
-                        continue
-                    original = set(machine.solve(t.post, v, binding))
-                    stronger = set(machine.solve(post, v, binding))
-                    where = (f"valuation {_format_valuation(valuation)}, "
-                             f"trigger {'eps' if trigger is None else trigger}")
-                    extra = stronger - original
-                    if extra:
-                        primed = next(p for p in machine.valuations if p in extra)
-                        raise RuleError(
-                            rule,
-                            f"strengthened postcondition of {t.label!r} does not imply the original",
-                            witness=f"{where}, primed {_format_valuation(primed)}",
-                        )
-                    if original and not stronger:
-                        raise RuleError(
-                            rule,
-                            f"strengthened postcondition of {t.label!r} is unsatisfiable "
-                            "where the original was satisfiable",
-                            witness=where,
-                        )
+            for valuation, trigger, binding in machine.guarded(t):
+                v = dict(valuation)
+                original = set(machine.solve(t.post, v, binding))
+                stronger = set(machine.solve(post, v, binding))
+                where = (f"valuation {_format_valuation(valuation)}, "
+                         f"trigger {'eps' if trigger is None else trigger}")
+                extra = stronger - original
+                if extra:
+                    primed = next(p for p in machine.valuations if p in extra)
+                    raise RuleError(
+                        rule,
+                        f"strengthened postcondition of {t.label!r} does not imply the original",
+                        witness=f"{where}, primed {_format_valuation(primed)}",
+                    )
+                if original and not stronger:
+                    raise RuleError(
+                        rule,
+                        f"strengthened postcondition of {t.label!r} is unsatisfiable "
+                        "where the original was satisfiable",
+                        witness=where,
+                    )
 
     return result, check
 
@@ -414,48 +396,36 @@ def _add_transitions(work: Std, app: AddTransitions, rule: str) -> tuple[Std, Ch
     payload = _prepare_payload(app.transitions, work, rule)
 
     def check(machine: Machine) -> None:
-        tables, inputs = machine.tables, machine.inputs
-        # Each question is asked once per what decides it: a payload guard per
-        # trigger instance and values of the attributes it reads, and the
-        # machine once per (read key, trigger) by `Machine.enabled`, however
-        # many payload transitions and trigger instances raise it.
+        # Each question is asked once per what decides it: a payload guard by
+        # `Machine.guarded`, and the machine once per (read key, trigger) by
+        # `Machine.enabled`, however many payload transitions and trigger
+        # instances raise it.
 
         # Disjointness is checked against the machine being extended, not
         # against other members of the same batch: the batch as a whole
         # claims previously unspecified situations, and may distribute them
         # among its members.
         for t in payload:
-            attrs = sorted(reads(t.guard)[0])
-            project = itemgetter(*attrs) if attrs else lambda v: ()
-            for trigger in _triggers(t, inputs):
-                binding = _binding(t, trigger)
-                holds: dict[object, bool] = {}
-                for valuation in machine.valuations:
-                    v = dict(valuation)
-                    read = project(v)
-                    if read not in holds:
-                        holds[read] = guard_holds(t.guard, v, tables, binding)
-                    if not holds[read]:
+            for valuation, trigger, _ in machine.guarded(t):
+                cfg = Configuration(t.source, valuation)
+                for ask in [None, *machine.inputs] if t.is_internal else [trigger, None]:
+                    clash = machine.enabled(cfg, ask)
+                    if not clash:
                         continue
-                    cfg = Configuration(t.source, valuation)
-                    for ask in [None, *inputs] if t.is_internal else [trigger, None]:
-                        clash = machine.enabled(cfg, ask)
-                        if not clash:
-                            continue
-                        name = clash[0].transition.label or clash[0].transition.source
-                        new = "new internal transition" if t.is_internal else "new transition"
-                        where = f"state {t.source}, valuation {_format_valuation(valuation)}"
-                        if ask is None:
-                            raise RuleError(
-                                rule, f"{new} overlaps existing internal transition {name!r}",
-                                witness=where,
-                            )
-                        detail = ("(the machine was not unspecified there)" if t.is_internal
-                                  else "on the same trigger")
+                    name = clash[0].transition.label or clash[0].transition.source
+                    new = "new internal transition" if t.is_internal else "new transition"
+                    where = f"state {t.source}, valuation {_format_valuation(valuation)}"
+                    if ask is None:
                         raise RuleError(
-                            rule, f"{new} overlaps existing transition {name!r} {detail}",
-                            witness=f"{where}, trigger {ask}",
+                            rule, f"{new} overlaps existing internal transition {name!r}",
+                            witness=where,
                         )
+                    detail = ("(the machine was not unspecified there)" if t.is_internal
+                              else "on the same trigger")
+                    raise RuleError(
+                        rule, f"{new} overlaps existing transition {name!r} {detail}",
+                        witness=f"{where}, trigger {ask}",
+                    )
 
     return replace(work, transitions=work.transitions + payload), check
 
@@ -493,13 +463,10 @@ def _remove_transitions(work: Std, app: RemoveTransitions, rule: str) -> tuple[S
         # In canonical order, so that the witness is the least offending
         # configuration whatever the string-hash seed.
         for cfg in sorted(reachable_configurations(machine), key=config_key):
-            v = cfg.value_map()
             for t in removed:
                 if t.source != cfg.control:
                     continue
-                for trigger in _triggers(t, machine.inputs):
-                    if not guard_holds(t.guard, v, machine.tables, _binding(t, trigger)):
-                        continue
+                for _, trigger, _ in machine.guarded(t, (cfg.valuation,)):
                     if covered(cfg, None):
                         continue
                     if trigger is None:
@@ -523,13 +490,8 @@ def _remove_initial(work: Std, app: RemoveInitialStates, rule: str) -> tuple[Std
     if not app.names:
         raise RuleError(rule, "no initial markings to remove")
     marked = {s for s, _ in work.initial}
-    doomed = set()
-    for n in app.names:
-        if n not in marked:
-            raise RuleError(rule, f"state {n!r} is not an initial state")
-        if n in doomed:
-            raise RuleError(rule, f"state {n!r} listed twice")
-        doomed.add(n)
+    doomed = _distinct(rule, app.names, "state", lambda n: n not in marked,
+                       "is not an initial state")
     kept = tuple((s, p) for s, p in work.initial if s not in doomed)
     return replace(work, initial=kept), None
 

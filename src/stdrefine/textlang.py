@@ -749,17 +749,20 @@ def parse_messages(text: str) -> tuple[Msg, ...]:
 
 
 def parse_feature(text: str, base: Optional[Std] = None) -> FeaturePatch:
-    """Parse a feature patch.  When `base` (the subject machine) is given,
-    each payload transition is resolved against it once it is read; without
-    it, payload transitions are left as read.  Redirect postconditions are
-    left as read either way, since the redirected transition may be one the
-    patch adds.  `apply_rule` resolves what is left against the machine it
-    rewrites, the same way."""
+    """Parse a feature patch.  When `base` (the subject machine) is given, a
+    patch written against another machine is an error at its subject, and
+    each payload transition is resolved against `base` once it is read;
+    without it, payload transitions are left as read.  Redirect
+    postconditions are left as read either way, since the redirected
+    transition may be one the patch adds.  `apply_rule` resolves what is
+    left against the machine it rewrites, the same way."""
     p = _Parser(text)
     p.expect("feature")
     fname = p.expect_name("the feature name").text
     p.expect("on")
-    subject = p.expect_name("the subject machine name").text
+    subject = p.expect_name("the subject machine name")
+    if base is not None and subject.text != base.name:
+        p.fail(f"feature {fname!r} is written against {subject.text!r}, not {base.name!r}", subject)
     p.expect("{")
     scope = name_scope(base) if base is not None else None
 
@@ -831,7 +834,7 @@ def parse_feature(text: str, base: Optional[Std] = None) -> FeaturePatch:
     p.expect_eof()
     if not apps:
         p.fail("a feature patch needs at least one rule application")
-    return FeaturePatch(name=fname, subject=subject, applications=tuple(apps))
+    return FeaturePatch(name=fname, subject=subject.text, applications=tuple(apps))
 
 
 # ---------------------------------------------------------------------------

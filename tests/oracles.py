@@ -34,6 +34,7 @@ from stdrefine.model import (
     eval_expr,
     make_config,
     message_instances,
+    msg_key,
 )
 from stdrefine.interp import CHAOS_ENTRY, Bounds, Entry
 
@@ -145,6 +146,29 @@ def oracle_enabled(std: Std, config, trigger: Msg | None, env):
         if reactions:
             results.add((t.label, tuple(sorted(params.items())), frozenset(reactions)))
     return results
+
+
+def oracle_guarded(std: Std, t, env):
+    """Reference `Machine.guarded`: each (valuation, trigger, binding) at which
+    the guard of `t` evaluates to True.  The triggers are the input instances
+    with t's constructor in `msg_key` order, or None for eps; within each,
+    every valuation of a raw cartesian product, as a sorted tuple."""
+    std = desugar(std)
+    tables, problems = bind_environment(std, env)
+    if problems:
+        raise ValueError("; ".join(problems))
+    if t.trigger is None:
+        triggers = [None]
+    else:
+        instances = message_instances(std.signature.inputs, std.domain_map())
+        triggers = sorted((m for m in instances if m.ctor == t.trigger), key=msg_key)
+    out = []
+    for trigger in triggers:
+        params = {} if trigger is None else dict(zip(t.params, trigger.args))
+        for valuation in _post_valuations(std):
+            if eval_expr(t.guard, valuation, tables, params=params) is True:
+                out.append((tuple(sorted(valuation.items())), trigger, params))
+    return out
 
 
 def oracle_step(std: Std, config, message: Msg, env, bounds: Bounds):

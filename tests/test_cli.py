@@ -243,6 +243,15 @@ def test_refine_apply_rule_error_exit_code(tmp_path):
     assert "overlaps existing" in err
 
 
+def test_refine_apply_names_the_machine_a_patch_is_written_for():
+    code, out, err = run("refine", "apply", CALLPROC, LEFT)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"{LEFT}: line 3, col 26: feature 'conflict-left' is written against 'duo', "
+        "not 'callproc'\n"
+    )
+
+
 @pytest.mark.parametrize(
     "payload",
     [

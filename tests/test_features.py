@@ -28,7 +28,7 @@ from stdrefine import (
 )
 from stdrefine import features
 from stdrefine.features import conflict_to_json, introduced_labels, introduced_state_names
-from stdrefine.model import EMPTY_ENV
+from stdrefine.model import EMPTY_ENV, replace
 
 B = Bounds(max_input_len=3, eps_budget=3, output_cap=16)
 SMALL = Bounds(max_input_len=2, eps_budget=4, output_cap=16)
@@ -98,6 +98,22 @@ def test_conflicting_fixture_has_evidence_for_both_orders():
     text = "\n".join(report.evidence)
     assert "conflict-left then conflict-right" in text
     assert "conflict-right then conflict-left" in text
+
+
+def test_two_patches_that_share_a_name_are_told_apart():
+    # Each single-feature machine stays with its own patch, so the renamed
+    # pair is decided as the corpus pair is.
+    left, right = conflict_patches()
+    corpus = detect_conflict(duo_std(), left, right, EMPTY_ENV, B)
+    renamed = detect_conflict(
+        duo_std(), replace(left, name="same"), replace(right, name="same"), EMPTY_ENV, B
+    )
+    assert renamed.verdict == corpus.verdict == "conflicting"
+    assert renamed.evidence == tuple(
+        e.replace("conflict-left", "same").replace("conflict-right", "same")
+        for e in corpus.evidence
+    )
+    assert "existing transition 'g_left'" in renamed.evidence[0]
 
 
 def test_name_collision_is_not_independent():

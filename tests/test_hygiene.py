@@ -143,6 +143,21 @@ def test_only_the_machine_solves_postconditions():
     assert offending == [], f"postconditions solved outside interp.py: {', '.join(offending)}"
 
 
+def test_only_the_machine_tests_a_guard():
+    # Where a guard holds is decided by the interpreter (`Machine.guarded`
+    # for a rule side condition); refine evaluates no expression itself.
+    offending = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        if path.name not in ("model.py", "interp.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and _called_name(node) == "guard_holds"
+    ]
+    assert offending == [], f"guards tested outside interp.py: {', '.join(offending)}"
+    imported = _imported(ast.parse((PACKAGE / "refine.py").read_text()))
+    assert sorted({"guard_holds", "eval_expr", "reads"} & set(imported)) == []
+
+
 def test_only_the_machine_lists_valuations():
     # Attribute valuations are listed once, by `Machine.valuations`.
     defined = [

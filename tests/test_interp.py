@@ -45,7 +45,14 @@ from stdrefine.interp import (
 from stdrefine.model import EMPTY_ENV, config_key, make_environment
 
 from machine_gen import gen_std
-from oracles import _inputs_and_initial, all_configs, input_closure, oracle_step, oracle_traces
+from oracles import (
+    _inputs_and_initial,
+    all_configs,
+    input_closure,
+    oracle_guarded,
+    oracle_step,
+    oracle_traces,
+)
 
 K2 = Bounds(max_input_len=2, eps_budget=4, output_cap=16)
 K4 = Bounds(max_input_len=4, eps_budget=4, output_cap=16)
@@ -797,3 +804,39 @@ def test_second_set_chaotic_at_a_proper_prefix_fails_at_that_prefix():
         assert verdict.witness.input == (go,)
     assert trace_inclusion(gap, spec).ok
     assert trace_equivalence(gap, spec).witness.input == (go,)
+
+
+# ---------------------------------------------------------------------------
+# Where a guard holds
+# ---------------------------------------------------------------------------
+
+
+GUARDED_MACHINES = {
+    "tel": lambda: (tel_std(), EMPTY_ENV),
+    "stack": lambda: (stack_std(), EMPTY_ENV),
+    "duo": lambda: (duo_std(), EMPTY_ENV),
+    **{f"step{n}": (lambda n=n: (build_step(n), default_env())) for n in range(6)},
+}
+
+
+@pytest.mark.parametrize("name", list(GUARDED_MACHINES))
+def test_guarded_agrees_with_the_oracle_on_the_corpus(name):
+    # Triggers outermost, then the valuations in the order given.
+    std, env = GUARDED_MACHINES[name]()
+    machine = Machine(std, env)
+    backwards = machine.valuations[::-1]
+    for t in machine.std.transitions:
+        every = oracle_guarded(std, t, env)
+        assert list(machine.guarded(t)) == every, t.label
+        triggers = list(dict.fromkeys(trigger for _, trigger, _ in every))
+        expected = sorted(every, key=lambda g: (triggers.index(g[1]), backwards.index(g[0])))
+        assert list(machine.guarded(t, backwards)) == expected, t.label
+
+
+def test_guarded_agrees_with_the_oracle_on_generated_machines():
+    rng = random.Random(7)
+    for i in range(600):
+        std = gen_std(rng, name=f"gen{i}")
+        machine = Machine(std, EMPTY_ENV)
+        for t in machine.std.transitions:
+            assert list(machine.guarded(t)) == oracle_guarded(std, t, EMPTY_ENV), (i, t.label)

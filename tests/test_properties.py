@@ -227,10 +227,13 @@ def test_enabled_transitions_agree_with_oracle(seed):
     for config in all_configs(std):
         for trigger in [None, *msgs]:
             got = {
-                (e.transition.label, tuple(sorted(e.binding)), e.reactions)
+                (e.transition.label, e.reactions)
                 for e in machine._find_enabled(config, trigger)
             }
-            assert got == oracle_enabled(std, config, trigger, EMPTY_ENV)
+            assert got == {
+                (label, reactions)
+                for label, _, reactions in oracle_enabled(std, config, trigger, EMPTY_ENV)
+            }
 
 
 @given(seeds)

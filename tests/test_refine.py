@@ -332,33 +332,48 @@ std wide = {
     assert len(asked) == len(set(asked)) == 2 * (3 + 1) + 1 * (1 + 4) == 13
 
 
-def test_add_transitions_evaluates_a_guard_once_per_read_value(monkeypatch):
-    # t3's guard reads x only, so it is evaluated once per value of x and
-    # trigger instance, not once per valuation of (x, y).
-    std = parse_std(
-        """
+WIDE_SRC = """
 std wide = {
   input go | stop
   output a
   attributes x :: Int 0..2
   attributes y :: Int 0..3
-  states s0 init
+  states s0 init, s1
   t1: s0 -> s0 : go / [a] {x' == x && y' == y}
+  t2: s1 -> s1 : {x == 1} go / [a] {x' == x && y' == y}
 }
 """
-    )
-    t3 = _t("t3", "s0", "s0", "stop", guard=BinOp("eq", AttrRef("x"), Lit(1)), post=TRUE)
-    guards = []
-    holds = model.guard_holds
+
+
+def _guard_evaluations(monkeypatch, std, app, guard):
+    """The x of each valuation at which applying `app` evaluates `guard`."""
+    evaluated = []
+    holds = interp.guard_holds
 
     def counting(expr, *args, **kwargs):
-        if expr == t3.guard:
-            guards.append(args[0])
+        if expr == guard:
+            evaluated.append(args[0]["x"])
         return holds(expr, *args, **kwargs)
 
-    monkeypatch.setattr(refine, "guard_holds", counting)
-    apply_rule(std, AddTransitions((t3,)), EMPTY_ENV, B)
-    assert [v["x"] for v in guards] == [0, 1, 2]
+    monkeypatch.setattr(interp, "guard_holds", counting)
+    apply_rule(std, app, EMPTY_ENV, B)
+    return evaluated
+
+
+def test_add_transitions_evaluates_a_guard_once_per_read_value(monkeypatch):
+    # t3's guard reads x only, so it is evaluated once per value of x and
+    # trigger instance, not once per valuation of (x, y).
+    t3 = _t("t3", "s0", "s0", "stop", guard=BinOp("eq", AttrRef("x"), Lit(1)), post=TRUE)
+    app = AddTransitions((t3,))
+    assert _guard_evaluations(monkeypatch, parse_std(WIDE_SRC), app, t3.guard) == [0, 1, 2]
+
+
+def test_split_state_evaluates_a_guard_once_per_read_value(monkeypatch):
+    # So is the guard of t2, whose postcondition the split restates.
+    std = parse_std(WIDE_SRC)
+    t2 = std.transition("t2")
+    app = SplitState("s1", ("s1a", "s1b"), (("t2", "s1a", t2.post),))
+    assert _guard_evaluations(monkeypatch, std, app, t2.guard) == [0, 1, 2]
 
 
 def test_rule_payloads_may_not_use_else(base):
@@ -694,6 +709,24 @@ def test_the_environment_is_bound_where_a_side_condition_first_needs_it(app, rai
     else:
         with pytest.raises(raised, match=re.escape(match)):
             apply_rule(painted, app, MISFIT)
+
+
+@pytest.mark.parametrize(
+    "app,match",
+    [
+        pytest.param(AddStates(("n", "n")), "state 'n' listed twice", id="add-states"),
+        pytest.param(RemoveStates(("s1", "s1")), "state 's1' listed twice", id="remove-states"),
+        pytest.param(SplitState("s1", ("p", "p"), (("t1", "p", None),)), "part 'p' listed twice",
+                     id="split-state"),
+        pytest.param(RemoveTransitions(("t2", "t2")), "transition 't2' listed twice",
+                     id="remove-transitions"),
+        pytest.param(RemoveInitialStates(("s0", "s0")), "state 's0' listed twice",
+                     id="remove-initial-states"),
+    ],
+)
+def test_a_name_listed_twice_is_rejected(base, app, match):
+    with pytest.raises(RuleError, match=re.escape(match)):
+        apply_rule(base, app, EMPTY_ENV, B)
 
 
 @pytest.mark.parametrize("app", ["add-states", None, ("limbo",)], ids=["str", "none", "tuple"])

@@ -179,6 +179,17 @@ def test_env_parse_rejects_bad_rows():
         parse_env("domain DN = {d1}\nBusy(d1) =")
 
 
+def test_a_feature_written_for_another_machine_fails_at_its_subject():
+    # conflict-left is written against duo; its payload is never resolved
+    # against callproc, whose scope has no `go`.
+    with pytest.raises(ParseFailure) as info:
+        parse_feature(corpus_text("conflict-left.feat"), base=base_std())
+    assert str(info.value) == (
+        "line 3, col 26: feature 'conflict-left' is written against 'duo', not 'callproc'"
+    )
+    assert parse_feature(corpus_text("conflict-left.feat")).subject == "duo"
+
+
 LISTS_SRC = """
 std lists = {
   domain Hue = {red, green}
