@@ -10,8 +10,9 @@ found (a report is still printed), or a rule application was rejected, a
 patch that does not sort-check against its machine included; 2 usage,
 parse, or sort error in an input file; 3 a resource bound was exceeded.
 Results go to stdout, diagnostics to stderr, and identical invocations
-produce byte-identical output.  Every report names the bounds it was
-computed under, so verdicts are reproducible.
+produce byte-identical output.  Every report names the bounds its run read,
+so verdicts are reproducible: ``check`` reads none, and ``simulate``'s input
+length bound is the length of its input.
 """
 
 from __future__ import annotations
@@ -83,48 +84,34 @@ def _load(parse, path: str, **kwargs):
     return _parsed(parse, path, _read_text(path), **kwargs)
 
 
-def _bounds(args: argparse.Namespace) -> Bounds:
-    return Bounds(args.k, args.eps_budget, args.output_cap, args.state_cap)
+def _bounds(args: argparse.Namespace, k: Optional[int] = None) -> Bounds:
+    return Bounds(args.k if k is None else k, args.eps_budget, args.output_cap, args.state_cap)
 
 
-def _add_common(sub: argparse.ArgumentParser, env: bool = True, bounds: bool = True) -> None:
-    """--env, the exploration bounds and --json; without `bounds` only the
-    state cap, for a command whose output does not depend on the others."""
-    if env:
-        sub.add_argument(
-            "--env", metavar="FILE", help="environment file (.env); default: empty"
-        )
-    if bounds:
-        sub.add_argument(
-            "--k",
-            type=int,
-            default=DEFAULT_BOUNDS.max_input_len,
-            metavar="N",
-            help=f"input length bound (default {DEFAULT_BOUNDS.max_input_len})",
-        )
-        sub.add_argument(
-            "--eps-budget",
-            type=int,
-            default=DEFAULT_BOUNDS.eps_budget,
-            metavar="N",
-            help=f"internal steps allowed per message (default {DEFAULT_BOUNDS.eps_budget})",
-        )
-        sub.add_argument(
-            "--output-cap",
-            type=int,
-            default=DEFAULT_BOUNDS.output_cap,
-            metavar="N",
-            help=f"recorded output-sequence length cap (default {DEFAULT_BOUNDS.output_cap})",
-        )
-    sub.add_argument(
-        "--state-cap",
-        type=int,
-        metavar="N",
-        help="abort once more configurations are reached (default: unlimited)",
-    )
-    sub.add_argument(
-        "--json", action="store_true", help="emit a schema-tagged JSON report"
-    )
+#: (option, `Bounds` field, help) of each exploration bound a command may read
+_BOUND_OPTIONS = (
+    ("--k", "max_input_len", "input length bound"),
+    ("--eps-budget", "eps_budget", "internal steps allowed per message"),
+    ("--output-cap", "output_cap", "recorded output-sequence length cap"),
+)
+
+
+def _add_common(sub: argparse.ArgumentParser, *bounds: str) -> None:
+    """--env, the named exploration `bounds`, --state-cap and --json; a
+    command takes only the bounds its run reads."""
+    sub.add_argument("--env", metavar="FILE", help="environment file (.env); default: empty")
+    for option, field, text in _BOUND_OPTIONS:
+        if option in bounds:
+            default = getattr(DEFAULT_BOUNDS, field)
+            sub.add_argument(option, type=int, default=default, metavar="N",
+                             help=f"{text} (default {default})")
+    sub.add_argument("--state-cap", type=int, metavar="N",
+                     help="abort once more configurations are reached (default: unlimited)")
+    _add_json(sub)
+
+
+def _add_json(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--json", action="store_true", help="emit a schema-tagged JSON report")
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +124,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     if args.json:
         sys.stdout.write(dump_json(std_to_json(std)))
         return EXIT_PASS
-    bounds = _bounds(args)
     external = sum(1 for t in std.transitions if not t.is_internal)
     internal = len(std.transitions) - external
     lines = [
@@ -167,7 +153,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
         )
     else:
         lines.append("  desugaring: nothing to rewrite")
-    lines.append(f"  bounds: {bounds.describe()}")
     print("\n".join(lines))
     return EXIT_PASS
 
@@ -175,8 +160,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     std = _load(parse_std, args.file)
     env = EMPTY_ENV if args.env is None else _load(parse_env, args.env)
-    bounds = _bounds(args)
     msgs = _parsed(parse_messages, "--input", args.input)
+    bounds = _bounds(args, k=len(msgs))
     ts = simulate_prefixes(std, env, msgs, bounds)
     if args.json:
         sys.stdout.write(dump_json(traceset_to_json(ts)))
@@ -289,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         "check", help="parse and validate a machine, report its desugared shape"
     )
     p_check.add_argument("file", metavar="FILE")
-    _add_common(p_check, env=False)
+    _add_json(p_check)
     p_check.set_defaults(handler=_cmd_check)
 
     p_sim = sub.add_parser(
@@ -302,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="MSGS",
         help='comma-separated messages, e.g. "LT,DL(7)" or "call(d1,d2),abandon"',
     )
-    _add_common(p_sim)
+    _add_common(p_sim, "--eps-budget", "--output-cap")
     p_sim.set_defaults(handler=_cmd_simulate)
 
     p_refine = sub.add_parser("refine", help="verify or apply refinements")
@@ -314,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("abstract", metavar="ABSTRACT")
     p_verify.add_argument("concrete", metavar="CONCRETE")
-    _add_common(p_verify)
+    _add_common(p_verify, "--k", "--eps-budget", "--output-cap")
     p_verify.set_defaults(handler=_cmd_refine_verify)
     p_apply = refine_sub.add_parser(
         "apply", help="apply a feature patch file and print the resulting machine"
@@ -324,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_apply.add_argument(
         "--output", metavar="OUT", help="write the result here instead of stdout"
     )
-    _add_common(p_apply, bounds=False)
+    _add_common(p_apply)
     p_apply.set_defaults(handler=_cmd_refine_apply)
 
     p_feature = sub.add_parser("feature", help="feature-level operations")
@@ -336,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_conf.add_argument("file", metavar="FILE")
     p_conf.add_argument("patches", nargs="+", metavar="PATCHFILE")
-    _add_common(p_conf)
+    _add_common(p_conf, "--k", "--eps-budget", "--output-cap")
     p_conf.set_defaults(handler=_cmd_feature_conflicts)
 
     p_export = sub.add_parser("export", help="export a machine as DOT or JSON")

@@ -12,8 +12,9 @@ procedure tries both application orders:
 
 * inapplicable — one of the features does not apply to the base machine on
   its own.
-* not-independent — the two patches introduce the same state or transition
-  name (they contend for it rather than compose).
+* not-independent — both single-feature machines have a state or transition
+  name the base machine lacks (the features contend for it rather than
+  compose).
 * compatible — some order applies cleanly and the combined machine passes
   `check_refinement` from both single-feature machines; if both orders work,
   their results must additionally be bounded-trace-equivalent.
@@ -27,16 +28,7 @@ from typing import Optional
 
 from .interp import Bounds, DEFAULT_BOUNDS, TraceSet, bounds_to_json, traces
 from .model import Environment, Record, Std
-from .refine import (
-    AddStates,
-    AddTransitions,
-    RuleApplication,
-    RuleError,
-    SplitState,
-    apply_rule,
-    trace_equivalence,
-    trace_inclusion,
-)
+from .refine import RuleApplication, RuleError, apply_rule, trace_equivalence, trace_inclusion
 
 
 class FeaturePatch(Record):
@@ -85,24 +77,6 @@ def apply_feature(
         except RuleError as exc:
             raise FeatureApplyError(patch.name, i, exc) from exc
     return work
-
-
-def introduced_state_names(patch: FeaturePatch) -> frozenset[str]:
-    names: set[str] = set()
-    for app in patch.applications:
-        if isinstance(app, AddStates):
-            names.update(app.names)
-        elif isinstance(app, SplitState):
-            names.update(app.parts)
-    return frozenset(names)
-
-
-def introduced_labels(patch: FeaturePatch) -> frozenset[str]:
-    labels: set[str] = set()
-    for app in patch.applications:
-        if isinstance(app, (AddStates, AddTransitions)):
-            labels.update(t.label for t in app.transitions if t.label is not None)
-    return frozenset(labels)
 
 
 class ConflictReport(Record):
@@ -160,38 +134,42 @@ def detect_conflict(
             )
     s1, s2 = singles
 
-    for introduced, what in ((introduced_state_names, "a state named"),
-                             (introduced_labels, "a transition labeled")):
-        shared = introduced(f1) & introduced(f2)
+    # What a feature introduces is read from its machine: the names it has
+    # and the base machine lacks, whichever rules made them.
+    for names, what in ((lambda m: set(m.states), "a state named"),
+                        (lambda m: {t.label for t in m.transitions} - {None},
+                         "a transition labeled")):
+        shared = (names(s1) & names(s2)) - names(std)
         if shared:
             return report(
                 "not-independent",
                 [f"both features introduce {what} {min(shared)!r}"],
             )
 
-    # Keyed by id(), so that no lookup hashes a whole machine.  An entry holds
-    # its machine, which keeps the id from being given to a later one, and
-    # serves only that very machine.
-    ts_cache: dict[int, tuple[Std, TraceSet]] = {}
+    # Machines and their trace sets by role: "1" and "2" for the singles,
+    # "12" and "21" for each order's combined machine.  Each is traced at most
+    # once, when first asked.
+    machines = {"1": s1, "2": s2}
+    traced: dict[str, TraceSet] = {}
 
-    def ts_of(machine: Std) -> TraceSet:
-        hit = ts_cache.get(id(machine))
-        if hit is None or hit[0] is not machine:
-            hit = ts_cache[id(machine)] = (machine, traces(machine, env, bounds))
-        return hit[1]
+    def ts_of(role: str) -> TraceSet:
+        if role not in traced:
+            traced[role] = traces(machines[role], env, bounds)
+        return traced[role]
 
     evidence: list[str] = []
 
-    def try_order(first: FeaturePatch, onto: Std, label: str):
-        """Apply `first` on top of `onto`; return the combined machine if it
-        applies and refines both single-feature machines."""
+    def try_order(first: FeaturePatch, onto: str, role: str, label: str):
+        """Apply `first` on top of the machine of role `onto`; return the
+        combined machine, as role `role`, if it applies and refines both
+        single-feature machines."""
         try:
-            combined = apply_feature(onto, first, env, bounds)
+            machines[role] = apply_feature(machines[onto], first, env, bounds)
         except RuleError as exc:
             evidence.append(f"order {label}: {exc}")
             return None
-        for single in (s1, s2):
-            verdict = trace_inclusion(ts_of(single), ts_of(combined))
+        for single in ("1", "2"):
+            verdict = trace_inclusion(ts_of(single), ts_of(role))
             if not verdict.ok:
                 evidence.append(
                     f"order {label}: combined machine does not refine the "
@@ -199,13 +177,13 @@ def detect_conflict(
                 )
                 return None
         evidence.append(f"order {label}: applies and refines both single-feature machines")
-        return combined
+        return machines[role]
 
-    t12 = try_order(f2, s1, f"{f1.name} then {f2.name}")
-    t21 = try_order(f1, s2, f"{f2.name} then {f1.name}")
+    t12 = try_order(f2, "1", "12", f"{f1.name} then {f2.name}")
+    t21 = try_order(f1, "2", "21", f"{f2.name} then {f1.name}")
 
     if t12 is not None and t21 is not None:
-        eq = trace_equivalence(ts_of(t12), ts_of(t21))
+        eq = trace_equivalence(ts_of("12"), ts_of("21"))
         if not eq.ok:
             evidence.append(
                 f"the two orders disagree observably; {eq.describe()}"

@@ -181,8 +181,10 @@ def tokenize(text: str) -> list[Token]:
             col += 1
             continue
         if c == "#":
+            start = i
             while i < n and text[i] != "\n":
                 i += 1
+            col += i - start
             continue
         if c in _DIGITS:
             start = i

@@ -58,11 +58,28 @@ def step_file(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_check_reports_shape_and_bounds():
+def test_check_reports_shape_and_no_bounds():
+    # check explores nothing, so its report names no bound.
     code, out, err = run("check", TEL)
     assert code == 0 and err == ""
     assert "machine tel: 4 states, 5 transitions" in out
-    assert "bounds: k=4 eps-budget=4 output-cap=16 state-cap=none" in out
+    assert "bounds" not in out
+
+
+@pytest.mark.parametrize("argv", [("check", TEL), ("simulate", TEL, "--input", "LT")])
+def test_check_and_simulate_take_no_input_length_bound(argv):
+    # check reads no bound, and simulate's input length is its input's.
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--k", "3")
+    assert exc.value.code == 2
+
+
+def test_simulate_reports_the_length_of_its_input_as_k():
+    code, out, _ = run("simulate", TEL, "--input", "LT,DL(7)")
+    assert code == 0
+    assert "  bounds: k=2 eps-budget=4 output-cap=16 state-cap=none\n" in out
+    code, out, _ = run("simulate", TEL, "--input", "LT", "--json")
+    assert json.loads(out)["bounds"]["max_input_len"] == 1
 
 
 def test_check_json_validates_against_schema():
@@ -126,8 +143,8 @@ def test_simulate_json_lists_the_warnings_of_its_prefixes(tmp_path):
     ]
 
 
-def test_simulate_json_lists_every_prefix_of_a_chaotic_input_longer_than_k():
-    code, out, _ = run("simulate", TEL, "--input", "OH, LT, LT", "--k", "1", "--json")
+def test_simulate_json_lists_every_prefix_of_a_chaotic_input():
+    code, out, _ = run("simulate", TEL, "--input", "OH, LT, LT", "--json")
     assert code == 0
     doc = json.loads(out)
     check_against(doc, "traces")
@@ -409,8 +426,8 @@ def test_no_subcommand_is_usage_error():
 
 
 def test_negative_bound_is_usage_error():
-    code, _, err = run("simulate", TEL, "--input", "LT", "--k", "-1")
-    assert code == 2
+    code, _, err = run("simulate", TEL, "--input", "LT", "--eps-budget", "-1")
+    assert code == 2 and "non-negative" in err
 
 
 def test_reports_are_byte_identical_across_runs():

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-import builtins
+import ast
+import inspect
+import typing
 
 import pytest
 
@@ -27,8 +29,9 @@ from stdrefine import (
     traces,
 )
 from stdrefine import features
-from stdrefine.features import conflict_to_json, introduced_labels, introduced_state_names
+from stdrefine.features import conflict_to_json
 from stdrefine.model import EMPTY_ENV, replace
+from stdrefine.refine import RuleApplication
 
 B = Bounds(max_input_len=3, eps_budget=3, output_cap=16)
 SMALL = Bounds(max_input_len=2, eps_budget=4, output_cap=16)
@@ -59,12 +62,6 @@ feature broken on duo {
     assert info.value.feature == "broken"
     assert info.value.index == 1
     assert "application #2" in str(info.value)
-
-
-def test_introduced_names_and_labels():
-    fwd = feature_patch("forwarding")
-    assert "time-out" in introduced_state_names(fwd)
-    assert {"t_fm", "t_del", "t_alarm"} <= introduced_labels(fwd)
 
 
 # ---------------------------------------------------------------------------
@@ -125,6 +122,58 @@ def test_name_collision_is_not_independent():
     assert any("blocked" in e for e in report.evidence)
 
 
+SPLIT_BASE = """
+std base = {
+  input go | stop
+  output a
+  states s init, u
+  t: s -> u : go / [a]
+  back: u -> s : stop
+}
+"""
+
+
+def test_a_label_made_by_split_state_is_contended_for():
+    # Splitting u into p copies `back` out of p as `back__p`; the other
+    # feature adds a transition of that very label.
+    base = parse_std(SPLIT_BASE)
+    one = parse_feature("feature one on base { split u into { p } { redirect t -> p } }", base=base)
+    two = parse_feature(
+        "feature two on base { add-transitions { back__p: s -> s : stop } }", base=base
+    )
+    report = detect_conflict(base, one, two, EMPTY_ENV, B)
+    assert report.verdict == "not-independent"
+    assert report.evidence == ("both features introduce a transition labeled 'back__p'",)
+
+
+def test_a_state_added_and_removed_again_is_not_introduced():
+    base = parse_std(SPLIT_BASE)
+    gone = parse_feature(
+        "feature gone on base { add-states { w } remove-states { w } }", base=base
+    )
+    kept = parse_feature("feature kept on base { add-states { w } }", base=base)
+    report = detect_conflict(base, gone, kept, EMPTY_ENV, B)
+    assert report.verdict == "compatible", report.describe()
+    assert report.merged.states == ("s", "u", "w")
+
+
+def test_conflict_detection_reads_machines_not_rule_kinds():
+    # What a feature introduces is read from its machine, and trace sets are
+    # kept by role, not by object identity.
+    tree = ast.parse(inspect.getsource(features))
+    imported = {
+        alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    rule_kinds = {cls.__name__ for cls in typing.get_args(RuleApplication)}
+    assert imported & rule_kinds == set()
+    assert not any(
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "id"
+        for node in ast.walk(tree)
+    )
+
+
 def test_patch_failing_alone_is_inapplicable():
     duo = duo_std()
     fine = parse_feature("feature fine on duo { add-states { waiting } }", base=duo)
@@ -150,31 +199,29 @@ std pick = {
 """
 
 
-def _pick(*outputs: str) -> Std:
-    """A one-state machine answering go with any one of `outputs`."""
+def _pick(prefix: str, *outputs: str) -> Std:
+    """A one-state machine answering go with any one of `outputs`, by
+    transitions labeled `prefix` and a number."""
     return parse_std(
-        PICK_SRC % "\n".join(f"  t{i}: s -> s : go / [{o}]" for i, o in enumerate(outputs))
+        PICK_SRC % "\n".join(
+            f"  {prefix}{i}: s -> s : go / [{o}]" for i, o in enumerate(outputs)
+        )
     )
 
 
 def test_rejected_order_does_not_leak_traces_into_accepted_order(monkeypatch):
     """The first order's combined machine fails refinement and is dropped;
-    the second order's passes.  CPython may give the id() of a freed object
-    to a new one; the stubs below make that happen every time, by giving
-    both combined machines one id, so the verdict must not depend on object
-    identity."""
-    base = _pick()
+    the second order's passes, so its verdict must be reached on its own
+    trace set.  Each machine has labels of its own, so that the features do
+    not contend for a name."""
+    base = _pick("t")
     f1 = FeaturePatch("f1", "pick", ())
     f2 = FeaturePatch("f2", "pick", ())
-    s1, s2 = _pick("a", "b"), _pick("a", "b", "c")
-    rejected, accepted = _pick("c"), _pick("a")  # refines neither / both singles
+    s1, s2 = _pick("p", "a", "b"), _pick("q", "a", "b", "c")
+    rejected, accepted = _pick("r", "c"), _pick("u", "a")  # refines neither / both singles
     results = {(base, "f1"): s1, (base, "f2"): s2, (s1, "f2"): rejected, (s2, "f1"): accepted}
     monkeypatch.setattr(
         features, "apply_feature", lambda std, patch, env, bounds: results[(std, patch.name)]
-    )
-    monkeypatch.setattr(
-        features, "id", lambda obj: 0 if obj in (rejected, accepted) else builtins.id(obj),
-        raising=False,
     )
     report = detect_conflict(base, f1, f2, EMPTY_ENV, SMALL)
     assert report.verdict == "compatible", report.describe()

@@ -174,6 +174,17 @@ def test_parse_error_mentions_line_and_col():
     assert "line 2" in str(info.value)
 
 
+def test_end_of_input_after_a_trailing_comment_is_placed_after_the_comment():
+    text = "std x = {  # a comment"
+    with pytest.raises(ParseFailure) as info:
+        parse_std(text)
+    assert str(info.value) == (
+        f"line 1, col {len(text) + 1}: expected 'input', found end of input"
+    )
+    eof = tokenize("a # b")[-1]
+    assert (eof.line, eof.col) == (1, 6)
+
+
 def test_env_parse_rejects_bad_rows():
     with pytest.raises(ParseFailure):
         parse_env("domain DN = {d1}\nBusy(d1) =")
