@@ -1,0 +1,148 @@
+#!/usr/bin/env python3
+"""Mutants of the package that the tests must kill.
+
+Each entry of `MUTANTS` names a file under `src/stdrefine/`, a text that
+occurs exactly once in it, the one-line change to make there, and the tests
+that must fail once it is made.  For each mutant the script copies `src/`
+into a temporary directory, applies the change there and runs only the listed
+tests against the copy.  A mutant is killed iff pytest exits non-zero.  An
+equivalent mutant (one that changes no machine's behaviour, so no
+behavioural test needs to kill it) is listed with its argument instead of
+killers, and is not run.  The listed tests are first run once against an
+unchanged copy, where they must pass.
+
+Prints one line per mutant and exits 1 if any mutant survives.  Run it from
+anywhere, with the test dependencies installed:
+
+    python3 scripts/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/stdrefine/
+    old: str
+    new: str
+    killers: tuple[str, ...] = ()  # pytest node ids, relative to the repository
+    argument: str = ""  # why an equivalent mutant changes no behaviour
+
+
+MUTANTS = (
+    Mutant(
+        "M8: add-states lets an old state lead into a new one",
+        "refine.py",
+        "if t.source not in fresh or t.target not in fresh:",
+        "if t.target not in fresh:",
+        ("tests/test_refine.py::test_add_states_rejects_payload_touching_old_states",),
+    ),
+    Mutant(
+        "M8': add-states lets a new state lead into an old one",
+        "refine.py",
+        "if t.source not in fresh or t.target not in fresh:",
+        "if t.source not in fresh:",
+        argument="new states are unreachable, and so are their transitions: one "
+        "that leads to an old state adds no behaviour (the stricter rule's rejection "
+        "text is still pinned by test_add_states_rejects_payload_touching_old_states)",
+    ),
+    Mutant(
+        "M18: inclusion ignores divergent outputs",
+        "refine.py",
+        "if not ec.divergent <= ea.divergent:",
+        "if False:",
+        ("tests/test_refine.py::test_an_undeclared_divergent_output_fails_inclusion_and_equivalence",),
+    ),
+    Mutant(
+        "M19: inclusion ignores the output cap",
+        "refine.py",
+        "if ec.capped and not ea.capped:",
+        "if False:",
+        ("tests/test_refine.py::test_a_concrete_output_cap_fails_inclusion_and_equivalence",),
+    ),
+    Mutant(
+        "M20: equal priorities exclude each other",
+        "model.py",
+        "and std.transitions[j].priority < t.priority",
+        "and std.transitions[j].priority <= t.priority",
+        ("tests/test_model.py::test_transitions_of_equal_or_no_priority_are_not_ordered",),
+    ),
+    Mutant(
+        "equivalence drops the reverse inclusion",
+        "refine.py",
+        "backward = trace_inclusion(ts_b, ts_a)",
+        "backward = forward",
+        (
+            "tests/test_refine.py::test_equivalence_reports_the_inclusion_failing_at_the_shorter_input",
+            "tests/test_refine.py::test_equivalence_agrees_with_the_enumerating_oracle",
+        ),
+    ),
+    Mutant(
+        "equivalence breaks a tie the other way",
+        "refine.py",
+        "return min(failures, key=lambda v: seq_key(v.witness.input))",
+        "return min(failures[::-1], key=lambda v: seq_key(v.witness.input))",
+        ("tests/test_refine.py::test_equivalence_reports_the_first_inclusion_on_a_tie",),
+    ),
+)
+
+
+def run_tests(src: Path, node_ids: list[str]) -> int:
+    """Exit code of pytest on `node_ids`, importing the package from `src`."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         # the project's own `pythonpath` setting would put the original src/ first
+         "-o", "pythonpath=", *node_ids],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    return proc.returncode
+
+
+def main() -> int:
+    killers = sorted({k for m in MUTANTS for k in m.killers})
+    with tempfile.TemporaryDirectory() as tmp:
+        pristine = Path(tmp) / "pristine"
+        shutil.copytree(ROOT / "src", pristine, ignore=shutil.ignore_patterns("__pycache__"))
+        if run_tests(pristine, killers) != 0:
+            print("the listed tests fail on the unchanged package; no mutant can be judged")
+            return 1
+
+        survived = 0
+        for m in MUTANTS:
+            if not m.killers:
+                print(f"equivalent  {m.name} ({m.file}): {m.argument}")
+                continue
+            copy = Path(tmp) / "mutant"
+            shutil.rmtree(copy, ignore_errors=True)
+            shutil.copytree(pristine, copy)
+            path = copy / "stdrefine" / m.file
+            text = path.read_text()
+            if text.count(m.old) != 1:
+                print(f"stale       {m.name} ({m.file}): the old text occurs {text.count(m.old)} times")
+                survived += 1
+                continue
+            path.write_text(text.replace(m.old, m.new))
+            start = time.perf_counter()
+            killed = run_tests(copy, list(m.killers)) != 0
+            survived += not killed
+            print(f"{'killed' if killed else 'SURVIVED':<11} {m.name} ({m.file}, "
+                  f"{len(m.killers)} test(s), {time.perf_counter() - start:.1f} s)")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -37,7 +37,6 @@ from .model import EMPTY_ENV, ElseGuard, TRUE
 from .refine import RuleError, check_refinement
 from .textlang import (
     ParseFailure,
-    _print_ctor,
     export_dot,
     parse_env,
     parse_feature,
@@ -130,8 +129,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
         f"check {args.file}: ok",
         f"  machine {std.name}: {len(std.states)} states, "
         f"{len(std.transitions)} transitions ({external} external, {internal} internal)",
-        "  inputs:  " + " | ".join(_print_ctor(c) for c in std.signature.inputs),
-        "  outputs: " + " | ".join(_print_ctor(c) for c in std.signature.outputs),
+        "  inputs:  " + " | ".join(map(str, std.signature.inputs)),
+        "  outputs: " + " | ".join(map(str, std.signature.outputs)),
     ]
     if std.attributes:
         lines.append(
@@ -248,10 +247,7 @@ def _cmd_feature_conflicts(args: argparse.Namespace) -> int:
 
 def _cmd_export(args: argparse.Namespace) -> int:
     std = _load(parse_std, args.file)
-    if args.format == "dot" and not args.json:
-        sys.stdout.write(export_dot(std))
-    else:
-        sys.stdout.write(dump_json(std_to_json(std)))
+    sys.stdout.write(export_dot(std) if args.format == "dot" else dump_json(std_to_json(std)))
     return EXIT_PASS
 
 
@@ -327,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_export = sub.add_parser("export", help="export a machine as DOT or JSON")
     p_export.add_argument("format", choices=("dot", "json"))
     p_export.add_argument("file", metavar="FILE")
-    p_export.add_argument("--json", action="store_true", help=argparse.SUPPRESS)
     p_export.set_defaults(handler=_cmd_export)
     return parser
 

@@ -486,6 +486,13 @@ class MsgCtor(Record):
     name: Optional[str]
     params: tuple[Sort, ...] = ()
 
+    def __str__(self) -> str:
+        if self.name is None:
+            return str(self.params[0])
+        if not self.params:
+            return self.name
+        return f"{self.name}({', '.join(map(str, self.params))})"
+
 
 class Signature(Record):
     inputs: tuple[MsgCtor, ...]

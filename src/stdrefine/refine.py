@@ -5,7 +5,9 @@ bounded here to: for every input sequence up to the length bound, every output
 sequence M2 can produce is one M1 can produce, where a CHAOS entry of M1
 licenses anything.  `check_refinement` decides this on enumerated trace sets
 and returns a replayable verdict; the minimal counterexample (shortest input
-sequence, then lexicographically least) is reported on failure.
+sequence, then lexicographically least) is reported on failure.  Its
+`trace_inclusion` is the one comparison of trace sets: `trace_equivalence` is
+that comparison both ways.
 
 The six transformation rules are syntactic machine edits whose side conditions
 guarantee refinement by construction, at every bound.  `apply_rule` applies
@@ -528,13 +530,6 @@ def _require_same_alphabet(ts_abstract: TraceSet, ts_concrete: TraceSet) -> None
         raise SignatureMismatch("trace sets were computed under different bounds")
 
 
-def _divergence_note(*tracesets: TraceSet) -> str:
-    if any(ts.has_divergence() for ts in tracesets):
-        return ("internal-step budget was exhausted somewhere; the verdict covers "
-                "explored behavior only")
-    return ""
-
-
 def trace_inclusion(ts_abstract: TraceSet, ts_concrete: TraceSet) -> Verdict:
     """Every concrete behavior is an abstract behavior, entry by entry, with
     abstract CHAOS licensing anything.  Fails on the minimal counterexample
@@ -567,39 +562,26 @@ def trace_inclusion(ts_abstract: TraceSet, ts_concrete: TraceSet) -> Verdict:
         if not ec.divergent <= ea.divergent:
             return fail(seq, "concrete divergent (budget-truncated) output has no "
                         "abstract counterpart", ec.divergent - ea.divergent)
-    return Verdict(
-        ok=True, kind="refinement", bounds=bounds,
-        note=_divergence_note(ts_abstract, ts_concrete),
-    )
+    divergent = ts_abstract.has_divergence() or ts_concrete.has_divergence()
+    note = ("internal-step budget was exhausted somewhere; the verdict covers "
+            "explored behavior only") if divergent else ""
+    return Verdict(ok=True, kind="refinement", bounds=bounds, note=note)
 
 
 def trace_equivalence(ts_a: TraceSet, ts_b: TraceSet) -> Verdict:
-    """Entry-by-entry equality of two trace sets (same chaos, outputs,
-    divergent outputs, and cap flags everywhere).  Extensions of chaos agree
-    iff the chaos does, so only `ts_a`'s recorded sequences are visited."""
-    _require_same_alphabet(ts_a, ts_b)
-    bounds = ts_a.bounds
-    for seq in ts_a.sequences():
-        a = ts_a.entries[seq]
-        b = ts_b.entry(seq)
-        if a.chaos != b.chaos:
-            return Verdict(
-                ok=False, kind="trace-equivalence", bounds=bounds,
-                witness=Witness(input=seq, note="chaos on one side only"),
-            )
-        if a.chaos:
-            continue
-        if a.outputs != b.outputs or a.divergent != b.divergent or a.capped != b.capped:
-            return Verdict(
-                ok=False, kind="trace-equivalence", bounds=bounds,
-                witness=Witness(
-                    input=seq,
-                    output=min(a.all_outputs() ^ b.all_outputs(), key=seq_key, default=None),
-                    note="entries differ at this input",
-                ),
-            )
-    return Verdict(ok=True, kind="trace-equivalence", bounds=bounds,
-                   note=_divergence_note(ts_a, ts_b))
+    """Each trace set is included in the other: `trace_inclusion` both ways,
+    `(ts_a, ts_b)` first.  A pass is the first inclusion's pass.  A failure
+    is the failing inclusion with the shortlex-least witness input (the first
+    on a tie), its note saying which trace set the witness calls concrete."""
+    forward = trace_inclusion(ts_a, ts_b)
+    backward = trace_inclusion(ts_b, ts_a)
+    if forward.ok and backward.ok:
+        return replace(forward, kind="trace-equivalence")
+    failures = [replace(v, kind="trace-equivalence", note=note) for v, note in (
+        (forward, "the second trace set is not included in the first"),
+        (backward, "the first trace set is not included in the second"),
+    ) if not v.ok]
+    return min(failures, key=lambda v: seq_key(v.witness.input))
 
 
 def check_refinement(

@@ -892,14 +892,6 @@ def _operand(e: Expr, parent: int, right: bool) -> str:
     return text
 
 
-def _print_ctor(c: MsgCtor) -> str:
-    if c.name is None:
-        return str(c.params[0])
-    if not c.params:
-        return c.name
-    return f"{c.name}({', '.join(map(str, c.params))})"
-
-
 def print_transition(t: Transition) -> str:
     parts = []
     if t.label is not None:
@@ -944,8 +936,8 @@ def print_std(std: Std) -> str:
             lines.append(f"    {sym}({args}) {arrow} {decl.result}")
         lines.append("  }")
     lines.append("")
-    lines.append("  input " + " | ".join(_print_ctor(c) for c in std.signature.inputs))
-    lines.append("  output " + " | ".join(_print_ctor(c) for c in std.signature.outputs))
+    lines.append("  input " + " | ".join(map(str, std.signature.inputs)))
+    lines.append("  output " + " | ".join(map(str, std.signature.outputs)))
     if std.attributes:
         lines.append("")
         groups: list[tuple[list[str], Sort]] = []

@@ -7,6 +7,7 @@ import pytest
 from stdrefine import (
     STEP_FEATURES,
     Bounds,
+    RuleError,
     apply_feature,
     base_std,
     build_step,
@@ -163,6 +164,22 @@ def test_chain_refines_under_overlapping_or_looping_tables(env_text):
         assert v.ok, (i, j, v.describe())
     for n in (3, 5):
         assert not any(e.divergent for e in traces(steps[n], env, K2).entries.values())
+
+
+def test_forwarding_needs_no_directory_entry_for_a_subscriber_in_good_standing():
+    # d2's record is ok and FM(d2) = d3: steps 1 and 2 still build, but the
+    # follow-me transition overlaps the plain lookup, so forwarding is rejected.
+    env = parse_env(_default_env_text(("FM(d2) = d3", "FM(d2) = d3\nok-s(d2) = true")))
+    step = base_std()
+    for n in (1, 2):
+        step = apply_feature(step, feature_patch(STEP_FEATURES[n][0]), env)
+    with pytest.raises(RuleError) as raised:
+        apply_feature(step, feature_patch("forwarding"), env)
+    assert str(raised.value) == (
+        "rule add-transitions: feature 'forwarding', application #2 (add-transitions): "
+        "new internal transition overlaps existing internal transition 't_oks' "
+        "[witness: state find-subscriber, valuation {org=d1, ph=d2, sub=d2}]"
+    )
 
 
 def test_quiet_env_keeps_features_dormant():

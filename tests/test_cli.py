@@ -414,6 +414,12 @@ def test_export_json_round_trips():
     assert std_from_json(doc) == tel_std()
 
 
+def test_export_picks_its_format_by_argument_only():
+    with pytest.raises(SystemExit) as exc:
+        run("export", "dot", DUO, "--json")
+    assert exc.value.code == 2
+
+
 # ---------------------------------------------------------------------------
 # usage and determinism
 # ---------------------------------------------------------------------------

@@ -158,6 +158,28 @@ def test_only_the_machine_tests_a_guard():
     assert sorted({"guard_holds", "eval_expr", "reads"} & set(imported)) == []
 
 
+def test_only_trace_inclusion_reads_trace_set_entries():
+    # `trace_inclusion` is the one comparison of trace sets; equivalence and
+    # conflict detection ask it instead of reading entries themselves.
+    offending = []
+    for name in ("refine.py", "features.py"):
+        tree = ast.parse((PACKAGE / name).read_text())
+        allowed = {
+            id(n)
+            for f in ast.walk(tree)
+            if isinstance(f, ast.FunctionDef) and f.name == "trace_inclusion"
+            for n in ast.walk(f)
+        }
+        offending += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("entries", "entry")
+            and id(node) not in allowed
+        ]
+    assert offending == [], f"trace set entries read outside trace_inclusion: {', '.join(offending)}"
+
+
 def test_only_the_machine_lists_valuations():
     # Attribute valuations are listed once, by `Machine.valuations`.
     defined = [

@@ -850,6 +850,18 @@ def test_desugar_else_is_negation_of_group():
         assert t3 == (not t1)
 
 
+@pytest.mark.parametrize("first", ["@1", ""], ids=["equal", "unnumbered"])
+def test_transitions_of_equal_or_no_priority_are_not_ordered(first):
+    # A guard excludes only the guards of its group with a smaller number, so
+    # t1 and t2 overlap: both fire at [go].
+    std = parse_std(
+        "std m = { input go output a | b states s init "
+        f" t1: s -> s : go / [a] {first}  t2: s -> s : go / [b] @1 }}"
+    )
+    entry = traces(std, EMPTY_ENV, Bounds(max_input_len=1)).entry((Msg("go"),))
+    assert entry == Entry(False, frozenset({(Msg("a"),), (Msg("b"),)}))
+
+
 def test_desugar_is_idempotent():
     for src in (PRIO_SRC, ELSE_SRC):
         once = desugar(parse_std(src))

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import os
+import random
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from machine_gen import gen_application, gen_std
+from oracles import input_closure, oracle_traces
 
 import stdrefine
 
@@ -29,11 +33,15 @@ from stdrefine import (
     check_refinement,
     make_environment,
     parse_std,
+    print_std,
     simulate,
     stack_std,
     tel_std,
+    trace_equivalence,
+    trace_inclusion,
     traces,
 )
+from stdrefine.interp import CHAOS_ENTRY, Witness, seq_key
 from stdrefine.model import (
     EMPTY_ENV,
     TRUE,
@@ -46,6 +54,7 @@ from stdrefine.model import (
     Not,
     PrimedRef,
     conj,
+    message_instances,
     replace,
 )
 
@@ -128,6 +137,15 @@ def test_add_states_rejects_payload_touching_old_states(base):
     t = _t("w1", "limbo", "s0", None)
     with pytest.raises(RuleError, match="new states only"):
         apply_rule(base, AddStates(("limbo",), (t,)), EMPTY_ENV, B)
+    # An old state's transition into a new one would make it reachable.
+    std = parse_std("std m = { input go output a | b states s init  t: s -> s : go / [a] }")
+    t2 = _t("t2", "s", "w", "go", outputs=(("b", ()),), post=TRUE)
+    with pytest.raises(RuleError) as raised:
+        apply_rule(std, AddStates(("w",), (t2,)), EMPTY_ENV, B)
+    assert str(raised.value) == (
+        "rule add-states: payload transitions must connect the new states only "
+        "(anything else could make them reachable) [witness: transition t2->w]"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -782,3 +800,105 @@ def test_verdict_describe_mentions_bounds(base):
     v = check_refinement(base, base, EMPTY_ENV, B)
     text = v.describe()
     assert "k=3" in text and "eps-budget=3" in text
+
+
+# ---------------------------------------------------------------------------
+# trace_inclusion and trace_equivalence
+# ---------------------------------------------------------------------------
+
+GO = Msg("go")
+CHOICE_HEADER = "std m = { input go output a | b | c states s init, v "
+
+
+def _traces_of(src: str, bounds: Bounds):
+    return traces(parse_std(src), EMPTY_ENV, bounds)
+
+
+def test_an_undeclared_divergent_output_fails_inclusion_and_equivalence():
+    # The concrete machine parks at u, whose eps loop exhausts the budget on
+    # the second go; the abstract machine never diverges.
+    bounds = Bounds(max_input_len=2, eps_budget=2)
+    ts_a = _traces_of("std m = { input go output a states s init  t: s -> s : go / [a] }", bounds)
+    ts_c = _traces_of(
+        "std m = { input go output a states s init, u "
+        " t: s -> u : go / [a]  l: u -> u : eps }", bounds,
+    )
+    inclusion = trace_inclusion(ts_a, ts_c)
+    assert (inclusion.ok, inclusion.witness) == (False, Witness(
+        input=(GO, GO), output=(Msg("a"),),
+        note="concrete divergent (budget-truncated) output has no abstract counterpart",
+    ))
+    equivalence = trace_equivalence(ts_a, ts_c)
+    assert not equivalence.ok and equivalence.witness.input == (GO, GO)
+
+
+def test_a_concrete_output_cap_fails_inclusion_and_equivalence():
+    bounds = Bounds(max_input_len=1, output_cap=2)
+    ts_a = _traces_of("std m = { input go output a states s init  t: s -> s : go / [a, a] }", bounds)
+    ts_c = _traces_of("std m = { input go output a states s init  t: s -> s : go / [a, a, a] }", bounds)
+    note = ("the concrete machine hit the output cap where the abstract machine did not; "
+            "outputs are incomparable at this bound")
+    for verdict in (trace_inclusion(ts_a, ts_c), trace_equivalence(ts_a, ts_c)):
+        assert (verdict.ok, verdict.witness) == (False, Witness(input=(GO,), note=note))
+
+
+def test_equivalence_reports_the_inclusion_failing_at_the_shorter_input():
+    # A ⊉ B fails at [go] (B may output [b]); B ⊉ A only at [go, go].
+    bounds = Bounds(max_input_len=2)
+    ts_a = _traces_of(CHOICE_HEADER + " t: s -> s : go / [a] }", bounds)
+    ts_b = _traces_of(
+        CHOICE_HEADER + " t1: s -> v : go / [a]  t2: s -> v : go / [b]  t3: v -> v : go / [c] }",
+        bounds,
+    )
+    assert trace_inclusion(ts_b, ts_a).witness.input == (GO, GO)
+    forward, backward = trace_equivalence(ts_a, ts_b), trace_equivalence(ts_b, ts_a)
+    assert forward.witness == backward.witness == Witness(
+        input=(GO,), output=(Msg("b"),), note="concrete output is not among the abstract outputs",
+    )
+    assert forward.note == "the second trace set is not included in the first"
+    assert backward.note == "the first trace set is not included in the second"
+    assert forward.kind == backward.kind == "trace-equivalence"
+
+
+def test_equivalence_reports_the_first_inclusion_on_a_tie():
+    bounds = Bounds(max_input_len=2)
+    ts_a = _traces_of(CHOICE_HEADER + " t: s -> s : go / [a] }", bounds)
+    ts_c = _traces_of(CHOICE_HEADER + " t: s -> s : go / [b] }", bounds)
+    for (first, second), output in (((ts_a, ts_c), "b"), ((ts_c, ts_a), "a")):
+        verdict = trace_equivalence(first, second)
+        assert verdict.witness.input == (GO,)
+        assert verdict.witness.output == (Msg(output),)
+        assert verdict.note == "the second trace set is not included in the first"
+
+
+def test_equivalence_agrees_with_the_enumerating_oracle():
+    # Each accepted application against its original, in both orders: the
+    # verdict holds iff the oracle's entries agree everywhere (an unrecorded
+    # sequence extends chaos), and a failure names the least disagreement.
+    bounds = Bounds(max_input_len=3, eps_budget=2, output_cap=4)
+    rng = random.Random(7)
+    compared = failed = 0
+    for i in range(200):
+        std = gen_std(rng, name=f"gen{i}")
+        inputs = input_closure(
+            message_instances(std.signature.inputs, std.domain_map()), bounds.max_input_len
+        )
+        original = traces(std, EMPTY_ENV, bounds), oracle_traces(std, EMPTY_ENV, bounds)[0]
+        for _ in range(3):
+            try:
+                result = apply_rule(std, gen_application(rng, std), EMPTY_ENV)
+            except RuleError:
+                continue
+            rewritten = traces(result, EMPTY_ENV, bounds), oracle_traces(result, EMPTY_ENV, bounds)[0]
+            for (ts_l, oracle_l), (ts_r, oracle_r) in ((original, rewritten), (rewritten, original)):
+                differ = [
+                    seq for seq in inputs
+                    if oracle_l.get(seq, CHAOS_ENTRY) != oracle_r.get(seq, CHAOS_ENTRY)
+                ]
+                verdict = trace_equivalence(ts_l, ts_r)
+                assert verdict.ok == (not differ), (print_std(std), print_std(result))
+                if differ:
+                    assert verdict.witness.input == min(differ, key=seq_key)
+                compared += 1
+                failed += not verdict.ok
+    assert compared > 800 and failed > 40

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -35,3 +37,20 @@ def test_script_exits_zero(argv):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_every_mutant_names_one_place_and_killing_tests_that_exist():
+    # scripts/mutants.py runs outside Tier-1; this keeps its table from rotting.
+    spec = importlib.util.spec_from_file_location("mutants", SCRIPTS / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    package = Path(stdrefine.__file__).parent
+    root = SCRIPTS.parent
+    for m in mutants.MUTANTS:
+        assert (package / m.file).read_text().count(m.old) == 1, m.name
+        assert m.old != m.new and bool(m.killers) != bool(m.argument), m.name
+        for node_id in m.killers:
+            path, name = node_id.split("::")
+            tree = ast.parse((root / path).read_text())
+            defined = {f.name for f in tree.body if isinstance(f, ast.FunctionDef)}
+            assert name.split("[")[0] in defined, node_id
