@@ -1,54 +1,30 @@
 #!/usr/bin/env python3
-"""Pairwise feature-conflict matrix.
+"""Pairwise feature-conflict matrix of the shipped call-processing features.
 
-Applies every pair of feature patches to a base machine in both orders and
-reports, per pair, whether the features are compatible, conflicting, or not
-independently applicable.  By default it runs the shipped call-processing
-features (forwarding, blocking) against development step 2; pass explicit
-files to analyse your own machines.  Exits 1 if any pair is not compatible.
+Applies the forwarding and blocking features to development step 2 under the
+default environment in both orders and reports whether they are compatible,
+conflicting, or not independently applicable.  Exits 1 if any pair is not
+compatible.  For your own machine and features, run
+`stdrefine feature conflicts BASE.std F1.feat F2.feat ... --env FILE`.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
-from stdrefine import (
-    Bounds,
-    build_step,
-    conflict_matrix,
-    default_env,
-    feature_patch,
-    make_environment,
-    parse_env,
-    parse_feature,
-    parse_std,
-)
+from stdrefine import Bounds, build_step, conflict_matrix, default_env, feature_patch
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("base", nargs="?", type=Path, help="base .std file (default: step 2)")
-    parser.add_argument("features", nargs="*", type=Path, help=".feat files (default: forwarding, blocking)")
-    parser.add_argument("--env", type=Path, default=None, help="environment file")
     parser.add_argument("--k", type=int, default=4, help="input-length bound (default 4)")
     args = parser.parse_args(argv)
 
-    if args.base:
-        std = parse_std(args.base.read_text())
-        patches = [parse_feature(p.read_text()) for p in args.features]
-        env = parse_env(args.env.read_text()) if args.env else make_environment({}, {}, {})
-    else:
-        std = build_step(2)
-        patches = [feature_patch("forwarding"), feature_patch("blocking")]
-        env = parse_env(args.env.read_text()) if args.env else default_env()
-
-    if len(patches) < 2:
-        parser.error("need at least two feature patches")
-
+    std = build_step(2)
+    patches = [feature_patch("forwarding"), feature_patch("blocking")]
     bounds = Bounds(max_input_len=args.k, eps_budget=4, output_cap=16)
-    reports = conflict_matrix(std, patches, env, bounds)
+    reports = conflict_matrix(std, patches, default_env(), bounds)
 
     print(f"conflict matrix on {std.name} ({bounds.describe()})")
     bad = 0

@@ -46,7 +46,10 @@ MUTANTS = (
         "refine.py",
         "if t.source not in fresh or t.target not in fresh:",
         "if t.target not in fresh:",
-        ("tests/test_refine.py::test_add_states_rejects_payload_touching_old_states",),
+        (
+            "tests/test_refine.py::test_add_states_rejects_payload_touching_old_states",
+            "tests/test_refine.py::test_add_states_rejects_every_generated_wiring_from_an_old_state",
+        ),
     ),
     Mutant(
         "M8': add-states lets a new state lead into an old one",
@@ -94,6 +97,23 @@ MUTANTS = (
         "return min(failures, key=lambda v: seq_key(v.witness.input))",
         "return min(failures[::-1], key=lambda v: seq_key(v.witness.input))",
         ("tests/test_refine.py::test_equivalence_reports_the_first_inclusion_on_a_tie",),
+    ),
+    Mutant(
+        "a conflict order is compared with the first single machine only",
+        "features.py",
+        "for single in (0, 1):",
+        "for single in (0,):",
+        ("tests/test_features.py::test_an_order_must_refine_the_second_single_machine_too",),
+    ),
+    Mutant(
+        "conflict detection skips the both-orders equivalence",
+        "features.py",
+        "if len(passed) == 2:",
+        "if False:",
+        (
+            "tests/test_features.py::test_two_passing_orders_that_disagree_conflict",
+            "tests/test_features.py::test_compatible_features_merge_and_refine_both_singles",
+        ),
     ),
 )
 

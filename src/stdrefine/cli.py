@@ -83,8 +83,8 @@ def _load(parse, path: str, **kwargs):
     return _parsed(parse, path, _read_text(path), **kwargs)
 
 
-def _bounds(args: argparse.Namespace, k: Optional[int] = None) -> Bounds:
-    return Bounds(args.k if k is None else k, args.eps_budget, args.output_cap, args.state_cap)
+def _bounds(args: argparse.Namespace) -> Bounds:
+    return Bounds(args.k, args.eps_budget, args.output_cap, args.state_cap)
 
 
 #: (option, `Bounds` field, help) of each exploration bound a command may read
@@ -160,7 +160,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     std = _load(parse_std, args.file)
     env = EMPTY_ENV if args.env is None else _load(parse_env, args.env)
     msgs = _parsed(parse_messages, "--input", args.input)
-    bounds = _bounds(args, k=len(msgs))
+    bounds = Bounds(eps_budget=args.eps_budget, output_cap=args.output_cap,
+                    state_cap=args.state_cap)
     ts = simulate_prefixes(std, env, msgs, bounds)
     if args.json:
         sys.stdout.write(dump_json(traceset_to_json(ts)))
@@ -168,7 +169,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     entry = ts.entry(msgs)
     lines = [
         f"simulate {std.name} on {format_sequence(msgs)}",
-        f"  bounds: {bounds.describe()}",
+        f"  bounds: {ts.bounds.describe()}",
     ]
     if entry.chaos:
         lines.append(

@@ -6,24 +6,26 @@ applications against a named subject machine.  Applying a patch folds
 refinement of the machine it was applied to at every bound, by construction:
 the rule side conditions do not depend on the bounds.
 
-Two features are in conflict when they cannot be combined: there is no
-common machine that refines both single-feature extensions.  The decision
-procedure tries both application orders:
+`detect_conflict` tells whether two features can be combined over a base
+machine, in one of four verdicts:
 
 * inapplicable — one of the features does not apply to the base machine on
   its own.
 * not-independent — both single-feature machines have a state or transition
   name the base machine lacks (the features contend for it rather than
   compose).
-* compatible — some order applies cleanly and the combined machine passes
-  `check_refinement` from both single-feature machines; if both orders work,
-  their results must additionally be bounded-trace-equivalent.
+* compatible — in some order, the second feature applies to the first one's
+  single-feature machine and the result refines both single-feature machines
+  (`trace_inclusion`); if both orders do, their results must also be
+  bounded-trace-equivalent, and the first order's is the merged machine.
 * conflicting — everything else, with the failing side condition or the
   failing refinement verdict as evidence.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from typing import Optional
 
 from .interp import Bounds, DEFAULT_BOUNDS, TraceSet, bounds_to_json, traces
@@ -146,55 +148,42 @@ def detect_conflict(
                 [f"both features introduce {what} {min(shared)!r}"],
             )
 
-    # Machines and their trace sets by role: "1" and "2" for the singles,
-    # "12" and "21" for each order's combined machine.  Each is traced at most
-    # once, when first asked.
-    machines = {"1": s1, "2": s2}
-    traced: dict[str, TraceSet] = {}
+    # Each order applies its second feature to its first feature's single
+    # machine.  Machines by position: the singles 0 and 1, each order's
+    # combined machine 2 and 3; each is traced at most once, when first compared.
+    machines: list[Optional[Std]] = [s1, s2, None, None]
 
-    def ts_of(role: str) -> TraceSet:
-        if role not in traced:
-            traced[role] = traces(machines[role], env, bounds)
-        return traced[role]
+    @functools.cache
+    def ts_of(i: int) -> TraceSet:
+        return traces(machines[i], env, bounds)
 
     evidence: list[str] = []
-
-    def try_order(first: FeaturePatch, onto: str, role: str, label: str):
-        """Apply `first` on top of the machine of role `onto`; return the
-        combined machine, as role `role`, if it applies and refines both
-        single-feature machines."""
+    passed: list[int] = []
+    for first, (f, g) in enumerate(((f1, f2), (f2, f1))):
+        combined, label = 2 + first, f"{f.name} then {g.name}"
         try:
-            machines[role] = apply_feature(machines[onto], first, env, bounds)
+            machines[combined] = apply_feature(machines[first], g, env, bounds)
         except RuleError as exc:
             evidence.append(f"order {label}: {exc}")
-            return None
-        for single in ("1", "2"):
-            verdict = trace_inclusion(ts_of(single), ts_of(role))
+            continue
+        for single in (0, 1):
+            verdict = trace_inclusion(ts_of(single), ts_of(combined))
             if not verdict.ok:
-                evidence.append(
-                    f"order {label}: combined machine does not refine the "
-                    f"machine with only one feature; {verdict.describe()}"
-                )
-                return None
-        evidence.append(f"order {label}: applies and refines both single-feature machines")
-        return machines[role]
+                evidence.append(f"order {label}: combined machine does not refine the "
+                                f"machine with only one feature; {verdict.describe()}")
+                break
+        else:
+            evidence.append(f"order {label}: applies and refines both single-feature machines")
+            passed.append(combined)
 
-    t12 = try_order(f2, "1", "12", f"{f1.name} then {f2.name}")
-    t21 = try_order(f1, "2", "21", f"{f2.name} then {f1.name}")
-
-    if t12 is not None and t21 is not None:
-        eq = trace_equivalence(ts_of("12"), ts_of("21"))
+    if len(passed) == 2:
+        eq = trace_equivalence(ts_of(2), ts_of(3))
         if not eq.ok:
-            evidence.append(
-                f"the two orders disagree observably; {eq.describe()}"
-            )
+            evidence.append(f"the two orders disagree observably; {eq.describe()}")
             return report("conflicting", evidence)
         evidence.append("both orders agree (bounded-trace-equivalent)")
-        return report("compatible", evidence, merged=t12)
-    if t12 is not None:
-        return report("compatible", evidence, merged=t12)
-    if t21 is not None:
-        return report("compatible", evidence, merged=t21)
+    if passed:
+        return report("compatible", evidence, merged=machines[passed[0]])
     return report("conflicting", evidence)
 
 
@@ -205,11 +194,10 @@ def conflict_matrix(
     bounds: Bounds = DEFAULT_BOUNDS,
 ) -> list[tuple[tuple[int, int], ConflictReport]]:
     """Pairwise conflict reports for every unordered pair of patches."""
-    out = []
-    for i in range(len(patches)):
-        for j in range(i + 1, len(patches)):
-            out.append(((i, j), detect_conflict(std, patches[i], patches[j], env, bounds)))
-    return out
+    return [
+        ((i, j), detect_conflict(std, patches[i], patches[j], env, bounds))
+        for i, j in itertools.combinations(range(len(patches)), 2)
+    ]
 
 
 def conflict_to_json(report: ConflictReport) -> dict:

@@ -61,6 +61,7 @@ from .model import (
     message_instances,
     msg_key,
     reads,
+    replace,
 )
 
 
@@ -605,10 +606,11 @@ def simulate_prefixes(
 ) -> TraceSet:
     """Entries for every prefix of one concrete input sequence (the same
     semantics and warnings as `traces`, without enumerating the whole
-    alphabet).  Every prefix after a chaotic one is listed as `CHAOS_ENTRY`,
-    so that `entry` answers for the whole sequence whatever its length."""
-    machine = Machine(std, env, bounds)
+    alphabet).  The input length bound is the sequence's length, whatever
+    `bounds` says.  Every prefix after a chaotic one is listed as
+    `CHAOS_ENTRY`, so that `entry` answers for the whole sequence."""
     input_seq = tuple(input_seq)
+    machine = Machine(std, env, replace(bounds, max_input_len=len(input_seq)))
     for m in input_seq:
         if m not in machine.inputs:
             raise ValueError(f"{m} is not an input message instance of {std.name}")

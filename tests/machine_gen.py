@@ -30,6 +30,7 @@ from stdrefine.model import (
     Transition,
     conj,
     enumerate_sort,
+    replace,
     validate_std,
 )
 from stdrefine.refine import (
@@ -329,3 +330,17 @@ def gen_application(rng: random.Random, std: Std) -> RuleApplication:
     isolated = [s for s in std.states if s not in targeted and s not in marked]
     victim = rng.choice(isolated) if isolated else rng.choice(std.states)
     return RemoveStates(names=(victim,))
+
+
+def gen_wiring(rng: random.Random, std: Std) -> tuple[str, Transition]:
+    """A fresh state name and a transition into it from an old state.
+    `AddStates` must reject the pair as one proposal (the transition would
+    make the new state reachable); `AddStates` of the name and then
+    `AddTransitions` of the transition is the wiring the rules may accept.
+    Kept apart from `gen_application`, whose seeded streams the tests pin."""
+    (fresh,) = _fresh_names(std, 1)
+    t = _gen_transition(
+        rng, _fresh_label(std, rng), list(std.states), std.signature,
+        _attr_pairs(std), _hue_members(std),
+    )
+    return fresh, replace(t, target=fresh)

@@ -78,6 +78,7 @@ def test_compatible_features_merge_and_refine_both_singles():
     assert report.verdict == "compatible"
     assert not report.is_conflict
     assert report.merged is not None
+    assert report.evidence[-1] == "both orders agree (bounded-trace-equivalent)"
     # the merged machine refines each single-feature machine (the common
     # refinement that defines compatibility)
     for patch in (fwd, blk):
@@ -209,24 +210,80 @@ def _pick(prefix: str, *outputs: str) -> Std:
     )
 
 
-def test_rejected_order_does_not_leak_traces_into_accepted_order(monkeypatch):
-    """The first order's combined machine fails refinement and is dropped;
-    the second order's passes, so its verdict must be reached on its own
-    trace set.  Each machine has labels of its own, so that the features do
-    not contend for a name."""
+def _decide_stubbed(monkeypatch, s1: Std, s2: Std, c12: Std, c21: Std):
+    """The report on features f1 and f2 over `_pick("t")`, with
+    `apply_feature` stubbed: f1 and f2 alone give `s1` and `s2`, and the
+    orders f1 then f2 and f2 then f1 give `c12` and `c21`.  Each machine has
+    labels of its own, so that the features do not contend for a name."""
     base = _pick("t")
-    f1 = FeaturePatch("f1", "pick", ())
-    f2 = FeaturePatch("f2", "pick", ())
-    s1, s2 = _pick("p", "a", "b"), _pick("q", "a", "b", "c")
-    rejected, accepted = _pick("r", "c"), _pick("u", "a")  # refines neither / both singles
-    results = {(base, "f1"): s1, (base, "f2"): s2, (s1, "f2"): rejected, (s2, "f1"): accepted}
+    results = {(base, "f1"): s1, (base, "f2"): s2, (s1, "f2"): c12, (s2, "f1"): c21}
     monkeypatch.setattr(
         features, "apply_feature", lambda std, patch, env, bounds: results[(std, patch.name)]
     )
-    report = detect_conflict(base, f1, f2, EMPTY_ENV, SMALL)
+    f1, f2 = FeaturePatch("f1", "pick", ()), FeaturePatch("f2", "pick", ())
+    return detect_conflict(base, f1, f2, EMPTY_ENV, SMALL)
+
+
+def test_rejected_order_does_not_leak_traces_into_accepted_order(monkeypatch):
+    """The first order's combined machine fails refinement and is dropped;
+    the second order's passes, so its verdict must be reached on its own
+    trace set."""
+    s1, s2 = _pick("p", "a", "b"), _pick("q", "a", "b", "c")
+    rejected, accepted = _pick("r", "c"), _pick("u", "a")  # refines neither / both singles
+    report = _decide_stubbed(monkeypatch, s1, s2, rejected, accepted)
     assert report.verdict == "compatible", report.describe()
     assert report.merged == accepted
     assert "order f1 then f2: combined machine does not refine" in report.evidence[0]
+
+
+def test_an_order_must_refine_the_second_single_machine_too(monkeypatch):
+    # f1 then f2 refines f1's machine (b is among a, b) but not f2's (only
+    # a); f2 then f1 refines neither.
+    s1, s2 = _pick("p", "a", "b"), _pick("q", "a")
+    report = _decide_stubbed(monkeypatch, s1, s2, _pick("r", "b"), _pick("u", "c"))
+    assert report.verdict == "conflicting", report.describe()
+    assert report.merged is None
+    assert report.evidence[0] == (
+        "order f1 then f2: combined machine does not refine the machine with only one "
+        "feature; refinement: FAIL (bounds: k=2 eps-budget=4 output-cap=16 state-cap=none)\n"
+        "  input:  [go]\n"
+        "  output: [b]\n"
+        "  concrete output is not among the abstract outputs"
+    )
+
+
+def test_two_passing_orders_that_disagree_conflict(monkeypatch):
+    # Each order refines both singles (a, b), but one answers a and the
+    # other b.
+    s1, s2 = _pick("p", "a", "b"), _pick("q", "a", "b")
+    report = _decide_stubbed(monkeypatch, s1, s2, _pick("r", "a"), _pick("u", "b"))
+    assert report.verdict == "conflicting", report.describe()
+    assert report.merged is None
+    assert report.evidence[:2] == (
+        "order f1 then f2: applies and refines both single-feature machines",
+        "order f2 then f1: applies and refines both single-feature machines",
+    )
+    assert report.evidence[-1].startswith(
+        "the two orders disagree observably; trace-equivalence: FAIL"
+    )
+
+
+def _traces_made(monkeypatch, base: Std, f1: FeaturePatch, f2: FeaturePatch, env) -> int:
+    calls = []
+    monkeypatch.setattr(features, "traces", lambda *args: calls.append(args) or traces(*args))
+    detect_conflict(base, f1, f2, env, SMALL)
+    return len(calls)
+
+
+def test_a_report_traces_each_compared_machine_once(monkeypatch):
+    # Both orders apply: two singles and two combined machines.
+    fwd, blk = feature_patch("forwarding"), feature_patch("blocking")
+    assert _traces_made(monkeypatch, build_step(2), fwd, blk, default_env()) == 4
+
+
+def test_a_report_traces_nothing_when_no_order_applies(monkeypatch):
+    left, right = conflict_patches()
+    assert _traces_made(monkeypatch, duo_std(), left, right, EMPTY_ENV) == 0
 
 
 def test_compatible_orders_are_trace_equivalent():

@@ -170,6 +170,15 @@ def test_simulate_prefixes_records_every_prefix():
     assert ts.entry(seq) == simulate(tel_std(), EMPTY_ENV, seq, K2)
 
 
+def test_simulate_prefixes_reports_the_length_of_its_input_as_k():
+    # The input is longer than the bound passed in; the trace set says so.
+    seq = (Msg("LT"), Msg("DL", (1,)), Msg("OH"), Msg("LT"), Msg("DL", (2,)))
+    ts = simulate_prefixes(tel_std(), EMPTY_ENV, seq, K2)
+    assert ts.bounds == Bounds(max_input_len=5, eps_budget=4, output_cap=16)
+    assert max(map(len, ts.entries)) == 5
+    assert ts.entry(seq) == simulate(tel_std(), EMPTY_ENV, seq, K2)
+
+
 def test_simulate_rejects_foreign_messages():
     with pytest.raises(ValueError, match="not an input message instance"):
         simulate(tel_std(), EMPTY_ENV, (Msg("Zap"),), K2)

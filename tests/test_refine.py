@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from machine_gen import gen_application, gen_std
+from machine_gen import gen_application, gen_std, gen_wiring
 from oracles import input_closure, oracle_traces
 
 import stdrefine
@@ -146,6 +146,39 @@ def test_add_states_rejects_payload_touching_old_states(base):
         "rule add-states: payload transitions must connect the new states only "
         "(anything else could make them reachable) [witness: transition t2->w]"
     )
+
+
+def test_add_states_rejects_every_generated_wiring_from_an_old_state():
+    rng = random.Random(3)
+    for i in range(200):
+        std = gen_std(rng, name=f"gen{i}")
+        fresh, t = gen_wiring(rng, std)
+        with pytest.raises(RuleError) as raised:
+            apply_rule(std, AddStates((fresh,), (t,)), EMPTY_ENV)
+        assert str(raised.value) == (
+            "rule add-states: payload transitions must connect the new states only "
+            "(anything else could make them reachable) "
+            f"[witness: transition {t.label}->{fresh}]"
+        )
+
+
+def test_a_state_wired_by_add_transitions_after_add_states_refines():
+    # The two-step wiring the one-step proposal above must not take.
+    bounds = Bounds(max_input_len=3, eps_budget=2)
+    rng = random.Random(3)
+    accepted = 0
+    for i in range(200):
+        std = gen_std(rng, name=f"gen{i}")
+        fresh, t = gen_wiring(rng, std)
+        grown = apply_rule(std, AddStates((fresh,)), EMPTY_ENV)
+        try:
+            wired = apply_rule(grown, AddTransitions((t,)), EMPTY_ENV)
+        except RuleError:
+            continue
+        accepted += 1
+        verdict = check_refinement(std, wired, EMPTY_ENV, bounds)
+        assert verdict.ok, (print_std(std), t, verdict.describe())
+    assert accepted > 80
 
 
 # ---------------------------------------------------------------------------
