@@ -115,6 +115,33 @@ MUTANTS = (
             "tests/test_features.py::test_compatible_features_merge_and_refine_both_singles",
         ),
     ),
+    Mutant(
+        "a feature's later rule takes its own new transitions as sort-checked",
+        "refine.py",
+        "problems = validate_std(result, checked=checked)",
+        "problems = validate_std(result, checked=result.transitions if checked else checked)",
+        (
+            "tests/test_features.py::test_a_later_rule_sort_checks_the_transitions_it_adds",
+            "tests/test_properties.py::test_a_later_rule_of_a_feature_is_validated_as_a_first_rule_is",
+        ),
+    ),
+    Mutant(
+        "a feature's first rule takes the input's transitions as sort-checked",
+        "features.py",
+        "work, checked = std, ()",
+        "work, checked = std, std.transitions",
+        ("tests/test_features.py::test_an_ill_sorted_input_fails_the_first_rule_with_every_problem",),
+    ),
+    Mutant(
+        "conflict detection shares the orders' trace set when only their states agree",
+        "features.py",
+        "_unordered(machines[2]) == _unordered(machines[3])",
+        "set(machines[2].states) == set(machines[3].states)",
+        (
+            "tests/test_features.py::test_two_passing_orders_that_disagree_conflict",
+            "tests/test_features.py::test_stubbed_orders_share_a_trace_set_only_when_equal_up_to_order",
+        ),
+    ),
 )
 
 

@@ -29,7 +29,7 @@ import itertools
 from typing import Optional
 
 from .interp import Bounds, DEFAULT_BOUNDS, TraceSet, bounds_to_json, traces
-from .model import Environment, Record, Std
+from .model import Environment, Record, Std, replace
 from .refine import RuleApplication, RuleError, apply_rule, trace_equivalence, trace_inclusion
 
 
@@ -72,12 +72,14 @@ def apply_feature(
         )
     if not patch.applications:
         raise ValueError(f"feature {patch.name!r} contains no rule applications")
-    work = std
+    work, checked = std, ()
     for i, app in enumerate(patch.applications):
         try:
-            work = apply_rule(work, app, env, bounds)
+            work = apply_rule(work, app, env, bounds, checked=checked)
         except RuleError as exc:
             raise FeatureApplyError(patch.name, i, exc) from exc
+        # `work` validated clean: later rules sort-check only what they add.
+        checked = frozenset(work.transitions)
     return work
 
 
@@ -166,6 +168,10 @@ def detect_conflict(
         except RuleError as exc:
             evidence.append(f"order {label}: {exc}")
             continue
+        # Commuting features give one machine up to the order of its
+        # declarations, on which no trace set depends: compare it as order 1's.
+        if first and machines[2] is not None and _unordered(machines[2]) == _unordered(machines[3]):
+            combined = 2
         for single in (0, 1):
             verdict = trace_inclusion(ts_of(single), ts_of(combined))
             if not verdict.ok:
@@ -177,7 +183,7 @@ def detect_conflict(
             passed.append(combined)
 
     if len(passed) == 2:
-        eq = trace_equivalence(ts_of(2), ts_of(3))
+        eq = trace_equivalence(ts_of(passed[0]), ts_of(passed[1]))
         if not eq.ok:
             evidence.append(f"the two orders disagree observably; {eq.describe()}")
             return report("conflicting", evidence)
@@ -185,6 +191,12 @@ def detect_conflict(
     if passed:
         return report("compatible", evidence, merged=machines[passed[0]])
     return report("conflicting", evidence)
+
+
+def _unordered(std: Std) -> Std:
+    """`std` with its states, initial markings and transitions as sets."""
+    return replace(std, states=frozenset(std.states), initial=frozenset(std.initial),
+                   transitions=frozenset(std.transitions))
 
 
 def conflict_matrix(

@@ -178,10 +178,11 @@ class Machine:
     listed in `msg_key` order (`inputs`); `valuations` and `initial` are built
     on first use.  What does not depend on the configuration is indexed once:
     the transitions per (source, trigger constructor or None for eps) in
-    declaration order, and the pins (see `_pins`) of their postconditions;
-    the sorted attribute names with their pools of values; and, per control
-    state, the attributes and trigger arguments its outgoing transitions read
-    (`reads`, one pass over their expressions).
+    declaration order; the sorted attribute names with their pools of
+    values; and, per control state, the attributes and trigger arguments its
+    outgoing transitions read (`reads`, one pass over their expressions).
+    The pins (see `_pins`) of a postcondition are not: `solve` works them
+    out the first time it meets the postcondition.
 
     Every memo is keyed by `key`, what a configuration's control state reads:
     the state and the values of the attributes that a guard, an output
@@ -225,7 +226,6 @@ class Machine:
         state_reads: dict[str, set[int]] = {}
         for t in std.transitions:
             attrs, params, _ = reads(t.guard, *(a for _, xs in t.outputs for a in xs), t.post)
-            self._pinned[t.post] = _pins(t.post, position)
             self._groups.setdefault((t.source, t.trigger), []).append(t)
             if t.trigger is not None:
                 self._arg_reads.setdefault((t.source, t.trigger), set()).update(
@@ -321,19 +321,19 @@ class Machine:
         satisfy the postcondition `post` from `valuation` under the parameter
         binding `params`, in the order of the product of the sorted pools.
 
-        Pinned attributes (see `_pins`; a transition's pins are kept from
-        construction, any other postcondition's worked out here) are solved
-        rather than enumerated: a pin ``x' == e`` admits only the values of
-        x's sort that equal e's value (each one's, when pinned twice), and
-        none at all when e is Undefined.  Unpinned attributes range over their
-        whole sort, and every candidate is still tested against the full
-        postcondition with `guard_holds`, so the answer is exactly that of
-        enumerating every primed valuation.  A postcondition that is exactly
-        its pins is not tested: the pools were narrowed with the ``==`` its
-        conjuncts evaluate, so every candidate satisfies it."""
+        Pinned attributes (see `_pins`, kept per postcondition once worked
+        out) are solved rather than enumerated: a pin ``x' == e`` admits
+        only the values of x's sort that equal e's value (each one's, when
+        pinned twice), and none at all when e is Undefined.  Unpinned
+        attributes range over their whole sort, and every candidate is still
+        tested against the full postcondition with `guard_holds`, so the
+        answer is exactly that of enumerating every primed valuation.  A
+        postcondition that is exactly its pins is not tested: the pools were
+        narrowed with the ``==`` its conjuncts evaluate, so every candidate
+        satisfies it."""
         pinned = self._pinned.get(post)
         if pinned is None:
-            pinned = _pins(post, self._attr_position)
+            pinned = self._pinned[post] = _pins(post, self._attr_position)
         pins, solved = pinned
         tables = self.tables
         pools = list(self._pools)

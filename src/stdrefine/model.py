@@ -36,7 +36,7 @@ import itertools
 import operator
 from operator import is_, itemgetter
 from types import MappingProxyType
-from typing import Callable, Iterable, NamedTuple, Optional, TypeVar, Union
+from typing import Callable, Collection, Iterable, NamedTuple, Optional, TypeVar, Union
 
 try:
     # CPython's C field getter, which `collections.namedtuple` uses: a field
@@ -1042,10 +1042,12 @@ def _check_sort_wf(sort: Sort, domains: dict[str, tuple[str, ...]], errors: list
         _check_sort_wf(sort.elem, domains, errors, where)
 
 
-def validate_std(std: Std) -> list[str]:
+def validate_std(std: Std, *, checked: Collection[Transition] = ()) -> list[str]:
     """Structural and sort validation.  Returns a deterministic list of
-    diagnostics; the Std is valid iff the list is empty.
-    """
+    diagnostics; the Std is valid iff the list is empty.  A transition's
+    sort diagnostics depend only on it and the declarations, so of one in
+    `checked` (a transition of a clean diagram with these declarations)
+    only the structure is checked."""
     errors: list[str] = []
     domains = std.domain_map()
 
@@ -1137,6 +1139,11 @@ def validate_std(std: Std) -> list[str]:
             errors.append(f"{where}: unknown source state {t.source!r}")
         if t.target not in state_set:
             errors.append(f"{where}: unknown target state {t.target!r}")
+        if isinstance(t.guard, ElseGuard):
+            key = (t.source, t.trigger)
+            group_else[key] = group_else.get(key, 0) + 1
+        if t in checked:
+            continue
 
         params: dict[str, Sort] = {}
         if t.trigger is None:
@@ -1160,10 +1167,7 @@ def validate_std(std: Std) -> list[str]:
                     errors.append(f"{where}: parameter {p!r} shadows an attribute")
 
         ctx = SortContext(attrs, decls, domains, params)
-        if isinstance(t.guard, ElseGuard):
-            key = (t.source, t.trigger)
-            group_else[key] = group_else.get(key, 0) + 1
-        else:
+        if not isinstance(t.guard, ElseGuard):
             k = infer_kind(t.guard, ctx, errors, f"{where} guard")
             if k is not None and type(k) is not BoolSort:
                 errors.append(f"{where}: guard must be Bool")

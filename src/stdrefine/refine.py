@@ -48,7 +48,7 @@ producing an unsound machine.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from typing import Callable, Collection, Optional, Union
 
 from .model import (
     Configuration,
@@ -222,10 +222,13 @@ def apply_rule(
     app: RuleApplication,
     env: Environment,
     bounds: Bounds = DEFAULT_BOUNDS,
+    *,
+    checked: Collection[Transition] = (),
 ) -> Std:
     """Apply one transformation rule: edit the desugared machine, validate
     the result, then check the rule's side condition against the machine it
-    is applied to.  The input machine is never modified.
+    is applied to.  The input machine is never modified.  Validation skips
+    the sort checks of the transitions in `checked` (see `validate_std`).
 
     The side conditions do not depend on the bounds: an accepted rule is a
     refinement at every bound.  Of `bounds` only `state_cap` is read; the
@@ -234,7 +237,7 @@ def apply_rule(
     name, edit = _rule(app)
     work = desugar(std)
     result, check = edit(work, app, name)
-    problems = validate_std(result)
+    problems = validate_std(result, checked=checked)
     if problems:
         raise RuleError(name, "the transformed machine is invalid: " + "; ".join(problems))
     if check is not None:

@@ -36,7 +36,9 @@ from stdrefine.model import (
     message_instances,
     msg_key,
 )
+from stdrefine.features import FeatureApplyError
 from stdrefine.interp import CHAOS_ENTRY, Bounds, Entry
+from stdrefine.refine import RuleError, apply_rule
 
 
 def oracle_nodes(expr):
@@ -350,3 +352,16 @@ def oracle_traces(std: Std, env, bounds: Bounds):
             capped=any(len(u) > cap for u in words),
         )
     return entries, reached
+
+
+def oracle_apply_feature(std: Std, patch, env):
+    """`apply_feature` as the plain fold of `apply_rule`, each rule validating
+    its whole result: the reference for a fold that sort-checks, after the
+    first rule, only what each rule adds."""
+    work = std
+    for i, app in enumerate(patch.applications):
+        try:
+            work = apply_rule(work, app, env)
+        except RuleError as exc:
+            raise FeatureApplyError(patch.name, i, exc) from exc
+    return work

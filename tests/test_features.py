@@ -30,7 +30,7 @@ from stdrefine import (
 )
 from stdrefine import features
 from stdrefine.features import conflict_to_json
-from stdrefine.model import EMPTY_ENV, replace
+from stdrefine.model import EMPTY_ENV, AttrRef, Lit, replace
 from stdrefine.refine import RuleApplication
 
 B = Bounds(max_input_len=3, eps_budget=3, output_cap=16)
@@ -62,6 +62,53 @@ feature broken on duo {
     assert info.value.feature == "broken"
     assert info.value.index == 1
     assert "application #2" in str(info.value)
+
+
+MINI = parse_std("""
+std m = {
+  input go
+  output a
+  attributes x :: Int 0..2
+  states s init
+  t: s -> s : go / [a]
+}
+""")
+
+
+def test_a_later_rule_sort_checks_the_transitions_it_adds():
+    # The first rule validated the machine; the second adds a transition
+    # whose guard is an Int, and is rejected as the whole-diagram check
+    # rejects it.
+    patch = parse_feature(
+        """
+feature f on m {
+  add-states { w }
+  add-transitions {
+    u: w -> w : {x + 1} go / [a]
+  }
+}
+""",
+        base=MINI,
+    )
+    with pytest.raises(FeatureApplyError) as info:
+        apply_feature(MINI, patch, EMPTY_ENV)
+    assert str(info.value) == (
+        "rule add-transitions: feature 'f', application #2 (add-transitions): "
+        "the transformed machine is invalid: transition u: guard must be Bool"
+    )
+
+
+def test_an_ill_sorted_input_fails_the_first_rule_with_every_problem():
+    t = MINI.transitions[0]
+    ill = replace(MINI, transitions=(replace(t, guard=AttrRef("x"), post=Lit(2)),))
+    patch = parse_feature("feature g on m { add-states { w } add-states { v } }", base=MINI)
+    with pytest.raises(FeatureApplyError) as info:
+        apply_feature(ill, patch, EMPTY_ENV)
+    assert str(info.value) == (
+        "rule add-states: feature 'g', application #1 (add-states): the transformed "
+        "machine is invalid: transition t: guard must be Bool; "
+        "transition t: postcondition must be Bool"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -268,17 +315,41 @@ def test_two_passing_orders_that_disagree_conflict(monkeypatch):
     )
 
 
-def _traces_made(monkeypatch, base: Std, f1: FeaturePatch, f2: FeaturePatch, env) -> int:
+def _count_traces(monkeypatch) -> list:
+    """The arguments of each `traces` call that conflict detection makes
+    from now on."""
     calls = []
     monkeypatch.setattr(features, "traces", lambda *args: calls.append(args) or traces(*args))
+    return calls
+
+
+@pytest.mark.parametrize("reordered, made", [(False, 4), (True, 3)])
+def test_stubbed_orders_share_a_trace_set_only_when_equal_up_to_order(
+    monkeypatch, reordered, made
+):
+    # Both orders pass.  f2 then f1 gives f1 then f2's machine with its
+    # transitions reversed, which is traced once, or a machine with labels of
+    # its own, which is traced apart: two singles plus one or two combined.
+    calls = _count_traces(monkeypatch)
+    s1, s2, c12 = _pick("p", "a", "b"), _pick("q", "a", "b"), _pick("r", "a", "b")
+    c21 = replace(c12, transitions=c12.transitions[::-1]) if reordered else _pick("u", "a", "b")
+    report = _decide_stubbed(monkeypatch, s1, s2, c12, c21)
+    assert report.verdict == "compatible", report.describe()
+    assert report.merged == c12
+    assert len(calls) == made
+
+
+def _traces_made(monkeypatch, base: Std, f1: FeaturePatch, f2: FeaturePatch, env) -> int:
+    calls = _count_traces(monkeypatch)
     detect_conflict(base, f1, f2, env, SMALL)
     return len(calls)
 
 
 def test_a_report_traces_each_compared_machine_once(monkeypatch):
-    # Both orders apply: two singles and two combined machines.
+    # Both orders apply: two singles and one combined machine, which the
+    # orders share, as they give the same machine up to declaration order.
     fwd, blk = feature_patch("forwarding"), feature_patch("blocking")
-    assert _traces_made(monkeypatch, build_step(2), fwd, blk, default_env()) == 4
+    assert _traces_made(monkeypatch, build_step(2), fwd, blk, default_env()) == 3
 
 
 def test_a_report_traces_nothing_when_no_order_applies(monkeypatch):

@@ -15,15 +15,18 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from machine_gen import gen_application, gen_std
-from oracles import all_configs, input_closure, oracle_enabled, oracle_step
+from oracles import all_configs, input_closure, oracle_apply_feature, oracle_enabled, oracle_step
 
 from stdrefine import (
+    AddStates,
     AddTransitions,
     Bounds,
+    FeaturePatch,
     SplitState,
     Transition,
     parse_feature,
     RuleError,
+    apply_feature,
     apply_rule,
     check_monotone,
     check_refinement,
@@ -392,7 +395,60 @@ def test_machines_that_std1_accepts_print_and_parse_back(expr, place, wrap, uses
     assert parse_std(print_std(m)) == m
 
 
+def _applied(apply, std, patch, env) -> str:
+    """The printed result of applying the feature, or its rejection."""
+    try:
+        return print_std(apply(std, patch, env))
+    except RuleError as exc:
+        return f"rejected: {exc}"
+
+
+def test_features_apply_as_the_fold_that_validates_every_result():
+    # Each feature is 2-3 proposals, each drawn against the machine the ones
+    # before it give where they apply.
+    rng = random.Random(28)
+    for i in range(300):
+        std = gen_std(rng, name=f"gen{i}")
+        apps, work = [], std
+        for _ in range(rng.randint(2, 3)):
+            apps.append(gen_application(rng, work))
+            try:
+                work = apply_rule(work, apps[-1], EMPTY_ENV)
+            except RuleError:
+                pass
+        patch = FeaturePatch("f", std.name, tuple(apps))
+        assert _applied(apply_feature, std, patch, EMPTY_ENV) == _applied(
+            oracle_apply_feature, std, patch, EMPTY_ENV
+        ), (std.name, apps)
+
+
+def _shuffled(rng: random.Random, std):
+    """`std` with its states, initial markings and transitions reordered."""
+    return replace(std, **{f: tuple(rng.sample(getattr(std, f), len(getattr(std, f))))
+                           for f in ("states", "initial", "transitions")})
+
+
+def test_a_trace_set_does_not_depend_on_declaration_order():
+    # Conflict detection traces two orders that give one machine up to the
+    # order of its declarations once.
+    rng = random.Random(3)
+    bounds = Bounds(max_input_len=3, eps_budget=2, output_cap=64)
+    for i in range(400):
+        std = gen_std(rng, name=f"gen{i}")
+        ts, shuffled = traces(std, EMPTY_ENV, bounds), traces(_shuffled(rng, std), EMPTY_ENV, bounds)
+        assert list(shuffled.entries.items()) == list(ts.entries.items()), std.name
+        assert (shuffled.reached, shuffled.warnings) == (ts.reached, ts.warnings), std.name
+
+
 HOLDER_ENV = make_environment(tables={"f": {(i,): i for i in range(3)}})
+
+
+def _holding(expr, place: str):
+    """A rule application on the holder that carries `expr` as a new guard
+    or as a redirect's strengthened postcondition."""
+    if place == "guard":
+        return AddTransitions((Transition("t9", "s", "s", None, (), expr, (), TRUE),))
+    return SplitState("s", ("p",), (("t", "p", expr),))
 
 
 @given(held_exprs, st.sampled_from(("guard", "redirect")))
@@ -401,13 +457,22 @@ def test_rules_sort_check_a_payload_before_evaluating_it(expr, place):
     # Whatever the payload holds, a rule applies or is rejected: no side
     # condition evaluates an expression that validation would refuse.
     holder = parse_std(HOLDER_SRC)
-    if place == "guard":
-        app = AddTransitions((Transition("t9", "s", "s", None, (), expr, (), TRUE),))
-    else:
-        app = SplitState("s", ("p",), (("t", "p", expr),))
+    app = _holding(expr, place)
     try:
         apply_rule(holder, app, HOLDER_ENV)
     except RuleError as exc:
         event("rejected as invalid" if "is invalid" in exc.reason else "rejected")
     else:
         event(f"applied with the expression as a {place}")
+
+
+@given(held_exprs, st.sampled_from(("guard", "redirect")))
+@settings(max_examples=100, deadline=None)
+def test_a_later_rule_of_a_feature_is_validated_as_a_first_rule_is(expr, place):
+    # The second rule sort-checks only what it adds, with the text and
+    # the problems of the whole-diagram check.
+    holder = parse_std(HOLDER_SRC)
+    patch = FeaturePatch("f", "m", (AddStates(("q",)), _holding(expr, place)))
+    assert _applied(apply_feature, holder, patch, HOLDER_ENV) == _applied(
+        oracle_apply_feature, holder, patch, HOLDER_ENV
+    )
