@@ -118,8 +118,8 @@ MUTANTS = (
     Mutant(
         "a feature's later rule takes its own new transitions as sort-checked",
         "refine.py",
-        "problems = validate_std(result, checked=checked)",
-        "problems = validate_std(result, checked=result.transitions if checked else checked)",
+        "problems = validate_std(result, checked=bindings.checked(work))",
+        "problems = validate_std(result, checked=set(result.transitions) if bindings.checked(work) else ())",
         (
             "tests/test_features.py::test_a_later_rule_sort_checks_the_transitions_it_adds",
             "tests/test_properties.py::test_a_later_rule_of_a_feature_is_validated_as_a_first_rule_is",
@@ -127,10 +127,38 @@ MUTANTS = (
     ),
     Mutant(
         "a feature's first rule takes the input's transitions as sort-checked",
-        "features.py",
-        "work, checked = std, ()",
-        "work, checked = std, std.transitions",
+        "interp.py",
+        "return made.checked if made is not None else ()",
+        "return made.checked if made is not None else std.transitions",
         ("tests/test_features.py::test_an_ill_sorted_input_fails_the_first_rule_with_every_problem",),
+    ),
+    Mutant(
+        "a transition is recorded as sort-checked when its rule's result had problems",
+        "refine.py",
+        "problems = validate_std(result, checked=bindings.checked(work))",
+        "problems = validate_std(result, checked=bindings.checked(work)); "
+        "bindings.binding(work).checked.update(result.transitions)",
+        ("tests/test_refine.py::test_a_rejected_rule_records_no_transition_as_sort_checked",),
+    ),
+    Mutant(
+        "a shared enabled answer is keyed without its trigger",
+        "interp.py",
+        "question = (tid, config.valuation, trigger)",
+        "question = (tid, config.valuation)",
+        (
+            "tests/test_properties.py::test_a_corpus_report_serves_the_enabled_answers_of_the_oracle",
+            "tests/test_properties.py::test_generated_reports_serve_the_enabled_answers_of_the_oracle",
+        ),
+    ),
+    Mutant(
+        "a Machine with different attributes joins a binding",
+        "interp.py",
+        "return (std.domains, std.uses, std.signature, std.attributes)",
+        "return (std.domains, std.uses, std.signature)",
+        (
+            "tests/test_refine.py::test_machines_bind_apart_when_their_declarations_differ",
+            "tests/test_refine.py::test_refinement_between_different_attributes_binds_each_machine_apart",
+        ),
     ),
     Mutant(
         "conflict detection shares the orders' trace set when only their states agree",

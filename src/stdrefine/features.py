@@ -28,7 +28,7 @@ import functools
 import itertools
 from typing import Optional
 
-from .interp import Bounds, DEFAULT_BOUNDS, TraceSet, bounds_to_json, traces
+from .interp import Bindings, Bounds, DEFAULT_BOUNDS, TraceSet, bindings_of, bounds_to_json, traces
 from .model import Environment, Record, Std, replace
 from .refine import RuleApplication, RuleError, apply_rule, trace_equivalence, trace_inclusion
 
@@ -58,13 +58,14 @@ class FeatureApplyError(RuleError):
 def apply_feature(
     std: Std,
     patch: FeaturePatch,
-    env: Environment,
+    env: Environment | Bindings,
     bounds: Bounds = DEFAULT_BOUNDS,
 ) -> Std:
     """Fold the patch over the machine; the machine's name is retained.
     The result is a refinement of `std` at every bound; of `bounds` only
-    `state_cap` is read (see `apply_rule`).  Raises FeatureApplyError naming
-    the first failing application."""
+    `state_cap` is read (see `apply_rule`).  Its rules are one request (see
+    `Bindings`), or part of the one `env` is the bindings of.  Raises
+    FeatureApplyError naming the first failing application."""
     if patch.subject != std.name:
         raise ValueError(
             f"feature {patch.name!r} is written against {patch.subject!r}, "
@@ -72,14 +73,12 @@ def apply_feature(
         )
     if not patch.applications:
         raise ValueError(f"feature {patch.name!r} contains no rule applications")
-    work, checked = std, ()
+    bindings, work = bindings_of(env), std
     for i, app in enumerate(patch.applications):
         try:
-            work = apply_rule(work, app, env, bounds, checked=checked)
+            work = apply_rule(work, app, bindings, bounds)
         except RuleError as exc:
             raise FeatureApplyError(patch.name, i, exc) from exc
-        # `work` validated clean: later rules sort-check only what they add.
-        checked = frozenset(work.transitions)
     return work
 
 
@@ -114,7 +113,9 @@ def detect_conflict(
     bounds: Bounds = DEFAULT_BOUNDS,
 ) -> ConflictReport:
     """Decide whether two features can be combined over `std` (see the module
-    docstring for the four verdicts)."""
+    docstring for the four verdicts).  Every machine the report builds has
+    std's declarations, so all of them share one binding of `env`."""
+    env = Bindings(env, shared=True)  # the report's one request
 
     def report(verdict: str, evidence: list[str], merged: Optional[Std] = None) -> ConflictReport:
         return ConflictReport(

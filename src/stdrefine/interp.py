@@ -38,7 +38,7 @@ import itertools
 import json
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterator, Optional
+from typing import Collection, Iterator, Optional
 
 from .model import (
     BinOp,
@@ -169,20 +169,118 @@ def _pins(post: Expr, position: dict[str, int]):
     return tuple(pins), len(pins) == conjuncts == len({i for i, _ in pins})
 
 
+def declarations(std: Std) -> tuple:
+    """What binding an environment to `std` depends on, besides the
+    environment: its domains, environment symbols, signature and attributes.
+    No rule edits them."""
+    return (std.domains, std.uses, std.signature, std.attributes)
+
+
+def _read_positions(t: Transition, position: dict[str, int]) -> tuple[set[int], set[int]]:
+    """The positions of the attributes (in `position`) and of the trigger
+    parameters that the guard, the output arguments and the postcondition of
+    `t` read unprimed."""
+    attrs, params, _ = reads(t.guard, *(a for _, xs in t.outputs for a in xs), t.post)
+    return {position[n] for n in attrs}, {i for i, p in enumerate(t.params) if p in params}
+
+
+class Binding:
+    """An environment bound to one diagram's declarations (see
+    `declarations`), with what depends only on the two: the bound `tables`
+    (or the `problems` that keep them from binding), the input alphabet in
+    `msg_key` order (`inputs`), the sorted attribute names with their pools of
+    values, and the `valuations`, built on first use.
+
+    It also keeps answers about transitions, which depend only on a
+    transition and these: the pins of each postcondition met (see `_pins`);
+    where each guard holds (see `Machine.guarded`); and `checked`, the
+    transitions that have been sort-checked clean (see `validate_std`).  A
+    `shared` binding serves Machines that ask much the same questions, so it
+    numbers the transitions they have (`ids`), keeps what each reads, and
+    keeps each one's enabled answer per (valuation, trigger) in `answers`.
+    Any other binding (a lone Machine's) keeps none of these, as nothing
+    would ask twice."""
+
+    def __init__(self, std: Std, env: Environment, shared: bool = False) -> None:
+        self.tables, self.problems = bind_environment(std, env)
+        self.shared = shared
+        self.checked: set[Transition] = set()
+        if self.problems:
+            return  # no Machine is made of it
+        domains, sorts = std.domain_map(), std.attr_map()
+        self.inputs = tuple(message_instances(std.signature.inputs, domains))
+        self.position = {m: i for i, m in enumerate(self.inputs)}
+        # Sorted, so that a combination of pool values zips straight into a
+        # `Configuration` valuation.
+        self.names = tuple(sorted(n for n, _ in std.attributes))
+        self.pools = tuple(enumerate_sort(sorts[n], domains) for n in self.names)
+        self.attr_position = {n: i for i, n in enumerate(self.names)}
+        self._declared = tuple(n for n, _ in std.attributes)
+        self.pinned: dict[Expr, tuple[tuple[tuple[int, Expr], ...], bool]] = {}
+        self.guards: dict[Transition, tuple] = {}
+        self.ids: dict[Transition, tuple[int, set[int], set[int]]] = {}
+        self.answers: dict[tuple[int, tuple, Msg | None], list[EnabledTransition]] = {}
+
+    @cached_property
+    def valuations(self) -> tuple[tuple[tuple[str, Value], ...], ...]:
+        """Every attribute valuation, each as a `Configuration` valuation, in
+        declaration order: the product of the attributes' values in the order
+        the diagram declares them, the first declared varying slowest."""
+        combos = itertools.product(*(self.pools[self.attr_position[n]] for n in self._declared))
+        return tuple(tuple(sorted(zip(self._declared, combo))) for combo in combos)
+
+    def read(self, t: Transition) -> tuple[int, set[int], set[int]]:
+        """t's number in a shared binding, with `_read_positions` of it."""
+        hit = self.ids.get(t)
+        if hit is None:
+            hit = self.ids[t] = (len(self.ids), *_read_positions(t, self.attr_position))
+        return hit
+
+
+class Bindings:
+    """An environment with the `Binding`s that one request (a refinement
+    check, a rule or feature application, a conflict report) makes of it, one
+    per diagram declarations.  Passed where an `Environment` goes, it gives
+    every `Machine` of the request with the same declarations one binding,
+    and it dies with the request.  `shared` says whether those Machines share
+    their enabled answers too (see `Binding`)."""
+
+    def __init__(self, env: Environment, shared: bool = False) -> None:
+        self.env = env
+        self.shared = shared
+        self._made: dict[tuple, Binding] = {}
+
+    def binding(self, std: Std) -> Binding:
+        key = declarations(std)
+        made = self._made.get(key)
+        if made is None:
+            made = self._made[key] = Binding(std, self.env, self.shared)
+        return made
+
+    def checked(self, std: Std) -> Collection[Transition]:
+        """The transitions sort-checked clean so far under std's declarations."""
+        made = self._made.get(declarations(std))
+        return made.checked if made is not None else ()
+
+
+def bindings_of(env: Environment | Bindings) -> Bindings:
+    """`env` as the bindings of a request: itself, or a new request's."""
+    return env if isinstance(env, Bindings) else Bindings(env)
+
+
 class Machine:
     """A diagram bound to an environment: the one exploration engine, which
     decides what a configuration enables and what a message does from it.
 
-    The diagram is desugared (`std`), the environment bound against it
-    (`tables`, or `ValueError` when it does not fit) and its input alphabet
-    listed in `msg_key` order (`inputs`); `valuations` and `initial` are built
-    on first use.  What does not depend on the configuration is indexed once:
-    the transitions per (source, trigger constructor or None for eps) in
-    declaration order; the sorted attribute names with their pools of
-    values; and, per control state, the attributes and trigger arguments its
-    outgoing transitions read (`reads`, one pass over their expressions).
-    The pins (see `_pins`) of a postcondition are not: `solve` works them
-    out the first time it meets the postcondition.
+    The diagram is desugared (`std`) and bound (`binding`): the environment
+    bound against its declarations (`tables`, or `ValueError` when it does
+    not fit), its input alphabet (`inputs`) and its `valuations`, shared with
+    the other Machines of a request when `env` is its `Bindings`.  `initial`
+    is built on first use.  What does not depend on the configuration is
+    indexed once: the transitions per (source, trigger constructor or None
+    for eps) in declaration order, and, per control state, the attributes and
+    trigger arguments its outgoing transitions read (`reads`, one pass over
+    their expressions, or the shared binding's record of them).
 
     Every memo is keyed by `key`, what a configuration's control state reads:
     the state and the values of the attributes that a guard, an output
@@ -198,55 +296,51 @@ class Machine:
     start state read.
 
     `enabled` keeps its answers per (key, trigger), with None for eps, so each
-    question goes to `_find_enabled` once.  `row` keeps one step row per key,
-    aligned with `inputs`: cell i is the step of `inputs[i]` once `step` has
-    filled it, and callers ask `step` only for an empty cell.  `step` shares
-    one exploration between the inputs a state cannot tell apart, and an
-    exploration its outcomes per (key, remaining internal-step allowance).
+    question goes to `_find_enabled` once (on a shared binding, one
+    transition at a time, through the binding's `answers`).  `row` keeps one
+    step row per key, aligned with `inputs`: cell i is the step of
+    `inputs[i]` once `step` has filled it, and callers ask `step` only for an
+    empty cell.  `step` shares one exploration between the inputs a state
+    cannot tell apart, and an exploration its outcomes per (key, remaining
+    internal-step allowance).
     """
 
-    def __init__(self, std: Std, env: Environment, bounds: Bounds = DEFAULT_BOUNDS) -> None:
+    def __init__(self, std: Std, env: Environment | Bindings, bounds: Bounds = DEFAULT_BOUNDS) -> None:
         self.std = std = desugar(std)
         self.bounds = bounds
-        tables, problems = bind_environment(std, env)
-        if problems:
-            raise ValueError("environment does not fit the diagram: " + "; ".join(problems))
-        self.tables = tables
-        domains, sorts = std.domain_map(), std.attr_map()
-        self.inputs = tuple(message_instances(std.signature.inputs, domains))
-        self._position = {m: i for i, m in enumerate(self.inputs)}
-        # Sorted, so that a combination of pool values zips straight into a
-        # `Configuration` valuation.
-        self._names = tuple(sorted(n for n, _ in std.attributes))
-        self._pools = tuple(enumerate_sort(sorts[n], domains) for n in self._names)
-        self._attr_position = position = {n: i for i, n in enumerate(self._names)}
+        binding = env.binding(std) if isinstance(env, Bindings) else Binding(std, env)
+        if binding.problems:
+            raise ValueError("environment does not fit the diagram: " + "; ".join(binding.problems))
+        self.binding = binding
+        self.tables = binding.tables
+        self.inputs = binding.inputs
         self._groups: dict[tuple[str, str | None], list[Transition]] = {}
-        self._pinned: dict[Expr, tuple[tuple[tuple[int, Expr], ...], bool]] = {}
+        # On a shared binding, the numbers of each group's transitions.
+        self._ids: dict[tuple[str, str | None], list[int]] | None = {} if binding.shared else None
         self._arg_reads: dict[tuple[str, str], set[int]] = {}
         state_reads: dict[str, set[int]] = {}
         for t in std.transitions:
-            attrs, params, _ = reads(t.guard, *(a for _, xs in t.outputs for a in xs), t.post)
-            self._groups.setdefault((t.source, t.trigger), []).append(t)
+            group = (t.source, t.trigger)
+            if self._ids is None:
+                attrs, params = _read_positions(t, binding.attr_position)
+            else:
+                tid, attrs, params = binding.read(t)
+                self._ids.setdefault(group, []).append(tid)
+            self._groups.setdefault(group, []).append(t)
             if t.trigger is not None:
-                self._arg_reads.setdefault((t.source, t.trigger), set()).update(
-                    i for i, p in enumerate(t.params) if p in params
-                )
-            state_reads.setdefault(t.source, set()).update(position[n] for n in attrs)
-        # Positions in `_names`, which is also the order of `Configuration.valuation`.
+                self._arg_reads.setdefault(group, set()).update(params)
+            state_reads.setdefault(t.source, set()).update(attrs)
+        # Positions in the sorted attribute names, which is also the order of
+        # `Configuration.valuation`.
         self._project = {s: itemgetter(*sorted(r)) for s, r in state_reads.items() if r}
         self._first: dict[str, list[int]] = {}
         self._enabled: dict[tuple[tuple, Msg | None], list[EnabledTransition]] = {}
         self._rows: dict[tuple, list[StepResult | None]] = {}
-        self._guards: dict[Transition, tuple] = {}
 
-    @cached_property
+    @property
     def valuations(self) -> tuple[tuple[tuple[str, Value], ...], ...]:
-        """Every attribute valuation, each as a `Configuration` valuation, in
-        declaration order: the product of the attributes' values in the order
-        the diagram declares them, the first declared varying slowest."""
-        declared = [n for n, _ in self.std.attributes]
-        combos = itertools.product(*(self._pools[self._attr_position[n]] for n in declared))
-        return tuple(tuple(sorted(zip(declared, combo))) for combo in combos)
+        """The binding's `valuations`."""
+        return self.binding.valuations
 
     @cached_property
     def initial(self) -> tuple[Configuration, ...]:
@@ -274,13 +368,31 @@ class Machine:
         """`enabled` for a `config` whose `key` is `read`."""
         hit = self._enabled.get((read, trigger))
         if hit is None:
-            hit = self._enabled[(read, trigger)] = self._find_enabled(config, trigger)
+            find = self._find_enabled if self._ids is None else self._find_shared
+            hit = self._enabled[(read, trigger)] = find(config, trigger)
         return hit
 
-    def _find_enabled(self, config: Configuration, trigger: Msg | None) -> list[EnabledTransition]:
-        """The transitions productively enabled at `config` for `trigger` (a
-        ground input message, or None for eps), with their reactions, in
-        declaration order.
+    def _find_shared(self, config: Configuration, trigger: Msg | None) -> list[EnabledTransition]:
+        """`_find_enabled` on a shared binding: each transition's answer at
+        config's valuation and `trigger` is asked once per binding, as no
+        answer depends on anything else."""
+        group = (config.control, None if trigger is None else trigger.ctor)
+        answers = self.binding.answers
+        out: list[EnabledTransition] = []
+        for tid, t in zip(self._ids.get(group, ()), self._groups.get(group, ())):
+            question = (tid, config.valuation, trigger)
+            hit = answers.get(question)
+            if hit is None:
+                hit = answers[question] = self._find_enabled(config, trigger, (t,))
+            out += hit
+        return out
+
+    def _find_enabled(self, config: Configuration, trigger: Msg | None,
+                      group: Collection[Transition] | None = None) -> list[EnabledTransition]:
+        """The transitions of `group` (by default, every transition leaving
+        config's state on trigger's constructor) productively enabled at
+        `config` for `trigger` (a ground input message, or None for eps), with
+        their reactions, in declaration order.
 
         A transition's guard is tested with `guard_holds`, which stops at the
         first conjunct that is not True, and its output arguments are values,
@@ -288,7 +400,8 @@ class Machine:
         primed valuation that `solve` finds for its postcondition; an
         unsatisfiable postcondition, or an Undefined output, contributes
         nothing."""
-        group = self._groups.get((config.control, None if trigger is None else trigger.ctor))
+        if group is None:
+            group = self._groups.get((config.control, None if trigger is None else trigger.ctor))
         if not group:
             return []
         tables = self.tables
@@ -331,18 +444,19 @@ class Machine:
         postcondition that is exactly its pins is not tested: the pools were
         narrowed with the ``==`` its conjuncts evaluate, so every candidate
         satisfies it."""
-        pinned = self._pinned.get(post)
+        binding = self.binding
+        pinned = binding.pinned.get(post)
         if pinned is None:
-            pinned = self._pinned[post] = _pins(post, self._attr_position)
+            pinned = binding.pinned[post] = _pins(post, binding.attr_position)
         pins, solved = pinned
         tables = self.tables
-        pools = list(self._pools)
+        pools = list(binding.pools)
         for i, rhs in pins:
             v = eval_expr(rhs, valuation, tables, params=params)
             if v is Undefined:  # so is the postcondition
                 return []
             pools[i] = [u for u in pools[i] if u == v]
-        names = self._names
+        names = binding.names
         out = []
         for combo in itertools.product(*pools):
             primed = tuple(zip(names, combo))
@@ -355,22 +469,24 @@ class Machine:
         the machine's transitions or a payload's, holds: per trigger (the
         `inputs` with t's constructor, or None for eps), the `Configuration`
         valuations in the order given, `valuations` by default.  The guard is
-        evaluated once per trigger and values of the attributes it reads, and
-        those read positions and t's triggers are kept per `t`."""
-        if t not in self._guards:
-            read = sorted(self._attr_position[n] for n in reads(t.guard)[0])
+        evaluated once per trigger and values of the attributes it reads; its
+        answers, those read positions and t's triggers are kept per `t` in the
+        machine's binding."""
+        guards = self.binding.guards
+        if t not in guards:
+            read = sorted(self.binding.attr_position[n] for n in reads(t.guard)[0])
             triggers = [None] if t.is_internal else [m for m in self.inputs if m.ctor == t.trigger]
-            self._guards[t] = (itemgetter(*read) if read else lambda v: (),
-                               [(m, {} if m is None else dict(zip(t.params, m.args))) for m in triggers])
-        project, triggers = self._guards[t]
-        for trigger, binding in triggers:
-            holds: dict[object, bool] = {}
+            guards[t] = (itemgetter(*read) if read else lambda v: (),
+                         [(m, {} if m is None else dict(zip(t.params, m.args)), {}) for m in triggers])
+        project, triggers = guards[t]
+        for trigger, params, holds in triggers:
             for valuation in self.valuations if valuations is None else valuations:
                 key = project(valuation)
-                if key not in holds:
-                    holds[key] = guard_holds(t.guard, dict(valuation), self.tables, binding)
-                if holds[key]:
-                    yield valuation, trigger, binding
+                held = holds.get(key)
+                if held is None:
+                    held = holds[key] = guard_holds(t.guard, dict(valuation), self.tables, params)
+                if held:
+                    yield valuation, trigger, params
 
     def row(self, config: Configuration) -> list[StepResult | None]:
         """The step row of `config`'s key: cell i is None until filled."""
@@ -385,7 +501,7 @@ class Machine:
         `config`'s row, filled on first use with the step of the first input
         that the state cannot tell apart from it (see `_first_alike`)."""
         row = self.row(config)
-        i = self._position[message]
+        i = self.binding.position[message]
         res = row[i]
         if res is None:
             first = self._first.get(config.control)

@@ -448,7 +448,10 @@ def resolve_names(expr: Expr, scope: Scope, params: frozenset | set) -> Expr:
             raise UnknownName(f"unknown attribute {e.name!r} (primed references name attributes)", e)
         return map_children(e, resolve)
 
-    return resolve(expr)
+    try:
+        return resolve(expr)
+    finally:
+        del resolve  # a self-referencing closure: free it without the cycle collector
 
 
 def resolve_transition(t: Transition, scope: Scope) -> Transition:

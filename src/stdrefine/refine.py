@@ -48,7 +48,7 @@ producing an unsound machine.
 
 from __future__ import annotations
 
-from typing import Callable, Collection, Optional, Union
+from typing import Callable, Optional, Union
 
 from .model import (
     Configuration,
@@ -71,12 +71,15 @@ from .model import (
     validate_std,
 )
 from .interp import (
+    Bindings,
     Bounds,
     DEFAULT_BOUNDS,
     Machine,
     TraceSet,
     Verdict,
     Witness,
+    bindings_of,
+    declarations,
     reachable_configurations,
     seq_key,
     traces,
@@ -220,15 +223,16 @@ def _distinct(rule: str, names: tuple[str, ...], what: str,
 def apply_rule(
     std: Std,
     app: RuleApplication,
-    env: Environment,
+    env: Environment | Bindings,
     bounds: Bounds = DEFAULT_BOUNDS,
-    *,
-    checked: Collection[Transition] = (),
 ) -> Std:
     """Apply one transformation rule: edit the desugared machine, validate
     the result, then check the rule's side condition against the machine it
-    is applied to.  The input machine is never modified.  Validation skips
-    the sort checks of the transitions in `checked` (see `validate_std`).
+    is applied to.  The input machine is never modified.  `env` may be the
+    `Bindings` of a request the rule is part of: validation then skips the
+    sort checks of the transitions an earlier rule of the request checked
+    clean (see `validate_std`), and the side condition's machine joins the
+    request's binding.
 
     The side conditions do not depend on the bounds: an accepted rule is a
     refinement at every bound.  Of `bounds` only `state_cap` is read; the
@@ -237,11 +241,14 @@ def apply_rule(
     name, edit = _rule(app)
     work = desugar(std)
     result, check = edit(work, app, name)
-    problems = validate_std(result, checked=checked)
+    bindings = bindings_of(env)
+    problems = validate_std(result, checked=bindings.checked(work))
     if problems:
         raise RuleError(name, "the transformed machine is invalid: " + "; ".join(problems))
+    # The result has work's declarations, so the binding is the same.
+    bindings.binding(work).checked.update(result.transitions)
     if check is not None:
-        check(Machine(work, env, Bounds(eps_budget=1, state_cap=bounds.state_cap)))
+        check(Machine(work, bindings, Bounds(eps_budget=1, state_cap=bounds.state_cap)))
     return result
 
 
@@ -598,6 +605,8 @@ def check_refinement(
         raise SignatureMismatch(
             f"{abstract.name} and {concrete.name} have different signatures or domains"
         )
-    ts_abstract = traces(abstract, env, bounds)
-    ts_concrete = traces(concrete, env, bounds)
+    # Machines of one declarations share their binding and enabled answers.
+    bindings = Bindings(env, shared=declarations(abstract) == declarations(concrete))
+    ts_abstract = traces(abstract, bindings, bounds)
+    ts_concrete = traces(concrete, bindings, bounds)
     return trace_inclusion(ts_abstract, ts_concrete)

@@ -12,8 +12,10 @@ from stdrefine import (
     Bounds,
     FeatureApplyError,
     FeaturePatch,
+    RuleError,
     Std,
     apply_feature,
+    apply_rule,
     base_std,
     build_step,
     check_refinement,
@@ -109,6 +111,34 @@ def test_an_ill_sorted_input_fails_the_first_rule_with_every_problem():
         "machine is invalid: transition t: guard must be Bool; "
         "transition t: postcondition must be Bool"
     )
+
+
+def test_a_report_rejects_an_ill_sorted_rule_as_a_lone_application_does():
+    # The first feature's rules sort-check MINI's transitions; the second
+    # feature's later rule adds an ill-sorted one and is rejected with the
+    # text a rule applied on its own gives.
+    good = parse_feature("feature good on m { add-states { v } }", base=MINI)
+    bad = parse_feature(
+        """
+feature bad on m {
+  add-states { w }
+  add-transitions {
+    u: w -> w : {x + 1} go / [a]
+  }
+}
+""",
+        base=MINI,
+    )
+    with pytest.raises(RuleError) as alone:
+        apply_rule(apply_rule(MINI, bad.applications[0], EMPTY_ENV), bad.applications[1], EMPTY_ENV)
+    report = detect_conflict(MINI, good, bad, EMPTY_ENV, SMALL)
+    assert report.verdict == "inapplicable"
+    assert report.evidence == (
+        f"feature 'bad' does not apply to m: rule add-transitions: feature 'bad', "
+        f"application #2 (add-transitions): {alone.value.reason}",
+    )
+    assert alone.value.reason == (
+        "the transformed machine is invalid: transition u: guard must be Bool")
 
 
 # ---------------------------------------------------------------------------

@@ -192,27 +192,31 @@ def test_only_the_machine_lists_valuations():
 
 
 def test_only_the_machine_binds_an_environment():
-    # An environment is bound to a diagram when a `Machine` is made, and
-    # nowhere else; everything else asks a machine for its tables.
+    # An environment is bound to a diagram's declarations when a `Binding`
+    # is made (by a `Machine`, or by a request's `Bindings` for all its
+    # machines), and nowhere else; everything else asks a machine for its
+    # tables.
     offending = []
+    sites = []
     for path in MODULES:
         tree = ast.parse(path.read_text(), filename=str(path))
         allowed = {
             id(n)
             for c in ast.walk(tree)
-            if isinstance(c, ast.ClassDef) and c.name == "Machine"
+            if isinstance(c, ast.ClassDef) and c.name == "Binding"
             for f in c.body
             if isinstance(f, ast.FunctionDef) and f.name == "__init__"
             for n in ast.walk(f)
         }
-        offending += [
-            f"{path.name}:{node.lineno}"
+        calls = [
+            node
             for node in ast.walk(tree)
-            if isinstance(node, ast.Call)
-            and _called_name(node) == "bind_environment"
-            and id(node) not in allowed
+            if isinstance(node, ast.Call) and _called_name(node) == "bind_environment"
         ]
-    assert offending == [], f"environments bound outside Machine.__init__: {', '.join(offending)}"
+        sites += [f"{path.name}:{node.lineno}" for node in calls]
+        offending += [f"{path.name}:{node.lineno}" for node in calls if id(node) not in allowed]
+    assert offending == [], f"environments bound outside Binding.__init__: {', '.join(offending)}"
+    assert len(sites) == 1, sites
 
 
 def test_the_package_exports_exactly_what_it_imports():

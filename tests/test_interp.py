@@ -42,7 +42,17 @@ from stdrefine.interp import (
     seq_key,
     traceset_to_json,
 )
-from stdrefine.model import EMPTY_ENV, config_key, make_environment
+from stdrefine.model import (
+    EMPTY_ENV,
+    BinOp,
+    Lit,
+    Name,
+    UnknownName,
+    config_key,
+    make_environment,
+    name_scope,
+    resolve_names,
+)
 
 from machine_gen import gen_std
 from oracles import (
@@ -373,6 +383,24 @@ def test_machine_is_freed_without_the_cycle_collector():
         ref = weakref.ref(machine)
         del machine
         assert ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_resolve_names_leaves_no_cyclic_garbage():
+    # Resolving an expression, or failing to, leaves nothing for the cycle
+    # collector: not the recursive closure, nor the cells it holds.
+    scope = name_scope(tel_std())
+    known = BinOp("and", Lit(True), BinOp("eq", Name("n"), Name("n")))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        resolve_names(known, scope, {"n"})
+        with pytest.raises(UnknownName):
+            resolve_names(BinOp("eq", Name("n"), Name("nowhere")), scope, {"n"})
+        assert gc.collect() == 0
     finally:
         if was_enabled:
             gc.enable()

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import random
 
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +31,13 @@ from stdrefine import (
     apply_rule,
     check_monotone,
     check_refinement,
+    conflict_patches,
+    default_env,
     desugar,
+    detect_conflict,
+    duo_std,
+    build_step,
+    feature_patch,
     make_environment,
     parse_std,
     print_std,
@@ -476,3 +483,63 @@ def test_a_later_rule_of_a_feature_is_validated_as_a_first_rule_is(expr, place):
     assert _applied(apply_feature, holder, patch, HOLDER_ENV) == _applied(
         oracle_apply_feature, holder, patch, HOLDER_ENV
     )
+
+
+def _served_answers(monkeypatch) -> list:
+    """(diagram, configuration, trigger, answer, transitions answered by
+    another Machine) for every question that a Machine on a shared binding
+    puts to the binding's answers from now on."""
+    served = []
+    find = Machine._find_shared
+
+    def recording(machine, config, trigger):
+        before = len(machine.binding.answers)
+        got = find(machine, config, trigger)
+        group = machine._groups.get((config.control, trigger and trigger.ctor), ())
+        reused = len(group) - (len(machine.binding.answers) - before)
+        served.append((machine.std, config, trigger, got, reused))
+        return got
+
+    monkeypatch.setattr(Machine, "_find_shared", recording)
+    return served
+
+
+def _assert_served_as_the_oracle_answers(served, env) -> int:
+    for std, config, trigger, got, _ in served:
+        assert {(e.transition.label, e.reactions) for e in got} == {
+            (label, reactions) for label, _, reactions in oracle_enabled(std, config, trigger, env)
+        }, (std.name, config, trigger)
+    return sum(reused for *_, reused in served)
+
+
+@pytest.mark.parametrize("report", ["forwarding x blocking", "left x right"])
+def test_a_corpus_report_serves_the_enabled_answers_of_the_oracle(monkeypatch, report):
+    # Every answer a report's Machines share is the one `oracle_enabled`
+    # gives for that machine, configuration and trigger.
+    served = _served_answers(monkeypatch)
+    if report == "left x right":
+        base, (f1, f2), env = duo_std(), conflict_patches(), make_environment()
+    else:
+        base, env = build_step(2), default_env()
+        f1, f2 = feature_patch("forwarding"), feature_patch("blocking")
+    detect_conflict(base, f1, f2, env, Bounds(max_input_len=2, eps_budget=2, output_cap=8))
+    reused = _assert_served_as_the_oracle_answers(served, env)
+    assert served
+    if report == "forwarding x blocking":
+        assert reused > 0  # the combined machine asks what the singles asked
+
+
+def test_generated_reports_serve_the_enabled_answers_of_the_oracle(monkeypatch):
+    # Two features of 1-2 proposals each on generated machines.
+    rng = random.Random(29)
+    bounds = Bounds(max_input_len=2, eps_budget=2, output_cap=8)
+    env = make_environment()
+    served = _served_answers(monkeypatch)
+    verdicts = set()
+    for i in range(200):
+        std = gen_std(rng, name=f"gen{i}")
+        f1, f2 = (FeaturePatch(f"f{j}", std.name, tuple(
+            gen_application(rng, std) for _ in range(rng.randint(1, 2)))) for j in (1, 2))
+        verdicts.add(detect_conflict(std, f1, f2, env, bounds).verdict)
+    assert _assert_served_as_the_oracle_answers(served, env) > 0
+    assert {"compatible", "conflicting"} <= verdicts

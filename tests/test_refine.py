@@ -935,3 +935,77 @@ def test_equivalence_agrees_with_the_enumerating_oracle():
                 compared += 1
                 failed += not verdict.ok
     assert compared > 800 and failed > 40
+
+
+# ---------------------------------------------------------------------------
+# One binding per request
+# ---------------------------------------------------------------------------
+
+# Equal signatures, different attribute sorts: x ranges over 0..1 in the
+# abstract machine and over 0..2 in the concrete one.
+TWO_VALUES = """
+std m = {
+  input go
+  output a | b
+  attributes x :: Int 0..1
+  states s init {x == 0}
+  t: s -> s : {x == 0} go / [a] {x' == 1}
+  u: s -> s : {x == 1} go / [b] {x' == 0}
+}
+"""
+THREE_VALUES = """
+std m = {
+  input go
+  output a | b
+  attributes x :: Int 0..2
+  states s init {x == 0}
+  t: s -> s : {x == 0} go / [a] {x' == 2}
+  u: s -> s : {x == 1} go / [b] {x' == 0}
+  v: s -> s : {x == 2} go / [a] {x' == 0}
+}
+"""
+
+
+def test_machines_bind_apart_when_their_declarations_differ(base):
+    env = make_environment(tables={"f": {(0,): 1}})
+    bindings = interp.Bindings(env, shared=True)
+    grown = replace(base, states=base.states + ("s2",))
+    wider = replace(base, attributes=(("x", model.IntSort(0, 2)),))
+    using = replace(base, uses=(("f", model.EnvSymDecl((model.IntSort(0, 1),), model.IntSort(0, 1),
+                                                        False)),))
+    assert bindings.binding(grown) is bindings.binding(base)
+    assert bindings.binding(wider) is not bindings.binding(base)
+    assert bindings.binding(using) is not bindings.binding(base)
+    assert interp.Bindings(env).binding(base) is not bindings.binding(base)
+    one, two = interp.Machine(base, bindings), interp.Machine(grown, bindings)
+    assert one.binding is two.binding and one.valuations is two.valuations
+
+
+@pytest.mark.parametrize("abstract, concrete, output", [
+    (TWO_VALUES, THREE_VALUES, "[a, a]"),
+    (THREE_VALUES, TWO_VALUES, "[a, b]"),
+])
+def test_refinement_between_different_attributes_binds_each_machine_apart(
+    abstract, concrete, output
+):
+    v = check_refinement(parse_std(abstract), parse_std(concrete), EMPTY_ENV, B)
+    assert v.describe() == (
+        "refinement: FAIL (bounds: k=3 eps-budget=3 output-cap=16 state-cap=none)\n"
+        "  input:  [go, go]\n"
+        f"  output: {output}\n"
+        "  concrete output is not among the abstract outputs"
+    )
+
+
+def test_a_rejected_rule_records_no_transition_as_sort_checked(base):
+    # The add-transitions payload has an Int guard; its rejection must not
+    # let a later rule of the same request take the transition as checked.
+    bad = _t("t9", "s0", "s0", None, guard=Lit(3))
+    bindings = interp.Bindings(EMPTY_ENV)
+    with pytest.raises(RuleError) as first:
+        apply_rule(base, AddTransitions((bad,)), bindings, B)
+    holding = replace(base, transitions=base.transitions + (bad,))
+    with pytest.raises(RuleError) as later:
+        apply_rule(holding, AddStates(("q",)), bindings, B)
+    assert first.value.reason == later.value.reason == (
+        "the transformed machine is invalid: transition t9: guard must be Bool")
