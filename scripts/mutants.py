@@ -128,8 +128,8 @@ MUTANTS = (
     Mutant(
         "a feature's first rule takes the input's transitions as sort-checked",
         "interp.py",
-        "return made.checked if made is not None else ()",
-        "return made.checked if made is not None else std.transitions",
+        "return self._checked.get(declarations(std), ())",
+        "return self._checked.get(declarations(std), std.transitions)",
         ("tests/test_features.py::test_an_ill_sorted_input_fails_the_first_rule_with_every_problem",),
     ),
     Mutant(
@@ -137,7 +137,7 @@ MUTANTS = (
         "refine.py",
         "problems = validate_std(result, checked=bindings.checked(work))",
         "problems = validate_std(result, checked=bindings.checked(work)); "
-        "bindings.binding(work).checked.update(result.transitions)",
+        "bindings.record_checked(work, result.transitions)",
         ("tests/test_refine.py::test_a_rejected_rule_records_no_transition_as_sort_checked",),
     ),
     Mutant(

@@ -115,7 +115,7 @@ def detect_conflict(
     """Decide whether two features can be combined over `std` (see the module
     docstring for the four verdicts).  Every machine the report builds has
     std's declarations, so all of them share one binding of `env`."""
-    env = Bindings(env, shared=True)  # the report's one request
+    env = Bindings(env)  # the report's one request
 
     def report(verdict: str, evidence: list[str], merged: Optional[Std] = None) -> ConflictReport:
         return ConflictReport(

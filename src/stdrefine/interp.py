@@ -192,19 +192,16 @@ class Binding:
     values, and the `valuations`, built on first use.
 
     It also keeps answers about transitions, which depend only on a
-    transition and these: the pins of each postcondition met (see `_pins`);
-    where each guard holds (see `Machine.guarded`); and `checked`, the
-    transitions that have been sort-checked clean (see `validate_std`).  A
-    `shared` binding serves Machines that ask much the same questions, so it
+    transition and these: the pins of each postcondition met (see `_pins`)
+    and where each guard holds (see `Machine.guarded`).  The Machines of a
+    request (see `Bindings`) ask much the same questions, so for them it
     numbers the transitions they have (`ids`), keeps what each reads, and
     keeps each one's enabled answer per (valuation, trigger) in `answers`.
-    Any other binding (a lone Machine's) keeps none of these, as nothing
-    would ask twice."""
+    A lone Machine's binding keeps none of these, as nothing would ask
+    twice."""
 
-    def __init__(self, std: Std, env: Environment, shared: bool = False) -> None:
+    def __init__(self, std: Std, env: Environment) -> None:
         self.tables, self.problems = bind_environment(std, env)
-        self.shared = shared
-        self.checked: set[Transition] = set()
         if self.problems:
             return  # no Machine is made of it
         domains, sorts = std.domain_map(), std.attr_map()
@@ -230,7 +227,7 @@ class Binding:
         return tuple(tuple(sorted(zip(self._declared, combo))) for combo in combos)
 
     def read(self, t: Transition) -> tuple[int, set[int], set[int]]:
-        """t's number in a shared binding, with `_read_positions` of it."""
+        """t's number in the binding, with `_read_positions` of it."""
         hit = self.ids.get(t)
         if hit is None:
             hit = self.ids[t] = (len(self.ids), *_read_positions(t, self.attr_position))
@@ -242,25 +239,29 @@ class Bindings:
     check, a rule or feature application, a conflict report) makes of it, one
     per diagram declarations.  Passed where an `Environment` goes, it gives
     every `Machine` of the request with the same declarations one binding,
-    and it dies with the request.  `shared` says whether those Machines share
-    their enabled answers too (see `Binding`)."""
+    made when the first of them is, and it dies with the request.  It also
+    records, per declarations, the transitions that the request has
+    sort-checked clean (see `validate_std`), which binds nothing."""
 
-    def __init__(self, env: Environment, shared: bool = False) -> None:
+    def __init__(self, env: Environment) -> None:
         self.env = env
-        self.shared = shared
         self._made: dict[tuple, Binding] = {}
+        self._checked: dict[tuple, set[Transition]] = {}
 
     def binding(self, std: Std) -> Binding:
         key = declarations(std)
         made = self._made.get(key)
         if made is None:
-            made = self._made[key] = Binding(std, self.env, self.shared)
+            made = self._made[key] = Binding(std, self.env)
         return made
 
     def checked(self, std: Std) -> Collection[Transition]:
         """The transitions sort-checked clean so far under std's declarations."""
-        made = self._made.get(declarations(std))
-        return made.checked if made is not None else ()
+        return self._checked.get(declarations(std), ())
+
+    def record_checked(self, std: Std, transitions: Collection[Transition]) -> None:
+        """Record `transitions` as sort-checked clean under std's declarations."""
+        self._checked.setdefault(declarations(std), set()).update(transitions)
 
 
 def bindings_of(env: Environment | Bindings) -> Bindings:
@@ -280,7 +281,7 @@ class Machine:
     indexed once: the transitions per (source, trigger constructor or None
     for eps) in declaration order, and, per control state, the attributes and
     trigger arguments its outgoing transitions read (`reads`, one pass over
-    their expressions, or the shared binding's record of them).
+    their expressions, or the request's binding's record of them).
 
     Every memo is keyed by `key`, what a configuration's control state reads:
     the state and the values of the attributes that a guard, an output
@@ -296,8 +297,8 @@ class Machine:
     start state read.
 
     `enabled` keeps its answers per (key, trigger), with None for eps, so each
-    question goes to `_find_enabled` once (on a shared binding, one
-    transition at a time, through the binding's `answers`).  `row` keeps one
+    question goes to `_find_enabled` once (in a request, one transition at
+    a time, through the binding's `answers`).  `row` keeps one
     step row per key, aligned with `inputs`: cell i is the step of
     `inputs[i]` once `step` has filled it, and callers ask `step` only for an
     empty cell.  `step` shares one exploration between the inputs a state
@@ -308,15 +309,16 @@ class Machine:
     def __init__(self, std: Std, env: Environment | Bindings, bounds: Bounds = DEFAULT_BOUNDS) -> None:
         self.std = std = desugar(std)
         self.bounds = bounds
-        binding = env.binding(std) if isinstance(env, Bindings) else Binding(std, env)
+        shared = isinstance(env, Bindings)
+        binding = env.binding(std) if shared else Binding(std, env)
         if binding.problems:
             raise ValueError("environment does not fit the diagram: " + "; ".join(binding.problems))
         self.binding = binding
         self.tables = binding.tables
         self.inputs = binding.inputs
         self._groups: dict[tuple[str, str | None], list[Transition]] = {}
-        # On a shared binding, the numbers of each group's transitions.
-        self._ids: dict[tuple[str, str | None], list[int]] | None = {} if binding.shared else None
+        # In a request, the numbers of each group's transitions.
+        self._ids: dict[tuple[str, str | None], list[int]] | None = {} if shared else None
         self._arg_reads: dict[tuple[str, str], set[int]] = {}
         state_reads: dict[str, set[int]] = {}
         for t in std.transitions:
@@ -373,7 +375,7 @@ class Machine:
         return hit
 
     def _find_shared(self, config: Configuration, trigger: Msg | None) -> list[EnabledTransition]:
-        """`_find_enabled` on a shared binding: each transition's answer at
+        """`_find_enabled` in a request: each transition's answer at
         config's valuation and `trigger` is asked once per binding, as no
         answer depends on anything else."""
         group = (config.control, None if trigger is None else trigger.ctor)
@@ -702,9 +704,10 @@ def _make_entry(outputs, divergent, cap: int) -> Entry:
     return Entry(False, frozenset(outputs), frozenset(divergent), False)
 
 
-def traces(std: Std, env: Environment, bounds: Bounds = DEFAULT_BOUNDS) -> TraceSet:
+def traces(std: Std, env: Environment | Bindings, bounds: Bounds = DEFAULT_BOUNDS) -> TraceSet:
     """Exhaustively enumerate `step` over every input sequence up to the length
-    bound, from every initial configuration."""
+    bound, from every initial configuration.  `env` may be the `Bindings` of
+    the request the trace build is part of."""
     return machine_traces(Machine(std, env, bounds))
 
 

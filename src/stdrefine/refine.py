@@ -79,7 +79,6 @@ from .interp import (
     Verdict,
     Witness,
     bindings_of,
-    declarations,
     reachable_configurations,
     seq_key,
     traces,
@@ -245,8 +244,8 @@ def apply_rule(
     problems = validate_std(result, checked=bindings.checked(work))
     if problems:
         raise RuleError(name, "the transformed machine is invalid: " + "; ".join(problems))
-    # The result has work's declarations, so the binding is the same.
-    bindings.binding(work).checked.update(result.transitions)
+    # The result has work's declarations, so the record is the same.
+    bindings.record_checked(work, result.transitions)
     if check is not None:
         check(Machine(work, bindings, Bounds(eps_budget=1, state_cap=bounds.state_cap)))
     return result
@@ -606,7 +605,7 @@ def check_refinement(
             f"{abstract.name} and {concrete.name} have different signatures or domains"
         )
     # Machines of one declarations share their binding and enabled answers.
-    bindings = Bindings(env, shared=declarations(abstract) == declarations(concrete))
+    bindings = Bindings(env)
     ts_abstract = traces(abstract, bindings, bounds)
     ts_concrete = traces(concrete, bindings, bounds)
     return trace_inclusion(ts_abstract, ts_concrete)

@@ -342,15 +342,19 @@ def test_add_internal_accepts_disjoint_guard(guarded):
 
 
 def _counting_enabled(monkeypatch):
-    """Record (key, trigger) for every `Machine._find_enabled` call."""
+    """Record (key, trigger) for every question that misses the memo of
+    `Machine.enabled`: each `_find_enabled` call of a lone Machine, each
+    `_find_shared` call of a request's (which asks `_find_enabled` one
+    transition at a time)."""
     asked = []
-    find = interp.Machine._find_enabled
+    for name in ("_find_enabled", "_find_shared"):
 
-    def counting(machine, config, trigger):
-        asked.append((machine.key(config), trigger))
-        return find(machine, config, trigger)
+        def counting(machine, config, trigger, *group, find=getattr(interp.Machine, name)):
+            if not group:
+                asked.append((machine.key(config), trigger))
+            return find(machine, config, trigger, *group)
 
-    monkeypatch.setattr(interp.Machine, "_find_enabled", counting)
+        monkeypatch.setattr(interp.Machine, name, counting)
     return asked
 
 
@@ -968,7 +972,7 @@ std m = {
 
 def test_machines_bind_apart_when_their_declarations_differ(base):
     env = make_environment(tables={"f": {(0,): 1}})
-    bindings = interp.Bindings(env, shared=True)
+    bindings = interp.Bindings(env)
     grown = replace(base, states=base.states + ("s2",))
     wider = replace(base, attributes=(("x", model.IntSort(0, 2)),))
     using = replace(base, uses=(("f", model.EnvSymDecl((model.IntSort(0, 1),), model.IntSort(0, 1),
@@ -995,6 +999,20 @@ def test_refinement_between_different_attributes_binds_each_machine_apart(
         f"  output: {output}\n"
         "  concrete output is not among the abstract outputs"
     )
+
+
+def test_a_rule_without_a_side_condition_binds_no_environment(base, monkeypatch):
+    # Adding states asks no side condition, so no Machine is made and the
+    # environment is never bound, alone or as a later rule of a request.
+    bound = []
+    bind = interp.bind_environment
+    monkeypatch.setattr(interp, "bind_environment", lambda *a: bound.append(a) or bind(*a))
+    out = apply_rule(base, AddStates(("q",)), EMPTY_ENV, B)
+    bindings = interp.Bindings(EMPTY_ENV)
+    apply_rule(out, AddStates(("r",)), bindings, B)
+    apply_rule(out, AddStates(("r",)), bindings, B)
+    assert bound == []
+    assert set(bindings.checked(out)) == set(out.transitions)
 
 
 def test_a_rejected_rule_records_no_transition_as_sort_checked(base):
