@@ -170,6 +170,13 @@ MUTANTS = (
             "tests/test_features.py::test_stubbed_orders_share_a_trace_set_only_when_equal_up_to_order",
         ),
     ),
+    Mutant(
+        "remove-transitions judges an internal transition as an input one",
+        "refine.py",
+        "if trigger is None:",
+        "if False:",
+        ("tests/test_refine.py::test_remove_transition_rejects_leaving_no_internal_transition",),
+    ),
 )
 
 

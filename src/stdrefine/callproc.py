@@ -56,34 +56,9 @@ def base_std() -> Std:
 
 
 @lru_cache(maxsize=None)
-def tel_std() -> Std:
-    """The desk-telephone fixture (lift, dial, ring-or-busy)."""
-    return parse_std(corpus_text("tel.std"))
-
-
-@lru_cache(maxsize=None)
-def stack_std() -> Std:
-    """The bounded-stack fixture (list attribute, partial behavior)."""
-    return parse_std(corpus_text("stack.std"))
-
-
-@lru_cache(maxsize=None)
-def duo_std() -> Std:
-    """The conflict-demonstration fixture (two rival features share one message)."""
-    return parse_std(corpus_text("duo.std"))
-
-
-@lru_cache(maxsize=None)
 def default_env() -> Environment:
     """Reference environment: d1 answers busy, d3 rings, d2 forwards to d3."""
     return parse_env(corpus_text("default.env"))
-
-
-@lru_cache(maxsize=None)
-def quiet_env() -> Environment:
-    """Like `default_env` but with every feature table empty, so the added
-    features are dormant and the full chain behaves exactly like step 2."""
-    return parse_env(corpus_text("quiet.env"))
 
 
 @lru_cache(maxsize=None)
@@ -94,16 +69,6 @@ def feature_patch(name: str) -> FeaturePatch:
             f"unknown patch {name!r}; the chain ships {', '.join(_PATCH_NAMES)}"
         )
     return parse_feature(corpus_text(f"{name}.feat"), base=base_std())
-
-
-@lru_cache(maxsize=None)
-def conflict_patches() -> tuple[FeaturePatch, FeaturePatch]:
-    """The rival patch pair for the duo fixture; applying either blocks the other."""
-    base = duo_std()
-    return (
-        parse_feature(corpus_text("conflict-left.feat"), base=base),
-        parse_feature(corpus_text("conflict-right.feat"), base=base),
-    )
 
 
 @lru_cache(maxsize=None)

@@ -826,16 +826,6 @@ def _build(machine: Machine, children) -> TraceSet:
     )
 
 
-def simulate(
-    std: Std,
-    env: Environment,
-    input_seq: tuple[Msg, ...],
-    bounds: Bounds = DEFAULT_BOUNDS,
-) -> Entry:
-    """The entry for one concrete input sequence."""
-    return simulate_prefixes(std, env, input_seq, bounds).entry(tuple(input_seq))
-
-
 # ---------------------------------------------------------------------------
 # Verdicts
 # ---------------------------------------------------------------------------

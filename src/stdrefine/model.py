@@ -321,7 +321,6 @@ Expr = Union[
 ]
 
 TRUE = Lit(True)
-FALSE = Lit(False)
 
 
 def conj(*parts: Expr) -> Expr:
@@ -733,10 +732,6 @@ class Configuration(Record):
             return self.control
         vals = ", ".join(f"{k}={format_value(v)}" for k, v in self.valuation)
         return f"{self.control}[{vals}]"
-
-
-def make_config(control: str, values: dict[str, Value]) -> Configuration:
-    return Configuration(control, tuple(sorted(values.items())))
 
 
 def config_key(c: Configuration):

@@ -14,6 +14,7 @@ import itertools
 from stdrefine.model import (
     AttrRef,
     BinOp,
+    Configuration,
     Cons,
     Defined,
     Head,
@@ -32,13 +33,17 @@ from stdrefine.model import (
     desugar,
     enumerate_sort,
     eval_expr,
-    make_config,
     message_instances,
     msg_key,
 )
 from stdrefine.features import FeatureApplyError
 from stdrefine.interp import CHAOS_ENTRY, Bounds, Entry
 from stdrefine.refine import RuleError, apply_rule
+
+
+def make_config(control, values):
+    """The configuration at `control` with the attribute values of `values`."""
+    return Configuration(control, tuple(sorted(values.items())))
 
 
 def oracle_nodes(expr):

@@ -15,24 +15,21 @@ from stdrefine import (
     base_std,
     build_step,
     check_refinement,
-    conflict_patches,
     corpus_path,
     corpus_text,
     default_env,
-    duo_std,
     feature_patch,
     parse_env,
     parse_messages,
-    quiet_env,
-    simulate,
-    stack_std,
-    tel_std,
+    simulate_prefixes,
     trace_equivalence,
     traces,
     validate_std,
 )
 from stdrefine.interp import Machine
 from stdrefine.model import enumerate_sort, make_environment
+
+from fixtures import conflict_patches, corpus_env, corpus_std
 
 B = Bounds(max_input_len=3, eps_budget=4, output_cap=16)
 K2 = Bounds(max_input_len=2, eps_budget=4, output_cap=16)
@@ -73,7 +70,7 @@ def test_corpus_files_exist_and_parse():
 
 
 def test_corpus_machines_validate():
-    for std in (base_std(), tel_std(), stack_std(), duo_std()):
+    for std in (base_std(), corpus_std("tel.std"), corpus_std("stack.std"), corpus_std("duo.std")):
         assert validate_std(std) == []
     for n in range(6):
         assert validate_std(build_step(n)) == []
@@ -108,7 +105,7 @@ def test_chain_growth():
 
 def test_shipped_envs_are_valid():
     # Binding raises when an environment does not fit a diagram.
-    for env in (default_env(), quiet_env()):
+    for env in (default_env(), corpus_env("quiet.env")):
         for n in range(6):
             Machine(build_step(n), env)
 
@@ -228,8 +225,8 @@ def test_forwarding_needs_no_directory_entry_for_a_subscriber_in_good_standing()
 
 
 def test_quiet_env_keeps_features_dormant():
-    a = traces(build_step(2), quiet_env(), K2)
-    b = traces(build_step(5), quiet_env(), K2)
+    a = traces(build_step(2), corpus_env("quiet.env"), K2)
+    b = traces(build_step(5), corpus_env("quiet.env"), K2)
     assert trace_equivalence(a, b).ok
 
 
@@ -239,12 +236,14 @@ def test_quiet_env_keeps_features_dormant():
 
 
 def test_default_call_to_busy_subscriber():
-    e = simulate(build_step(2), default_env(), parse_messages("call(d2, d1), abandon"), B)
+    seq = parse_messages("call(d2, d1), abandon")
+    e = simulate_prefixes(build_step(2), default_env(), seq, B).entry(seq)
     assert outs(e) == ["busy-tone"]
 
 
 def test_default_call_to_free_subscriber_rings():
-    e = simulate(build_step(2), default_env(), parse_messages("call(d1, d3), abandon"), B)
+    seq = parse_messages("call(d1, d3), abandon")
+    e = simulate_prefixes(build_step(2), default_env(), seq, B).entry(seq)
     assert outs(e) == ["ring"]
 
 
@@ -253,18 +252,20 @@ def test_default_unresolved_subscriber_is_chaos_without_forwarding():
     # simply do not say what happens next.
     seq = parse_messages("call(d1, d2), abandon")
     for n in (0, 1, 2, 4):
-        assert simulate(build_step(n), default_env(), seq, B).chaos
+        assert simulate_prefixes(build_step(n), default_env(), seq, B).entry(seq).chaos
     for n in (3, 5):
-        e = simulate(build_step(n), default_env(), seq, B)
+        e = simulate_prefixes(build_step(n), default_env(), seq, B).entry(seq)
         assert not e.chaos and outs(e) == ["ring"]
 
 
 def test_outputs_appear_while_the_next_message_is_pending():
     # Internal steps only run while some input is waiting, so a lone call
     # shows no outputs yet; the follow-up message flushes the routing chain.
-    first = simulate(build_step(3), default_env(), parse_messages("call(d1, d2)"), B)
+    seq = parse_messages("call(d1, d2)")
+    first = simulate_prefixes(build_step(3), default_env(), seq, B).entry(seq)
     assert outs(first) == [""]
-    both = simulate(build_step(3), default_env(), parse_messages("call(d1, d2), abandon"), B)
+    seq = parse_messages("call(d1, d2), abandon")
+    both = simulate_prefixes(build_step(3), default_env(), seq, B).entry(seq)
     assert outs(both) == ["ring"]
 
 
@@ -275,7 +276,8 @@ def test_outputs_appear_while_the_next_message_is_pending():
 
 def test_delegation_resolves_via_second_subscriber():
     env = env_with("Del(d2) = d3", "ok-s(d3) = true", "ok(d3) = true")
-    e = simulate(build_step(3), env, parse_messages("call(d1, d2), abandon"), B)
+    seq = parse_messages("call(d1, d2), abandon")
+    e = simulate_prefixes(build_step(3), env, seq, B).entry(seq)
     assert not e.chaos and outs(e) == ["ring"]
 
 
@@ -287,7 +289,8 @@ def test_delegate_on_busy_hops_to_third_party():
         "ok-s(d1) = true",
         "ok(d1) = true",
     )
-    e = simulate(build_step(3), env, parse_messages("call(d2, d2), abandon"), B)
+    seq = parse_messages("call(d2, d2), abandon")
+    e = simulate_prefixes(build_step(3), env, seq, B).entry(seq)
     assert not e.chaos and outs(e) == ["ring"]
     assert e.divergent == frozenset()
 
@@ -295,15 +298,18 @@ def test_delegate_on_busy_hops_to_third_party():
 def test_no_answer_delegation_uses_quick_alert_timer():
     env = env_with("FM(d2) = d3", "DelNA(d2) = d1", "ok-s(d1) = true", "ok(d1) = true")
     s3 = build_step(3)
-    armed = simulate(s3, env, parse_messages("call(d1, d2), time-out-alarm"), B)
+    seq = parse_messages("call(d1, d2), time-out-alarm")
+    armed = simulate_prefixes(s3, env, seq, B).entry(seq)
     assert not armed.chaos and outs(armed) == ["set-quick-alert-timer"]
-    done = simulate(s3, env, parse_messages("call(d1, d2), time-out-alarm, abandon"), B)
+    seq = parse_messages("call(d1, d2), time-out-alarm, abandon")
+    done = simulate_prefixes(s3, env, seq, B).entry(seq)
     assert not done.chaos and outs(done) == ["set-quick-alert-timer|ring"]
 
 
 def test_directory_without_reachable_resolution_stays_unspecified():
     env = env_with("DelNA(d2) = d3")  # never reaches the no-answer state
-    e = simulate(build_step(3), env, parse_messages("call(d1, d2), abandon"), B)
+    seq = parse_messages("call(d1, d2), abandon")
+    e = simulate_prefixes(build_step(3), env, seq, B).entry(seq)
     assert e.chaos
 
 
@@ -314,7 +320,8 @@ def test_directory_without_reachable_resolution_stays_unspecified():
 
 def test_do_not_ring_blocks_the_subscriber():
     env = env_with("DNR(d2) = true")
-    e = simulate(build_step(4), env, parse_messages("call(d1, d2), abandon"), B)
+    seq = parse_messages("call(d1, d2), abandon")
+    e = simulate_prefixes(build_step(4), env, seq, B).entry(seq)
     assert not e.chaos and outs(e) == ["blocked-signal"]
 
 

@@ -18,6 +18,8 @@ import stdrefine
 from stdrefine import build_step, corpus_path, parse_std, print_std
 from stdrefine.cli import main
 
+from fixtures import corpus_std
+
 TEL = str(corpus_path("tel.std"))
 CALLPROC = str(corpus_path("callproc.std"))
 DUO = str(corpus_path("duo.std"))
@@ -409,9 +411,9 @@ def test_export_json_round_trips():
     assert code == 0
     doc = json.loads(out)
     check_against(doc, "std")
-    from stdrefine import std_from_json, tel_std
+    from stdrefine import std_from_json
 
-    assert std_from_json(doc) == tel_std()
+    assert std_from_json(doc) == corpus_std("tel.std")
 
 
 def test_export_picks_its_format_by_argument_only():

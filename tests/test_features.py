@@ -20,10 +20,8 @@ from stdrefine import (
     build_step,
     check_refinement,
     conflict_matrix,
-    conflict_patches,
     default_env,
     detect_conflict,
-    duo_std,
     feature_patch,
     parse_feature,
     parse_std,
@@ -34,6 +32,8 @@ from stdrefine import features
 from stdrefine.features import conflict_to_json
 from stdrefine.model import EMPTY_ENV, AttrRef, Lit, replace
 from stdrefine.refine import RuleApplication
+
+from fixtures import conflict_patches, corpus_std
 
 B = Bounds(max_input_len=3, eps_budget=3, output_cap=16)
 SMALL = Bounds(max_input_len=2, eps_budget=4, output_cap=16)
@@ -57,10 +57,10 @@ feature broken on duo {
   remove-transitions { nosuch }
 }
 """,
-        base=duo_std(),
+        base=corpus_std("duo.std"),
     )
     with pytest.raises(FeatureApplyError) as info:
-        apply_feature(duo_std(), patch, EMPTY_ENV, B)
+        apply_feature(corpus_std("duo.std"), patch, EMPTY_ENV, B)
     assert info.value.feature == "broken"
     assert info.value.index == 1
     assert "application #2" in str(info.value)
@@ -165,7 +165,7 @@ def test_compatible_features_merge_and_refine_both_singles():
 
 def test_conflicting_fixture_has_evidence_for_both_orders():
     left, right = conflict_patches()
-    report = detect_conflict(duo_std(), left, right, EMPTY_ENV, B)
+    report = detect_conflict(corpus_std("duo.std"), left, right, EMPTY_ENV, B)
     assert report.verdict == "conflicting"
     assert report.is_conflict
     assert report.merged is None
@@ -179,9 +179,9 @@ def test_two_patches_that_share_a_name_are_told_apart():
     # Each single-feature machine stays with its own patch, so the renamed
     # pair is decided as the corpus pair is.
     left, right = conflict_patches()
-    corpus = detect_conflict(duo_std(), left, right, EMPTY_ENV, B)
+    corpus = detect_conflict(corpus_std("duo.std"), left, right, EMPTY_ENV, B)
     renamed = detect_conflict(
-        duo_std(), replace(left, name="same"), replace(right, name="same"), EMPTY_ENV, B
+        corpus_std("duo.std"), replace(left, name="same"), replace(right, name="same"), EMPTY_ENV, B
     )
     assert renamed.verdict == corpus.verdict == "conflicting"
     assert renamed.evidence == tuple(
@@ -192,7 +192,7 @@ def test_two_patches_that_share_a_name_are_told_apart():
 
 
 def test_name_collision_is_not_independent():
-    duo = duo_std()
+    duo = corpus_std("duo.std")
     p1 = parse_feature("feature one on duo { add-states { blocked } }", base=duo)
     p2 = parse_feature("feature two on duo { add-states { blocked } }", base=duo)
     report = detect_conflict(duo, p1, p2, EMPTY_ENV, B)
@@ -253,7 +253,7 @@ def test_conflict_detection_reads_machines_not_rule_kinds():
 
 
 def test_patch_failing_alone_is_inapplicable():
-    duo = duo_std()
+    duo = corpus_std("duo.std")
     fine = parse_feature("feature fine on duo { add-states { waiting } }", base=duo)
     broken = parse_feature(
         "feature broken on duo { remove-transitions { nosuch } }", base=duo
@@ -384,7 +384,7 @@ def test_a_report_traces_each_compared_machine_once(monkeypatch):
 
 def test_a_report_traces_nothing_when_no_order_applies(monkeypatch):
     left, right = conflict_patches()
-    assert _traces_made(monkeypatch, duo_std(), left, right, EMPTY_ENV) == 0
+    assert _traces_made(monkeypatch, corpus_std("duo.std"), left, right, EMPTY_ENV) == 0
 
 
 def test_compatible_orders_are_trace_equivalent():
@@ -403,7 +403,7 @@ def test_compatible_orders_are_trace_equivalent():
 
 
 def test_conflict_matrix_covers_every_unordered_pair():
-    duo = duo_std()
+    duo = corpus_std("duo.std")
     left, right = conflict_patches()
     neutral = parse_feature("feature neutral on duo { add-states { spare } }", base=duo)
     rows = conflict_matrix(duo, (left, right, neutral), EMPTY_ENV, B)
@@ -416,7 +416,7 @@ def test_conflict_matrix_covers_every_unordered_pair():
 
 def test_conflict_report_json_shape():
     left, right = conflict_patches()
-    report = detect_conflict(duo_std(), left, right, EMPTY_ENV, B)
+    report = detect_conflict(corpus_std("duo.std"), left, right, EMPTY_ENV, B)
     doc = conflict_to_json(report)
     assert doc["format"] == "conflict/1"
     assert doc["verdict"] == "conflicting"
@@ -426,7 +426,7 @@ def test_conflict_report_json_shape():
 
 def test_conflict_report_describe_mentions_verdict_and_bounds():
     left, right = conflict_patches()
-    report = detect_conflict(duo_std(), left, right, EMPTY_ENV, B)
+    report = detect_conflict(corpus_std("duo.std"), left, right, EMPTY_ENV, B)
     text = report.describe()
     assert "conflicting" in text
     assert "k=3" in text

@@ -20,14 +20,9 @@ from stdrefine import (
     ResourceLimit,
     check_monotone,
     check_refinement,
-    duo_std,
-    make_config,
     parse_std,
     print_std,
-    simulate,
     simulate_prefixes,
-    stack_std,
-    tel_std,
     trace_equivalence,
     trace_inclusion,
     traces,
@@ -54,11 +49,13 @@ from stdrefine.model import (
     resolve_names,
 )
 
+from fixtures import corpus_std
 from machine_gen import gen_std
 from oracles import (
     _inputs_and_initial,
     all_configs,
     input_closure,
+    make_config,
     oracle_guarded,
     oracle_step,
     oracle_traces,
@@ -93,9 +90,10 @@ std loop = {
 
 
 def test_tel_lift_then_dial_is_ring_or_busy():
-    tel = tel_std()
+    tel = corpus_std("tel.std")
     for n in range(1, 10):
-        entry = simulate(tel, EMPTY_ENV, (Msg("LT"), Msg("DL", (n,))), K2)
+        seq = (Msg("LT"), Msg("DL", (n,)))
+        entry = simulate_prefixes(tel, EMPTY_ENV, seq, K2).entry(seq)
         assert not entry.chaos
         assert outs(entry) == ["DT|BY", "DT|RG"]
         assert entry.divergent == frozenset()
@@ -103,12 +101,12 @@ def test_tel_lift_then_dial_is_ring_or_busy():
 
 def test_tel_unspecified_input_is_chaos():
     # Going on hook while already on hook is not described: anything goes.
-    entry = simulate(tel_std(), EMPTY_ENV, (Msg("OH"),), K2)
-    assert entry.chaos
+    seq = (Msg("OH"),)
+    assert simulate_prefixes(corpus_std("tel.std"), EMPTY_ENV, seq, K2).entry(seq).chaos
 
 
 def test_tel_trace_count_is_alphabet_closure():
-    ts = traces(tel_std(), EMPTY_ENV, K2)
+    ts = traces(corpus_std("tel.std"), EMPTY_ENV, K2)
     n = len(ts.inputs)
     assert n == 11  # LT, OH, DL(1..9)
     closure = input_closure(ts.inputs, K2.max_input_len)
@@ -134,7 +132,8 @@ def test_tel_trace_count_is_alphabet_closure():
 
 
 def test_stack_top_answers_last_push():
-    entry = simulate(stack_std(), EMPTY_ENV, (Msg("Push", (2,)), Msg("Top")), K2)
+    seq = (Msg("Push", (2,)), Msg("Top"))
+    entry = simulate_prefixes(corpus_std("stack.std"), EMPTY_ENV, seq, K2).entry(seq)
     assert not entry.chaos
     assert outs(entry) == ["2"]
 
@@ -142,15 +141,17 @@ def test_stack_top_answers_last_push():
 def test_stack_pop_to_empty_then_pop_is_chaos():
     b = Bounds(max_input_len=3, eps_budget=2, output_cap=16)
     seq = (Msg("Push", (1,)), Msg("Pop"), Msg("Pop"))
-    assert not simulate(stack_std(), EMPTY_ENV, seq[:2], b).chaos
-    assert simulate(stack_std(), EMPTY_ENV, seq, b).chaos
+    ts = simulate_prefixes(corpus_std("stack.std"), EMPTY_ENV, seq, b)
+    assert not ts.entry(seq[:2]).chaos
+    assert ts.entry(seq).chaos
 
 
 def test_stack_overflow_is_chaos():
     b = Bounds(max_input_len=4, eps_budget=2, output_cap=16)
     seq = tuple(Msg("Push", (i % 4,)) for i in range(4))
-    assert not simulate(stack_std(), EMPTY_ENV, seq[:3], b).chaos
-    assert simulate(stack_std(), EMPTY_ENV, seq, b).chaos
+    ts = simulate_prefixes(corpus_std("stack.std"), EMPTY_ENV, seq, b)
+    assert not ts.entry(seq[:3]).chaos
+    assert ts.entry(seq).chaos
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +160,7 @@ def test_stack_overflow_is_chaos():
 
 
 def test_chaos_absorbs_extensions():
-    ts = traces(tel_std(), EMPTY_ENV, K2)
+    ts = traces(corpus_std("tel.std"), EMPTY_ENV, K2)
     bad = (Msg("OH"),)
     assert ts.entry(bad).chaos
     extensions = [
@@ -175,26 +176,24 @@ def test_chaos_absorbs_extensions():
 
 def test_simulate_prefixes_records_every_prefix():
     seq = (Msg("LT"), Msg("DL", (1,)))
-    ts = simulate_prefixes(tel_std(), EMPTY_ENV, seq, K2)
+    ts = simulate_prefixes(corpus_std("tel.std"), EMPTY_ENV, seq, K2)
     assert ts.sequences() == [(), seq[:1], seq]
-    assert ts.entry(seq) == simulate(tel_std(), EMPTY_ENV, seq, K2)
 
 
 def test_simulate_prefixes_reports_the_length_of_its_input_as_k():
     # The input is longer than the bound passed in; the trace set says so.
     seq = (Msg("LT"), Msg("DL", (1,)), Msg("OH"), Msg("LT"), Msg("DL", (2,)))
-    ts = simulate_prefixes(tel_std(), EMPTY_ENV, seq, K2)
+    ts = simulate_prefixes(corpus_std("tel.std"), EMPTY_ENV, seq, K2)
     assert ts.bounds == Bounds(max_input_len=5, eps_budget=4, output_cap=16)
     assert max(map(len, ts.entries)) == 5
-    assert ts.entry(seq) == simulate(tel_std(), EMPTY_ENV, seq, K2)
 
 
 def test_simulate_rejects_foreign_messages():
     with pytest.raises(ValueError, match="not an input message instance"):
-        simulate(tel_std(), EMPTY_ENV, (Msg("Zap"),), K2)
+        simulate_prefixes(corpus_std("tel.std"), EMPTY_ENV, (Msg("Zap"),), K2)
     # tel is chaotic at [OH]; a foreign message after it is still rejected.
     with pytest.raises(ValueError, match="Zap is not an input message instance of tel"):
-        simulate(tel_std(), EMPTY_ENV, (Msg("OH"), Msg("Zap")), K2)
+        simulate_prefixes(corpus_std("tel.std"), EMPTY_ENV, (Msg("OH"), Msg("Zap")), K2)
 
 
 # ---------------------------------------------------------------------------
@@ -304,20 +303,20 @@ std big = {
 
 
 def test_corpus_trace_sets_are_monotone():
-    for std in (tel_std(), stack_std()):
+    for std in (corpus_std("tel.std"), corpus_std("stack.std")):
         assert check_monotone(traces(std, EMPTY_ENV, K2)).ok
 
 
 def test_traces_monotone_in_k():
-    small = traces(tel_std(), EMPTY_ENV, Bounds(max_input_len=1, eps_budget=4, output_cap=16))
-    large = traces(tel_std(), EMPTY_ENV, K2)
+    small = traces(corpus_std("tel.std"), EMPTY_ENV, Bounds(max_input_len=1, eps_budget=4, output_cap=16))
+    large = traces(corpus_std("tel.std"), EMPTY_ENV, K2)
     for seq, entry in small.entries.items():
         assert large.entries[seq] == entry
 
 
 def test_traces_are_deterministic():
-    a = traces(tel_std(), EMPTY_ENV, K2)
-    b = traces(tel_std(), EMPTY_ENV, K2)
+    a = traces(corpus_std("tel.std"), EMPTY_ENV, K2)
+    b = traces(corpus_std("tel.std"), EMPTY_ENV, K2)
     assert a == b
     assert traceset_to_json(a) == traceset_to_json(b)
 
@@ -378,7 +377,7 @@ def test_machine_is_freed_without_the_cycle_collector():
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        machine = Machine(tel_std(), EMPTY_ENV, K2)
+        machine = Machine(corpus_std("tel.std"), EMPTY_ENV, K2)
         machine.step(machine.initial[0], Msg("LT"))
         ref = weakref.ref(machine)
         del machine
@@ -391,7 +390,7 @@ def test_machine_is_freed_without_the_cycle_collector():
 def test_resolve_names_leaves_no_cyclic_garbage():
     # Resolving an expression, or failing to, leaves nothing for the cycle
     # collector: not the recursive closure, nor the cells it holds.
-    scope = name_scope(tel_std())
+    scope = name_scope(corpus_std("tel.std"))
     known = BinOp("and", Lit(True), BinOp("eq", Name("n"), Name("n")))
     was_enabled = gc.isenabled()
     gc.disable()
@@ -407,7 +406,7 @@ def test_resolve_names_leaves_no_cyclic_garbage():
 
 
 def test_initial_configs_respect_initial_predicates():
-    m = Machine(stack_std(), EMPTY_ENV, K2)
+    m = Machine(corpus_std("stack.std"), EMPTY_ENV, K2)
     assert list(m.initial) == [make_config("estack", {"l": ()})]
 
 
@@ -425,7 +424,7 @@ def test_initial_configurations_agree_with_the_oracle_on_generated_machines():
 
 @pytest.mark.parametrize(
     "std, env",
-    [(tel_std(), EMPTY_ENV), (stack_std(), EMPTY_ENV), (duo_std(), EMPTY_ENV)]
+    [(corpus_std("tel.std"), EMPTY_ENV), (corpus_std("stack.std"), EMPTY_ENV), (corpus_std("duo.std"), EMPTY_ENV)]
     + [(build_step(n), default_env()) for n in range(6)],
     ids=["tel", "stack", "duo"] + [f"step{n}" for n in range(6)],
 )
@@ -723,7 +722,7 @@ def test_chain_steps_agree_with_oracle_under_default_env(n):
 
 
 def test_inclusion_allows_reduced_nondeterminism():
-    tel = tel_std()
+    tel = corpus_std("tel.std")
     pruned = parse_std(
         "".join(
             line
@@ -766,12 +765,12 @@ def test_inclusion_witness_is_the_least_missing_output():
 
 
 def test_equivalence_is_reflexive_and_detects_difference():
-    tel = traces(tel_std(), EMPTY_ENV, K2)
+    tel = traces(corpus_std("tel.std"), EMPTY_ENV, K2)
     assert trace_equivalence(tel, tel).ok
     pruned = parse_std(
         "".join(
             line
-            for line in print_std(tel_std()).splitlines(keepends=True)
+            for line in print_std(corpus_std("tel.std")).splitlines(keepends=True)
             if not line.lstrip().startswith("u3:")
         )
     )
@@ -780,8 +779,8 @@ def test_equivalence_is_reflexive_and_detects_difference():
 
 
 def test_equivalence_requires_identical_alphabets():
-    tel = traces(tel_std(), EMPTY_ENV, K2)
-    stack = traces(stack_std(), EMPTY_ENV, K2)
+    tel = traces(corpus_std("tel.std"), EMPTY_ENV, K2)
+    stack = traces(corpus_std("stack.std"), EMPTY_ENV, K2)
     with pytest.raises(SignatureMismatch):
         trace_equivalence(tel, stack)
 
@@ -849,9 +848,9 @@ def test_second_set_chaotic_at_a_proper_prefix_fails_at_that_prefix():
 
 
 GUARDED_MACHINES = {
-    "tel": lambda: (tel_std(), EMPTY_ENV),
-    "stack": lambda: (stack_std(), EMPTY_ENV),
-    "duo": lambda: (duo_std(), EMPTY_ENV),
+    "tel": lambda: (corpus_std("tel.std"), EMPTY_ENV),
+    "stack": lambda: (corpus_std("stack.std"), EMPTY_ENV),
+    "duo": lambda: (corpus_std("duo.std"), EMPTY_ENV),
     **{f"step{n}": (lambda n=n: (build_step(n), default_env())) for n in range(6)},
 }
 

@@ -9,9 +9,11 @@ import typing
 
 import pytest
 
+from fixtures import conflict_patches
 from machine_gen import gen_std
 from oracles import (
     all_configs,
+    make_config,
     oracle_enabled,
     oracle_nodes,
     oracle_reachable,
@@ -31,12 +33,10 @@ from stdrefine import (
     Transition,
     Undefined,
     build_step,
-    conflict_patches,
     corpus_text,
     default_env,
     desugar,
     feature_patch,
-    make_config,
     make_environment,
     parse_std,
     traces,

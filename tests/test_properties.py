@@ -15,6 +15,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from fixtures import conflict_patches, corpus_std
 from machine_gen import gen_application, gen_std
 from oracles import all_configs, input_closure, oracle_apply_feature, oracle_enabled, oracle_step
 
@@ -31,17 +32,14 @@ from stdrefine import (
     apply_rule,
     check_monotone,
     check_refinement,
-    conflict_patches,
     default_env,
     desugar,
     detect_conflict,
-    duo_std,
     build_step,
     feature_patch,
     make_environment,
     parse_std,
     print_std,
-    simulate,
     simulate_prefixes,
     std_from_json,
     std_to_json,
@@ -281,7 +279,7 @@ def test_trace_sets_grow_monotonically_and_absorb_chaos(seed):
     # `entry` agrees with simulating the one sequence, on the whole closure;
     # chaos is recorded once, at the sequences without a chaotic proper prefix.
     for seq in closure3:
-        assert ts3.entry(seq) == simulate(std, EMPTY_ENV, seq, B3)
+        assert ts3.entry(seq) == simulate_prefixes(std, EMPTY_ENV, seq, B3).entry(seq)
         if seq and ts3.entry(seq[:-1]).chaos:
             assert ts3.entry(seq).chaos
     assert set(ts3.entries) == {
@@ -518,7 +516,7 @@ def test_a_corpus_report_serves_the_enabled_answers_of_the_oracle(monkeypatch, r
     # gives for that machine, configuration and trigger.
     served = _served_answers(monkeypatch)
     if report == "left x right":
-        base, (f1, f2), env = duo_std(), conflict_patches(), make_environment()
+        base, (f1, f2), env = corpus_std("duo.std"), conflict_patches(), make_environment()
     else:
         base, env = build_step(2), default_env()
         f1, f2 = feature_patch("forwarding"), feature_patch("blocking")

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from fixtures import corpus_std
 from machine_gen import gen_application, gen_std, gen_wiring
 from oracles import input_closure, oracle_traces
 
@@ -34,9 +35,7 @@ from stdrefine import (
     make_environment,
     parse_std,
     print_std,
-    simulate,
-    stack_std,
-    tel_std,
+    simulate_prefixes,
     trace_equivalence,
     trace_inclusion,
     traces,
@@ -278,7 +277,7 @@ def test_split_rejects_non_implying_strengthening(base):
 
 def test_split_rejects_unsatisfiable_strengthening(base):
     app = SplitState("s1", ("s1a", "s1b"), (("t1", "s1a", Lit(False)),))
-    with pytest.raises(RuleError):
+    with pytest.raises(RuleError, match="is unsatisfiable where the original was satisfiable"):
         apply_rule(base, app, EMPTY_ENV, B)
 
 
@@ -290,13 +289,13 @@ def test_split_requires_every_incoming_redirected(base):
 
 def test_split_rejects_redirect_to_non_part(base):
     app = SplitState("s1", ("s1a", "s1b"), (("t1", "s0", None),))
-    with pytest.raises(RuleError):
+    with pytest.raises(RuleError, match="which is not a part"):
         apply_rule(base, app, EMPTY_ENV, B)
 
 
 def test_split_rejects_redirect_of_non_incoming(base):
     app = SplitState("s1", ("s1a", "s1b"), (("t1", "s1a", None), ("t2", "s1b", None)))
-    with pytest.raises(RuleError):
+    with pytest.raises(RuleError, match="which does not enter 's1'"):
         apply_rule(base, app, EMPTY_ENV, B)
 
 
@@ -310,8 +309,9 @@ def test_add_external_fills_unspecified_input(base):
     # describing it is a refinement.
     t3 = _t("t3", "s0", "s0", "stop", outputs=(("b", ()),))
     out = apply_rule(base, AddTransitions((t3,)), EMPTY_ENV, B)
-    assert not simulate(out, EMPTY_ENV, (Msg("stop"),), B).chaos
-    assert simulate(base, EMPTY_ENV, (Msg("stop"),), B).chaos
+    stop = (Msg("stop"),)
+    assert not simulate_prefixes(out, EMPTY_ENV, stop, B).entry(stop).chaos
+    assert simulate_prefixes(base, EMPTY_ENV, stop, B).entry(stop).chaos
     assert check_refinement(base, out, EMPTY_ENV, B).ok
 
 
@@ -499,13 +499,26 @@ std redundant = {
     out = apply_rule(redundant, RemoveTransitions(("t1b",)), EMPTY_ENV, B)
     assert out.transition("t1b") is None
     assert check_refinement(redundant, out, EMPTY_ENV, B).ok
-    entry = simulate(out, EMPTY_ENV, (Msg("go"),), B)
+    go = (Msg("go"),)
+    entry = simulate_prefixes(out, EMPTY_ENV, go, B).entry(go)
     assert {o[0].ctor for o in entry.outputs} == {"a"}
 
 
 def test_remove_transition_rejects_uncovering_removal(base):
     with pytest.raises(RuleError, match="unhandled"):
         apply_rule(base, RemoveTransitions(("t2",)), EMPTY_ENV, B)
+
+
+def test_remove_transition_rejects_leaving_no_internal_transition():
+    # e1 is the only internal transition at s1; without it, s1 takes no
+    # internal step where the original took one.
+    std = parse_std(BASE_SRC.replace("  t2:", "  e1: s1 -> s0 : eps / [b] {x' == x}\n  t2:"))
+    with pytest.raises(RuleError) as raised:
+        apply_rule(std, RemoveTransitions(("e1",)), EMPTY_ENV, B)
+    assert str(raised.value) == (
+        "rule remove-transitions: removing 'e1' leaves no internal transition where it "
+        "was enabled [witness: configuration s1[x=0]]"
+    )
 
 
 def test_remove_transitions_asks_each_question_once_per_read_key(monkeypatch):
@@ -784,6 +797,31 @@ def test_a_name_listed_twice_is_rejected(base, app, match):
         apply_rule(base, app, EMPTY_ENV, B)
 
 
+@pytest.mark.parametrize(
+    "app,text",
+    [
+        (AddStates(()), "rule add-states: no states to add"),
+        (RemoveStates(()), "rule remove-states: no states to remove"),
+        (AddTransitions(()), "rule add-transitions: no transitions to add"),
+        (RemoveTransitions(()), "rule remove-transitions: no transitions to remove"),
+        (RemoveInitialStates(()), "rule remove-initial-states: no initial markings to remove"),
+        (SplitState("s1", (), ()), "rule split-state: a split needs at least one part"),
+        (SplitState("s1", ("s0",), ()),
+         "rule split-state: part 's0' collides with an existing state"),
+        (SplitState("s1", ("p",), (("t1", "p", None), ("t1", "p", None))),
+         "rule split-state: transition 't1' redirected twice"),
+        (AddStates(("s0",)), "rule add-states: state 's0' already exists"),
+    ],
+    ids=["add-states-empty", "remove-states-empty", "add-transitions-empty",
+         "remove-transitions-empty", "remove-initial-states-empty", "split-no-parts",
+         "split-part-collides", "split-redirected-twice", "add-states-existing"],
+)
+def test_a_malformed_application_is_rejected_with_its_text(base, app, text):
+    with pytest.raises(RuleError) as raised:
+        apply_rule(base, app, EMPTY_ENV, B)
+    assert str(raised.value) == text
+
+
 @pytest.mark.parametrize("app", ["add-states", None, ("limbo",)], ids=["str", "none", "tuple"])
 def test_apply_rule_takes_only_rule_applications(base, app):
     with pytest.raises(TypeError, match="not a rule application"):
@@ -798,27 +836,45 @@ def test_apply_rule_takes_only_rule_applications(base, app):
 
 
 def test_refinement_is_reflexive():
-    for std in (tel_std(), stack_std()):
+    for std in (corpus_std("tel.std"), corpus_std("stack.std")):
         v = check_refinement(std, std, EMPTY_ENV, Bounds(max_input_len=2))
         assert v.ok
 
 
 def test_refinement_rejects_signature_change():
     with pytest.raises(SignatureMismatch):
-        check_refinement(tel_std(), stack_std(), EMPTY_ENV, Bounds(max_input_len=1))
+        check_refinement(corpus_std("tel.std"), corpus_std("stack.std"), EMPTY_ENV, Bounds(max_input_len=1))
+    with pytest.raises(SignatureMismatch) as raised:
+        check_refinement(corpus_std("tel.std"), corpus_std("duo.std"), EMPTY_ENV, Bounds(max_input_len=1))
+    assert str(raised.value) == "tel and duo have different signatures or domains"
+
+
+def test_inclusion_rejects_trace_sets_of_other_alphabets_or_bounds():
+    k1 = Bounds(max_input_len=1)
+    tel = traces(corpus_std("tel.std"), EMPTY_ENV, k1)
+    with pytest.raises(SignatureMismatch) as raised:
+        trace_inclusion(tel, traces(corpus_std("duo.std"), EMPTY_ENV, k1))
+    assert str(raised.value) == (
+        "trace sets range over different input alphabets; refinement is only defined "
+        "between machines with identical signatures and domains"
+    )
+    with pytest.raises(SignatureMismatch) as raised:
+        trace_inclusion(tel, traces(corpus_std("tel.std"), EMPTY_ENV, Bounds(max_input_len=2)))
+    assert str(raised.value) == "trace sets were computed under different bounds"
 
 
 def test_refinement_failure_witness_is_replayable():
     # Removing the busy answer narrows the telephone; the full machine then
     # shows an output the narrowed abstraction never allows.
-    tel = tel_std()
+    tel = corpus_std("tel.std")
     pruned = apply_rule(tel, RemoveTransitions(("u3",)), EMPTY_ENV, B)
     assert check_refinement(tel, pruned, EMPTY_ENV, B).ok
     back = check_refinement(pruned, tel, EMPTY_ENV, B)
     assert not back.ok
     assert back.witness is not None and back.witness.output is not None
-    concrete_entry = simulate(tel, EMPTY_ENV, back.witness.input, B)
-    abstract_entry = simulate(pruned, EMPTY_ENV, back.witness.input, B)
+    seq = back.witness.input
+    concrete_entry = simulate_prefixes(tel, EMPTY_ENV, seq, B).entry(seq)
+    abstract_entry = simulate_prefixes(pruned, EMPTY_ENV, seq, B).entry(seq)
     assert tuple(back.witness.output) in concrete_entry.outputs
     assert tuple(back.witness.output) not in abstract_entry.outputs
 

@@ -17,7 +17,6 @@ from stdrefine import (
     base_std,
     corpus_text,
     default_env,
-    duo_std,
     parse_env,
     parse_feature,
     parse_messages,
@@ -27,8 +26,8 @@ from stdrefine import (
     print_std,
     std_from_json,
     std_to_json,
-    tel_std,
 )
+from fixtures import corpus_std
 from machine_gen import gen_application, gen_std
 from stdrefine.textlang import tokenize
 from stdrefine.callproc import _PATCH_NAMES  # the shipped .feat inventory
@@ -90,11 +89,7 @@ def test_env_parse_print_identity(fname):
 @pytest.mark.parametrize("fname", FEAT_FILES)
 def test_feature_parse_print_identity(fname):
     text = corpus_text(fname)
-    base = None if fname.startswith("conflict-") else base_std()
-    if base is None:
-        from stdrefine import duo_std
-
-        base = duo_std()
+    base = corpus_std("duo.std") if fname.startswith("conflict-") else base_std()
     patch = parse_feature(text, base=base)
     assert parse_feature(print_feature(patch), base=base) == patch
 
@@ -236,10 +231,10 @@ def test_feature_payload_names_resolve_at_application():
     # scripts) but are rejected the moment the patch is applied.
     patch = parse_feature(
         "feature f on tel { add-transitions { z1: onhook -> nowhere : LT } }",
-        base=tel_std(),
+        base=corpus_std("tel.std"),
     )
     with pytest.raises(RuleError, match="nowhere"):
-        apply_feature(tel_std(), patch, EMPTY_ENV)
+        apply_feature(corpus_std("tel.std"), patch, EMPTY_ENV)
     # A patch parsed without its subject resolves, when applied, to what the
     # same patch parsed against its subject says.
     lists = parse_std(LISTS_SRC)
@@ -475,7 +470,7 @@ def _assert_one_patch(text: str, base, env) -> None:
 @pytest.mark.parametrize("fname", FEAT_FILES)
 def test_corpus_patches_mean_one_thing(fname):
     duo = fname.startswith("conflict-")
-    base, env = (duo_std(), EMPTY_ENV) if duo else (base_std(), default_env())
+    base, env = (corpus_std("duo.std"), EMPTY_ENV) if duo else (base_std(), default_env())
     _assert_one_patch(corpus_text(fname), base, env)
 
 
